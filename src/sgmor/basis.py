@@ -26,6 +26,7 @@ __all__ = [
     "build_quadrature",
     "eval_basis",
     "eval_basis_matrix",
+    "eval_expansion",
     "expectation_tensors",
 ]
 
@@ -345,6 +346,24 @@ def eval_basis_matrix(spec: BasisSpec, points, on_outside: str = "error") -> np.
 def eval_basis(spec: BasisSpec, p, on_outside: str = "error") -> np.ndarray:
     """Vector (m,) of basis function values at a single point."""
     return eval_basis_matrix(spec, np.asarray(p, dtype=float)[None, :], on_outside)[0]
+
+
+def eval_expansion(spec: BasisSpec, coeffs, p) -> np.ndarray | float:
+    """Evaluate the expansion sum_i c_i Phi_i(p).
+
+    coeffs has shape (m,) or (T, m); p is a single point (q,) or a batch
+    (N, q).  The result broadcasts to scalar, (N,), (T,) or (T, N).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[-1] != spec.m:
+        raise ValueError(f"coefficient rows must have length m={spec.m}")
+    pts = np.asarray(p, dtype=float)
+    vals = np.atleast_2d(coeffs) @ eval_basis_matrix(spec, np.atleast_2d(pts)).T  # (T, N)
+    if coeffs.ndim == 1:
+        vals = vals[0]
+    if pts.ndim == 1:
+        vals = vals[..., 0]
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def expectation_tensors(

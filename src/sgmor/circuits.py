@@ -18,12 +18,11 @@ random parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import Distribution1D
 from .galerkin import ParametricSystem
 
 __all__ = [
@@ -291,7 +290,7 @@ def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
     q = len(bounds)
     C0 = np.zeros((1, n))
     C0[0, node_pos[netlist.output_node]] = 1.0
-    psys = ParametricSystem(
+    return ParametricSystem(
         n=n,
         q=q,
         E0=sp.csr_matrix(E0),
@@ -302,14 +301,11 @@ def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
         A_terms=A_terms,
         B_terms=B_terms,
         C_terms=[None] * q,
+        parameter_bounds=bounds,
+        nominal_parameters=np.array(
+            [el.nominal for el in netlist.elements if el.tolerance > 0], dtype=float
+        ),
     )
-    psys.parameter_bounds = bounds
-    psys.parameter_distributions = [Distribution1D(lo, hi) for lo, hi in bounds]
-    nominal = np.array(
-        [el.nominal for el in netlist.elements if el.tolerance > 0], dtype=float
-    )
-    psys.nominal_parameters = nominal
-    return psys
 
 
 # Built-in low-pass ladder: source -> G1, then alternating L / G series

@@ -23,7 +23,7 @@ from .basis import BasisSpec, build_index_set
 from .circuits import lowpass_benchmark, mna_assemble, parse_netlist
 from .config import PipelineConfig, load_config
 from .descriptor import DescriptorSystem, pencil_spectrum, simulate_transient
-from .galerkin import GalerkinSystem, Selection, assemble, downsize
+from .galerkin import GalerkinSystem, assemble, downsize
 from .hardy import FrequencyGrid, HardyNormReport, hardy_norms, sample_transfer
 from .mor import arnoldi_reduce, deflate, svd_basis
 from .sparsify import (
@@ -128,7 +128,7 @@ def _load_galerkin(cfg: PipelineConfig, out: Path, stage: str) -> GalerkinSystem
     meta = json.loads(path.read_text())
     E = sp.csr_matrix(sio.mmread(out / "galerkin_E.mtx"))
     A = sp.csr_matrix(sio.mmread(out / "galerkin_A.mtx"))
-    B = np.asarray(sio.mmread(out / "galerkin_B.mtx").todense())
+    B = sio.mmread(out / "galerkin_B.mtx")
     C = sp.csr_matrix(sio.mmread(out / "galerkin_C.mtx"))
     iset = build_index_set(meta["q"], meta["degree"])
     spec = BasisSpec.uniform([tuple(b) for b in meta["bounds"]], iset)

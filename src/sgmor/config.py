@@ -18,12 +18,6 @@ class BasisConfig:
 
 
 @dataclass
-class QuadratureConfig:
-    mode: str = "auto"  # auto | tensor | smolyak
-    level: int | None = None
-
-
-@dataclass
 class FrequencyGridConfig:
     decade_min: float = -2.0
     decade_max: float = 10.0
@@ -61,7 +55,6 @@ class TransientConfig:
 class PipelineConfig:
     netlist: str = "builtin:lowpass"
     basis: BasisConfig = field(default_factory=BasisConfig)
-    quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
     frequency_grid: FrequencyGridConfig = field(default_factory=FrequencyGridConfig)
     sparsify: SparsifyConfig = field(default_factory=SparsifyConfig)
     mor: MorConfig = field(default_factory=MorConfig)
@@ -83,7 +76,6 @@ def config_hash(resolved: dict) -> str:
 
 _SECTIONS = {
     "basis": BasisConfig,
-    "quadrature": QuadratureConfig,
     "frequency_grid": FrequencyGridConfig,
     "sparsify": SparsifyConfig,
     "mor": MorConfig,

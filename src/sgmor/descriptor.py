@@ -7,7 +7,7 @@ verifying input-output bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,7 @@ __all__ = [
     "Trajectory",
     "PoleProximityError",
     "PencilRegularityError",
+    "factor_pencil",
     "transfer_eval",
     "pencil_spectrum",
     "simulate_transient",
@@ -43,8 +44,9 @@ class PencilRegularityError(ValueError):
 class DescriptorSystem:
     """Quadruple (E, A, B, C); E may be singular (DAE case).
 
-    B has shape (n, n_in), C has shape (n_out, n).  Matrices may be dense
-    ndarrays or scipy sparse.
+    B is stored as a dense float (n, n_in) array, whatever it is given as.
+    C has shape (n_out, n); E, A and C may each be dense ndarrays or scipy
+    sparse and keep their type.
     """
 
     E: object
@@ -56,11 +58,9 @@ class DescriptorSystem:
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.E.shape != (n, n):
             raise ValueError("E and A must be square of equal size")
-        B = np.asarray(self.B) if not sp.issparse(self.B) else self.B
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
-            object.__setattr__(self, "B", B)
-        if B.shape[0] != n:
+        B = np.asarray(self.B.toarray() if sp.issparse(self.B) else self.B, dtype=float)
+        object.__setattr__(self, "B", B.reshape(-1, 1) if B.ndim == 1 else B)
+        if self.B.shape[0] != n:
             raise ValueError("B row count must equal n")
         C = self.C
         if not sp.issparse(C):
@@ -89,33 +89,41 @@ class DescriptorSystem:
         def d(M):
             return M.toarray() if sp.issparse(M) else np.asarray(M)
 
-        return DescriptorSystem(d(self.E), d(self.A), d(self.B), d(self.C))
+        return DescriptorSystem(d(self.E), d(self.A), self.B, d(self.C))
 
 
-def _shifted_solver(sys: DescriptorSystem, s: complex) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor s*E - A once and return a solve closure."""
-    if sys.is_sparse:
-        M = (s * sp.csc_matrix(sys.E, dtype=complex) - sp.csc_matrix(sys.A, dtype=complex))
-        try:
-            lu = spla.splu(M)
-        except RuntimeError as exc:
-            raise PoleProximityError(f"singular shifted pencil at s={s}: {exc}") from exc
-        return lu.solve
-    M = s * np.asarray(sys.E, dtype=complex) - np.asarray(sys.A, dtype=complex)
+def factor_pencil(E, A, shift) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor shift*E - A once and return a solve closure.
+
+    SuperLU on CSC when E or A is sparse, dense LU otherwise; a complex
+    shift gives a complex factorization, a real one a real factorization.
+    A failed factorization or an exactly zero pivot raises
+    PoleProximityError, and so do non-finite factors or a pivot ratio above
+    1e15 on the dense path.  SuperLU's pivots are readable only through
+    CSC copies of both factors that the solver then keeps, which roughly
+    doubles the memory of every sparse factorization.
+    """
+    dtype = complex if np.iscomplexobj(shift) else float
+    sparse = sp.issparse(E) or sp.issparse(A)
+    if sparse:
+        M = shift * sp.csc_matrix(E, dtype=dtype) - sp.csc_matrix(A, dtype=dtype)
+    else:
+        M = shift * np.asarray(E, dtype=dtype) - np.asarray(A, dtype=dtype)
     try:
-        lu, piv = sla.lu_factor(M)
-    except (sla.LinAlgError, ValueError) as exc:
-        raise PoleProximityError(f"singular shifted pencil at s={s}") from exc
+        factors = spla.splu(M) if sparse else sla.lu_factor(M)
+    except (RuntimeError, ValueError, sla.LinAlgError) as exc:
+        raise PoleProximityError(f"singular shifted pencil at s={shift}: {exc}", condition=np.inf) from exc
+    if sparse:
+        return factors.solve
+    lu, piv = factors
     if not np.all(np.isfinite(lu)):
-        raise PoleProximityError(f"non-finite factorization at s={s}")
-    diag = np.abs(np.diag(lu))
-    if diag.min() == 0.0:
-        raise PoleProximityError(f"exactly singular shifted pencil at s={s}", condition=np.inf)
-    cond_est = diag.max() / diag.min()
-    if cond_est > 1e15:
-        raise PoleProximityError(
-            f"ill-conditioned shifted pencil at s={s}", condition=cond_est
-        )
+        raise PoleProximityError(f"non-finite factorization at s={shift}", condition=np.inf)
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() == 0.0:
+        raise PoleProximityError(f"exactly singular shifted pencil at s={shift}", condition=np.inf)
+    condition = pivots.max() / pivots.min()
+    if condition > 1e15:
+        raise PoleProximityError(f"ill-conditioned shifted pencil at s={shift}", condition=condition)
     return lambda rhs: sla.lu_solve((lu, piv), rhs)
 
 
@@ -124,9 +132,7 @@ def transfer_eval(sys: DescriptorSystem, s: complex) -> np.ndarray:
 
     Never forms an explicit inverse.
     """
-    solve = _shifted_solver(sys, complex(s))
-    B = sys.B.toarray() if sp.issparse(sys.B) else np.asarray(sys.B, dtype=complex)
-    X = solve(B.astype(complex))
+    X = factor_pencil(sys.E, sys.A, complex(s))(sys.B)
     return np.asarray(sys.C @ X)
 
 
@@ -160,9 +166,8 @@ def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
     """
     n = sys.n
     if n <= dim_cap:
-        A = sys.A.toarray() if sp.issparse(sys.A) else np.asarray(sys.A, dtype=float)
-        E = sys.E.toarray() if sp.issparse(sys.E) else np.asarray(sys.E, dtype=float)
-        alpha, beta = sla.eig(A, E, right=False, homogeneous_eigvals=True)
+        D = sys.dense()
+        alpha, beta = sla.eig(D.A, D.E, right=False, homogeneous_eigvals=True)
         if np.any(np.isnan(alpha)) or np.any(np.isnan(beta)):
             raise PencilRegularityError("pencil is numerically singular")
         mag = np.abs(alpha) + np.abs(beta)
@@ -180,18 +185,16 @@ def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
         # sampled heuristic: explicit shift-invert at several real shifts;
         # eigenvalues mu of (sigma E - A)^{-1} E map to lambda = sigma - 1/mu
         # and the infinite pencil eigenvalues land harmlessly at mu = 0
-        A = sp.csc_matrix(sys.A, dtype=float)
-        E = sp.csc_matrix(sys.E, dtype=float)
         found = []
         k = min(20, n - 2)
         for sigma in (1.0, 1e2, 1e4, 1e6, 1e8):
             try:
-                lu = spla.splu((sigma * E - A).tocsc())
-                op = spla.LinearOperator((n, n), matvec=lambda x: lu.solve(E @ x))
+                solve = factor_pencil(sys.E, sys.A, sigma)
+                op = spla.LinearOperator((n, n), matvec=lambda x: solve(sys.E @ x))
                 mu = spla.eigs(op, k=k, which="LM", return_eigenvectors=False)
                 mu = mu[np.abs(mu) > 1e-12 * np.abs(mu).max()]
                 found.append(sigma - 1.0 / mu)
-            except Exception:
+            except (PoleProximityError, spla.ArpackNoConvergence):
                 continue
         finite = np.concatenate(found) if found else np.array([], dtype=complex)
         finite = finite[np.isfinite(finite)]
@@ -260,8 +263,9 @@ def simulate_transient(
     """Implicit trapezoidal integration of E x' = A x + B u from x(0) = 0.
 
     One-step A-stable scheme, valid for index-1 DAEs with the consistent
-    zero start enforced by u(0) = 0.  The factorization of E - (h/2) A is
-    reused across all steps.
+    zero start enforced by u(0) = 0.  With sigma = 2/h each step solves
+    (sigma E - A) x_{k+1} = (sigma E + A) x_k + (u_k + u_{k+1}) B, reusing
+    one factorization of sigma E - A across all steps.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -270,32 +274,14 @@ def simulate_transient(
     u = np.asarray(input_fn(times), dtype=float)
     if abs(u[0]) > 1e-14 * max(1.0, np.abs(u).max()):
         raise ValueError("input must satisfy u(0) = 0 for consistent initialization")
-    h2 = 0.5 * step
-    B = (sys.B.toarray() if sp.issparse(sys.B) else np.asarray(sys.B, dtype=float)).ravel()
-    if sys.is_sparse:
-        E = sp.csc_matrix(sys.E, dtype=float)
-        A = sp.csc_matrix(sys.A, dtype=float)
-        try:
-            lu = spla.splu(E - h2 * A)
-        except RuntimeError as exc:
-            raise ArithmeticError(f"trapezoidal factorization failed at step {step}") from exc
-        solve = lu.solve
-        right = E + h2 * A
-    else:
-        E = np.asarray(sys.E, dtype=float)
-        A = np.asarray(sys.A, dtype=float)
-        try:
-            lu_piv = sla.lu_factor(E - h2 * A)
-        except sla.LinAlgError as exc:
-            raise ArithmeticError(f"trapezoidal factorization failed at step {step}") from exc
-        solve = lambda rhs: sla.lu_solve(lu_piv, rhs)
-        right = E + h2 * A
+    sigma = 2.0 / step
+    solve = factor_pencil(sys.E, sys.A, sigma)
+    B = sys.B.ravel()
     x = np.zeros(sys.n)
     outputs = np.empty((n_steps + 1, sys.n_out))
     outputs[0] = np.asarray(sys.C @ x).ravel()
     for k in range(n_steps):
-        rhs = right @ x + h2 * (u[k] + u[k + 1]) * B
-        x = solve(rhs)
+        x = solve(sigma * (sys.E @ x) + sys.A @ x + (u[k] + u[k + 1]) * B)
         outputs[k + 1] = np.asarray(sys.C @ x).ravel()
     input_l2 = float(np.sqrt(np.trapezoid(u**2, times)))
     return Trajectory(times=times, outputs=outputs, inputs=u, input_l2=input_l2)

@@ -44,7 +44,9 @@ class ParametricSystem:
     Each matrix is M(p) = M0 + sum_ell p_ell * M_terms[ell]; a term may be
     None when the matrix does not depend on that parameter.  Systems
     without an affine structure can supply `evaluator` only, in which case
-    assembly falls back to the generic quadrature path.
+    assembly falls back to the generic quadrature path.  Optional
+    `parameter_bounds` and `nominal_parameters` give each parameter's
+    [lower, upper] range and nominal value.
     """
 
     n: int
@@ -58,6 +60,8 @@ class ParametricSystem:
     B_terms: Sequence[object] = None
     C_terms: Sequence[object] = None
     evaluator: Callable[[np.ndarray], tuple] = None
+    parameter_bounds: list[tuple[float, float]] | None = None
+    nominal_parameters: np.ndarray | None = None
 
     def __post_init__(self):
         if self.is_affine:
@@ -226,7 +230,7 @@ def _assemble_quadrature(psys: ParametricSystem, spec: BasisSpec, quad: Quadratu
         Ahat += np.kron(outer, A)
         Bhat += np.kron((quad.weights[k] * phi[k])[:, None], B.reshape(n, -1))
         Chat += np.kron(outer, C.reshape(-1, n))
-    return sp.csr_matrix(Ehat), sp.csr_matrix(Ahat), sp.csr_matrix(Bhat), sp.csr_matrix(Chat)
+    return sp.csr_matrix(Ehat), sp.csr_matrix(Ahat), Bhat, sp.csr_matrix(Chat)
 
 
 def assemble(
@@ -296,11 +300,10 @@ def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
     S = gsys.system
     E = sp.csr_matrix(S.E)[cols][:, cols]
     A = sp.csr_matrix(S.A)[cols][:, cols]
-    B = sp.csr_matrix(S.B)[cols]
     C = sp.csr_matrix(S.C)[:, cols].tolil()
     for i in sel.dropped:
         C[i, :] = 0.0
-    system = DescriptorSystem(E, A, B.toarray(), C.tocsr())
+    system = DescriptorSystem(E, A, S.B[cols], C.tocsr())
     return GalerkinSystem(
         system=system,
         spec=gsys.spec,

@@ -10,11 +10,11 @@ at the last grid point.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import DescriptorSystem, PoleProximityError, _shifted_solver
+from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil
 
 __all__ = [
     "FrequencyGrid",
@@ -128,15 +128,14 @@ def sample_transfer(sys: DescriptorSystem, grid: FrequencyGrid) -> np.ndarray:
     """
     out = np.empty((sys.n_out, len(grid)), dtype=complex)
     for j, omega in enumerate(grid.omegas):
+        # `solve` keeps the previous factorization alive while the next one
+        # is built, so the allocator reuses its memory instead of returning
+        # it to the OS and faulting it back in at every frequency
         try:
-            solve = _shifted_solver(sys, 1j * omega)
+            solve = factor_pencil(sys.E, sys.A, 1j * omega)
         except PoleProximityError as exc:
-            raise PoleProximityError(
-                f"pole proximity at omega={omega}: {exc}", getattr(exc, "condition", None)
-            ) from exc
-        B = sys.B.toarray() if hasattr(sys.B, "toarray") else np.asarray(sys.B)
-        X = solve(B.astype(complex))
-        out[:, j] = np.asarray(sys.C @ X).ravel()
+            raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
+        out[:, j] = np.asarray(sys.C @ solve(sys.B)).ravel()
     return out
 
 

@@ -8,16 +8,12 @@ and the per-basis-function influence measures derived from the SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .basis import BasisSpec, eval_basis_matrix
-from .descriptor import DescriptorSystem, PoleProximityError
+from .basis import BasisSpec, eval_basis_matrix, eval_expansion
+from .descriptor import DescriptorSystem, factor_pencil
 from .galerkin import GalerkinSystem
 
 __all__ = [
@@ -33,25 +29,6 @@ __all__ = [
 ]
 
 BREAKDOWN_RTOL = 1e-14
-
-
-def _factorized(E, A, s0: float) -> Callable[[np.ndarray], np.ndarray]:
-    if sp.issparse(E) or sp.issparse(A):
-        M = s0 * sp.csc_matrix(E, dtype=float) - sp.csc_matrix(A, dtype=float)
-        try:
-            lu = spla.splu(M)
-        except RuntimeError as exc:
-            raise PoleProximityError(f"singular shifted matrix at s0={s0}: {exc}") from exc
-        return lu.solve
-    M = s0 * np.asarray(E, dtype=float) - np.asarray(A, dtype=float)
-    try:
-        lu_piv = sla.lu_factor(M)
-    except sla.LinAlgError as exc:
-        raise PoleProximityError(f"singular shifted matrix at s0={s0}") from exc
-    diag = np.abs(np.diag(lu_piv[0]))
-    if not np.all(np.isfinite(diag)) or diag.min() == 0.0:
-        raise PoleProximityError(f"singular shifted matrix at s0={s0}")
-    return lambda rhs: sla.lu_solve(lu_piv, rhs)
 
 
 @dataclass(frozen=True)
@@ -77,14 +54,6 @@ class ReducedSystem:
         return self.system.n_out
 
 
-def _galerkin_matrices(gsys):
-    if isinstance(gsys, GalerkinSystem):
-        S = gsys.system
-    else:
-        S = gsys
-    return S.E, S.A, S.B, S.C
-
-
 def arnoldi_reduce(gsys: GalerkinSystem | DescriptorSystem, s0: float, r: int) -> ReducedSystem:
     """One-point Krylov projection of the Galerkin system at real s0.
 
@@ -94,12 +63,13 @@ def arnoldi_reduce(gsys: GalerkinSystem | DescriptorSystem, s0: float, r: int) -
     factorization of the shifted matrix.  On Krylov breakdown the achieved
     dimension is returned with the breakdown flag set.
     """
-    E, A, B, C = _galerkin_matrices(gsys)
-    n = A.shape[0]
+    S = gsys.system if isinstance(gsys, GalerkinSystem) else gsys
+    E, A = S.E, S.A
+    n = S.n
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    solve = _factorized(E, A, float(s0))
-    Bd = (B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)).ravel()
+    solve = factor_pencil(E, A, float(s0))
+    Bd = S.B.ravel()
     b = np.asarray(solve(Bd)).ravel()
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
@@ -124,7 +94,7 @@ def arnoldi_reduce(gsys: GalerkinSystem | DescriptorSystem, s0: float, r: int) -
     Er = V.T @ np.asarray(E @ V)
     Ar = V.T @ np.asarray(A @ V)
     Br = V.T @ Bd
-    Cr = np.asarray(C @ V)
+    Cr = np.asarray(S.C @ V)
     reduced = DescriptorSystem(Er, Ar, Br.reshape(-1, 1), Cr)
     return ReducedSystem(system=reduced, T=V, s0=float(s0), breakdown=breakdown, source_dimension=n)
 
@@ -135,17 +105,15 @@ def moment_oracle(gsys: GalerkinSystem | DescriptorSystem, s0: float, k: int) ->
     Coefficient j is (-1)^j C K^j b with K, b as in `arnoldi_reduce`,
     computed by repeated linear solves on the full system.
     """
-    E, A, B, C = _galerkin_matrices(gsys)
-    solve = _factorized(E, A, float(s0))
-    Bd = (B.toarray() if sp.issparse(B) else np.asarray(B, dtype=float)).ravel()
-    v = np.asarray(solve(Bd)).ravel()
-    n_out = C.shape[0]
-    out = np.empty((k, n_out))
+    S = gsys.system if isinstance(gsys, GalerkinSystem) else gsys
+    solve = factor_pencil(S.E, S.A, float(s0))
+    v = np.asarray(solve(S.B.ravel())).ravel()
+    out = np.empty((k, S.n_out))
     sign = 1.0
     for j in range(k):
-        out[j] = sign * np.asarray(C @ v).ravel()
+        out[j] = sign * np.asarray(S.C @ v).ravel()
         if j + 1 < k:
-            v = np.asarray(solve(np.asarray(E @ v).ravel())).ravel()
+            v = np.asarray(solve(np.asarray(S.E @ v).ravel())).ravel()
             sign = -sign
     return out
 
@@ -162,23 +130,9 @@ def reduced_output_surrogate(
     functions.  vbar has shape (r,) or (T, r); p is (q,) or (N, q).
     """
     vbar = np.asarray(vbar, dtype=float)
-    single_t = vbar.ndim == 1
-    Vt = np.atleast_2d(vbar)
-    if Vt.shape[1] != rsys.r:
+    if vbar.shape[-1] != rsys.r:
         raise ValueError(f"coefficient rows must have length r={rsys.r}")
-    pts = np.asarray(p, dtype=float)
-    single_p = pts.ndim == 1
-    phi = eval_basis_matrix(spec, np.atleast_2d(pts))  # (N, m)
-    Cbar = np.asarray(rsys.system.C.toarray() if sp.issparse(rsys.system.C) else rsys.system.C)
-    w = Vt @ Cbar.T  # (T, m)
-    vals = w @ phi.T  # (T, N)
-    if single_t and single_p:
-        return float(vals[0, 0])
-    if single_t:
-        return vals[0]
-    if single_p:
-        return vals[:, 0]
-    return vals
+    return eval_expansion(spec, vbar @ np.asarray(rsys.system.C).T, p)
 
 
 @dataclass(frozen=True)
@@ -213,7 +167,7 @@ def svd_basis(rsys: ReducedSystem) -> OrthonormalizedBasis:
     with the `rank_truncated` flag set; numerical rank deficiency above
     that level is deliberately kept for the deflation step.
     """
-    Cbar = np.asarray(rsys.system.C.toarray() if sp.issparse(rsys.system.C) else rsys.system.C)
+    Cbar = np.asarray(rsys.system.C)
     U, s, Q = np.linalg.svd(Cbar, full_matrices=False)
     r = rsys.r
     tol = max(Cbar.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, eval_basis_matrix
+from .basis import BasisSpec, eval_expansion
 from .galerkin import Selection
 from .hardy import HardyNormReport
 
@@ -70,7 +70,7 @@ def rank_and_theta(report: HardyNormReport, kind: str = "h2") -> NormRanking:
         raise DegenerateRankingError("all Hardy norms are zero")
     # stable sort on (-norm, index): ties broken by lower output position
     order = np.lexsort((np.arange(len(norms)), -norms))
-    theta = np.sqrt(np.cumsum(norms[order] ** 2) / total_sq)
+    theta = np.minimum(np.sqrt(np.cumsum(norms[order] ** 2) / total_sq), 1.0)
     theta[-1] = 1.0
     return NormRanking(order=order, theta=theta, norm_kind=kind, norms=norms, total=np.sqrt(total_sq))
 
@@ -210,20 +210,4 @@ def sparse_output_eval(
     coefficients; p is a single point (q,) or a batch (N, q).  The result
     broadcasts to scalar, (N,), (T,) or (T, N).
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    single_t = coeffs.ndim == 1
-    W = np.atleast_2d(coeffs)
-    if W.shape[1] != spec.m:
-        raise ValueError(f"coefficient rows must have length m={spec.m}")
-    pts = np.asarray(p, dtype=float)
-    single_p = pts.ndim == 1
-    phi = eval_basis_matrix(spec, np.atleast_2d(pts))
-    kept = list(sel.kept)
-    vals = W[:, kept] @ phi[:, kept].T  # (T, N)
-    if single_t and single_p:
-        return float(vals[0, 0])
-    if single_t:
-        return vals[0]
-    if single_p:
-        return vals[:, 0]
-    return vals
+    return eval_expansion(spec, np.asarray(coeffs, dtype=float) * sel.mask(), p)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgmor as sg
-from sgmor.basis import DomainError, SizingError
+from sgmor.basis import DomainError, SizingError, eval_expansion
 
 
 def uniform_spec(bounds, q, d):
@@ -159,6 +159,28 @@ class TestEvalBasis:
         with pytest.warns(UserWarning):
             out = sg.eval_basis(spec, np.array([1.5]), on_outside="warn")
         assert np.all(np.isfinite(out))
+
+
+class TestEvalExpansion:
+    @pytest.fixture
+    def spec(self):
+        return uniform_spec([(0.0, 2.0), (-1.0, 1.0)], 2, 2)
+
+    def test_shapes_and_values(self, spec):
+        rng = np.random.default_rng(4)
+        c = rng.normal(size=(3, spec.m))
+        P = rng.uniform(-1.0, 1.0, (5, 2)) + [1.0, 0.0]
+        expect = c @ sg.eval_basis_matrix(spec, P).T  # (T, N)
+        assert np.abs(eval_expansion(spec, c, P) - expect).max() < 1e-13
+        assert eval_expansion(spec, c[0], P).shape == (5,)
+        assert eval_expansion(spec, c, P[0]).shape == (3,)
+        got = eval_expansion(spec, c[0], P[0])
+        assert isinstance(got, float)
+        assert abs(got - expect[0, 0]) < 1e-13
+
+    def test_wrong_length_rejected(self, spec):
+        with pytest.raises(ValueError, match="length m"):
+            eval_expansion(spec, np.ones(spec.m + 1), np.array([1.0, 0.0]))
 
 
 class TestExpectationTensors:

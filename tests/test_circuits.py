@@ -1,10 +1,13 @@
 """Netlist parsing and modified nodal analysis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sgmor as sg
 from sgmor.circuits import ModellingError, NetlistError, lowpass_benchmark_text
+from sgmor.galerkin import ParametricSystem
 
 RC_NETLIST = """\
 G1 1 2 1.0 0.1
@@ -94,6 +97,14 @@ class TestMnaAssemble:
         for (lo, hi), nom in zip(bench_psys.parameter_bounds, bench_psys.nominal_parameters):
             assert abs(lo - 0.9 * nom) < 1e-15 * nom
             assert abs(hi - 1.1 * nom) < 1e-15 * nom
+
+    def test_parameter_metadata_fields(self, bench_psys):
+        names = {f.name for f in dataclasses.fields(ParametricSystem)}
+        assert {"parameter_bounds", "nominal_parameters"} <= names
+        assert not hasattr(bench_psys, "parameter_distributions")
+        assert bench_psys.nominal_parameters.shape == (21,)
+        bare = ParametricSystem(n=1, q=1, A0=-np.eye(1))
+        assert bare.parameter_bounds is None and bare.nominal_parameters is None
 
     def test_affine_faithfulness(self, bench_psys):
         rng = np.random.default_rng(21)

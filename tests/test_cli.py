@@ -99,6 +99,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown MorConfig keys"):
             load_config(path)
 
+    def test_quadrature_section_rejected(self, tmp_path):
+        # no stage reads a quadrature setting, so the section does not exist
+        path = tmp_path / "bad.yaml"
+        path.write_text("quadrature:\n  mode: auto\n")
+        with pytest.raises(ValueError, match="unknown config key"):
+            load_config(path)
+
     def test_invalid_enums_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("sparsify:\n  norm: h3\n")

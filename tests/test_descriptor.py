@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import sgmor as sg
 from sgmor.descriptor import (
     DescriptorSystem,
     PencilRegularityError,
     PoleProximityError,
+    factor_pencil,
 )
+
+DENSE_OR_SPARSE = [np.asarray, sp.csr_matrix]
 
 
 def scalar_system():
@@ -22,6 +27,39 @@ def dae_system():
         np.array([[1.0], [1.0]]),
         np.array([[1.0, 0.0]]),
     )
+
+
+def singular_at(s):
+    """Scalar system whose pencil s*E - A is exactly zero at the given s."""
+    return np.eye(1), s * np.eye(1)
+
+
+class TestFactorPencil:
+    @pytest.mark.parametrize("fmt", DENSE_OR_SPARSE)
+    def test_real_and_complex_shift_dtypes(self, fmt):
+        E, A = fmt(np.eye(3)), fmt(-2.0 * np.eye(3) + np.diag([0.5, 0.5], 1))
+        rhs = np.ones(3)
+        x = factor_pencil(E, A, 1.0)(rhs)
+        assert x.dtype == float
+        assert np.abs((np.eye(3) - A @ np.eye(3)) @ x - rhs).max() < 1e-14
+        assert factor_pencil(E, A, 1.0 + 2.0j)(rhs.astype(complex)).dtype == complex
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("fmt", DENSE_OR_SPARSE)
+    def test_zero_pivot(self, fmt):
+        E, A = singular_at(3.0)
+        with pytest.raises(PoleProximityError) as exc:
+            factor_pencil(fmt(E), fmt(A), 3.0)
+        assert exc.value.condition == np.inf
+
+    def test_pivot_ratio_dense(self):
+        with pytest.raises(PoleProximityError) as exc:
+            factor_pencil(np.zeros((2, 2)), -np.diag([1.0, 1e-17]), 1.0)
+        assert exc.value.condition > 1e15
+
+    def test_non_finite(self):
+        with pytest.raises(PoleProximityError):
+            factor_pencil(np.eye(1), np.full((1, 1), np.nan), 1.0)
 
 
 class TestTransferEval:
@@ -65,6 +103,23 @@ class TestTransferEval:
     def test_pole_proximity_error(self):
         with pytest.raises(PoleProximityError):
             sg.transfer_eval(scalar_system(), -1.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("fmt", DENSE_OR_SPARSE)
+    def test_exactly_singular_pencil(self, fmt):
+        E, A = singular_at(200.0)
+        sys = DescriptorSystem(fmt(E), fmt(A), np.ones((1, 1)), np.ones((1, 1)))
+        with pytest.raises(PoleProximityError):
+            sg.transfer_eval(sys, 200.0)
+
+    def test_b_stored_dense(self):
+        sys = DescriptorSystem(
+            sp.eye(2, format="csr"), -sp.eye(2, format="csr"), sp.csr_matrix([[1], [0]]),
+            sp.csr_matrix([[1.0, 1.0]]),
+        )
+        assert isinstance(sys.B, np.ndarray) and sys.B.dtype == float
+        assert sys.B.shape == (2, 1)
+        assert sp.issparse(sys.E) and sp.issparse(sys.A) and sp.issparse(sys.C)
 
 
 class TestPencilSpectrum:
@@ -110,6 +165,14 @@ class TestPencilSpectrum:
         assert rep.method == "sampled"
         assert rep.stable
 
+    def test_sampled_method_propagates_unexpected_errors(self, bench_galerkin_d1, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not an eigensolver failure")
+
+        monkeypatch.setattr(spla, "eigs", broken)
+        with pytest.raises(TypeError):
+            sg.pencil_spectrum(bench_galerkin_d1.system, dim_cap=100)
+
 
 class TestSimulateTransient:
     def test_zero_input(self):
@@ -140,6 +203,16 @@ class TestSimulateTransient:
         with pytest.raises(ValueError, match="u\\(0\\)"):
             sg.simulate_transient(scalar_system(), lambda t: np.ones_like(t), 1.0, 0.01)
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("fmt", DENSE_OR_SPARSE)
+    def test_exactly_singular_step_matrix(self, fmt):
+        # sigma E - A vanishes for sigma = 2/h
+        h = 0.01
+        E, A = singular_at(2.0 / h)
+        sys = DescriptorSystem(fmt(E), fmt(A), np.ones((1, 1)), np.ones((1, 1)))
+        with pytest.raises(PoleProximityError):
+            sg.simulate_transient(sys, lambda t: np.sin(t), 1.0, h)
+
     def test_index1_dae_runs(self):
         traj = sg.simulate_transient(dae_system(), lambda t: np.sin(t), 5.0, 1e-3)
         # algebraic constraint x2 = -u holds; output reads the ODE state
@@ -165,3 +238,23 @@ class TestSimulateTransient:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (11, 2)
         assert np.allclose(data[:, 0], traj.times)
+
+
+class TestSparseDenseAgreement:
+    """The sparse Galerkin system and its dense copy share one solve path."""
+
+    @staticmethod
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+    def test_transfer_moments_transient(self, desk_galerkin):
+        sparse_sys = desk_galerkin.system
+        dense_sys = sparse_sys.dense()
+        assert sparse_sys.is_sparse and not dense_sys.is_sparse
+        for s in (0.0, 0.5j, 3.0 + 10.0j):
+            assert self.close(sg.transfer_eval(sparse_sys, s), sg.transfer_eval(dense_sys, s))
+        assert self.close(sg.moment_oracle(sparse_sys, 1.0, 4), sg.moment_oracle(dense_sys, 1.0, 4))
+        u = lambda t: np.sin(t) * np.exp(-t)
+        ys = sg.simulate_transient(sparse_sys, u, 5.0, 0.01).outputs
+        yd = sg.simulate_transient(dense_sys, u, 5.0, 0.01).outputs
+        assert self.close(ys, yd)
