@@ -1,7 +1,10 @@
 """Frequency-grid estimation of per-output H2 and H-infinity norms.
 
 The transfer function is sampled on a logarithmic grid along the positive
-imaginary axis (conjugate symmetry folds the negative axis).  The
+imaginary axis (conjugate symmetry folds the negative axis).  A sparse
+system is sampled with one SuperLU factorization per frequency; a dense
+(reduced) system with one complex QZ decomposition for the whole grid and
+a triangular back-substitution vectorised over the frequencies.  The
 H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
 approximation of the frequency integral plus a c/omega tail model fitted
 at the last grid point.
@@ -13,6 +16,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil
 
@@ -109,6 +113,9 @@ class HardyNormReport:
             "argmax_omega": self.argmax_omega.tolist(),
             "tail_estimate": self.tail_estimate.tolist(),
             "strictly_proper_ok": self.strictly_proper_ok.tolist(),
+            "tail_fraction_warning": (
+                None if self.tail_fraction_warning is None else self.tail_fraction_warning.tolist()
+            ),
             "grid": {
                 "decade_min": self.grid.decade_min,
                 "decade_max": self.grid.decade_max,
@@ -121,11 +128,23 @@ class HardyNormReport:
 
 
 def sample_transfer(sys: DescriptorSystem, grid: FrequencyGrid) -> np.ndarray:
-    """H(i*omega_j) for all outputs; shape (n_out, k).
+    """H(i*omega_j) for all outputs of a single-input system; shape (n_out, k).
 
-    One factorization per frequency; all outputs share the single solve
-    with right-hand side B.
+    Sparse system: one SuperLU factorization of i*omega*E - A and one solve
+    per frequency.  Dense system: one complex QZ, A = Q AA Z^H and
+    E = Q BB Z^H, for the whole grid; the triangular system
+    (i*omega*BB - AA) y = Q^H b is back-substituted for all frequencies at
+    once and H = (C Z) y.
+
+    Raises PoleProximityError naming the omega, with `condition` set, where
+    i*omega*E - A is singular or ill-conditioned.  Sparse: SuperLU fails or
+    meets an exactly zero pivot.  Dense: a pivot d_i = i*omega*BB_ii - AA_ii
+    is zero or non-finite, or max|d_i| / min|d_i| exceeds 1e15.
     """
+    if sys.n_in != 1:
+        raise ValueError(f"sample_transfer needs a single-input system (n_in=1), got n_in={sys.n_in}")
+    if not sys.is_sparse:
+        return _sample_dense(sys, grid.omegas)
     out = np.empty((sys.n_out, len(grid)), dtype=complex)
     for j, omega in enumerate(grid.omegas):
         # `solve` keeps the previous factorization alive while the next one
@@ -137,6 +156,33 @@ def sample_transfer(sys: DescriptorSystem, grid: FrequencyGrid) -> np.ndarray:
             raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
         out[:, j] = np.asarray(sys.C @ solve(sys.B)).ravel()
     return out
+
+
+def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
+    """Dense branch of sample_transfer: one QZ, one vectorised back-substitution."""
+    try:
+        AA, BB, Q, Z = sla.qz(sys.A, sys.E, output="complex")
+    except (ValueError, sla.LinAlgError) as exc:
+        raise PoleProximityError(f"QZ decomposition of the pencil failed: {exc}", condition=np.inf) from exc
+    s = 1j * omegas
+    d = s * np.diag(BB)[:, None] - np.diag(AA)[:, None]  # pivots, (n, k)
+    pivots = np.abs(d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = pivots.max(axis=0) / pivots.min(axis=0)
+    condition[np.isnan(condition)] = np.inf  # zero or non-finite pivots
+    bad = np.flatnonzero(condition > 1e15)
+    if bad.size:
+        j = bad[0]
+        raise PoleProximityError(
+            f"pole proximity at omega={omegas[j]}: singular or ill-conditioned shifted pencil",
+            condition=float(condition[j]),
+        )
+    g = Q.conj().T @ sys.B[:, 0]
+    Y = np.empty_like(d)
+    for i in range(sys.n - 1, -1, -1):
+        tail = Y[i + 1 :]
+        Y[i] = (g[i] - s * (BB[i, i + 1 :] @ tail) + AA[i, i + 1 :] @ tail) / d[i]
+    return np.asarray(sys.C @ Z) @ Y
 
 
 def _top_decade_slope(mag: np.ndarray, omegas: np.ndarray) -> float:

@@ -156,6 +156,12 @@ class TestPipeline:
             assert 1 <= r <= 22
             assert abs(float(row[3]) - 100.0 * r / 22) < 1e-9
 
+    def test_norms_json_tail_warning(self, run_dir):
+        out, _ = run_dir
+        warn = json.loads((out / "norms.json").read_text())["tail_fraction_warning"]
+        assert len(warn) == 22  # one flag per output, m = 22
+        assert all(isinstance(w, bool) for w in warn)
+
     def test_report_bundles_certificates(self, run_dir):
         out, _ = run_dir
         report = json.loads((out / "report.json").read_text())

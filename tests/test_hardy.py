@@ -2,13 +2,41 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgmor as sg
-from sgmor.descriptor import DescriptorSystem
+from sgmor.descriptor import DescriptorSystem, PoleProximityError
 
 
 def first_order():
     return DescriptorSystem(np.eye(1), -np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
+
+
+def as_csr(sys):
+    return DescriptorSystem(sp.csr_matrix(sys.E), sp.csr_matrix(sys.A), sys.B, sp.csr_matrix(sys.C))
+
+
+def random_stable_dae(n, n_alg, seed):
+    """E = P diag(I, 0) R, A = P diag(J, -I) R with J + J^T negative definite.
+
+    P and R are random orthogonal, so the pencil is regular, index 1 when
+    n_alg > 0, and its finite eigenvalues (those of J) lie in Re < 0.
+    """
+    rng = np.random.default_rng(seed)
+    P = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    R = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    n_dyn = n - n_alg
+    W = rng.normal(size=(n_dyn, n_dyn))
+    J = (W - W.T) - np.diag(rng.uniform(0.1, 10.0, n_dyn))
+    De = np.zeros((n, n))
+    De[:n_dyn, :n_dyn] = np.eye(n_dyn)
+    Da = -np.eye(n)
+    Da[:n_dyn, :n_dyn] = J
+    B = rng.normal(size=(n, 1))
+    C = rng.normal(size=(3, n))
+    return DescriptorSystem(P @ De @ R, P @ Da @ R, B, C)
 
 
 class TestFrequencyGrid:
@@ -46,6 +74,69 @@ class TestSampleTransfer:
         for i in range(desk_galerkin.m):
             hi = sg.transfer_eval(desk_galerkin.system, 1.0j)[i, 0]
             assert abs(H[i, 1] - hi) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        alg_fraction=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_matches_transfer_eval(self, n, alg_fraction, seed):
+        sys = random_stable_dae(n, int(alg_fraction * n), seed)
+        grid = sg.FrequencyGrid.logspaced(-2, 2, 5)
+        assert grid.omegas[0] == 0.0
+        H = sg.sample_transfer(sys, grid)
+        ref = np.column_stack([sg.transfer_eval(sys, 1j * w)[:, 0] for w in grid.omegas])
+        assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+        # with singular E the condition number of i*omega*E - A grows like
+        # omega, and so does the round-off of both paths: above the grid
+        # the gap is bounded by the condition number instead
+        scale = np.abs(ref).max()
+        high = sg.FrequencyGrid(np.logspace(3, 6, 4))
+        H = sg.sample_transfer(sys, high)
+        for j, w in enumerate(high.omegas):
+            ref_j = sg.transfer_eval(sys, 1j * w)[:, 0]
+            kappa = np.linalg.cond(1j * w * sys.E - sys.A)
+            assert np.abs(H[:, j] - ref_j).max() <= 1e-14 * kappa * scale
+
+    def test_dense_reduced_matches_sparse_copy(self, desk_galerkin):
+        red = sg.arnoldi_reduce(desk_galerkin, 1.0, 5).system
+        assert not red.is_sparse
+        grid = sg.FrequencyGrid.default()
+        H = sg.sample_transfer(red, grid)
+        ref = sg.sample_transfer(as_csr(red), grid)
+        assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("fmt", [lambda s: s, as_csr], ids=["dense", "csr"])
+    def test_pole_on_grid(self, fmt):
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # poles at +-1j
+        sys = fmt(DescriptorSystem(np.eye(2), A, np.ones((2, 1)), np.ones((1, 2))))
+        with pytest.raises(PoleProximityError, match="omega=1.0") as exc:
+            sg.sample_transfer(sys, sg.FrequencyGrid(np.array([0.5, 1.0])))
+        assert exc.value.condition > 1e15
+
+    def test_dense_pivot_ratio(self):
+        sys = DescriptorSystem(np.zeros((2, 2)), -np.diag([1.0, 1e-17]), np.ones((2, 1)), np.ones((1, 2)))
+        with pytest.raises(PoleProximityError, match="omega=0.0") as exc:
+            sg.sample_transfer(sys, sg.FrequencyGrid(np.array([0.0, 1.0])))
+        assert 1e15 < exc.value.condition < np.inf
+
+    @pytest.mark.parametrize(
+        "E, A",
+        [(np.zeros((1, 1)), np.zeros((1, 1))), (np.eye(2), np.array([[-1.0, np.nan], [0.0, -1.0]]))],
+        ids=["zero-pencil", "non-finite"],
+    )
+    def test_dense_degenerate_pencil(self, E, A):
+        sys = DescriptorSystem(E, A, np.ones((len(A), 1)), np.ones((1, len(A))))
+        with pytest.raises(PoleProximityError) as exc:
+            sg.sample_transfer(sys, sg.FrequencyGrid(np.array([0.0, 1.0])))
+        assert exc.value.condition == np.inf
+
+    @pytest.mark.parametrize("fmt", [lambda s: s, as_csr], ids=["dense", "csr"])
+    def test_multi_input_rejected(self, fmt):
+        sys = fmt(DescriptorSystem(np.eye(2), -np.eye(2), np.ones((2, 2)), np.ones((1, 2))))
+        with pytest.raises(ValueError, match=r"single-input system \(n_in=1\), got n_in=2"):
+            sg.sample_transfer(sys, sg.FrequencyGrid(np.array([0.0, 1.0])))
 
 
 class TestHardyNorms:
