@@ -16,7 +16,7 @@ gsys = sg.assemble(psys, spec)
 print(f"coupled system: dimension {gsys.dimension}, m = {gsys.m} outputs")
 
 grid = sg.FrequencyGrid.default()
-samples = sg.sample_transfer(gsys.system, grid)
+samples = sg.sample_transfer(gsys, grid)
 report = sg.hardy_norms(samples, grid)
 
 degrees = spec.index_set.total_degrees()

@@ -16,7 +16,7 @@ spec = sg.BasisSpec.uniform(psys.parameter_bounds, sg.build_index_set(21, 2))
 gsys = sg.assemble(psys, spec)
 
 grid = sg.FrequencyGrid.logspaced(-2, 10, 20)
-samples = sg.sample_transfer(gsys.system, grid)
+samples = sg.sample_transfer(gsys, grid)
 report = sg.hardy_norms(samples, grid)
 ranking = sg.rank_and_theta(report, "h2")
 
@@ -49,7 +49,7 @@ for r in (1, 4, 12, 40):
 # system, so theorem 2 applies with the dropped norms as a floor
 sel = sg.select_indices(ranking, "threshold", delta=0.1)
 small = sg.downsize(gsys, sel)
-diff = sg.hardy_norms(samples - sg.sample_transfer(small.system, grid), grid)
+diff = sg.hardy_norms(samples - sg.sample_transfer(small, grid), grid)
 cert2 = sg.theorem2_certificate(diff, input_l2=traj.input_l2,
                                 full_report=report, sel=sel)
 print(f"\ndownsize at delta=0.1: kept {len(sel.kept)} of {gsys.m} outputs")

@@ -16,7 +16,7 @@ gsys = sg.assemble(psys, spec)
 print(f"coupled system: dimension {gsys.dimension}, m = {gsys.m}")
 
 grid = sg.FrequencyGrid.logspaced(-2, 10, 20)
-samples = sg.sample_transfer(gsys.system, grid)
+samples = sg.sample_transfer(gsys, grid)
 
 s0 = 5.0e5
 print(f"\none-point Arnoldi at s0 = {s0:.1e}")

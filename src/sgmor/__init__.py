@@ -39,6 +39,7 @@ from .galerkin import GalerkinSystem, ParametricSystem, Selection, assemble, dow
 from .hardy import (
     FrequencyGrid,
     HardyNormReport,
+    SolverStats,
     difference_norms,
     hardy_norms,
     sample_transfer,

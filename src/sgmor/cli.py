@@ -24,7 +24,7 @@ from .circuits import lowpass_benchmark, mna_assemble, parse_netlist
 from .config import PipelineConfig, load_config
 from .descriptor import DescriptorSystem, pencil_spectrum, simulate_transient
 from .galerkin import GalerkinSystem, assemble, downsize
-from .hardy import FrequencyGrid, HardyNormReport, hardy_norms, sample_transfer
+from .hardy import FrequencyGrid, HardyNormReport, SolverStats, hardy_norms, sample_transfer
 from .mor import arnoldi_reduce, deflate, svd_basis
 from .sparsify import (
     rank_and_theta,
@@ -146,7 +146,8 @@ def _load_galerkin(cfg: PipelineConfig, out: Path, stage: str) -> GalerkinSystem
 def stage_norms(cfg: PipelineConfig, out: Path) -> HardyNormReport:
     gsys = _load_galerkin(cfg, out, "norms")
     grid = _grid(cfg)
-    samples = sample_transfer(gsys.system, grid)
+    stats = SolverStats()
+    samples = sample_transfer(gsys, grid, stats)
     np.savez_compressed(out / "samples.npz", samples=samples, omegas=grid.omegas)
     report = hardy_norms(samples, grid)
     h = cfg.hash()
@@ -163,7 +164,7 @@ def stage_norms(cfg: PipelineConfig, out: Path) -> HardyNormReport:
         for i in range(report.n_out)
     ]
     _write_csv(out / "norms.csv", "output,degree,h2,hinf,argmax_omega,tail", rows, h)
-    report.to_json(out / "norms.json")
+    report.to_json(out / "norms.json", solver=stats.summary())
     return report
 
 
@@ -226,7 +227,7 @@ def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
         for r in range(start, min(stop, m) + 1, step):
             sel_r = select_indices(ranking, "top_k", k=r)
             small = downsize(gsys, sel_r)
-            diff_samples = samples - sample_transfer(small.system, grid)
+            diff_samples = samples - sample_transfer(small, grid)
             diff = hardy_norms(diff_samples, grid)
             cert = theorem2_certificate(diff, full_report=report, sel=sel_r)
             rows.append(
@@ -264,7 +265,7 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
             diff = hardy_norms(samples - sample_transfer(sub, grid), grid)
             cert = theorem2_certificate(diff)
             stable = pencil_spectrum(sub).stable
-            rows.append((r, float(cert.bound_sup), float(cert.bound_l2), int(stable)))
+            rows.append((r, float(cert.bound_sup), float(cert.bound_l2), "" if stable is None else int(stable)))
         _write_csv(out / "reduce_bounds.csv", "r,bound_sup,bound_l2,stable", rows, h)
 
     red = arnoldi_reduce(gsys, s0, min(cfg.mor.r, gsys.dimension))

@@ -138,12 +138,16 @@ def transfer_eval(sys: DescriptorSystem, s: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PencilReport:
+    """Spectrum verdicts; `stable` is None when no verdict could be reached,
+    and `stability_reason` then says why."""
+
     finite_eigenvalues: np.ndarray
     infinite_count: int
-    stable: bool
+    stable: bool | None
     strictly_proper: bool
     properness_confidence: str  # "ratio-test" | "assumed"
     method: str  # "dense-eig" | "sampled"
+    stability_reason: str = ""
 
 
 def _properness_slope(sys: DescriptorSystem, omega_scale: float) -> float:
@@ -162,8 +166,11 @@ def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
 
     Dense generalized eigendecomposition up to `dim_cap`; above it, a
     sampled shift-inverse check near the imaginary axis is used and the
-    report is flagged with method="sampled".
+    report is flagged with method="sampled".  If the sampled check finds no
+    finite eigenvalue at any shift, `stable` is None (unknown) and
+    `stability_reason` names what each shift met.
     """
+    reason = ""
     n = sys.n
     if n <= dim_cap:
         D = sys.dense()
@@ -185,7 +192,7 @@ def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
         # sampled heuristic: explicit shift-invert at several real shifts;
         # eigenvalues mu of (sigma E - A)^{-1} E map to lambda = sigma - 1/mu
         # and the infinite pencil eigenvalues land harmlessly at mu = 0
-        found = []
+        found, failures = [], []
         k = min(20, n - 2)
         for sigma in (1.0, 1e2, 1e4, 1e6, 1e8):
             try:
@@ -194,12 +201,18 @@ def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
                 mu = spla.eigs(op, k=k, which="LM", return_eigenvectors=False)
                 mu = mu[np.abs(mu) > 1e-12 * np.abs(mu).max()]
                 found.append(sigma - 1.0 / mu)
-            except (PoleProximityError, spla.ArpackNoConvergence):
-                continue
+            except (PoleProximityError, spla.ArpackNoConvergence) as exc:
+                failures.append(f"sigma={sigma:g}: {type(exc).__name__}")
         finite = np.concatenate(found) if found else np.array([], dtype=complex)
         finite = finite[np.isfinite(finite)]
         infinite_count = -1  # unknown for the sampled method
-        stable = bool(np.all(finite.real < 0)) if len(finite) else False
+        if len(finite):
+            stable = bool(np.all(finite.real < 0))
+        else:
+            stable = None
+            reason = "sampled shift-invert found no finite eigenvalue"
+            if failures:
+                reason += " (" + "; ".join(failures) + ")"
         method = "sampled"
         omega_scale = max(1.0, float(np.abs(finite).max())) if len(finite) else 1.0
     try:
@@ -216,6 +229,7 @@ def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
         strictly_proper=strictly_proper,
         properness_confidence=confidence,
         method=method,
+        stability_reason=reason,
     )
 
 

@@ -158,6 +158,10 @@ class GalerkinSystem:
     def dimension(self) -> int:
         return self.system.n
 
+    @property
+    def is_sparse(self) -> bool:
+        return self.system.is_sparse
+
     def output_multi_indices(self) -> list[tuple[int, ...]]:
         return [self.spec.index_set.indices[i] for i in self.basis_positions]
 
@@ -216,21 +220,20 @@ def _assemble_affine(psys: ParametricSystem, spec: BasisSpec) -> tuple:
 
 
 def _assemble_quadrature(psys: ParametricSystem, spec: BasisSpec, quad: QuadratureGrid) -> tuple:
-    m, n = spec.m, psys.n
+    """Quadrature sums M_hat = sum_k w_k kron(phi_k phi_k^T, M(p_k)) for E, A
+    and C, and B_hat = sum_k w_k kron(phi_k, B(p_k)); any input and output
+    count, in the block layout of `_assemble_affine`."""
     phi = eval_basis_matrix(spec, quad.nodes)
-    n_in = 1
-    Ehat = np.zeros((m * n, m * n))
-    Ahat = np.zeros((m * n, m * n))
-    Bhat = np.zeros((m * n, n_in))
-    Chat = np.zeros((m, m * n))
+    Ehat = Ahat = Bhat = Chat = 0
     for k in range(len(quad)):
         E, A, B, C = psys.evaluate(quad.nodes[k])
-        outer = quad.weights[k] * np.outer(phi[k], phi[k])
-        Ehat += np.kron(outer, E)
-        Ahat += np.kron(outer, A)
-        Bhat += np.kron((quad.weights[k] * phi[k])[:, None], B.reshape(n, -1))
-        Chat += np.kron(outer, C.reshape(-1, n))
-    return sp.csr_matrix(Ehat), sp.csr_matrix(Ahat), Bhat, sp.csr_matrix(Chat)
+        col = sp.csr_matrix(quad.weights[k] * phi[k][:, None])
+        outer = col @ sp.csr_matrix(phi[k][None, :])
+        Ehat = Ehat + sp.kron(outer, _as_sparse(E), format="csr")
+        Ahat = Ahat + sp.kron(outer, _as_sparse(A), format="csr")
+        Bhat = Bhat + sp.kron(col, _as_sparse(B).reshape((psys.n, -1)), format="csr")
+        Chat = Chat + sp.kron(outer, _as_sparse(C).reshape((-1, psys.n)), format="csr")
+    return Ehat, Ahat, Bhat, Chat
 
 
 def assemble(

@@ -162,6 +162,14 @@ class TestPipeline:
         assert len(warn) == 22  # one flag per output, m = 22
         assert all(isinstance(w, bool) for w in warn)
 
+    def test_norms_json_solver_block(self, run_dir):
+        out, _ = run_dir
+        solver = json.loads((out / "norms.json").read_text())["solver"]
+        assert solver["method"] == "gmres-mean"
+        assert solver["fallbacks"] == 0
+        assert 1 <= solver["median_iterations"] <= solver["max_iterations"] <= 200
+        assert 0.0 <= solver["max_residual"] <= 1e-12
+
     def test_report_bundles_certificates(self, run_dir):
         out, _ = run_dir
         report = json.loads((out / "report.json").read_text())

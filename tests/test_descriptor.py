@@ -163,7 +163,18 @@ class TestPencilSpectrum:
     def test_sampled_method_above_cap(self, bench_galerkin_d1):
         rep = sg.pencil_spectrum(bench_galerkin_d1.system, dim_cap=100)
         assert rep.method == "sampled"
-        assert rep.stable
+        assert rep.stable is True and rep.stability_reason == ""
+
+    def test_sampled_method_no_eigenvalue_is_unknown(self, bench_galerkin_d1, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(spla, "eigs", no_convergence)
+        rep = sg.pencil_spectrum(bench_galerkin_d1.system, dim_cap=100)
+        assert rep.method == "sampled"
+        assert rep.stable is None
+        assert rep.stability_reason.count("ArpackNoConvergence") == 5
+        assert "no finite eigenvalue" in rep.stability_reason
 
     def test_sampled_method_propagates_unexpected_errors(self, bench_galerkin_d1, monkeypatch):
         def broken(*args, **kwargs):

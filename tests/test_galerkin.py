@@ -97,6 +97,35 @@ class TestAssemble:
             Ma = sp.csr_matrix(getattr(g_aff.system, name)).toarray()
             assert np.abs(Mg - Ma).max() < 1e-12
 
+    def test_generic_evaluator_path_multi_input_output(self):
+        rng = np.random.default_rng(5)
+        n, q = 3, 2
+        affine = ParametricSystem(
+            n=n,
+            q=q,
+            E0=np.eye(n),
+            A0=rng.normal(size=(n, n)),
+            B0=rng.normal(size=(n, 2)),
+            C0=rng.normal(size=(2, n)),
+            E_terms=[0.1 * np.eye(n), None],
+            A_terms=[rng.normal(size=(n, n)), rng.normal(size=(n, n))],
+            B_terms=[rng.normal(size=(n, 2)), None],
+            C_terms=[None, rng.normal(size=(2, n))],
+        )
+        spec = sg.BasisSpec.uniform([(-1.0, 1.0), (0.5, 1.5)], sg.build_index_set(q, 2))
+        quad = sg.build_quadrature(spec, mode="tensor", level=3)
+        g_gen = sg.assemble(ParametricSystem(n=n, q=q, evaluator=affine.evaluate), spec, quad=quad)
+        g_aff = sg.assemble(affine, spec)
+        assert g_gen.system.B.shape == (spec.m * n, 2)
+        assert g_gen.system.C.shape == (spec.m * 2, spec.m * n)
+        for name in ("E", "A", "B", "C"):
+            Mg = getattr(g_gen.system, name)
+            Ma = getattr(g_aff.system, name)
+            assert sp.issparse(Mg) or name == "B"
+            Mg = Mg.toarray() if sp.issparse(Mg) else Mg
+            Ma = Ma.toarray() if sp.issparse(Ma) else Ma
+            assert np.abs(Mg - Ma).max() < 1e-12
+
     def test_q_mismatch_rejected(self, desk_psys):
         spec = sg.BasisSpec.uniform([(-1, 1)] * 2, sg.build_index_set(2, 1))
         with pytest.raises(ValueError, match="q"):

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor.descriptor import DescriptorSystem, PoleProximityError
+from sgmor.galerkin import GalerkinSystem, Selection
+from sgmor.hardy import RESIDUAL_RTOL, SolverStats
 
 
 def first_order():
@@ -16,6 +19,14 @@ def first_order():
 
 def as_csr(sys):
     return DescriptorSystem(sp.csr_matrix(sys.E), sp.csr_matrix(sys.A), sys.B, sp.csr_matrix(sys.C))
+
+
+def two_block_galerkin(A):
+    """GalerkinSystem of block size 1 over a two-function basis with E = I."""
+    spec = sg.BasisSpec.uniform([(-1.0, 1.0)], sg.build_index_set(1, 1))
+    eye = sp.identity(2, format="csr")
+    system = DescriptorSystem(eye, sp.csr_matrix(A), np.array([[1.0], [0.0]]), eye)
+    return GalerkinSystem(system=system, spec=spec, block_dim=1, basis_positions=(0, 1))
 
 
 def random_stable_dae(n, n_alg, seed):
@@ -137,6 +148,69 @@ class TestSampleTransfer:
         sys = fmt(DescriptorSystem(np.eye(2), -np.eye(2), np.ones((2, 2)), np.ones((1, 2))))
         with pytest.raises(ValueError, match=r"single-input system \(n_in=1\), got n_in=2"):
             sg.sample_transfer(sys, sg.FrequencyGrid(np.array([0.0, 1.0])))
+
+
+class TestGalerkinSampling:
+    @pytest.mark.parametrize("kept", [None, (0, 2, 5, 7)], ids=["full", "downsized"])
+    def test_gmres_matches_superlu(self, desk_galerkin, kept):
+        gsys = desk_galerkin if kept is None else sg.downsize(desk_galerkin, Selection(kept=kept, m=desk_galerkin.m))
+        grid = sg.FrequencyGrid.default()
+        stats = SolverStats()
+        H = sg.sample_transfer(gsys, grid, stats)
+        ref = sg.sample_transfer(gsys.system, grid)
+        assert np.abs(H - ref).max() <= 1e-11 * np.abs(ref).max()
+        assert stats.method == "gmres-mean" and stats.fallbacks == 0
+        assert len(stats.iterations) == len(stats.residuals) == len(grid)
+        assert max(stats.residuals) <= RESIDUAL_RTOL
+
+    def test_unconverged_gmres_caught(self, desk_galerkin, monkeypatch):
+        # a near miss that claims success: the residual check must reject it
+        real_gmres = spla.gmres
+
+        def lying_gmres(*args, **kwargs):
+            z, _ = real_gmres(*args, **kwargs)
+            return z * (1.0 + 1e-8), 0
+
+        monkeypatch.setattr(spla, "gmres", lying_gmres)
+        grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
+        stats = SolverStats()
+        H = sg.sample_transfer(desk_galerkin, grid, stats)
+        ref = sg.sample_transfer(desk_galerkin.system, grid)
+        assert stats.fallbacks == len(grid)
+        assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert stats.summary()["fallbacks"] == len(grid)
+
+    def test_singular_mean_block_falls_back(self):
+        # mean block -A_00 = 0 is singular at omega = 0; the coupled pencil is not
+        gsys = two_block_galerkin(np.array([[0.0, 1.0], [-1.0, -1.0]]))
+        grid = sg.FrequencyGrid(np.array([0.0, 1.0]))
+        stats = SolverStats()
+        H = sg.sample_transfer(gsys, grid, stats)
+        assert stats.fallbacks == 1 and stats.iterations[0] == 0
+        ref = sg.sample_transfer(gsys.system, grid)
+        assert np.abs(H - ref).max() <= 1e-14
+
+    def test_pole_on_grid(self):
+        # coupled pencil singular at omega = 1 while its mean block is not
+        gsys = two_block_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        stats = SolverStats()
+        with pytest.raises(PoleProximityError, match="omega=1.0") as exc:
+            sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.5, 1.0])), stats)
+        assert exc.value.condition == np.inf
+        assert stats.fallbacks == 1
+
+    @pytest.mark.parametrize("dense, method", [(True, "qz"), (False, "superlu")])
+    def test_method_recorded(self, desk_galerkin, dense, method):
+        sys = desk_galerkin.system.dense() if dense else desk_galerkin.system
+        stats = SolverStats()
+        sg.sample_transfer(sys, sg.FrequencyGrid(np.array([0.0, 1.0])), stats)
+        assert stats.summary() == {
+            "method": method,
+            "max_iterations": None,
+            "median_iterations": None,
+            "max_residual": None,
+            "fallbacks": 0,
+        }
 
 
 class TestHardyNorms:
