@@ -209,11 +209,6 @@ class QuadratureGrid:
     def __len__(self) -> int:
         return len(self.weights)
 
-    def to_csv(self, path) -> None:
-        header = ",".join([f"p{ell+1}" for ell in range(self.nodes.shape[1])] + ["weight"])
-        data = np.column_stack([self.nodes, self.weights])
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17e")
-
 
 def univariate_rule(dist: Distribution1D, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule with `order` nodes, exact to degree 2*order-1 against the density.

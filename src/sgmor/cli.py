@@ -254,21 +254,26 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
     samples, grid = _load_samples(cfg, out, "reduce")
     h = cfg.hash()
     s0 = cfg.mor.s0
+    n = gsys.dimension
 
+    # one Krylov basis; every reduced system is a leading block of it
     sweep = cfg.mor.r_sweep
+    r_final = min(cfg.mor.r, n)
+    basis_r = r_final if sweep is None else min(max(r_final, sweep[1]), n)
+    krylov = arnoldi_reduce(gsys, s0, basis_r)
+
     if sweep is not None:
         rows = []
         start, stop, step = sweep
-        red = arnoldi_reduce(gsys, s0, min(stop, gsys.dimension))
-        for r in range(start, red.r + 1, step):
-            sub = _truncate_reduced(red, r)
+        for r in range(start, min(stop, krylov.r) + 1, step):
+            sub = krylov.truncate(r).system
             diff = hardy_norms(samples - sample_transfer(sub, grid), grid)
             cert = theorem2_certificate(diff)
             stable = pencil_spectrum(sub).stable
             rows.append((r, float(cert.bound_sup), float(cert.bound_l2), "" if stable is None else int(stable)))
         _write_csv(out / "reduce_bounds.csv", "r,bound_sup,bound_l2,stable", rows, h)
 
-    red = arnoldi_reduce(gsys, s0, min(cfg.mor.r, gsys.dimension))
+    red = krylov.truncate(min(r_final, krylov.r))
     S = red.system
     sio.mmwrite(out / "reduced_E.mtx", sp.coo_matrix(S.E))
     sio.mmwrite(out / "reduced_A.mtx", sp.coo_matrix(S.A))
@@ -278,7 +283,7 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
     diff = hardy_norms(samples - sample_transfer(S, grid), grid)
     cert = theorem2_certificate(diff)
     payload = cert.to_dict()
-    payload.update({"r": red.r, "s0": s0, "breakdown": red.breakdown})
+    payload.update({"r": red.r, "s0": s0, "breakdown": krylov.r < r_final})
     _write_json(out / "theorem2_mor.json", payload, h)
 
     basis = svd_basis(red)
@@ -302,17 +307,6 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
         r_prime, _cert = deflate(basis, thr, vbar_stub)
         defl_rows.append((red.r, float(thr), r_prime, float(r_prime / red.r)))
     _write_csv(out / "deflation.csv", "r,threshold,r_prime,ratio", defl_rows, h)
-
-
-def _truncate_reduced(red, r: int):
-    """Leading r x r part of a reduced system (first r Arnoldi vectors)."""
-    S = red.system
-    return DescriptorSystem(
-        np.asarray(S.E)[:r, :r],
-        np.asarray(S.A)[:r, :r],
-        np.asarray(S.B)[:r],
-        np.asarray(S.C)[:, :r],
-    )
 
 
 # ---------------------------------------------------------------- simulate

@@ -150,15 +150,16 @@ class PencilReport:
     stability_reason: str = ""
 
 
-def _properness_slope(sys: DescriptorSystem, omega_scale: float) -> float:
-    w1, w2 = 1e8 * omega_scale, 1e10 * omega_scale
-    h1 = np.max(np.abs(transfer_eval(sys, 1j * w1)))
-    h2 = np.max(np.abs(transfer_eval(sys, 1j * w2)))
-    if h2 == 0.0:
+def loglog_slope(w_lo: float, h_lo: float, w_hi: float, h_hi: float) -> float:
+    """Slope of log|H| against log omega between two samples of |H|.
+
+    -inf when |H| vanishes at w_hi; 0 when it vanishes only at w_lo.
+    """
+    if h_hi == 0.0:
         return -np.inf
-    if h1 == 0.0:
+    if h_lo == 0.0:
         return 0.0
-    return float(np.log10(h2 / h1) / np.log10(w2 / w1))
+    return float(np.log10(h_hi / h_lo) / np.log10(w_hi / w_lo))
 
 
 def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
@@ -215,9 +216,10 @@ def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
                 reason += " (" + "; ".join(failures) + ")"
         method = "sampled"
         omega_scale = max(1.0, float(np.abs(finite).max())) if len(finite) else 1.0
+    w1, w2 = 1e8 * omega_scale, 1e10 * omega_scale
     try:
-        slope = _properness_slope(sys, omega_scale)
-        strictly_proper = slope <= -0.5
+        h1, h2 = (np.max(np.abs(transfer_eval(sys, 1j * w))) for w in (w1, w2))
+        strictly_proper = loglog_slope(w1, h1, w2, h2) <= -0.5
         confidence = "ratio-test"
     except PoleProximityError:
         strictly_proper = False

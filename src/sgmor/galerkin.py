@@ -31,9 +31,7 @@ __all__ = [
 DEFAULT_DIMENSION_LIMIT = 1_000_000
 
 
-def _as_sparse(M, shape=None):
-    if M is None:
-        return None
+def _as_sparse(M):
     return sp.csr_matrix(M) if not sp.issparse(M) else M.tocsr()
 
 
@@ -152,7 +150,8 @@ class GalerkinSystem:
 
     @property
     def m(self) -> int:
-        return self.system.n_out
+        """Number of basis functions; each holds n_out output rows of C."""
+        return self.spec.m
 
     @property
     def dimension(self) -> int:
@@ -284,11 +283,12 @@ def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
     """Galerkin system restricted to the kept basis blocks.
 
     The inner dimension shrinks to |kept| * n (identity-column projection
-    applied from both sides) while the output matrix keeps all m rows with
-    the dropped rows zeroed, so the output count stays m.
+    applied from both sides) while the output matrix keeps all its rows
+    with the n_out rows of each dropped basis function zeroed, so the
+    output count is unchanged.
     """
     if sel.m != gsys.m:
-        raise ValueError("selection size does not match system outputs")
+        raise ValueError(f"selection size {sel.m} does not match the basis size {gsys.m}")
     if gsys.selection is not None:
         # downsizing an already-downsized system with the same selection is
         # the identity on structure
@@ -304,8 +304,9 @@ def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
     E = sp.csr_matrix(S.E)[cols][:, cols]
     A = sp.csr_matrix(S.A)[cols][:, cols]
     C = sp.csr_matrix(S.C)[:, cols].tolil()
+    k = S.n_out // gsys.m  # output rows per basis function
     for i in sel.dropped:
-        C[i, :] = 0.0
+        C[i * k : (i + 1) * k, :] = 0.0
     system = DescriptorSystem(E, A, S.B[cols], C.tocsr())
     return GalerkinSystem(
         system=system,

@@ -24,7 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil
+from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil, loglog_slope
 from .galerkin import GalerkinSystem
 
 __all__ = [
@@ -330,19 +330,6 @@ def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
     return np.asarray(sys.C @ Z) @ Y
 
 
-def _top_decade_slope(mag: np.ndarray, omegas: np.ndarray) -> float:
-    """Log-log slope of |H| over the top frequency decade."""
-    w_hi = omegas[-1]
-    j = int(np.searchsorted(omegas, w_hi / 10.0))
-    j = min(j, len(omegas) - 2)
-    h_lo, h_hi = mag[j], mag[-1]
-    if h_hi == 0.0:
-        return -np.inf
-    if h_lo == 0.0:
-        return 0.0
-    return float(np.log10(h_hi / h_lo) / np.log10(w_hi / omegas[j]))
-
-
 def hardy_norms(
     samples: np.ndarray,
     grid: FrequencyGrid,
@@ -384,11 +371,13 @@ def hardy_norms(
     h2 = np.sqrt(integral / np.pi + tail_sq)
     tail = np.sqrt(tail_sq)
 
+    # log-log slope of |H| over the top frequency decade
     proper_ok = np.ones(n_out, dtype=bool)
+    j = min(int(np.searchsorted(om, om[-1] / 10.0)), len(om) - 2)
     for i in range(n_out):
         if hinf[i] == 0.0:
             continue
-        proper_ok[i] = _top_decade_slope(mag[i], om) <= -0.5
+        proper_ok[i] = loglog_slope(om[j], mag[i, j], om[-1], mag[i, -1]) <= -0.5
     with np.errstate(invalid="ignore", divide="ignore"):
         tail_warn = tail > 0.01 * np.where(h2 > 0, h2, np.inf)
     return HardyNormReport(

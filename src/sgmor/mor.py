@@ -43,7 +43,6 @@ class ReducedSystem:
     T: np.ndarray  # (mn, r)
     s0: float
     breakdown: bool = False
-    source_dimension: int = 0
 
     @property
     def r(self) -> int:
@@ -53,15 +52,30 @@ class ReducedSystem:
     def m(self) -> int:
         return self.system.n_out
 
+    def truncate(self, r: int) -> ReducedSystem:
+        """Projection onto the first r basis vectors.
+
+        Krylov bases are nested, so this is the order-r reduction at the
+        same shift.  The breakdown flag carries over only when nothing is cut.
+        """
+        if not 1 <= r <= self.r:
+            raise ValueError(f"need 1 <= r <= {self.r}")
+        S = self.system
+        system = DescriptorSystem(S.E[:r, :r], S.A[:r, :r], S.B[:r], S.C[:, :r])
+        return ReducedSystem(
+            system=system, T=self.T[:, :r], s0=self.s0, breakdown=self.breakdown and r == self.r
+        )
+
 
 def arnoldi_reduce(gsys: GalerkinSystem | DescriptorSystem, s0: float, r: int) -> ReducedSystem:
     """One-point Krylov projection of the Galerkin system at real s0.
 
-    Builds an orthonormal basis (modified Gram-Schmidt with one full
-    reorthogonalization pass) of span{b, Kb, ..., K^(r-1) b} with
+    Builds an orthonormal basis of span{b, Kb, ..., K^(r-1) b} with
     K = (s0 E - A)^(-1) E and b = (s0 E - A)^(-1) B, reusing a single
-    factorization of the shifted matrix.  On Krylov breakdown the achieved
-    dimension is returned with the breakdown flag set.
+    factorization of the shifted matrix.  Each new vector is
+    orthogonalized by classical Gram-Schmidt run twice, which keeps the
+    basis orthonormal to machine precision.  On Krylov breakdown the
+    achieved dimension is returned with the breakdown flag set.
     """
     S = gsys.system if isinstance(gsys, GalerkinSystem) else gsys
     E, A = S.E, S.A
@@ -74,29 +88,26 @@ def arnoldi_reduce(gsys: GalerkinSystem | DescriptorSystem, s0: float, r: int) -
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         raise ValueError("zero input vector: Krylov space is empty")
-    V = np.empty((n, r))
-    V[:, 0] = b / b_norm
-    achieved = 1
+    V = np.empty((r, n))  # basis vectors as rows
+    V[0] = b / b_norm
     breakdown = False
     for k in range(1, r):
-        w = np.asarray(solve(np.asarray(E @ V[:, k - 1]).ravel())).ravel()
+        w = np.asarray(solve(np.asarray(E @ V[k - 1]).ravel())).ravel()
         raw = np.linalg.norm(w)
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for j in range(achieved):
-                w -= (V[:, j] @ w) * V[:, j]
+        for _ in range(2):
+            w -= V[:k].T @ (V[:k] @ w)
         h = np.linalg.norm(w)
         if h <= BREAKDOWN_RTOL * max(raw, b_norm):
-            breakdown = True
+            V, breakdown = V[:k], True
             break
-        V[:, k] = w / h
-        achieved += 1
-    V = V[:, :achieved]
-    Er = V.T @ np.asarray(E @ V)
-    Ar = V.T @ np.asarray(A @ V)
-    Br = V.T @ Bd
-    Cr = np.asarray(S.C @ V)
-    reduced = DescriptorSystem(Er, Ar, Br.reshape(-1, 1), Cr)
-    return ReducedSystem(system=reduced, T=V, s0=float(s0), breakdown=breakdown, source_dimension=n)
+        V[k] = w / h
+    # one column-major copy, so the sparse products below need no copy each
+    T = V.T.copy()
+    del V
+    Er = T.T @ np.asarray(E @ T)
+    Ar = T.T @ np.asarray(A @ T)
+    reduced = DescriptorSystem(Er, Ar, (T.T @ Bd).reshape(-1, 1), np.asarray(S.C @ T))
+    return ReducedSystem(system=reduced, T=T, s0=float(s0), breakdown=breakdown)
 
 
 def moment_oracle(gsys: GalerkinSystem | DescriptorSystem, s0: float, k: int) -> np.ndarray:

@@ -7,7 +7,6 @@ evaluation of the sparse output surrogate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +52,6 @@ class NormRanking:
     def minimal_r(self, delta: float) -> int:
         """Smallest r with theta_r >= 1 - delta."""
         return int(np.searchsorted(self.theta, 1.0 - delta) + 1)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("r,output,theta\n")
-            for r, (pos, th) in enumerate(zip(self.order, self.theta), start=1):
-                fh.write(f"{r},{pos + 1},{th:.17e}\n")
 
 
 def rank_and_theta(report: HardyNormReport, kind: str = "h2") -> NormRanking:
@@ -135,10 +128,6 @@ class BoundCertificate:
             "lower_floor_sup": self.lower_floor_sup,
             "lower_floor_l2": self.lower_floor_l2,
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
 
 
 def theorem1_certificate(

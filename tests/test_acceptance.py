@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import sgmor as sg
-from sgmor.cli import _truncate_reduced
 from sgmor.descriptor import DescriptorSystem
 from sgmor.galerkin import Selection
 from sgmor.mor import ReducedSystem
@@ -199,7 +198,7 @@ def test_criterion_8_bound_decay_and_deflation(bench_d2):
         bounds = {}
         stable = {}
         for r in range(20, 121, 20):
-            sub = _truncate_reduced(red, r)
+            sub = red.truncate(r).system
             diff = sg.hardy_norms(samples - sg.sample_transfer(sub, grid), grid)
             bounds[r] = sg.theorem2_certificate(diff).bound_sup
             stable[r] = sg.pencil_spectrum(sub).stable
@@ -208,10 +207,7 @@ def test_criterion_8_bound_decay_and_deflation(bench_d2):
 
         rng = np.random.default_rng(88)
         for r in (40, 60, 100):
-            sub = ReducedSystem(
-                system=_truncate_reduced(red, r), T=red.T[:, :r], s0=s0
-            )
-            basis = sg.svd_basis(sub)
+            basis = sg.svd_basis(red.truncate(r))
             r_prime, _ = sg.deflate(basis, 1e-4, rng.normal(size=(20, r)))
             assert r_prime < r
         assert time.monotonic() - t0 < 1800.0

@@ -1,12 +1,15 @@
 """Pipeline configuration and the command line driver."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sgmor import cli
 from sgmor.cli import main
+from sgmor.mor import arnoldi_reduce
 from sgmor.config import PipelineConfig, load_config
 
 FAST_CONFIG = """\
@@ -187,6 +190,24 @@ class TestPipeline:
 
 
 class TestStaging:
+    def test_reduce_builds_one_basis(self, run_dir, tmp_path, monkeypatch):
+        out, cfg = run_dir
+        work = tmp_path / "reduce"
+        shutil.copytree(out, work)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return arnoldi_reduce(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "arnoldi_reduce", counting)
+        assert main(["reduce", "--config", str(cfg), "--out", str(work)]) == 0
+        assert calls == [20]  # r = 20 and r_sweep [5, 20, 5]
+        rows = (work / "reduce_bounds.csv").read_text().splitlines()[2:]
+        assert [int(row.split(",")[0]) for row in rows] == [5, 10, 15, 20]
+        t2 = json.loads((work / "theorem2_mor.json").read_text())
+        assert t2["r"] == 20 and t2["breakdown"] is False
+
     def test_missing_upstream_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["norms", "--config", str(cfg), "--out", str(tmp_path / "empty")])
@@ -200,6 +221,27 @@ class TestStaging:
         for stage in ("assemble", "norms", "sparsify", "reduce", "simulate", "report"):
             assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
         assert (tmp_path / "stage" / "report.json").exists()
+
+    @pytest.mark.parametrize("r, breakdown", [(1, False), (2, True)])
+    def test_breakdown_flag_follows_mor_r(self, tmp_path, r, breakdown):
+        # two identical RC branches off the source: K b is proportional to b,
+        # so the Krylov space has dimension 1 while N = 2 and the sweep asks for 2
+        net = tmp_path / "twin.net"
+        net.write_text(
+            "VIN 1 0\nG1 1 2 1.0e-3 0.1\nG2 1 3 1.0e-3 0.1\n"
+            "C1 2 0 1.0e-9 0.1\nC2 3 0 1.0e-9 0.1\nOUT 2\n"
+        )
+        text = (
+            f'netlist: "{net}"\nbasis:\n  degree: 0\n'
+            "frequency_grid:\n  decade_min: 3.0\n  decade_max: 9.0\n  points_per_decade: 4\n"
+            "sparsify:\n  downsize_sweep: null\n"
+            f"mor:\n  s0: 1.0e+6\n  r: {r}\n  r_sweep: [1, 2, 1]\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        t2 = json.loads((out / "theorem2_mor.json").read_text())
+        assert t2["r"] == 1
+        assert t2["breakdown"] is breakdown
 
     def test_degree_zero_pipeline(self, tmp_path):
         text = FAST_CONFIG.replace("degree: 1", "degree: 0").replace(

@@ -199,6 +199,31 @@ class TestDownsize:
         assert twice.basis_positions == once.basis_positions
         assert (sp.csr_matrix(twice.system.A) != sp.csr_matrix(once.system.A)).nnz == 0
 
+    def test_multi_output_blocks(self):
+        # 3 states, 2 outputs, degree 2 in one parameter: m = 3 basis
+        # functions, C has 2 rows per basis function
+        rng = np.random.default_rng(6)
+        n = 3
+        psys = ParametricSystem(
+            n=n,
+            q=1,
+            E0=np.eye(n),
+            A0=-2.0 * np.eye(n) + 0.1 * rng.normal(size=(n, n)),
+            B0=rng.normal(size=(n, 1)),
+            C0=rng.normal(size=(2, n)),
+            A_terms=[0.1 * rng.normal(size=(n, n))],
+        )
+        g = sg.assemble(psys, scalar_spec(2))
+        assert g.m == 3 and g.system.n_out == 6
+        with pytest.raises(ValueError):
+            sg.downsize(g, Selection(kept=(0, 1), m=6))
+        small = sg.downsize(g, Selection(kept=(0, 1), m=3))
+        C = sp.csr_matrix(small.system.C).toarray()
+        assert C.shape == (6, 2 * n)
+        assert np.all(C[4:] == 0.0)
+        full = sp.csr_matrix(g.system.C).toarray()
+        assert np.array_equal(C[:4], full[:4, : 2 * n])
+
     def test_selection_forces_constant_index(self):
         sel = Selection(kept=(3, 5), m=8)
         assert 0 in sel.kept

@@ -89,6 +89,24 @@ class TestArnoldiReduce:
         assert red.breakdown
         assert red.r == 1
 
+    def test_final_system_breakdown_rule(self):
+        # the pipeline builds one basis at the largest r it needs and reports
+        # breakdown for a smaller target exactly when the basis falls short of it
+        sys = DescriptorSystem(np.eye(3), -np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        krylov = sg.arnoldi_reduce(sys, 1.0, 3)
+        for target in (1, 2, 3):
+            direct = sg.arnoldi_reduce(sys, 1.0, target)
+            final = krylov.truncate(min(target, krylov.r))
+            assert (krylov.r < target) == direct.breakdown
+            assert final.r == direct.r
+            assert np.array_equal(final.T, direct.T)
+
+    def test_orthonormal_past_rounding_regime(self, bench_galerkin_d1):
+        # at r = 40 the later Krylov vectors are set by rounding
+        red = sg.arnoldi_reduce(bench_galerkin_d1, 5.0e5, 40)
+        assert red.r == 40
+        assert np.linalg.norm(red.T.T @ red.T - np.eye(40)) <= 1e-12
+
     def test_bad_r_rejected(self, desk_galerkin):
         with pytest.raises(ValueError):
             sg.arnoldi_reduce(desk_galerkin, 1.0, 0)
@@ -102,6 +120,34 @@ class TestArnoldiReduce:
         sys = DescriptorSystem(np.eye(1), -np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(PoleProximityError):
             sg.arnoldi_reduce(sys, -1.0, 1)
+
+
+class TestTruncate:
+    def test_nested_bases(self, desk_galerkin):
+        big = sg.arnoldi_reduce(desk_galerkin, 1.0, 12).truncate(8)
+        small = sg.arnoldi_reduce(desk_galerkin, 1.0, 8)
+        assert np.array_equal(big.T, small.T)
+        assert big.r == 8 and not big.breakdown
+        for name in ("E", "A", "B", "C"):
+            a = np.asarray(getattr(big.system, name))
+            b = np.asarray(getattr(small.system, name))
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_bad_r_rejected(self, desk_galerkin):
+        red = sg.arnoldi_reduce(desk_galerkin, 1.0, 6)
+        with pytest.raises(ValueError):
+            red.truncate(0)
+        with pytest.raises(ValueError):
+            red.truncate(red.r + 1)
+
+    def test_breakdown_kept_only_without_cut(self):
+        # two distinct eigenvalues: the Krylov space has dimension 2
+        sys = DescriptorSystem(np.eye(3), -np.diag([1.0, 1.0, 2.0]), np.ones((3, 1)), np.ones((1, 3)))
+        red = sg.arnoldi_reduce(sys, 1.0, 3)
+        assert red.breakdown and red.r == 2
+        assert red.truncate(2).breakdown
+        assert not red.truncate(1).breakdown
 
 
 class TestSurrogate:
@@ -246,11 +292,9 @@ class TestDeflate:
 class TestStabilityEscalation:
     def test_reduced_benchmark_eventually_stable(self, bench_galerkin_d1):
         red = sg.arnoldi_reduce(bench_galerkin_d1, 5.0e5, 40)
-        from sgmor.cli import _truncate_reduced
-
         verdicts = {}
         for r in (5, 10, 20, 30, 40):
-            verdicts[r] = sg.pencil_spectrum(_truncate_reduced(red, r)).stable
+            verdicts[r] = sg.pencil_spectrum(red.truncate(r).system).stable
         assert verdicts[40]
         # once stable the sweep stays stable for all larger r tested
         rs = sorted(verdicts)
