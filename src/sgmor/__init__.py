@@ -40,10 +40,8 @@ from .hardy import (
     FrequencyGrid,
     HardyNormReport,
     SolverStats,
-    difference_norms,
     hardy_norms,
     sample_transfer,
-    transfer_norms,
 )
 from .mor import (
     OrthonormalizedBasis,

@@ -48,11 +48,8 @@ class Distribution1D:
 
     lower: float
     upper: float
-    kind: str = "uniform"
 
     def __post_init__(self):
-        if self.kind != "uniform":
-            raise ValueError(f"unsupported distribution kind {self.kind!r}")
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
 

@@ -132,13 +132,7 @@ def _load_galerkin(cfg: PipelineConfig, out: Path, stage: str) -> GalerkinSystem
     C = sp.csr_matrix(sio.mmread(out / "galerkin_C.mtx"))
     iset = build_index_set(meta["q"], meta["degree"])
     spec = BasisSpec.uniform([tuple(b) for b in meta["bounds"]], iset)
-    system = DescriptorSystem(E, A, B, C)
-    return GalerkinSystem(
-        system=system,
-        spec=spec,
-        block_dim=meta["block_dim"],
-        basis_positions=tuple(range(len(iset))),
-    )
+    return GalerkinSystem(system=DescriptorSystem(E, A, B, C), spec=spec, block_dim=meta["block_dim"])
 
 
 # ------------------------------------------------------------------- norms

@@ -98,10 +98,11 @@ def factor_pencil(E, A, shift) -> Callable[[np.ndarray], np.ndarray]:
     SuperLU on CSC when E or A is sparse, dense LU otherwise; a complex
     shift gives a complex factorization, a real one a real factorization.
     A failed factorization or an exactly zero pivot raises
-    PoleProximityError, and so do non-finite factors or a pivot ratio above
-    1e15 on the dense path.  SuperLU's pivots are readable only through
-    CSC copies of both factors that the solver then keeps, which roughly
-    doubles the memory of every sparse factorization.
+    PoleProximityError, and so does an ill-conditioned pencil: on the dense
+    path non-finite factors or a pivot ratio above 1e15, on the sparse path
+    an estimated 1-norm condition number above 1e15 (SuperLU's pivots are
+    readable only through CSC copies of both factors, which would roughly
+    double the memory of every sparse factorization).
     """
     dtype = complex if np.iscomplexobj(shift) else float
     sparse = sp.issparse(E) or sp.issparse(A)
@@ -114,6 +115,15 @@ def factor_pencil(E, A, shift) -> Callable[[np.ndarray], np.ndarray]:
     except (RuntimeError, ValueError, sla.LinAlgError) as exc:
         raise PoleProximityError(f"singular shifted pencil at s={shift}: {exc}", condition=np.inf) from exc
     if sparse:
+        # cond_1 = ||M||_1 ||M^-1||_1, the inverse's norm estimated from
+        # solves; t=1 keeps the estimate deterministic (t >= 2 draws from
+        # numpy's global RNG)
+        inv = spla.LinearOperator(
+            M.shape, matvec=factors.solve, rmatvec=lambda v: factors.solve(v, trans="H"), dtype=dtype
+        )
+        condition = spla.norm(M, 1) * spla.onenormest(inv, t=1)
+        if condition > 1e15:
+            raise PoleProximityError(f"ill-conditioned shifted pencil at s={shift}", condition=condition)
         return factors.solve
     lu, piv = factors
     if not np.all(np.isfinite(lu)):

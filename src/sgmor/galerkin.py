@@ -10,7 +10,7 @@ downsized systems obtained by discarding basis blocks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,9 +144,7 @@ class GalerkinSystem:
     system: DescriptorSystem
     spec: BasisSpec
     block_dim: int
-    basis_positions: tuple[int, ...]  # output row -> position in spec.index_set
     selection: Selection | None = None
-    assembly_info: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
@@ -162,7 +160,10 @@ class GalerkinSystem:
         return self.system.is_sparse
 
     def output_multi_indices(self) -> list[tuple[int, ...]]:
-        return [self.spec.index_set.indices[i] for i in self.basis_positions]
+        """Multi-index of each output row: in the block-major layout row i
+        belongs to basis function i // k, with k = n_out // m."""
+        k = self.system.n_out // self.m
+        return [self.spec.index_set.indices[i // k] for i in range(self.system.n_out)]
 
 
 def linear_moment_matrix(spec: BasisSpec, dim: int) -> sp.csr_matrix:
@@ -253,7 +254,6 @@ def assemble(
     m, n = spec.m, psys.n
     if m * n > dimension_limit:
         raise SizingError(f"Galerkin dimension m*n = {m * n} exceeds limit {dimension_limit}")
-    info: dict = {"mode": "affine" if psys.is_affine else "quadrature"}
     if psys.is_affine:
         Ehat, Ahat, Bhat, Chat = _assemble_affine(psys, spec)
     else:
@@ -266,17 +266,8 @@ def assemble(
                 "assembly may be inexact for non-polynomial dependence",
                 stacklevel=2,
             )
-            info["exactness_warning"] = True
-        info["quadrature_nodes"] = len(quad)
         Ehat, Ahat, Bhat, Chat = _assemble_quadrature(psys, spec, quad)
-    system = DescriptorSystem(Ehat, Ahat, Bhat, Chat)
-    return GalerkinSystem(
-        system=system,
-        spec=spec,
-        block_dim=n,
-        basis_positions=tuple(range(m)),
-        assembly_info=info,
-    )
+    return GalerkinSystem(system=DescriptorSystem(Ehat, Ahat, Bhat, Chat), spec=spec, block_dim=n)
 
 
 def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
@@ -289,30 +280,20 @@ def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
     """
     if sel.m != gsys.m:
         raise ValueError(f"selection size {sel.m} does not match the basis size {gsys.m}")
+    block_ids = list(sel.kept)
     if gsys.selection is not None:
-        # downsizing an already-downsized system with the same selection is
-        # the identity on structure
-        sel_positions = [gsys.basis_positions.index(i) for i in sel.kept if i in gsys.basis_positions]
-        if tuple(gsys.basis_positions[i] for i in sel_positions) != sel.kept:
+        # blocks of a downsized system are its kept positions, in order
+        have = gsys.selection.kept
+        if not set(block_ids) <= set(have):
             raise ValueError("selection not contained in existing downsized basis")
-        block_ids = sel_positions
-    else:
-        block_ids = list(sel.kept)
+        block_ids = [have.index(i) for i in block_ids]
     n = gsys.block_dim
     cols = np.concatenate([np.arange(b * n, (b + 1) * n) for b in block_ids])
     S = gsys.system
     E = sp.csr_matrix(S.E)[cols][:, cols]
     A = sp.csr_matrix(S.A)[cols][:, cols]
-    C = sp.csr_matrix(S.C)[:, cols].tolil()
     k = S.n_out // gsys.m  # output rows per basis function
-    for i in sel.dropped:
-        C[i * k : (i + 1) * k, :] = 0.0
-    system = DescriptorSystem(E, A, S.B[cols], C.tocsr())
-    return GalerkinSystem(
-        system=system,
-        spec=gsys.spec,
-        block_dim=n,
-        basis_positions=sel.kept,
-        selection=sel,
-        assembly_info=dict(gsys.assembly_info),
-    )
+    keep_rows = sp.diags(np.repeat(sel.mask(), k).astype(float))
+    C = keep_rows @ sp.csr_matrix(S.C)[:, cols]
+    system = DescriptorSystem(E, A, S.B[cols], C)
+    return GalerkinSystem(system=system, spec=gsys.spec, block_dim=n, selection=sel)

@@ -33,7 +33,6 @@ __all__ = [
     "SolverStats",
     "sample_transfer",
     "hardy_norms",
-    "difference_norms",
 ]
 
 RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
@@ -82,16 +81,6 @@ class FrequencyGrid:
     def default(cls) -> "FrequencyGrid":
         return cls.logspaced()
 
-    def refine(self, factor: int = 2) -> "FrequencyGrid":
-        if self.points_per_decade is None:
-            raise ValueError("cannot refine a custom grid")
-        return FrequencyGrid.logspaced(
-            self.decade_min,
-            self.decade_max,
-            self.points_per_decade * factor,
-            include_zero=self.omegas[0] == 0.0,
-        )
-
 
 @dataclass(frozen=True)
 class HardyNormReport:
@@ -103,7 +92,7 @@ class HardyNormReport:
     tail_estimate: np.ndarray
     strictly_proper_ok: np.ndarray  # bool per output; H2 invalid where False
     grid: FrequencyGrid
-    tail_fraction_warning: np.ndarray = None  # tail > 1% of H2
+    tail_fraction_warning: np.ndarray  # tail > 1% of H2
 
     @property
     def n_out(self) -> int:
@@ -113,16 +102,6 @@ class HardyNormReport:
         vals = self.h2 if kind == "h2" else self.hinf
         return float(np.sqrt(np.sum(vals**2)))
 
-    def to_csv(self, path, multi_indices=None) -> None:
-        with open(path, "w") as fh:
-            fh.write("output,multi_index,h2,hinf,argmax_omega,tail\n")
-            for i in range(self.n_out):
-                mi = "" if multi_indices is None else " ".join(map(str, multi_indices[i]))
-                fh.write(
-                    f"{i + 1},{mi},{self.h2[i]:.17e},{self.hinf[i]:.17e},"
-                    f"{self.argmax_omega[i]:.17e},{self.tail_estimate[i]:.17e}\n"
-                )
-
     def to_json(self, path, solver: dict | None = None) -> None:
         """Write the norms; `solver` is a SolverStats.summary() of the sampling."""
         payload = {
@@ -131,9 +110,7 @@ class HardyNormReport:
             "argmax_omega": self.argmax_omega.tolist(),
             "tail_estimate": self.tail_estimate.tolist(),
             "strictly_proper_ok": self.strictly_proper_ok.tolist(),
-            "tail_fraction_warning": (
-                None if self.tail_fraction_warning is None else self.tail_fraction_warning.tolist()
-            ),
+            "tail_fraction_warning": self.tail_fraction_warning.tolist(),
             "grid": {
                 "decade_min": self.grid.decade_min,
                 "decade_max": self.grid.decade_max,
@@ -330,17 +307,14 @@ def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
     return np.asarray(sys.C @ Z) @ Y
 
 
-def hardy_norms(
-    samples: np.ndarray,
-    grid: FrequencyGrid,
-    refine_hinf: bool = False,
-) -> HardyNormReport:
+def hardy_norms(samples: np.ndarray, grid: FrequencyGrid) -> HardyNormReport:
     """Hardy norms of already-sampled transfer functions.
 
     samples has shape (n_out, k) on grid.omegas.  H-infinity is the
-    discrete maximum (optionally sharpened by a parabolic 3-point fit
-    around the argmax); H2 is sqrt((1/pi) * trapezoid(|H|^2) + tail^2)
+    discrete maximum; H2 is sqrt((1/pi) * trapezoid(|H|^2) + tail^2)
     with tail^2 = c^2 / (pi * omega_k) from the c/omega decay model.
+    The norms of a difference H_a - H_b are those of its samples,
+    hardy_norms(samples_a - samples_b, grid).
     """
     samples = np.atleast_2d(samples)
     mag = np.abs(samples)
@@ -350,20 +324,6 @@ def hardy_norms(
     jmax = np.argmax(mag, axis=1)
     hinf = mag[np.arange(n_out), jmax]
     argmax_omega = om[jmax]
-    if refine_hinf:
-        for i in range(n_out):
-            j = jmax[i]
-            if 0 < j < len(om) - 1:
-                x = np.log10(np.maximum(om[j - 1 : j + 2], 1e-300))
-                y = mag[i, j - 1 : j + 2]
-                coeffs = np.polyfit(x, y, 2)
-                if coeffs[0] < 0:
-                    xv = -coeffs[1] / (2 * coeffs[0])
-                    if x[0] <= xv <= x[2]:
-                        hv = np.polyval(coeffs, xv)
-                        if hv > hinf[i]:
-                            hinf[i] = hv
-                            argmax_omega[i] = 10.0**xv
 
     integral = np.trapezoid(mag**2, om, axis=1)
     c = mag[:, -1] * om[-1]
@@ -389,35 +349,3 @@ def hardy_norms(
         grid=grid,
         tail_fraction_warning=tail_warn,
     )
-
-
-def transfer_norms(sys: DescriptorSystem, grid: FrequencyGrid | None = None) -> HardyNormReport:
-    """Convenience: sample a system and compute its Hardy norms."""
-    if grid is None:
-        grid = FrequencyGrid.default()
-    return hardy_norms(sample_transfer(sys, grid), grid)
-
-
-def difference_norms(
-    sys_a: DescriptorSystem,
-    sys_b: DescriptorSystem,
-    grid: FrequencyGrid | None = None,
-    samples_a: np.ndarray | None = None,
-    samples_b: np.ndarray | None = None,
-) -> HardyNormReport:
-    """Hardy norms of H_a - H_b per output, sampled on the identical grid.
-
-    Precomputed samples may be passed to amortize repeated comparisons
-    against the same full-order system.
-    """
-    if grid is None:
-        grid = FrequencyGrid.default()
-    if sys_a.n_out != sys_b.n_out:
-        raise ValueError(
-            f"output count mismatch: {sys_a.n_out} vs {sys_b.n_out}"
-        )
-    if samples_a is None:
-        samples_a = sample_transfer(sys_a, grid)
-    if samples_b is None:
-        samples_b = sample_transfer(sys_b, grid)
-    return hardy_norms(samples_a - samples_b, grid)

@@ -196,8 +196,29 @@ class TestDownsize:
         once = sg.downsize(desk_galerkin, sel)
         twice = sg.downsize(once, sel)
         assert twice.dimension == once.dimension
-        assert twice.basis_positions == once.basis_positions
+        assert twice.selection == once.selection
         assert (sp.csr_matrix(twice.system.A) != sp.csr_matrix(once.system.A)).nnz == 0
+
+    def test_nested_downsize(self, desk_galerkin):
+        # a downsized system's blocks are its kept positions, in order
+        outer = sg.downsize(desk_galerkin, Selection(kept=(0, 1, 5, 7), m=desk_galerkin.m))
+        inner = Selection(kept=(0, 5), m=desk_galerkin.m)
+        nested = sg.downsize(outer, inner)
+        direct = sg.downsize(desk_galerkin, inner)
+        assert nested.selection == direct.selection
+        for name in ("E", "A", "C"):
+            a = sp.csr_matrix(getattr(nested.system, name))
+            assert (a != sp.csr_matrix(getattr(direct.system, name))).nnz == 0
+        assert np.array_equal(nested.system.B, direct.system.B)
+        with pytest.raises(ValueError, match="not contained"):
+            sg.downsize(outer, Selection(kept=(0, 2), m=desk_galerkin.m))
+
+    def test_output_labels_downsized(self, desk_galerkin):
+        # downsizing keeps every output row, and with it every row's label
+        small = sg.downsize(desk_galerkin, Selection(kept=(0, 4), m=desk_galerkin.m))
+        labels = small.output_multi_indices()
+        assert len(labels) == small.system.n_out == 10
+        assert labels == desk_galerkin.output_multi_indices() == list(desk_galerkin.spec.index_set.indices)
 
     def test_multi_output_blocks(self):
         # 3 states, 2 outputs, degree 2 in one parameter: m = 3 basis
@@ -223,6 +244,10 @@ class TestDownsize:
         assert np.all(C[4:] == 0.0)
         full = sp.csr_matrix(g.system.C).toarray()
         assert np.array_equal(C[:4], full[:4, : 2 * n])
+        # each basis function labels its two output rows
+        idx = g.spec.index_set.indices
+        expected = [idx[0], idx[0], idx[1], idx[1], idx[2], idx[2]]
+        assert g.output_multi_indices() == small.output_multi_indices() == expected
 
     def test_selection_forces_constant_index(self):
         sel = Selection(kept=(3, 5), m=8)
