@@ -22,7 +22,7 @@ from . import __version__
 from .basis import BasisSpec, build_index_set
 from .circuits import lowpass_benchmark, mna_assemble, parse_netlist
 from .config import PipelineConfig, load_config
-from .descriptor import DescriptorSystem, pencil_spectrum, simulate_transient
+from .descriptor import DescriptorSystem, PoleProximityError, pencil_spectrum, simulate_transient
 from .galerkin import GalerkinSystem, assemble, downsize
 from .hardy import FrequencyGrid, HardyNormReport, SolverStats, hardy_norms, sample_transfer
 from .mor import arnoldi_reduce, deflate, svd_basis
@@ -269,11 +269,12 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
 
     red = krylov.truncate(min(r_final, krylov.r))
     S = red.system
-    sio.mmwrite(out / "reduced_E.mtx", sp.coo_matrix(S.E))
-    sio.mmwrite(out / "reduced_A.mtx", sp.coo_matrix(S.A))
-    sio.mmwrite(out / "reduced_B.mtx", sp.coo_matrix(S.B))
-    sio.mmwrite(out / "reduced_C.mtx", sp.coo_matrix(S.C))
-    sio.mmwrite(out / "projection_T.mtx", sp.coo_matrix(red.T))
+    # dense arrays as dense files: no row and column index per entry
+    sio.mmwrite(out / "reduced_E.mtx", S.E)
+    sio.mmwrite(out / "reduced_A.mtx", S.A)
+    sio.mmwrite(out / "reduced_B.mtx", S.B)
+    sio.mmwrite(out / "reduced_C.mtx", S.C)
+    np.save(out / "projection_T.npy", red.T)
     diff = hardy_norms(samples - sample_transfer(S, grid), grid)
     cert = theorem2_certificate(diff)
     payload = cert.to_dict()
@@ -351,18 +352,26 @@ STAGES = {
 }
 
 
+def _run_stage(name: str, cfg: PipelineConfig, out: Path) -> None:
+    """Run one stage; any failure leaves it as a StageError naming the stage."""
+    try:
+        STAGES[name](cfg, out)
+    except StageError:
+        raise
+    except PoleProximityError as exc:
+        message = str(exc) if exc.condition is None else f"{exc} condition={exc.condition:.3e}"
+        raise StageError(name, message) from exc
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+
+
 def run(cfg: PipelineConfig, out: Path) -> None:
     order = ["assemble", "norms", "sparsify", "reduce"]
     if cfg.transient.enabled:
         order.append("simulate")
     order.append("report")
     for name in order:
-        try:
-            STAGES[name](cfg, out)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, str(exc)) from exc
+        _run_stage(name, cfg, out)
 
 
 def main(argv=None) -> int:
@@ -386,8 +395,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             run(cfg, out)
         else:
-            STAGES[args.command](cfg, out)
-    except (StageError, ValueError, FileNotFoundError) as exc:
+            _run_stage(args.command, cfg, out)
+    except StageError as exc:
         print(f"sgmor: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io as sio
 
 from sgmor import cli
 from sgmor.cli import main
+from sgmor.descriptor import PoleProximityError
 from sgmor.mor import arnoldi_reduce
 from sgmor.config import PipelineConfig, load_config
 
@@ -64,7 +66,7 @@ ARTIFACTS = [
     "reduced_A.mtx",
     "reduced_B.mtx",
     "reduced_C.mtx",
-    "projection_T.mtx",
+    "projection_T.npy",
     "theorem2_mor.json",
     "singular_values.csv",
     "kappa.csv",
@@ -125,6 +127,17 @@ def run_dir(tmp_path_factory):
     return out, cfg
 
 
+@pytest.fixture(scope="module")
+def rerun_dir(run_dir, tmp_path_factory):
+    _, cfg = run_dir
+    out = tmp_path_factory.mktemp("cli_rerun") / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+REDUCED = ["reduced_E.mtx", "reduced_A.mtx", "reduced_B.mtx", "reduced_C.mtx"]
+
+
 class TestPipeline:
     def test_all_artifacts_written(self, run_dir):
         out, _ = run_dir
@@ -139,14 +152,40 @@ class TestPipeline:
         report = json.loads((out / "report.json").read_text())
         assert report["config_hash"] == h
 
-    def test_csv_determinism(self, run_dir, tmp_path):
-        out, cfg = run_dir
-        out2 = tmp_path / "again"
-        assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
+    def test_csv_determinism(self, run_dir, rerun_dir):
+        out, _ = run_dir
         for name in ["norms.csv", "theta_h2.csv", "table1.csv", "downsize_bounds.csv",
                      "reduce_bounds.csv", "singular_values.csv", "kappa.csv",
                      "deflation.csv", "trajectory.csv"]:
-            assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+            assert (out / name).read_bytes() == (rerun_dir / name).read_bytes(), name
+
+    def test_dense_artifact_determinism(self, run_dir, rerun_dir):
+        out, _ = run_dir
+        for name in ["projection_T.npy", *REDUCED]:
+            assert (out / name).read_bytes() == (rerun_dir / name).read_bytes(), name
+
+    def test_projection_orthonormal(self, run_dir):
+        out, _ = run_dir
+        T = np.load(out / "projection_T.npy")
+        assert T.shape == (440, 20)  # N = 20 states x m = 22, r = 20
+        assert np.abs(T.T @ T - np.eye(20)).max() <= 1e-12
+
+    def test_reduced_E_is_projection(self, run_dir):
+        out, _ = run_dir
+        T = np.load(out / "projection_T.npy")
+        E = sio.mmread(out / "galerkin_E.mtx").tocsr()
+        Er = sio.mmread(out / "reduced_E.mtx")
+        assert np.abs(T.T @ (E @ T) - Er).max() <= 1e-12 * np.abs(Er).max()
+
+    def test_reduced_matrices_read_back_bitwise(self, run_dir):
+        out, cfg_path = run_dir
+        cfg = load_config(cfg_path)
+        gsys = cli._load_galerkin(cfg, out, "reduce")
+        S = arnoldi_reduce(gsys, cfg.mor.s0, cfg.mor.r).system  # r_sweep ends at r
+        for name, M in zip(REDUCED, (S.E, S.A, S.B, S.C)):
+            read = sio.mmread(out / name)
+            assert type(read) is np.ndarray, name
+            assert np.array_equal(read, M), name
 
     def test_table_shape(self, run_dir):
         out, _ = run_dir
@@ -207,6 +246,21 @@ class TestStaging:
         assert [int(row.split(",")[0]) for row in rows] == [5, 10, 15, 20]
         t2 = json.loads((work / "theorem2_mor.json").read_text())
         assert t2["r"] == 20 and t2["breakdown"] is False
+
+    @pytest.mark.parametrize("command", ["norms", "run"])
+    def test_pole_proximity_reported(self, run_dir, tmp_path, monkeypatch, capsys, command):
+        out, cfg = run_dir
+        work = tmp_path / "pole"
+        shutil.copytree(out, work)
+
+        def pole(*_args, **_kwargs):
+            raise PoleProximityError("pole proximity at omega=2.5: ill-conditioned", condition=3e16)
+
+        monkeypatch.setattr(cli, "sample_transfer", pole)
+        assert main([command, "--config", str(cfg), "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sgmor: error: stage 'norms': pole proximity at omega=2.5")
+        assert "condition=3.000e+16" in err
 
     def test_missing_upstream_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -126,6 +126,16 @@ class TestSampleTransfer:
         ref = sg.sample_transfer(as_csr(red), grid)
         assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_dense_reduced_ladder_at_lu_level(self, bench_galerkin_d1):
+        # without the refinement step the QZ path is off by 1.1e-13 to 1.6e-13 * max|H| here
+        red = sg.arnoldi_reduce(bench_galerkin_d1, 5e5, 80).system
+        grid = sg.FrequencyGrid.logspaced(-2, 10, 20)
+        H = sg.sample_transfer(red, grid)
+        ref = np.column_stack(
+            [red.C @ np.linalg.solve(1j * w * red.E - red.A, red.B[:, 0]) for w in grid.omegas]
+        )
+        assert np.abs(H - ref).max() <= 5e-14 * np.abs(ref).max()
+
     @pytest.mark.parametrize("fmt", [lambda s: s, as_csr], ids=["dense", "csr"])
     def test_pole_on_grid(self, fmt):
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # poles at +-1j
@@ -269,6 +279,19 @@ class TestHardyNorms:
         grid = sg.FrequencyGrid.logspaced(-1, 3, 10)
         rep = sg.hardy_norms(np.ones((1, len(grid))), grid)
         assert not rep.strictly_proper_ok[0]
+
+    def test_json_flags_argmax_at_top_edge(self, tmp_path):
+        # the resonance at omega = 1 lies above the grid, so |H| peaks at its top;
+        # the first-order system peaks at omega = 0, a true boundary
+        A = np.array([[0.0, 1.0], [-1.0, -0.05]])
+        resonant = DescriptorSystem(np.eye(2), A, np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]))
+        grid = sg.FrequencyGrid.logspaced(-2, -0.5, 10)
+        samples = np.vstack([sg.sample_transfer(resonant, grid), sg.sample_transfer(first_order(), grid)])
+        rep = sg.hardy_norms(samples, grid)
+        rep.to_json(tmp_path / "n.json")
+        data = json.loads((tmp_path / "n.json").read_text())
+        assert data["argmax_omega"] == [grid.omegas[-1], 0.0]
+        assert data["argmax_at_top_edge"] == [True, False]
 
     def test_csv_json_export(self, desk_norms, tmp_path):
         _, _, rep = desk_norms
