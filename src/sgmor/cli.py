@@ -336,6 +336,9 @@ def stage_report(cfg: PipelineConfig, out: Path) -> dict:
         path = out / f"{name}.json"
         if path.exists():
             bundle[name] = json.loads(path.read_text())
+    norms = out / "norms.json"
+    if norms.exists():
+        bundle["norms_solver"] = json.loads(norms.read_text())["solver"]
     if "resolved_config" not in bundle:
         raise MissingArtifactError("report", str(out / "resolved_config.json"))
     _write_json(out / "report.json", bundle, h)
@@ -387,7 +390,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="seed override for randomized checks")
     args = parser.parse_args(argv)
-    cfg = load_config(args.config) if args.config else PipelineConfig()
+    try:
+        cfg = load_config(args.config) if args.config else PipelineConfig()
+    except (OSError, ValueError) as exc:
+        print(f"sgmor: error: config: {exc}", file=sys.stderr)
+        return 1
     if args.seed is not None:
         cfg.seed = args.seed
     out = _out_dir(cfg, args.out)

@@ -2,15 +2,18 @@
 
 The transfer function is sampled on a logarithmic grid along the positive
 imaginary axis (conjugate symmetry folds the negative axis).  A Galerkin
-system (full or downsized) is sampled with right-preconditioned GMRES per
-frequency: its pencil sum_k G_k (x) (sE_k - A_k) has the mean pencil in
-every diagonal block, so one n x n inverse of the mean block preconditions
-the whole system, and every solution's true residual is checked before it
-is used.  Any other sparse system is sampled with one SuperLU
-factorization per frequency; a dense (reduced) system with one complex QZ
-decomposition for the whole grid, a triangular back-substitution
-vectorised over the frequencies and one step of iterative refinement.
-The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
+system (full or downsized) is sampled with a right-preconditioned,
+restarted GMRES per frequency: its pencil sum_k G_k (x) (sE_k - A_k) has
+the mean pencil in every diagonal block, so one n x n inverse of the mean
+block preconditions the whole system.  The GMRES is written here: one
+Krylov workspace serves the whole sweep, the Arnoldi step is classical
+Gram-Schmidt run twice, and every restart cycle starts from the true
+residual, which refines the solution to about sparse-LU accuracy.  Every
+solution's true residual is checked again before it is used.  Any other
+sparse system is sampled with one SuperLU factorization per frequency; a
+dense (reduced) system with one complex QZ decomposition for the whole
+grid, a triangular back-substitution vectorised over the frequencies and
+one step of iterative refinement.  The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
 approximation of the frequency integral plus a c/omega tail model fitted
 at the last grid point.
 """
@@ -18,12 +21,12 @@ at the last grid point.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil, loglog_slope
 from .galerkin import GalerkinSystem
@@ -37,10 +40,9 @@ __all__ = [
 ]
 
 RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
-# GMRES's own target sits below RESIDUAL_RTOL, under the round-off floor of
-# the true residual (3e-13 to 5e-13 on the ladder at d = 2 and 3): on the
-# d = 2 ladder, stopping at 1e-12 left errors of up to 9.4e-13 * max|H| in
-# the samples, against 2.2e-14 at this target
+# GMRES's own target sits below RESIDUAL_RTOL, near the round-off floor of
+# the true residual: on the d = 2 ladder, stopping at 1e-12 left errors of up
+# to 1.3e-12 * max|H| in the samples, against 3.6e-14 at this target
 GMRES_RTOL = 5e-14
 GMRES_RESTART = 40
 GMRES_MAXITER = 5  # restart cycles: at most 200 iterations per frequency
@@ -152,6 +154,7 @@ class SolverStats:
             "method": self.method,
             "max_iterations": max(its) if its else None,
             "median_iterations": float(np.median(its)) if its else None,
+            "total_iterations": sum(its) if its else None,
             "max_residual": max(self.residuals) if self.residuals else None,
             "fallbacks": self.fallbacks,
         }
@@ -165,9 +168,13 @@ def sample_transfer(
     """H(i*omega_j) for all outputs of a single-input system; shape (n_out, k).
 
     Galerkin system: per frequency, K = i*omega*E - A is rebuilt on a fixed
-    sparsity pattern and K x = b is solved by GMRES, right-preconditioned by
-    I (x) (i*omega*E_00 - A_00)^-1, where block 0 is the mean system
-    (phi_0 = 1, and position 0 is kept by every downsized system).  A
+    sparsity pattern and K x = b is solved by restarted GMRES,
+    right-preconditioned by I (x) (i*omega*E_00 - A_00)^-1, where block 0 is
+    the mean system (phi_0 = 1, and position 0 is kept by every downsized
+    system).  The Krylov workspace, GMRES_RESTART + 1 basis vectors and a
+    triangular GMRES_RESTART x GMRES_RESTART factor, is allocated once per
+    sweep; each restart cycle orthogonalises by classical Gram-Schmidt run
+    twice and starts from the true residual b - K x.  A
     solution is used only if its recomputed ||b - K x|| / ||b|| is at most
     RESIDUAL_RTOL; otherwise, or if the mean block is singular, that frequency
     is solved by sparse LU as below and counted in `stats.fallbacks`.
@@ -233,11 +240,24 @@ def _on_union_pattern(E, A) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
     return e, a, K
 
 
-def _gmres_mean(K: sp.csr_matrix, mean_block: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """GMRES on K x = b, right-preconditioned by I (x) mean_block^-1.
+def _gmres_mean(
+    K: sp.csr_matrix, mean_block: np.ndarray, b: np.ndarray, V: np.ndarray, H: np.ndarray
+) -> tuple[np.ndarray | None, int]:
+    """Restarted GMRES on K x = b, right-preconditioned by I (x) mean_block^-1.
+
+    V, (restart + 1) x N, and H, restart x restart, are the caller's
+    workspace and are overwritten; the restart length is len(V) - 1.  Each
+    cycle starts from the true residual b - K x, builds its Arnoldi basis
+    in the rows of V by classical Gram-Schmidt run twice, and keeps H upper
+    triangular by Givens rotations, whose residual estimate ends the cycle
+    at GMRES_RTOL * ||b||.  GMRES_RTOL lies near the round-off floor of the
+    true residual, so the later cycles act as iterative refinement; they
+    stop once the true residual reaches the target or after GMRES_MAXITER
+    cycles.
 
     Returns (x, iterations), or (None, 0) when the mean block is singular.
-    x is unchecked: GMRES's own convergence flag is not trusted.
+    x is unchecked: where H is singular (a pole on the grid) it is the
+    iterate reached before that cycle.
     """
     try:
         P = np.linalg.inv(mean_block).T
@@ -248,19 +268,51 @@ def _gmres_mean(K: sp.csr_matrix, mean_block: np.ndarray, b: np.ndarray) -> tupl
     def precondition(v):
         return (v.reshape(-1, n) @ P).ravel()
 
-    op = spla.LinearOperator(K.shape, matvec=lambda v: K @ precondition(v), dtype=complex)
-    residual_norms: list[float] = []
-    z, _info = spla.gmres(
-        op,
-        b,
-        rtol=GMRES_RTOL,
-        atol=0.0,
-        restart=GMRES_RESTART,
-        maxiter=GMRES_MAXITER,
-        callback=residual_norms.append,
-        callback_type="pr_norm",
-    )
-    return precondition(z), len(residual_norms)
+    restart = len(V) - 1
+    tol = GMRES_RTOL * np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r = b
+    iterations = 0
+    for cycle in range(GMRES_MAXITER):
+        if cycle:
+            r = b - K @ x
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            break
+        V[0] = r / beta
+        g = [complex(beta)]  # rotated right-hand side beta * e_1
+        rotations = []
+        for k in range(restart):
+            w = K @ precondition(V[k])
+            Vk = V[: k + 1]
+            h = 0.0
+            for _ in range(2):
+                dh = (Vk @ w.conj()).conj()
+                w -= dh @ Vk
+                h = h + dh
+            col = h.tolist()
+            w_norm = float(np.linalg.norm(w))
+            iterations += 1
+            # the earlier rotations, then a new one zeroing the subdiagonal w_norm
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c.conjugate() * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(abs(col[k]), w_norm)
+            c, s = (col[k] / rho, w_norm / rho) if rho else (1.0 + 0j, 0.0)
+            rotations.append((c, s))
+            col[k] = complex(rho)
+            g.append(-s * g[k])
+            g[k] = c.conjugate() * g[k]
+            H[: k + 1, k] = col
+            if abs(g[k + 1]) <= tol or k == restart - 1:  # a breakdown, w = 0, ends here too
+                break
+            V[k + 1] = w / w_norm
+        m = k + 1
+        try:
+            y = sla.solve_triangular(H[:m, :m], np.array(g[:m]), check_finite=False)
+        except sla.LinAlgError:
+            break
+        x += precondition(y @ V[:m])
+    return x, iterations
 
 
 def _sample_galerkin(gsys: GalerkinSystem, omegas: np.ndarray, stats: SolverStats) -> np.ndarray:
@@ -272,11 +324,14 @@ def _sample_galerkin(gsys: GalerkinSystem, omegas: np.ndarray, stats: SolverStat
     A00 = sp.csr_matrix(S.A)[:n, :n].toarray()
     b = S.B[:, 0].astype(complex)
     b_norm = np.linalg.norm(b) or 1.0
+    # one Krylov workspace for the whole sweep
+    V = np.empty((GMRES_RESTART + 1, len(b)), dtype=complex)
+    H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=complex)
     out = np.empty((S.n_out, len(omegas)), dtype=complex)
     for j, omega in enumerate(omegas):
         s = 1j * omega
         K.data = s * e - a
-        x, iterations = _gmres_mean(K, s * E00 - A00, b)
+        x, iterations = _gmres_mean(K, s * E00 - A00, b, V, H)
         residual = np.inf if x is None else np.linalg.norm(b - K @ x) / b_norm
         if not residual <= RESIDUAL_RTOL:  # also catches NaN
             stats.fallbacks += 1

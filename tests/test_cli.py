@@ -218,6 +218,7 @@ class TestPipeline:
         assert "theorem1" in report and "theorem2_mor" in report
         assert report["theorem2_mor"]["r"] == 20
         assert report["selection"]["kept"][0] == 0
+        assert report["norms_solver"]["method"] == "gmres-mean"
 
     def test_trajectory_header_and_values(self, run_dir):
         out, _ = run_dir
@@ -307,6 +308,17 @@ class TestStaging:
         theta = (out / "theta_h2.csv").read_text().splitlines()
         assert len(theta) == 3  # hash line, header, single output
         assert theta[2].split(",")[2].startswith("1.0")
+
+    def test_bad_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "nonsense: 1\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "sgmor: error: config: unknown config key 'nonsense'\n"
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.yaml"
+        assert main(["run", "--config", str(missing), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sgmor: error: config: ") and "absent.yaml" in err
 
     def test_unknown_builtin(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_CONFIG.replace("builtin:lowpass", "builtin:nope"))

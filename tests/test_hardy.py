@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgmor as sg
+from sgmor import hardy
 from sgmor.descriptor import DescriptorSystem, PoleProximityError
 from sgmor.galerkin import GalerkinSystem, Selection
 from sgmor.hardy import RESIDUAL_RTOL, SolverStats
@@ -183,13 +183,13 @@ class TestGalerkinSampling:
 
     def test_unconverged_gmres_caught(self, desk_galerkin, monkeypatch):
         # a near miss that claims success: the residual check must reject it
-        real_gmres = spla.gmres
+        real_gmres = hardy._gmres_mean
 
-        def lying_gmres(*args, **kwargs):
-            z, _ = real_gmres(*args, **kwargs)
-            return z * (1.0 + 1e-8), 0
+        def lying_gmres(*args):
+            x, iterations = real_gmres(*args)
+            return x * (1.0 + 1e-8), iterations
 
-        monkeypatch.setattr(spla, "gmres", lying_gmres)
+        monkeypatch.setattr(hardy, "_gmres_mean", lying_gmres)
         grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
         stats = SolverStats()
         H = sg.sample_transfer(desk_galerkin, grid, stats)
@@ -197,6 +197,69 @@ class TestGalerkinSampling:
         assert stats.fallbacks == len(grid)
         assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
         assert stats.summary()["fallbacks"] == len(grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.integers(2, 4),
+        n=st.integers(2, 5),
+        eps=st.floats(5e-3, 5e-2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_restarted_gmres_solves_block_system(self, blocks, n, eps, seed):
+        # I (x) M + eps * sum_k G_k (x) K_k with a 4-row workspace: restart 3
+        rng = np.random.default_rng(seed)
+
+        def unit(*shape):
+            X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return X / np.linalg.norm(X, 2)
+
+        M = 2.0 * np.eye(n) + unit(n, n)
+        K = np.kron(np.eye(blocks), M)
+        for _ in range(2):
+            G = rng.normal(size=(blocks, blocks))
+            K += eps * np.kron((G + G.T) / np.linalg.norm(G + G.T, 2), unit(n, n))
+        b = rng.normal(size=blocks * n) + 1j * rng.normal(size=blocks * n)
+        V = np.empty((4, len(b)), dtype=complex)
+        H = np.empty((3, 3), dtype=complex)
+        x, iterations = hardy._gmres_mean(sp.csr_matrix(K), M, b, V, H)
+        assert iterations > 3  # at least two restart cycles
+        assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
+        ref = np.linalg.solve(K, b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_gmres_zero_rhs_and_breakdown(self):
+        # K = I (x) M is its own mean-block preconditioner: the first Arnoldi
+        # step breaks down with the exact solution
+        M = np.array([[2.0, 1.0], [0.0, 3.0j]])
+        K = sp.csr_matrix(np.kron(np.eye(3), M))
+        V = np.empty((4, 6), dtype=complex)
+        H = np.empty((3, 3), dtype=complex)
+        b = np.arange(1.0, 7.0) * (1.0 + 1.0j)
+        x, iterations = hardy._gmres_mean(K, M, b, V, H)
+        assert iterations == 1
+        assert np.allclose(x, np.linalg.solve(K.toarray(), b), rtol=1e-15, atol=0.0)
+        x, iterations = hardy._gmres_mean(K, M, np.zeros(6, dtype=complex), V, H)
+        assert iterations == 0 and not x.any()
+
+    def test_workspace_reuse_is_bitwise(self, bench_galerkin_d1):
+        # one sweep reuses its Krylov workspace; single-frequency sweeps, run
+        # in reverse order, each start from a fresh one.  The ladder, unlike
+        # the desk system, takes true-residual restarts at some frequencies.
+        grid = sg.FrequencyGrid.logspaced(-2, 10, 2)
+        H = sg.sample_transfer(bench_galerkin_d1, grid)
+        for j in reversed(range(len(grid))):
+            Hj = hardy._sample_galerkin(bench_galerkin_d1, grid.omegas[j : j + 1], SolverStats())
+            assert np.array_equal(Hj[:, 0], H[:, j])
+
+    def test_ladder_at_superlu_level(self, bench_galerkin_d1):
+        # stopping at the first inner convergence, without true-residual restarts,
+        # leaves errors above this bound
+        grid = sg.FrequencyGrid.logspaced(-2, 10, 20)
+        stats = SolverStats()
+        H = sg.sample_transfer(bench_galerkin_d1, grid, stats)
+        ref = sg.sample_transfer(bench_galerkin_d1.system, grid)
+        assert stats.fallbacks == 0
+        assert np.abs(H - ref).max() <= 5e-14 * np.abs(ref).max()
 
     def test_singular_mean_block_falls_back(self):
         # mean block -A_00 = 0 is singular at omega = 0; the coupled pencil is not
@@ -226,6 +289,7 @@ class TestGalerkinSampling:
             "method": method,
             "max_iterations": None,
             "median_iterations": None,
+            "total_iterations": None,
             "max_residual": None,
             "fallbacks": 0,
         }
