@@ -216,12 +216,14 @@ def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
 
     sweep = cfg.sparsify.downsize_sweep
     if sweep is not None:
-        rows = []
+        rows, solvers = [], []
         start, stop, step = sweep
         for r in range(start, min(stop, m) + 1, step):
             sel_r = select_indices(ranking, "top_k", k=r)
             small = downsize(gsys, sel_r)
-            diff_samples = samples - sample_transfer(small, grid)
+            stats = SolverStats()
+            diff_samples = samples - sample_transfer(small, grid, stats)
+            solvers.append({"r": r, **stats.summary()})
             diff = hardy_norms(diff_samples, grid)
             cert = theorem2_certificate(diff, full_report=report, sel=sel_r)
             rows.append(
@@ -239,6 +241,7 @@ def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
             rows,
             h,
         )
+        _write_json(out / "downsize_solver.json", {"sweeps": solvers}, h)
 
 
 # ------------------------------------------------------------------ reduce
@@ -339,6 +342,9 @@ def stage_report(cfg: PipelineConfig, out: Path) -> dict:
     norms = out / "norms.json"
     if norms.exists():
         bundle["norms_solver"] = json.loads(norms.read_text())["solver"]
+    downsize_solver = out / "downsize_solver.json"
+    if downsize_solver.exists():
+        bundle["sparsify_solver"] = json.loads(downsize_solver.read_text())["sweeps"]
     if "resolved_config" not in bundle:
         raise MissingArtifactError("report", str(out / "resolved_config.json"))
     _write_json(out / "report.json", bundle, h)

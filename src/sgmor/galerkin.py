@@ -159,6 +159,11 @@ class GalerkinSystem:
     def is_sparse(self) -> bool:
         return self.system.is_sparse
 
+    def block_degrees(self) -> np.ndarray:
+        """Total degree of the basis function of each state block."""
+        degrees = self.spec.index_set.total_degrees()
+        return degrees if self.selection is None else degrees[list(self.selection.kept)]
+
     def output_multi_indices(self) -> list[tuple[int, ...]]:
         """Multi-index of each output row: in the block-major layout row i
         belongs to basis function i // k, with k = n_out // m."""

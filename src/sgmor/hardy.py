@@ -2,18 +2,24 @@
 
 The transfer function is sampled on a logarithmic grid along the positive
 imaginary axis (conjugate symmetry folds the negative axis).  A Galerkin
-system (full or downsized) is sampled with a right-preconditioned,
-restarted GMRES per frequency: its pencil sum_k G_k (x) (sE_k - A_k) has
-the mean pencil in every diagonal block, so one n x n inverse of the mean
-block preconditions the whole system.  The GMRES is written here: one
-Krylov workspace serves the whole sweep, the Arnoldi step is classical
-Gram-Schmidt run twice, and every restart cycle starts from the true
-residual, which refines the solution to about sparse-LU accuracy.  Every
-solution's true residual is checked again before it is used.  Any other
-sparse system is sampled with one SuperLU factorization per frequency; a
-dense (reduced) system with one complex QZ decomposition for the whole
-grid, a triangular back-substitution vectorised over the frequencies and
-one step of iterative refinement.  The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
+system (full or downsized) is sampled with a restarted GMRES per
+frequency on a Schur complement.  The three-term recurrence of the
+orthonormal basis couples a basis function of total degree k only to
+degrees k +- 1, and every diagonal block of the pencil sum_k G_k (x)
+(sE_k - A_k) is the mean pencil, so reordered into even- and odd-degree
+blocks the system is I (x) mean pencil on both diagonal parts.  One class
+is eliminated exactly through one n x n inverse of the mean block; GMRES
+runs on the smaller class.  The structure is checked once per sweep, and
+a Galerkin system without it goes to the sparse LU branch.  The GMRES is
+written here: one Krylov workspace serves the whole sweep, the Arnoldi
+step is classical Gram-Schmidt run twice, and every restart cycle starts
+from the true residual of the full system, which refines the solution to
+about sparse-LU accuracy.  Every solution's true residual is checked again
+before it is used.  Any other sparse system is sampled with one SuperLU
+factorization per frequency; a dense (reduced) system with one complex
+QZ decomposition for the whole grid, a triangular back-substitution
+vectorised over the frequencies and one step of iterative refinement.
+The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
 approximation of the frequency integral plus a c/omega tail model fitted
 at the last grid point.
 """
@@ -136,17 +142,20 @@ class HardyNormReport:
 class SolverStats:
     """How sample_transfer solved each frequency; pass one in to have it filled.
 
-    method is "gmres-mean" (Galerkin system), "superlu" (other sparse
-    system) or "qz" (dense system).  On the GMRES path `iterations` and
-    `residuals` hold one entry per frequency: the GMRES iterations spent and
-    the true relative residual of the returned solution; `fallbacks` counts
-    the frequencies solved by sparse LU after GMRES missed RESIDUAL_RTOL.
+    method is "gmres-schur" (Galerkin system with the even/odd structure),
+    "superlu" (other sparse system) or "qz" (dense system).  On the GMRES
+    path `iterations` and `residuals` hold one entry per frequency: the
+    GMRES iterations spent and the true relative residual of the returned
+    solution; `fallbacks` counts the frequencies solved by sparse LU after
+    GMRES missed RESIDUAL_RTOL, and `schur_unknowns` is the size of the
+    system GMRES ran on.
     """
 
     method: str = ""
     iterations: list[int] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     fallbacks: int = 0
+    schur_unknowns: int | None = None
 
     def summary(self) -> dict:
         its = self.iterations
@@ -157,6 +166,7 @@ class SolverStats:
             "total_iterations": sum(its) if its else None,
             "max_residual": max(self.residuals) if self.residuals else None,
             "fallbacks": self.fallbacks,
+            "schur_unknowns": self.schur_unknowns,
         }
 
 
@@ -167,17 +177,25 @@ def sample_transfer(
 ) -> np.ndarray:
     """H(i*omega_j) for all outputs of a single-input system; shape (n_out, k).
 
-    Galerkin system: per frequency, K = i*omega*E - A is rebuilt on a fixed
-    sparsity pattern and K x = b is solved by restarted GMRES,
-    right-preconditioned by I (x) (i*omega*E_00 - A_00)^-1, where block 0 is
-    the mean system (phi_0 = 1, and position 0 is kept by every downsized
-    system).  The Krylov workspace, GMRES_RESTART + 1 basis vectors and a
-    triangular GMRES_RESTART x GMRES_RESTART factor, is allocated once per
-    sweep; each restart cycle orthogonalises by classical Gram-Schmidt run
-    twice and starts from the true residual b - K x.  A
-    solution is used only if its recomputed ||b - K x|| / ||b|| is at most
-    RESIDUAL_RTOL; otherwise, or if the mean block is singular, that frequency
-    is solved by sparse LU as below and counted in `stats.fallbacks`.
+    Galerkin system: its blocks are split once per sweep by the parity of
+    their basis function's total degree (_even_odd_order).  The split is
+    exact when every diagonal block of E and A equals block 0, the mean
+    system (phi_0 = 1, and position 0 is kept by every downsized system),
+    and no entry couples two blocks of the same parity; affine assembly
+    gives both.  Then, per frequency, K = i*omega*E - A and its couplings
+    L = K[e, o] and U = K[o, e] between the eliminated class e and the
+    Schur class o (the one with fewer blocks) are rebuilt on fixed sparsity
+    patterns, and K x = b is solved by restarted GMRES on the Schur
+    complement, right-preconditioned by P = I (x) (i*omega*E_00 - A_00)^-1
+    (_gmres_schur).  The Krylov workspace, GMRES_RESTART + 1 basis vectors
+    of length |o| and a triangular GMRES_RESTART x GMRES_RESTART factor, is
+    allocated once per sweep; each restart cycle orthogonalises by
+    classical Gram-Schmidt run twice and starts from the true residual
+    b - K x of the full system.  A solution is used only if its recomputed
+    ||b - K x|| / ||b|| is at most RESIDUAL_RTOL; otherwise, or if the mean
+    block is singular, that frequency is solved by sparse LU as below and
+    counted in `stats.fallbacks`.  A Galerkin system without the even/odd
+    structure is sampled like any other sparse system.
     Other sparse system: one SuperLU factorization of i*omega*E - A and one
     solve per frequency.  Dense system: one complex QZ, A = Q AA Z^H and
     E = Q BB Z^H, for the whole grid; the triangular system
@@ -196,8 +214,10 @@ def sample_transfer(
     if stats is None:
         stats = SolverStats()
     if isinstance(sys, GalerkinSystem):
-        stats.method = "gmres-mean"
-        return _sample_galerkin(sys, grid.omegas, stats)
+        split = _even_odd_order(sys)
+        if split is not None:
+            stats.method = "gmres-schur"
+            return _sample_galerkin(sys, split, grid.omegas, stats)
     if not S.is_sparse:
         stats.method = "qz"
         return _sample_dense(S, grid.omegas)
@@ -222,38 +242,91 @@ def _factor_at(sys: DescriptorSystem, omega: float):
 
 def _on_union_pattern(E, A) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
     """Data arrays of E and A on the CSR pattern of their union, and a
-    complex CSR matrix of that pattern whose data the caller overwrites."""
-    N = E.shape[0]
+    complex CSR matrix of that pattern whose data the caller overwrites.
+    E and A have the same, possibly rectangular, shape."""
+    n_rows, n_cols = E.shape
     keys, data = [], []
     for M in (E, A):
         M = sp.coo_matrix(M)
         M.sum_duplicates()  # sorted by row, then column
-        keys.append(M.row.astype(np.int64) * N + M.col)
+        keys.append(M.row.astype(np.int64) * n_cols + M.col)
         data.append(M.data)
     union = np.union1d(*keys)
     e, a = np.zeros(len(union)), np.zeros(len(union))
     e[np.searchsorted(union, keys[0])] = data[0]
     a[np.searchsorted(union, keys[1])] = data[1]
-    rows, cols = np.divmod(union, N)
-    indptr = np.searchsorted(rows, np.arange(N + 1))
-    K = sp.csr_matrix((np.zeros(len(union), dtype=complex), cols, indptr), shape=(N, N))
+    rows, cols = np.divmod(union, n_cols)
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
+    K = sp.csr_matrix((np.zeros(len(union), dtype=complex), cols, indptr), shape=(n_rows, n_cols))
     return e, a, K
 
 
-def _gmres_mean(
-    K: sp.csr_matrix, mean_block: np.ndarray, b: np.ndarray, V: np.ndarray, H: np.ndarray
-) -> tuple[np.ndarray | None, int]:
-    """Restarted GMRES on K x = b, right-preconditioned by I (x) mean_block^-1.
+def _even_odd_order(gsys: GalerkinSystem) -> tuple[np.ndarray, int] | None:
+    """State order of the even/odd-degree split, eliminated class first,
+    and the size of that class; None where the split is not exact.
 
-    V, (restart + 1) x N, and H, restart x restart, are the caller's
+    The split is exact when every diagonal block of E and of A equals
+    block 0 and no nonzero of E or A couples two different blocks of the
+    same degree parity; affine assembly gives both bitwise.  The class with
+    fewer blocks, the odd one on a tie, holds the Schur unknowns.
+    """
+    n = gsys.block_dim
+    odd = gsys.block_degrees() % 2 == 1
+    n_blocks = len(odd)
+    for M in (gsys.system.E, gsys.system.A):
+        M = sp.coo_matrix(M)
+        M.sum_duplicates()  # sorted by row, then column
+        nonzero = M.data != 0
+        row, col, val = M.row[nonzero], M.col[nonzero], M.data[nonzero]
+        block_row, block_col = row // n, col // n
+        diagonal = block_row == block_col
+        if np.any(odd[block_row[~diagonal]] == odd[block_col[~diagonal]]):
+            return None
+        # the diagonal-block entries come grouped by block, each group in
+        # (local row, local column) order, so equal blocks give equal rows here
+        counts = np.bincount(block_row[diagonal], minlength=n_blocks)
+        if np.any(counts != counts[0]):
+            return None
+        local = (row[diagonal] % n * n + col[diagonal] % n).reshape(n_blocks, -1)
+        values = val[diagonal].reshape(n_blocks, -1)
+        if np.any(local != local[0]) or np.any(values != values[0]):
+            return None
+    schur = odd if np.count_nonzero(odd) <= np.count_nonzero(~odd) else ~odd
+    blocks = np.concatenate([np.flatnonzero(~schur), np.flatnonzero(schur)])
+    order = (blocks[:, None] * n + np.arange(n)).ravel()
+    return order, int(np.count_nonzero(~schur)) * n
+
+
+def _gmres_schur(
+    K: sp.csr_matrix,
+    L: sp.csr_matrix,
+    U: sp.csr_matrix,
+    mean_block: np.ndarray,
+    b: np.ndarray,
+    V: np.ndarray,
+    H: np.ndarray,
+) -> tuple[np.ndarray | None, int]:
+    """Restarted GMRES on K x = b through the Schur complement of an even/odd split.
+
+    K = [[I (x) M, L], [U, I (x) M]] with M = mean_block: the first
+    L.shape[0] states form the eliminated class e, the rest the Schur
+    class o.  With P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
+    (I - U P L P) y = b_o - U P b_e for x_o = P y, which GMRES solves.
+    Each outer cycle computes the true residual r = b - K x and stops once
+    ||r|| <= GMRES_RTOL * ||b||; otherwise it runs one GMRES cycle on
+    f = r_o - U P r_e, recovers d_o = P y and d_e = P (r_e - L d_o), and
+    adds d to x.  GMRES_RTOL lies near the round-off floor of the true
+    residual, so the later cycles act as iterative refinement; there are
+    at most GMRES_MAXITER.  With an empty class o each cycle is x += P r.
+
+    V, (restart + 1) x |o|, and H, restart x restart, are the caller's
     workspace and are overwritten; the restart length is len(V) - 1.  Each
-    cycle starts from the true residual b - K x, builds its Arnoldi basis
-    in the rows of V by classical Gram-Schmidt run twice, and keeps H upper
-    triangular by Givens rotations, whose residual estimate ends the cycle
-    at GMRES_RTOL * ||b||.  GMRES_RTOL lies near the round-off floor of the
-    true residual, so the later cycles act as iterative refinement; they
-    stop once the true residual reaches the target or after GMRES_MAXITER
-    cycles.
+    GMRES cycle builds its Arnoldi basis in the rows of V by classical
+    Gram-Schmidt run twice and keeps H upper triangular by Givens
+    rotations, whose residual estimate ends the cycle at a tenth of that
+    target.  In exact arithmetic the estimate is the full residual, since
+    the recovered d_e zeroes the e part of it; in floating point the two
+    differ at the level of the target.
 
     Returns (x, iterations), or (None, 0) when the mean block is singular.
     x is unchecked: where H is singular (a pole on the grid) it is the
@@ -268,78 +341,104 @@ def _gmres_mean(
     def precondition(v):
         return (v.reshape(-1, n) @ P).ravel()
 
+    n_e = L.shape[0]
     restart = len(V) - 1
     tol = GMRES_RTOL * np.linalg.norm(b)
+    # a GMRES cycle aims a decade lower: on the d = 1 ladder, cycles stopped
+    # at `tol` left samples up to 1.3e-13 * max|H| off SuperLU, against
+    # 3.3e-14 at this target
+    cycle_tol = 0.1 * tol
     x = np.zeros_like(b)
     r = b
     iterations = 0
     for cycle in range(GMRES_MAXITER):
         if cycle:
             r = b - K @ x
-        beta = np.linalg.norm(r)
-        if beta <= tol:
+        if np.linalg.norm(r) <= tol:
             break
-        V[0] = r / beta
-        g = [complex(beta)]  # rotated right-hand side beta * e_1
-        rotations = []
-        for k in range(restart):
-            w = K @ precondition(V[k])
-            Vk = V[: k + 1]
-            h = 0.0
-            for _ in range(2):
-                dh = (Vk @ w.conj()).conj()
-                w -= dh @ Vk
-                h = h + dh
-            col = h.tolist()
-            w_norm = float(np.linalg.norm(w))
-            iterations += 1
-            # the earlier rotations, then a new one zeroing the subdiagonal w_norm
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c.conjugate() * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            rho = math.hypot(abs(col[k]), w_norm)
-            c, s = (col[k] / rho, w_norm / rho) if rho else (1.0 + 0j, 0.0)
-            rotations.append((c, s))
-            col[k] = complex(rho)
-            g.append(-s * g[k])
-            g[k] = c.conjugate() * g[k]
-            H[: k + 1, k] = col
-            if abs(g[k + 1]) <= tol or k == restart - 1:  # a breakdown, w = 0, ends here too
+        p_e = precondition(r[:n_e])
+        f = r[n_e:] - U @ p_e
+        beta = np.linalg.norm(f)
+        if beta > cycle_tol:
+            V[0] = f / beta
+            g = [complex(beta)]  # rotated right-hand side beta * e_1
+            rotations = []
+            for k in range(restart):
+                w = V[k] - U @ precondition(L @ precondition(V[k]))
+                Vk = V[: k + 1]
+                h = 0.0
+                for _ in range(2):
+                    dh = (Vk @ w.conj()).conj()
+                    w -= dh @ Vk
+                    h = h + dh
+                col = h.tolist()
+                w_norm = float(np.linalg.norm(w))
+                iterations += 1
+                # the earlier rotations, then a new one zeroing the subdiagonal w_norm
+                for i, (c, s) in enumerate(rotations):
+                    col[i], col[i + 1] = c.conjugate() * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+                rho = math.hypot(abs(col[k]), w_norm)
+                c, s = (col[k] / rho, w_norm / rho) if rho else (1.0 + 0j, 0.0)
+                rotations.append((c, s))
+                col[k] = complex(rho)
+                g.append(-s * g[k])
+                g[k] = c.conjugate() * g[k]
+                H[: k + 1, k] = col
+                if abs(g[k + 1]) <= cycle_tol or k == restart - 1:  # a breakdown, w = 0, ends here too
+                    break
+                V[k + 1] = w / w_norm
+            m = k + 1
+            try:
+                y = sla.solve_triangular(H[:m, :m], np.array(g[:m]), check_finite=False)
+            except sla.LinAlgError:
                 break
-            V[k + 1] = w / w_norm
-        m = k + 1
-        try:
-            y = sla.solve_triangular(H[:m, :m], np.array(g[:m]), check_finite=False)
-        except sla.LinAlgError:
-            break
-        x += precondition(y @ V[:m])
+            d_o = precondition(y @ V[:m])
+            x[n_e:] += d_o
+            p_e -= precondition(L @ d_o)
+        x[:n_e] += p_e
     return x, iterations
 
 
-def _sample_galerkin(gsys: GalerkinSystem, omegas: np.ndarray, stats: SolverStats) -> np.ndarray:
-    """Galerkin branch of sample_transfer: mean-preconditioned GMRES per frequency."""
+def _sample_galerkin(
+    gsys: GalerkinSystem, split: tuple[np.ndarray, int], omegas: np.ndarray, stats: SolverStats
+) -> np.ndarray:
+    """Galerkin branch of sample_transfer: GMRES on the even/odd Schur
+    complement per frequency; `split` is _even_odd_order(gsys)."""
     S = gsys.system
     n = gsys.block_dim
-    e, a, K = _on_union_pattern(S.E, S.A)
+    order, n_e = split
+    E = sp.csr_matrix(S.E)[order][:, order]
+    A = sp.csr_matrix(S.A)[order][:, order]
+    # K for true residuals, its couplings L = K[e, o] and U = K[o, e]
+    patterns = [
+        _on_union_pattern(E, A),
+        _on_union_pattern(E[:n_e, n_e:], A[:n_e, n_e:]),
+        _on_union_pattern(E[n_e:, :n_e], A[n_e:, :n_e]),
+    ]
+    K, L, U = (M for _, _, M in patterns)
     E00 = sp.csr_matrix(S.E)[:n, :n].toarray()
     A00 = sp.csr_matrix(S.A)[:n, :n].toarray()
-    b = S.B[:, 0].astype(complex)
+    b = S.B[order, 0].astype(complex)
     b_norm = np.linalg.norm(b) or 1.0
+    C = sp.csr_matrix(S.C)[:, order]
+    stats.schur_unknowns = len(order) - n_e
     # one Krylov workspace for the whole sweep
-    V = np.empty((GMRES_RESTART + 1, len(b)), dtype=complex)
+    V = np.empty((GMRES_RESTART + 1, len(order) - n_e), dtype=complex)
     H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=complex)
     out = np.empty((S.n_out, len(omegas)), dtype=complex)
     for j, omega in enumerate(omegas):
         s = 1j * omega
-        K.data = s * e - a
-        x, iterations = _gmres_mean(K, s * E00 - A00, b, V, H)
+        for e, a, M in patterns:
+            M.data = s * e - a
+        x, iterations = _gmres_schur(K, L, U, s * E00 - A00, b, V, H)
         residual = np.inf if x is None else np.linalg.norm(b - K @ x) / b_norm
         if not residual <= RESIDUAL_RTOL:  # also catches NaN
             stats.fallbacks += 1
-            x = _factor_at(S, omega)(b)
+            x = _factor_at(S, omega)(S.B[:, 0])[order]
             residual = np.linalg.norm(b - K @ x) / b_norm
         stats.iterations.append(iterations)
         stats.residuals.append(float(residual))
-        out[:, j] = np.asarray(S.C @ x).ravel()
+        out[:, j] = np.asarray(C @ x).ravel()
     return out
 
 

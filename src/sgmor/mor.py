@@ -17,6 +17,7 @@ from .descriptor import DescriptorSystem, factor_pencil
 from .galerkin import GalerkinSystem
 
 __all__ = [
+    "OutputLayoutError",
     "ReducedSystem",
     "OrthonormalizedBasis",
     "DeflationCertificate",
@@ -31,18 +32,25 @@ __all__ = [
 BREAKDOWN_RTOL = 1e-14
 
 
+class OutputLayoutError(ValueError):
+    """The reduced output matrix has more than one row per basis function."""
+
+
 @dataclass(frozen=True)
 class ReducedSystem:
     """Reduced descriptor system with its projection matrix.
 
-    system holds the dense (r x r) matrices and the full m-output matrix
-    C_bar = C_hat T; T has orthonormal columns (T_l = T_r).
+    system holds the dense (r x r) matrices and the full output matrix
+    C_bar = C_hat T, block-major with `outputs_per_basis` rows per basis
+    function as in its Galerkin source; T has orthonormal columns
+    (T_l = T_r).
     """
 
     system: DescriptorSystem
     T: np.ndarray  # (mn, r)
     s0: float
     breakdown: bool = False
+    outputs_per_basis: int = 1
 
     @property
     def r(self) -> int:
@@ -50,7 +58,15 @@ class ReducedSystem:
 
     @property
     def m(self) -> int:
-        return self.system.n_out
+        """Number of basis functions of the Galerkin source."""
+        return self.system.n_out // self.outputs_per_basis
+
+    def _one_row_per_basis(self, what: str) -> None:
+        if self.outputs_per_basis != 1:
+            raise OutputLayoutError(
+                f"{what} needs one output row per basis function; this system has "
+                f"{self.outputs_per_basis} rows for each of its m={self.m} basis functions"
+            )
 
     def truncate(self, r: int) -> ReducedSystem:
         """Projection onto the first r basis vectors.
@@ -63,7 +79,11 @@ class ReducedSystem:
         S = self.system
         system = DescriptorSystem(S.E[:r, :r], S.A[:r, :r], S.B[:r], S.C[:, :r])
         return ReducedSystem(
-            system=system, T=self.T[:, :r], s0=self.s0, breakdown=self.breakdown and r == self.r
+            system=system,
+            T=self.T[:, :r],
+            s0=self.s0,
+            breakdown=self.breakdown and r == self.r,
+            outputs_per_basis=self.outputs_per_basis,
         )
 
 
@@ -107,7 +127,8 @@ def arnoldi_reduce(gsys: GalerkinSystem | DescriptorSystem, s0: float, r: int) -
     Er = T.T @ np.asarray(E @ T)
     Ar = T.T @ np.asarray(A @ T)
     reduced = DescriptorSystem(Er, Ar, (T.T @ Bd).reshape(-1, 1), np.asarray(S.C @ T))
-    return ReducedSystem(system=reduced, T=T, s0=float(s0), breakdown=breakdown)
+    k = S.n_out // gsys.m if isinstance(gsys, GalerkinSystem) else 1
+    return ReducedSystem(system=reduced, T=T, s0=float(s0), breakdown=breakdown, outputs_per_basis=k)
 
 
 def moment_oracle(gsys: GalerkinSystem | DescriptorSystem, s0: float, k: int) -> np.ndarray:
@@ -139,7 +160,9 @@ def reduced_output_surrogate(
 
     Computes (Phi(p)^T C_bar) vbar without materializing the induced basis
     functions.  vbar has shape (r,) or (T, r); p is (q,) or (N, q).
+    Raises OutputLayoutError for more than one output row per basis function.
     """
+    rsys._one_row_per_basis("reduced_output_surrogate")
     vbar = np.asarray(vbar, dtype=float)
     if vbar.shape[-1] != rsys.r:
         raise ValueError(f"coefficient rows must have length r={rsys.r}")
@@ -176,8 +199,10 @@ def svd_basis(rsys: ReducedSystem) -> OrthonormalizedBasis:
 
     Exactly zero (or below machine-noise) singular values are truncated
     with the `rank_truncated` flag set; numerical rank deficiency above
-    that level is deliberately kept for the deflation step.
+    that level is deliberately kept for the deflation step.  Raises
+    OutputLayoutError for more than one output row per basis function.
     """
+    rsys._one_row_per_basis("svd_basis")
     Cbar = np.asarray(rsys.system.C)
     U, s, Q = np.linalg.svd(Cbar, full_matrices=False)
     r = rsys.r

@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 
+# norms this close (relative) rank as equal.  Sampling round-off is far
+# below it: two H2 norms of the d = 1 ladder that are equal in exact
+# arithmetic came out 1.7e-16 apart at 0.356
+TIE_RTOL = 1e-12
+
+
 class DegenerateRankingError(ValueError):
     """All Hardy norms are zero; no meaningful ranking exists."""
 
@@ -55,14 +61,24 @@ class NormRanking:
 
 
 def rank_and_theta(report: HardyNormReport, kind: str = "h2") -> NormRanking:
+    """Outputs by descending norm, with norms that tie to TIE_RTOL in output order.
+
+    A tie is a maximal run of consecutive sorted norms each within
+    TIE_RTOL (relative) of the one before it; it is ordered by lower output
+    position, so outputs whose norms are equal in exact arithmetic do not
+    swap with the round-off of the sampling.
+    """
     if kind not in ("h2", "hinf"):
         raise ValueError(f"unknown norm kind {kind!r}")
     norms = np.asarray(report.h2 if kind == "h2" else report.hinf, dtype=float)
     total_sq = float(np.sum(norms**2))
     if total_sq == 0.0:
         raise DegenerateRankingError("all Hardy norms are zero")
-    # stable sort on (-norm, index): ties broken by lower output position
-    order = np.lexsort((np.arange(len(norms)), -norms))
+    order = np.argsort(-norms, kind="stable")
+    sorted_norms = norms[order]
+    new_run = sorted_norms[:-1] - sorted_norms[1:] > TIE_RTOL * sorted_norms[:-1]
+    tie_run = np.concatenate([[0], np.cumsum(new_run)])
+    order = order[np.lexsort((order, tie_run))]
     theta = np.minimum(np.sqrt(np.cumsum(norms[order] ** 2) / total_sq), 1.0)
     theta[-1] = 1.0
     return NormRanking(order=order, theta=theta, norm_kind=kind, norms=norms, total=np.sqrt(total_sq))

@@ -61,6 +61,7 @@ ARTIFACTS = [
     "selection.json",
     "theorem1.json",
     "downsize_bounds.csv",
+    "downsize_solver.json",
     "reduce_bounds.csv",
     "reduced_E.mtx",
     "reduced_A.mtx",
@@ -207,10 +208,23 @@ class TestPipeline:
     def test_norms_json_solver_block(self, run_dir):
         out, _ = run_dir
         solver = json.loads((out / "norms.json").read_text())["solver"]
-        assert solver["method"] == "gmres-mean"
+        assert solver["method"] == "gmres-schur"
         assert solver["fallbacks"] == 0
         assert 1 <= solver["median_iterations"] <= solver["max_iterations"] <= 200
         assert 0.0 <= solver["max_residual"] <= 1e-12
+
+    def test_downsize_solver_block(self, run_dir):
+        # downsize_sweep [2, 22, 10]; every kept set of the d = 1 ladder has
+        # one constant block, so the Schur class is one block of 20 states
+        out, _ = run_dir
+        sweeps = json.loads((out / "downsize_solver.json").read_text())["sweeps"]
+        assert [s["r"] for s in sweeps] == [2, 12, 22]
+        for s in sweeps:
+            assert s["method"] == "gmres-schur" and s["fallbacks"] == 0
+            assert s["schur_unknowns"] == 20
+            assert 0.0 <= s["max_residual"] <= 1e-12
+        report = json.loads((out / "report.json").read_text())
+        assert report["sparsify_solver"] == sweeps
 
     def test_report_bundles_certificates(self, run_dir):
         out, _ = run_dir
@@ -218,7 +232,7 @@ class TestPipeline:
         assert "theorem1" in report and "theorem2_mor" in report
         assert report["theorem2_mor"]["r"] == 20
         assert report["selection"]["kept"][0] == 0
-        assert report["norms_solver"]["method"] == "gmres-mean"
+        assert report["norms_solver"]["method"] == "gmres-schur"
 
     def test_trajectory_header_and_values(self, run_dir):
         out, _ = run_dir

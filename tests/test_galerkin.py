@@ -7,6 +7,8 @@ import scipy.sparse as sp
 import sgmor as sg
 from sgmor.galerkin import ParametricSystem, Selection, linear_moment_matrix
 
+from conftest import make_multi_output_galerkin
+
 
 def scalar_affine():
     """E = 1, A = -(2 + p), B = C = 1 with p uniform on [-1, 1]."""
@@ -221,20 +223,8 @@ class TestDownsize:
         assert labels == desk_galerkin.output_multi_indices() == list(desk_galerkin.spec.index_set.indices)
 
     def test_multi_output_blocks(self):
-        # 3 states, 2 outputs, degree 2 in one parameter: m = 3 basis
-        # functions, C has 2 rows per basis function
-        rng = np.random.default_rng(6)
-        n = 3
-        psys = ParametricSystem(
-            n=n,
-            q=1,
-            E0=np.eye(n),
-            A0=-2.0 * np.eye(n) + 0.1 * rng.normal(size=(n, n)),
-            B0=rng.normal(size=(n, 1)),
-            C0=rng.normal(size=(2, n)),
-            A_terms=[0.1 * rng.normal(size=(n, n))],
-        )
-        g = sg.assemble(psys, scalar_spec(2))
+        g = make_multi_output_galerkin()
+        n = g.block_dim
         assert g.m == 3 and g.system.n_out == 6
         with pytest.raises(ValueError):
             sg.downsize(g, Selection(kept=(0, 1), m=6))

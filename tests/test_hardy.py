@@ -23,12 +23,43 @@ def as_csr(sys):
     return DescriptorSystem(sp.csr_matrix(sys.E), sp.csr_matrix(sys.A), sys.B, sp.csr_matrix(sys.C))
 
 
-def two_block_galerkin(A):
-    """GalerkinSystem of block size 1 over a two-function basis with E = I."""
-    spec = sg.BasisSpec.uniform([(-1.0, 1.0)], sg.build_index_set(1, 1))
-    eye = sp.identity(2, format="csr")
-    system = DescriptorSystem(eye, sp.csr_matrix(A), np.array([[1.0], [0.0]]), eye)
+def scalar_galerkin(A):
+    """GalerkinSystem of block size 1 over a one-parameter basis of degree
+    len(A) - 1 (block i has degree i) with E = I."""
+    spec = sg.BasisSpec.uniform([(-1.0, 1.0)], sg.build_index_set(1, len(A) - 1))
+    eye = sp.identity(len(A), format="csr")
+    B = np.zeros((len(A), 1))
+    B[0] = 1.0
+    system = DescriptorSystem(eye, sp.csr_matrix(A), B, eye)
     return GalerkinSystem(system=system, spec=spec, block_dim=1)
+
+
+def split_system(K, n, n_e):
+    """The arguments _gmres_schur takes besides the mean block, b and the
+    workspace, for K ordered with its n_e eliminated states first."""
+    K = sp.csr_matrix(K)
+    return K, K[:n_e, n_e:], K[n_e:, :n_e]
+
+
+def two_cyclic_system(rng, blocks_e, blocks_o, n, eps):
+    """(K, M, b) with K = I (x) M + eps * sum_k G_k (x) K_k, each G_k coupling
+    only the first blocks_e blocks with the last blocks_o, as the degree
+    parities of a Galerkin system are coupled."""
+
+    def unit(*shape):
+        X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return X / np.linalg.norm(X, 2)
+
+    M = 2.0 * np.eye(n) + unit(n, n)
+    blocks = blocks_e + blocks_o
+    K = np.kron(np.eye(blocks), M)
+    for _ in range(2):
+        G = np.zeros((blocks, blocks))
+        G[:blocks_e, blocks_e:] = rng.normal(size=(blocks_e, blocks_o))
+        G += G.T
+        K += eps * np.kron(G / np.linalg.norm(G, 2), unit(n, n))
+    b = rng.normal(size=blocks * n) + 1j * rng.normal(size=blocks * n)
+    return K, M, b
 
 
 def difference_norms(sys_a, sys_b, grid):
@@ -169,27 +200,31 @@ class TestSampleTransfer:
 
 
 class TestGalerkinSampling:
-    @pytest.mark.parametrize("kept", [None, (0, 2, 5, 7)], ids=["full", "downsized"])
-    def test_gmres_matches_superlu(self, desk_galerkin, kept):
+    @pytest.mark.parametrize(
+        "kept, schur_unknowns", [(None, 12), ((0, 2, 5, 7), 4)], ids=["full", "downsized"]
+    )
+    def test_gmres_matches_superlu(self, desk_galerkin, kept, schur_unknowns):
+        # full: 3 odd-degree blocks against 7 even; kept: degrees 0, 1, 2, 2
         gsys = desk_galerkin if kept is None else sg.downsize(desk_galerkin, Selection(kept=kept, m=desk_galerkin.m))
         grid = sg.FrequencyGrid.default()
         stats = SolverStats()
         H = sg.sample_transfer(gsys, grid, stats)
         ref = sg.sample_transfer(gsys.system, grid)
         assert np.abs(H - ref).max() <= 1e-11 * np.abs(ref).max()
-        assert stats.method == "gmres-mean" and stats.fallbacks == 0
+        assert stats.method == "gmres-schur" and stats.fallbacks == 0
+        assert stats.schur_unknowns == schur_unknowns
         assert len(stats.iterations) == len(stats.residuals) == len(grid)
         assert max(stats.residuals) <= RESIDUAL_RTOL
 
     def test_unconverged_gmres_caught(self, desk_galerkin, monkeypatch):
         # a near miss that claims success: the residual check must reject it
-        real_gmres = hardy._gmres_mean
+        real_gmres = hardy._gmres_schur
 
         def lying_gmres(*args):
             x, iterations = real_gmres(*args)
             return x * (1.0 + 1e-8), iterations
 
-        monkeypatch.setattr(hardy, "_gmres_mean", lying_gmres)
+        monkeypatch.setattr(hardy, "_gmres_schur", lying_gmres)
         grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
         stats = SolverStats()
         H = sg.sample_transfer(desk_galerkin, grid, stats)
@@ -200,45 +235,47 @@ class TestGalerkinSampling:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        blocks=st.integers(2, 4),
+        blocks_e=st.integers(1, 4),
+        blocks_o=st.integers(2, 4),
         n=st.integers(2, 5),
-        eps=st.floats(5e-3, 5e-2),
+        eps=st.floats(2e-2, 1e-1),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_restarted_gmres_solves_block_system(self, blocks, n, eps, seed):
-        # I (x) M + eps * sum_k G_k (x) K_k with a 4-row workspace: restart 3
-        rng = np.random.default_rng(seed)
-
-        def unit(*shape):
-            X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            return X / np.linalg.norm(X, 2)
-
-        M = 2.0 * np.eye(n) + unit(n, n)
-        K = np.kron(np.eye(blocks), M)
-        for _ in range(2):
-            G = rng.normal(size=(blocks, blocks))
-            K += eps * np.kron((G + G.T) / np.linalg.norm(G + G.T, 2), unit(n, n))
-        b = rng.normal(size=blocks * n) + 1j * rng.normal(size=blocks * n)
-        V = np.empty((4, len(b)), dtype=complex)
-        H = np.empty((3, 3), dtype=complex)
-        x, iterations = hardy._gmres_mean(sp.csr_matrix(K), M, b, V, H)
-        assert iterations > 3  # at least two restart cycles
+    def test_restarted_gmres_solves_block_system(self, blocks_e, blocks_o, n, eps, seed):
+        # a 3-row workspace: restart 2
+        K, M, b = two_cyclic_system(np.random.default_rng(seed), blocks_e, blocks_o, n, eps)
+        V = np.empty((3, blocks_o * n), dtype=complex)
+        H = np.empty((2, 2), dtype=complex)
+        x, iterations = hardy._gmres_schur(*split_system(K, n, blocks_e * n), M, b, V, H)
+        assert iterations > 2  # at least two restart cycles
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
         ref = np.linalg.solve(K, b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_one_cycle_with_full_workspace(self, monkeypatch):
+        # a Krylov space as large as the Schur system solves it in one cycle,
+        # and the recovered d_e then leaves no residual on the eliminated class
+        monkeypatch.setattr(hardy, "GMRES_MAXITER", 1)
+        n, blocks_o = 3, 3
+        K, M, b = two_cyclic_system(np.random.default_rng(9), 4, blocks_o, n, 0.1)
+        V = np.empty((blocks_o * n + 1, blocks_o * n), dtype=complex)
+        H = np.empty((blocks_o * n, blocks_o * n), dtype=complex)
+        x, iterations = hardy._gmres_schur(*split_system(K, n, 4 * n), M, b, V, H)
+        assert iterations <= blocks_o * n
+        assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
+
     def test_gmres_zero_rhs_and_breakdown(self):
-        # K = I (x) M is its own mean-block preconditioner: the first Arnoldi
-        # step breaks down with the exact solution
+        # K = I (x) M has no coupling, so the Schur operator is the identity:
+        # the first Arnoldi step breaks down with the exact solution
         M = np.array([[2.0, 1.0], [0.0, 3.0j]])
-        K = sp.csr_matrix(np.kron(np.eye(3), M))
-        V = np.empty((4, 6), dtype=complex)
+        K = np.kron(np.eye(3), M)
+        V = np.empty((4, 2), dtype=complex)
         H = np.empty((3, 3), dtype=complex)
         b = np.arange(1.0, 7.0) * (1.0 + 1.0j)
-        x, iterations = hardy._gmres_mean(K, M, b, V, H)
+        x, iterations = hardy._gmres_schur(*split_system(K, 2, 4), M, b, V, H)
         assert iterations == 1
-        assert np.allclose(x, np.linalg.solve(K.toarray(), b), rtol=1e-15, atol=0.0)
-        x, iterations = hardy._gmres_mean(K, M, np.zeros(6, dtype=complex), V, H)
+        assert np.allclose(x, np.linalg.solve(K, b), rtol=1e-15, atol=0.0)
+        x, iterations = hardy._gmres_schur(*split_system(K, 2, 4), M, np.zeros(6, dtype=complex), V, H)
         assert iterations == 0 and not x.any()
 
     def test_workspace_reuse_is_bitwise(self, bench_galerkin_d1):
@@ -247,8 +284,9 @@ class TestGalerkinSampling:
         # the desk system, takes true-residual restarts at some frequencies.
         grid = sg.FrequencyGrid.logspaced(-2, 10, 2)
         H = sg.sample_transfer(bench_galerkin_d1, grid)
+        split = hardy._even_odd_order(bench_galerkin_d1)
         for j in reversed(range(len(grid))):
-            Hj = hardy._sample_galerkin(bench_galerkin_d1, grid.omegas[j : j + 1], SolverStats())
+            Hj = hardy._sample_galerkin(bench_galerkin_d1, split, grid.omegas[j : j + 1], SolverStats())
             assert np.array_equal(Hj[:, 0], H[:, j])
 
     def test_ladder_at_superlu_level(self, bench_galerkin_d1):
@@ -258,22 +296,57 @@ class TestGalerkinSampling:
         stats = SolverStats()
         H = sg.sample_transfer(bench_galerkin_d1, grid, stats)
         ref = sg.sample_transfer(bench_galerkin_d1.system, grid)
-        assert stats.fallbacks == 0
+        assert stats.method == "gmres-schur" and stats.fallbacks == 0
         assert np.abs(H - ref).max() <= 5e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "A",
+        [
+            np.array([[-1.0, 0.5, 0.2], [0.5, -1.0, 0.5], [0.2, 0.5, -1.0]]),
+            np.array([[-1.0, 1.0], [-1.0, -2.0]]),
+        ],
+        ids=["same-parity-coupling", "unequal-diagonal-blocks"],
+    )
+    def test_unstructured_galerkin_uses_superlu(self, A):
+        # degrees 0 and 2 coupled, or diagonal blocks -1 and -2: no exact split
+        gsys = scalar_galerkin(A)
+        assert hardy._even_odd_order(gsys) is None
+        grid = sg.FrequencyGrid(np.array([0.0, 1.0, 10.0]))
+        stats = SolverStats()
+        H = sg.sample_transfer(gsys, grid, stats)
+        assert stats.summary()["method"] == "superlu"
+        assert stats.iterations == [] and stats.schur_unknowns is None
+        assert np.array_equal(H, sg.sample_transfer(gsys.system, grid))
+
+    def test_one_class_only(self, desk_psys, desk_galerkin):
+        # m = 1, and a kept set of degrees 0, 2 and 2: no Schur unknowns,
+        # x = P b refined through the true residual
+        one = sg.assemble(desk_psys, sg.BasisSpec.uniform([(-1.0, 1.0)] * 3, sg.build_index_set(3, 0)))
+        even = sg.downsize(desk_galerkin, Selection(kept=(0, 4, 5), m=desk_galerkin.m))
+        grid = sg.FrequencyGrid.logspaced(-2, 3, 10)
+        for gsys in (one, even):
+            stats = SolverStats()
+            H = sg.sample_transfer(gsys, grid, stats)
+            ref = sg.sample_transfer(gsys.system, grid)
+            assert stats.method == "gmres-schur" and stats.schur_unknowns == 0
+            assert stats.fallbacks == 0 and not any(stats.iterations)
+            assert max(stats.residuals) <= RESIDUAL_RTOL
+            assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_singular_mean_block_falls_back(self):
         # mean block -A_00 = 0 is singular at omega = 0; the coupled pencil is not
-        gsys = two_block_galerkin(np.array([[0.0, 1.0], [-1.0, -1.0]]))
-        grid = sg.FrequencyGrid(np.array([0.0, 1.0]))
+        gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        grid = sg.FrequencyGrid(np.array([0.0, 0.5]))
         stats = SolverStats()
         H = sg.sample_transfer(gsys, grid, stats)
+        assert stats.method == "gmres-schur"
         assert stats.fallbacks == 1 and stats.iterations[0] == 0
         ref = sg.sample_transfer(gsys.system, grid)
         assert np.abs(H - ref).max() <= 1e-14
 
     def test_pole_on_grid(self):
         # coupled pencil singular at omega = 1 while its mean block is not
-        gsys = two_block_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         stats = SolverStats()
         with pytest.raises(PoleProximityError, match="omega=1.0") as exc:
             sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.5, 1.0])), stats)
@@ -292,6 +365,7 @@ class TestGalerkinSampling:
             "total_iterations": None,
             "max_residual": None,
             "fallbacks": 0,
+            "schur_unknowns": None,
         }
 
 

@@ -5,7 +5,9 @@ import pytest
 
 import sgmor as sg
 from sgmor.descriptor import DescriptorSystem
-from sgmor.mor import ReducedSystem
+from sgmor.mor import OutputLayoutError, ReducedSystem
+
+from conftest import make_multi_output_galerkin
 
 
 def fake_reduced(Cbar):
@@ -181,6 +183,24 @@ class TestSurrogate:
         w = sp.csr_matrix(desk_galerkin.system.C).toarray() @ (red.T @ vbar)
         phi = sg.eval_basis_matrix(desk_spec, P)
         assert np.abs(got - phi @ w).max() < 1e-10
+
+
+class TestOutputLayout:
+    def test_two_rows_per_basis_function(self):
+        # m = 3 basis functions with 2 output rows each: m counts basis
+        # functions, and the one-row-per-function steps refuse the layout
+        g = make_multi_output_galerkin()
+        red = sg.arnoldi_reduce(g, 1.0, 4)
+        assert red.outputs_per_basis == 2 and red.system.n_out == 6
+        assert red.m == red.truncate(2).m == g.m == 3
+        with pytest.raises(OutputLayoutError, match="2 rows for each of its m=3 basis functions"):
+            sg.svd_basis(red)
+        with pytest.raises(OutputLayoutError, match="reduced_output_surrogate"):
+            sg.reduced_output_surrogate(red, np.zeros(4), g.spec, np.zeros(1))
+
+    def test_one_row_per_basis_function(self, desk_galerkin):
+        red = sg.arnoldi_reduce(desk_galerkin, 1.0, 4)
+        assert red.outputs_per_basis == 1 and red.m == desk_galerkin.m == 10
 
 
 class TestSvdBasis:

@@ -42,6 +42,16 @@ class TestRankAndTheta:
         r = sg.rank_and_theta(report_from([1.0, 2.0, 2.0]))
         assert list(r.order) == [1, 2, 0]
 
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_round_off_ties_broken_by_lower_index(self, first):
+        # two norms 1e-16 apart, larger first or second: lower position ranks first
+        a = 0.35584624470161
+        pair = [a, a + 1e-16] if first == 0 else [a + 1e-16, a]
+        assert pair[0] != pair[1]
+        r = sg.rank_and_theta(report_from([0.1, *pair, 0.9]))
+        assert list(r.order) == [3, 1, 2, 0]
+        assert np.all(np.diff(r.theta) >= 0.0) and r.theta[-1] == 1.0
+
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateRankingError):
             sg.rank_and_theta(report_from([0.0, 0.0]))
