@@ -168,7 +168,7 @@ def _load_samples(cfg: PipelineConfig, out: Path, stage: str):
         raise MissingArtifactError(stage, str(path))
     data = np.load(path)
     grid = _grid(cfg)
-    if len(data["omegas"]) != len(grid.omegas) or not np.allclose(data["omegas"], grid.omegas):
+    if not np.array_equal(data["omegas"], grid.omegas):
         raise StageError(stage, "cached samples were produced with a different grid")
     return data["samples"], grid
 

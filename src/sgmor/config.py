@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -43,12 +44,15 @@ class MorConfig:
     deflation_thresholds: tuple[float, ...] = (1e-4, 1e-8, 1e-12)
 
 
+TRANSIENT_INPUTS = ("smooth_step", "sine_burst")
+
+
 @dataclass
 class TransientConfig:
     enabled: bool = False
     horizon: float = 2.0e-3
     step: float = 1.0e-6
-    input: str = "smooth_step"  # smooth_step | sine_burst
+    input: str = "smooth_step"  # one of TRANSIENT_INPUTS
 
 
 @dataclass
@@ -109,8 +113,40 @@ def load_config(path: str | Path) -> PipelineConfig:
             cfg.seed = int(val)
         else:
             raise ValueError(f"unknown config key {key!r}")
-    if cfg.sparsify.norm not in ("h2", "hinf"):
-        raise ValueError("sparsify.norm must be h2 or hinf")
-    if cfg.sparsify.mode not in ("threshold", "top_k"):
-        raise ValueError("sparsify.mode must be threshold or top_k")
+    _validate(cfg)
     return cfg
+
+
+def _real(v, kinds=(int, float)) -> float:
+    """v as a float; NaN, which fails every comparison, if v is not of `kinds`."""
+    return float(v) if isinstance(v, kinds) and not isinstance(v, bool) else math.nan
+
+
+def _is_sweep(v) -> bool:
+    triple = isinstance(v, tuple) and len(v) == 3
+    return v is None or triple and 1 <= _real(v[0], int) <= _real(v[1], int) and _real(v[2], int) >= 1
+
+
+def _validate(cfg: PipelineConfig) -> None:
+    """Reject, before any stage runs, a config that some stage cannot run."""
+    spa, fg, tr, mor, degree = cfg.sparsify, cfg.frequency_grid, cfg.transient, cfg.mor, cfg.basis.degree
+    ppd, lo, hi = fg.points_per_decade, fg.decade_min, fg.decade_max
+    sweep = "must be [start, stop, step], integers with 1 <= start <= stop and step >= 1"
+    checks = [
+        ("sparsify.norm", spa.norm, spa.norm in ("h2", "hinf"), "must be h2 or hinf"),
+        ("sparsify.mode", spa.mode, spa.mode in ("threshold", "top_k"), "must be threshold or top_k"),
+        ("sparsify.k", spa.k, spa.mode != "top_k" or _real(spa.k, int) >= 1, "must be an integer >= 1 in mode top_k"),
+        ("sparsify.delta", spa.delta, spa.mode != "threshold" or _real(spa.delta) > 0, "must be > 0 in mode threshold"),
+        ("sparsify.downsize_sweep", spa.downsize_sweep, _is_sweep(spa.downsize_sweep), sweep),
+        ("mor.r_sweep", mor.r_sweep, _is_sweep(mor.r_sweep), sweep),
+        ("mor.r", mor.r, _real(mor.r, int) >= 1, "must be an integer >= 1"),
+        ("basis.degree", degree, _real(degree, int) >= 0, "must be an integer >= 0"),
+        ("frequency_grid.points_per_decade", ppd, _real(ppd) >= 1, "must be >= 1"),
+        ("frequency_grid.decade_min", lo, _real(lo) < _real(hi), f"must be below decade_max = {hi!r}"),
+        ("transient.input", tr.input, tr.input in TRANSIENT_INPUTS, f"must be one of {TRANSIENT_INPUTS}"),
+        ("transient.step", tr.step, _real(tr.step) > 0, "must be > 0"),
+        ("transient.horizon", tr.horizon, _real(tr.horizon) > 0, "must be > 0"),
+    ]
+    for name, value, ok, rule in checks:
+        if not ok:
+            raise ValueError(f"{name} {rule}, got {value!r}")

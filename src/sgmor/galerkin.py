@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,12 +119,9 @@ class Selection:
     def __post_init__(self):
         if len(self.kept) == 0:
             raise ValueError("kept set must be nonempty")
-        kept = tuple(sorted(set(self.kept)))
-        if 0 not in kept:
-            kept = (0,) + kept
-        if kept[0] < 0 or kept[-1] >= self.m:
+        if min(self.kept) < 0 or max(self.kept) >= self.m:
             raise ValueError("kept positions out of range")
-        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "kept", tuple(sorted(set(self.kept) | {0})))
 
     @property
     def dropped(self) -> tuple[int, ...]:
@@ -135,6 +132,20 @@ class Selection:
         out = np.zeros(self.m, dtype=bool)
         out[list(self.kept)] = True
         return out
+
+
+class EvenOddSplit(NamedTuple):
+    """K = sE - A in the state order `order`, eliminated class e first:
+    [[I (x) (s E00 - A00), L], [U, I (x) (s E00 - A00)]].  L and U hold
+    the (E, A) parts of the couplings K[e, o] and K[o, e]; e is the first
+    n_e states."""
+
+    E00: np.ndarray
+    A00: np.ndarray
+    order: np.ndarray
+    n_e: int
+    L: tuple[sp.csr_matrix, sp.csr_matrix]
+    U: tuple[sp.csr_matrix, sp.csr_matrix]
 
 
 @dataclass(frozen=True)
@@ -159,16 +170,47 @@ class GalerkinSystem:
     def is_sparse(self) -> bool:
         return self.system.is_sparse
 
-    def block_degrees(self) -> np.ndarray:
-        """Total degree of the basis function of each state block."""
-        degrees = self.spec.index_set.total_degrees()
-        return degrees if self.selection is None else degrees[list(self.selection.kept)]
+    @property
+    def outputs_per_basis(self) -> int:
+        """Rows of C per basis function: row i belongs to basis function
+        i // outputs_per_basis in the block-major layout."""
+        return self.system.n_out // self.m
 
     def output_multi_indices(self) -> list[tuple[int, ...]]:
-        """Multi-index of each output row: in the block-major layout row i
-        belongs to basis function i // k, with k = n_out // m."""
-        k = self.system.n_out // self.m
+        """Multi-index of each output row."""
+        k = self.outputs_per_basis
         return [self.spec.index_set.indices[i // k] for i in range(self.system.n_out)]
+
+    def even_odd_split(self) -> EvenOddSplit | None:
+        """The blocks split by the degree parity of their basis function,
+        or None where that split does not decouple the diagonal.
+
+        Subtracting I (x) E_00 from E and I (x) A_00 from A must leave only
+        nonzeros that couple two blocks of opposite degree parity; affine
+        assembly gives that bitwise.  The class with fewer blocks, the odd
+        one on a tie, is the Schur class o; the other is eliminated (e).
+        """
+        n = self.block_dim
+        degrees = self.spec.index_set.total_degrees()
+        if self.selection is not None:
+            degrees = degrees[list(self.selection.kept)]
+        odd = degrees % 2 == 1
+        eye = sp.identity(len(odd), format="csr")
+        means, rests = [], []
+        for M in (self.system.E, self.system.A):
+            M = sp.csr_matrix(M)
+            mean = M[:n, :n].toarray()
+            rest = (M - sp.kron(eye, mean, format="csr")).tocoo()
+            nonzero = rest.data != 0
+            if np.any(odd[rest.row[nonzero] // n] == odd[rest.col[nonzero] // n]):
+                return None
+            means.append(mean)
+            rests.append(rest.tocsr())
+        schur = odd if np.count_nonzero(odd) <= np.count_nonzero(~odd) else ~odd
+        states = np.repeat(schur, n)
+        e, o = np.flatnonzero(~states), np.flatnonzero(states)
+        L, U = tuple(R[e][:, o] for R in rests), tuple(R[o][:, e] for R in rests)
+        return EvenOddSplit(*means, np.concatenate([e, o]), len(e), L, U)
 
 
 def linear_moment_matrix(spec: BasisSpec, dim: int) -> sp.csr_matrix:
@@ -297,8 +339,7 @@ def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
     S = gsys.system
     E = sp.csr_matrix(S.E)[cols][:, cols]
     A = sp.csr_matrix(S.A)[cols][:, cols]
-    k = S.n_out // gsys.m  # output rows per basis function
-    keep_rows = sp.diags(np.repeat(sel.mask(), k).astype(float))
+    keep_rows = sp.diags(np.repeat(sel.mask(), gsys.outputs_per_basis).astype(float))
     C = keep_rows @ sp.csr_matrix(S.C)[:, cols]
     system = DescriptorSystem(E, A, S.B[cols], C)
     return GalerkinSystem(system=system, spec=gsys.spec, block_dim=n, selection=sel)

@@ -1,24 +1,36 @@
 """Frequency-grid estimation of per-output H2 and H-infinity norms.
 
 The transfer function is sampled on a logarithmic grid along the positive
-imaginary axis (conjugate symmetry folds the negative axis).  A Galerkin
-system (full or downsized) is sampled with a restarted GMRES per
-frequency on a Schur complement.  The three-term recurrence of the
-orthonormal basis couples a basis function of total degree k only to
-degrees k +- 1, and every diagonal block of the pencil sum_k G_k (x)
-(sE_k - A_k) is the mean pencil, so reordered into even- and odd-degree
-blocks the system is I (x) mean pencil on both diagonal parts.  One class
-is eliminated exactly through one n x n inverse of the mean block; GMRES
-runs on the smaller class.  The structure is checked once per sweep, and
-a Galerkin system without it goes to the sparse LU branch.  The GMRES is
-written here: one Krylov workspace serves the whole sweep, the Arnoldi
-step is classical Gram-Schmidt run twice, and every restart cycle starts
-from the true residual of the full system, which refines the solution to
-about sparse-LU accuracy.  Every solution's true residual is checked again
-before it is used.  Any other sparse system is sampled with one SuperLU
-factorization per frequency; a dense (reduced) system with one complex
-QZ decomposition for the whole grid, a triangular back-substitution
-vectorised over the frequencies and one step of iterative refinement.
+imaginary axis (conjugate symmetry folds the negative axis).
+
+Galerkin systems (full or downsized).  The three-term recurrence of the
+orthonormal basis couples total degree k only to k +- 1, and every diagonal
+block of sum_k G_k (x) (sE_k - A_k) is the mean pencil M = sE_00 - A_00.
+GalerkinSystem.even_odd_split checks this once per sweep and orders the
+states into an eliminated class e and a Schur class o, so that
+K = sE - A = [[I (x) M, L], [U, I (x) M]].  K is never formed: per
+frequency only M and the couplings L = K[e, o] and U = K[o, e] are
+rewritten.  With P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
+(I - U P L P) y = b_o - U P b_e for x_o = P y, which restarted GMRES
+solves.  Each of at most GMRES_MAXITER outer cycles computes the true
+residual r = b - (I (x) M) x - [L x_o; U x_e] and stops once
+||r|| <= GMRES_RTOL ||b||; otherwise it runs up to GMRES_RESTART GMRES
+steps on f = r_o - U P r_e and adds d_o = P y and d_e = P (r_e - L d_o)
+to x (with no Schur unknowns a cycle is x += P r), so the later cycles
+refine x to about sparse-LU accuracy.  One Krylov workspace serves the
+sweep; the Arnoldi step is classical Gram-Schmidt run twice, and Givens
+rotations end a cycle at a tenth of the outer target.  A solution is used
+only if its recomputed true relative residual is at most RESIDUAL_RTOL;
+otherwise, or where M is singular, that frequency is solved by sparse LU.
+A Galerkin system without the structure is sampled like any other sparse
+system.
+
+Other sparse systems: one SuperLU factorization of i*omega*E - A per
+frequency.  Dense (reduced) systems: one complex QZ, A = Q AA Z^H and
+E = Q BB Z^H, for the whole grid, the triangular systems
+(i*omega*BB - AA) y = Q^H b back-substituted for all frequencies at once,
+and one refinement step through the residual in the original pencil.
+
 The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
 approximation of the frequency integral plus a c/omega tail model fitted
 at the last grid point.
@@ -35,7 +47,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil, loglog_slope
-from .galerkin import GalerkinSystem
+from .galerkin import EvenOddSplit, GalerkinSystem
 
 __all__ = [
     "FrequencyGrid",
@@ -177,31 +189,12 @@ def sample_transfer(
 ) -> np.ndarray:
     """H(i*omega_j) for all outputs of a single-input system; shape (n_out, k).
 
-    Galerkin system: its blocks are split once per sweep by the parity of
-    their basis function's total degree (_even_odd_order).  The split is
-    exact when every diagonal block of E and A equals block 0, the mean
-    system (phi_0 = 1, and position 0 is kept by every downsized system),
-    and no entry couples two blocks of the same parity; affine assembly
-    gives both.  Then, per frequency, K = i*omega*E - A and its couplings
-    L = K[e, o] and U = K[o, e] between the eliminated class e and the
-    Schur class o (the one with fewer blocks) are rebuilt on fixed sparsity
-    patterns, and K x = b is solved by restarted GMRES on the Schur
-    complement, right-preconditioned by P = I (x) (i*omega*E_00 - A_00)^-1
-    (_gmres_schur).  The Krylov workspace, GMRES_RESTART + 1 basis vectors
-    of length |o| and a triangular GMRES_RESTART x GMRES_RESTART factor, is
-    allocated once per sweep; each restart cycle orthogonalises by
-    classical Gram-Schmidt run twice and starts from the true residual
-    b - K x of the full system.  A solution is used only if its recomputed
-    ||b - K x|| / ||b|| is at most RESIDUAL_RTOL; otherwise, or if the mean
-    block is singular, that frequency is solved by sparse LU as below and
-    counted in `stats.fallbacks`.  A Galerkin system without the even/odd
-    structure is sampled like any other sparse system.
-    Other sparse system: one SuperLU factorization of i*omega*E - A and one
-    solve per frequency.  Dense system: one complex QZ, A = Q AA Z^H and
-    E = Q BB Z^H, for the whole grid; the triangular system
-    (i*omega*BB - AA) y = Q^H b is back-substituted for all frequencies at
-    once, refined once through the residual b - (i*omega*E - A) Z y, and
-    H = (C Z) y.
+    A Galerkin system with the even/odd structure is solved by GMRES
+    ("gmres-schur"), every other sparse system by SuperLU ("superlu"), a
+    dense one by QZ ("qz"); `stats` records which, and on the GMRES path
+    the iterations, true residuals and sparse-LU fallbacks per frequency.
+    Every GMRES sample has a true relative residual of at most
+    RESIDUAL_RTOL.
 
     Raises PoleProximityError naming the omega, with `condition` set, where
     i*omega*E - A is singular or ill-conditioned.  Sparse: SuperLU fails or
@@ -214,7 +207,7 @@ def sample_transfer(
     if stats is None:
         stats = SolverStats()
     if isinstance(sys, GalerkinSystem):
-        split = _even_odd_order(sys)
+        split = sys.even_odd_split()
         if split is not None:
             stats.method = "gmres-schur"
             return _sample_galerkin(sys, split, grid.omegas, stats)
@@ -240,65 +233,17 @@ def _factor_at(sys: DescriptorSystem, omega: float):
         raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
 
 
-def _on_union_pattern(E, A) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-    """Data arrays of E and A on the CSR pattern of their union, and a
-    complex CSR matrix of that pattern whose data the caller overwrites.
-    E and A have the same, possibly rectangular, shape."""
-    n_rows, n_cols = E.shape
-    keys, data = [], []
-    for M in (E, A):
-        M = sp.coo_matrix(M)
-        M.sum_duplicates()  # sorted by row, then column
-        keys.append(M.row.astype(np.int64) * n_cols + M.col)
-        data.append(M.data)
-    union = np.union1d(*keys)
-    e, a = np.zeros(len(union)), np.zeros(len(union))
-    e[np.searchsorted(union, keys[0])] = data[0]
-    a[np.searchsorted(union, keys[1])] = data[1]
-    rows, cols = np.divmod(union, n_cols)
-    indptr = np.searchsorted(rows, np.arange(n_rows + 1))
-    K = sp.csr_matrix((np.zeros(len(union), dtype=complex), cols, indptr), shape=(n_rows, n_cols))
-    return e, a, K
-
-
-def _even_odd_order(gsys: GalerkinSystem) -> tuple[np.ndarray, int] | None:
-    """State order of the even/odd-degree split, eliminated class first,
-    and the size of that class; None where the split is not exact.
-
-    The split is exact when every diagonal block of E and of A equals
-    block 0 and no nonzero of E or A couples two different blocks of the
-    same degree parity; affine assembly gives both bitwise.  The class with
-    fewer blocks, the odd one on a tie, holds the Schur unknowns.
-    """
-    n = gsys.block_dim
-    odd = gsys.block_degrees() % 2 == 1
-    n_blocks = len(odd)
-    for M in (gsys.system.E, gsys.system.A):
-        M = sp.coo_matrix(M)
-        M.sum_duplicates()  # sorted by row, then column
-        nonzero = M.data != 0
-        row, col, val = M.row[nonzero], M.col[nonzero], M.data[nonzero]
-        block_row, block_col = row // n, col // n
-        diagonal = block_row == block_col
-        if np.any(odd[block_row[~diagonal]] == odd[block_col[~diagonal]]):
-            return None
-        # the diagonal-block entries come grouped by block, each group in
-        # (local row, local column) order, so equal blocks give equal rows here
-        counts = np.bincount(block_row[diagonal], minlength=n_blocks)
-        if np.any(counts != counts[0]):
-            return None
-        local = (row[diagonal] % n * n + col[diagonal] % n).reshape(n_blocks, -1)
-        values = val[diagonal].reshape(n_blocks, -1)
-        if np.any(local != local[0]) or np.any(values != values[0]):
-            return None
-    schur = odd if np.count_nonzero(odd) <= np.count_nonzero(~odd) else ~odd
-    blocks = np.concatenate([np.flatnonzero(~schur), np.flatnonzero(schur)])
-    order = (blocks[:, None] * n + np.arange(n)).ravel()
-    return order, int(np.count_nonzero(~schur)) * n
+def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """b - K x for K = [[I (x) M, L], [U, I (x) M]], M = mean_block, whose
+    eliminated class is the first L.shape[0] states."""
+    n_e = L.shape[0]
+    r = b - (x.reshape(-1, len(mean_block)) @ mean_block.T).ravel()
+    r[:n_e] -= L @ x[n_e:]
+    r[n_e:] -= U @ x[:n_e]
+    return r
 
 
 def _gmres_schur(
-    K: sp.csr_matrix,
     L: sp.csr_matrix,
     U: sp.csr_matrix,
     mean_block: np.ndarray,
@@ -306,28 +251,10 @@ def _gmres_schur(
     V: np.ndarray,
     H: np.ndarray,
 ) -> tuple[np.ndarray | None, int]:
-    """Restarted GMRES on K x = b through the Schur complement of an even/odd split.
-
-    K = [[I (x) M, L], [U, I (x) M]] with M = mean_block: the first
-    L.shape[0] states form the eliminated class e, the rest the Schur
-    class o.  With P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
-    (I - U P L P) y = b_o - U P b_e for x_o = P y, which GMRES solves.
-    Each outer cycle computes the true residual r = b - K x and stops once
-    ||r|| <= GMRES_RTOL * ||b||; otherwise it runs one GMRES cycle on
-    f = r_o - U P r_e, recovers d_o = P y and d_e = P (r_e - L d_o), and
-    adds d to x.  GMRES_RTOL lies near the round-off floor of the true
-    residual, so the later cycles act as iterative refinement; there are
-    at most GMRES_MAXITER.  With an empty class o each cycle is x += P r.
+    """Restarted GMRES on K x = b through its Schur complement, K as in _residual.
 
     V, (restart + 1) x |o|, and H, restart x restart, are the caller's
-    workspace and are overwritten; the restart length is len(V) - 1.  Each
-    GMRES cycle builds its Arnoldi basis in the rows of V by classical
-    Gram-Schmidt run twice and keeps H upper triangular by Givens
-    rotations, whose residual estimate ends the cycle at a tenth of that
-    target.  In exact arithmetic the estimate is the full residual, since
-    the recovered d_e zeroes the e part of it; in floating point the two
-    differ at the level of the target.
-
+    workspace and are overwritten; the restart length is len(V) - 1.
     Returns (x, iterations), or (None, 0) when the mean block is singular.
     x is unchecked: where H is singular (a pole on the grid) it is the
     iterate reached before that cycle.
@@ -353,7 +280,7 @@ def _gmres_schur(
     iterations = 0
     for cycle in range(GMRES_MAXITER):
         if cycle:
-            r = b - K @ x
+            r = _residual(L, U, mean_block, b, x)
         if np.linalg.norm(r) <= tol:
             break
         p_e = precondition(r[:n_e])
@@ -400,24 +327,16 @@ def _gmres_schur(
 
 
 def _sample_galerkin(
-    gsys: GalerkinSystem, split: tuple[np.ndarray, int], omegas: np.ndarray, stats: SolverStats
+    gsys: GalerkinSystem, split: EvenOddSplit, omegas: np.ndarray, stats: SolverStats
 ) -> np.ndarray:
-    """Galerkin branch of sample_transfer: GMRES on the even/odd Schur
-    complement per frequency; `split` is _even_odd_order(gsys)."""
+    """Galerkin branch of sample_transfer; `split` is gsys.even_odd_split()."""
     S = gsys.system
-    n = gsys.block_dim
-    order, n_e = split
-    E = sp.csr_matrix(S.E)[order][:, order]
-    A = sp.csr_matrix(S.A)[order][:, order]
-    # K for true residuals, its couplings L = K[e, o] and U = K[o, e]
-    patterns = [
-        _on_union_pattern(E, A),
-        _on_union_pattern(E[:n_e, n_e:], A[:n_e, n_e:]),
-        _on_union_pattern(E[n_e:, :n_e], A[n_e:, :n_e]),
-    ]
-    K, L, U = (M for _, _, M in patterns)
-    E00 = sp.csr_matrix(S.E)[:n, :n].toarray()
-    A00 = sp.csr_matrix(S.A)[:n, :n].toarray()
+    order, n_e = split.order, split.n_e
+    # L = K[e, o] and U = K[o, e] on the patterns of A + iE, which is nonzero
+    # wherever E or A is and holds both exactly; a sparse array's product
+    # costs less call overhead than a sparse matrix's on small systems
+    L, U = (sp.csr_array(A + 1j * E) for E, A in (split.L, split.U))
+    parts = [(M, M.data.imag.copy(), M.data.real.copy()) for M in (L, U)]
     b = S.B[order, 0].astype(complex)
     b_norm = np.linalg.norm(b) or 1.0
     C = sp.csr_matrix(S.C)[:, order]
@@ -428,14 +347,15 @@ def _sample_galerkin(
     out = np.empty((S.n_out, len(omegas)), dtype=complex)
     for j, omega in enumerate(omegas):
         s = 1j * omega
-        for e, a, M in patterns:
+        for M, e, a in parts:
             M.data = s * e - a
-        x, iterations = _gmres_schur(K, L, U, s * E00 - A00, b, V, H)
-        residual = np.inf if x is None else np.linalg.norm(b - K @ x) / b_norm
+        mean_block = s * split.E00 - split.A00
+        x, iterations = _gmres_schur(L, U, mean_block, b, V, H)
+        residual = np.inf if x is None else np.linalg.norm(_residual(L, U, mean_block, b, x)) / b_norm
         if not residual <= RESIDUAL_RTOL:  # also catches NaN
             stats.fallbacks += 1
             x = _factor_at(S, omega)(S.B[:, 0])[order]
-            residual = np.linalg.norm(b - K @ x) / b_norm
+            residual = np.linalg.norm(_residual(L, U, mean_block, b, x)) / b_norm
         stats.iterations.append(iterations)
         stats.residuals.append(float(residual))
         out[:, j] = np.asarray(C @ x).ravel()

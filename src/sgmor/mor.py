@@ -127,7 +127,7 @@ def arnoldi_reduce(gsys: GalerkinSystem | DescriptorSystem, s0: float, r: int) -
     Er = T.T @ np.asarray(E @ T)
     Ar = T.T @ np.asarray(A @ T)
     reduced = DescriptorSystem(Er, Ar, (T.T @ Bd).reshape(-1, 1), np.asarray(S.C @ T))
-    k = S.n_out // gsys.m if isinstance(gsys, GalerkinSystem) else 1
+    k = gsys.outputs_per_basis if isinstance(gsys, GalerkinSystem) else 1
     return ReducedSystem(system=reduced, T=T, s0=float(s0), breakdown=breakdown, outputs_per_basis=k)
 
 

@@ -119,6 +119,35 @@ class TestConfig:
             load_config(path)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sparsify:\n  downsize_sweep: [10, 250]\n", "sparsify.downsize_sweep must be [start, stop, step]"),
+            ("mor:\n  r_sweep: [40, 20, 10]\n", "mor.r_sweep must be [start, stop, step]"),
+            ("sparsify:\n  mode: top_n\n", "sparsify.mode must be threshold or top_k, got 'top_n'"),
+            ("sparsify:\n  mode: top_k\n", "sparsify.k must be an integer >= 1 in mode top_k, got None"),
+            ("sparsify:\n  delta: 0.0\n", "sparsify.delta must be > 0 in mode threshold, got 0.0"),
+            ("transient:\n  input: square\n", "transient.input must be one of"),
+            ("basis:\n  degree: -1\n", "basis.degree must be an integer >= 0, got -1"),
+            ("frequency_grid:\n  points_per_decade: 0\n", "frequency_grid.points_per_decade must be >= 1"),
+            ("frequency_grid:\n  decade_min: 10.0\n", "frequency_grid.decade_min must be below decade_max"),
+            ("mor:\n  r: 0\n", "mor.r must be an integer >= 1, got 0"),
+            ("transient:\n  step: -1.0e-6\n", "transient.step must be > 0"),
+            ("transient:\n  horizon: 0.0\n", "transient.horizon must be > 0"),
+        ],
+        ids=[
+            "downsize-sweep", "r-sweep", "mode", "top-k-without-k", "threshold-delta", "transient-input",
+            "degree", "points-per-decade", "decades", "mor-r", "transient-step", "transient-horizon",
+        ],
+    )
+    def test_invalid_value_rejected_before_any_stage(self, tmp_path, capsys, text, message):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sgmor: error: config: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_run")
@@ -283,6 +312,16 @@ class TestStaging:
         assert code == 1
         err = capsys.readouterr().err
         assert "missing upstream artifact" in err
+
+    def test_samples_of_another_grid_rejected(self, tmp_path, capsys):
+        # the top frequency moves by 23 rad/s, well inside np.allclose's tolerance
+        out = tmp_path / "out"
+        for stage in ("assemble", "norms"):
+            assert main([stage, "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        moved = write_config(tmp_path, FAST_CONFIG.replace("decade_max: 7.0", "decade_max: 7.000001"))
+        assert main(["sparsify", "--config", str(moved), "--out", str(out)]) == 1
+        assert "cached samples were produced with a different grid" in capsys.readouterr().err
+        assert not (out / "table1.csv").exists()
 
     def test_stagewise_equals_run(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -225,7 +225,7 @@ class TestDownsize:
     def test_multi_output_blocks(self):
         g = make_multi_output_galerkin()
         n = g.block_dim
-        assert g.m == 3 and g.system.n_out == 6
+        assert g.m == 3 and g.system.n_out == 6 and g.outputs_per_basis == 2
         with pytest.raises(ValueError):
             sg.downsize(g, Selection(kept=(0, 1), m=6))
         small = sg.downsize(g, Selection(kept=(0, 1), m=3))
@@ -240,8 +240,14 @@ class TestDownsize:
         assert g.output_multi_indices() == small.output_multi_indices() == expected
 
     def test_selection_forces_constant_index(self):
-        sel = Selection(kept=(3, 5), m=8)
-        assert 0 in sel.kept
+        sel = Selection(kept=(5, 3, 5), m=8)
+        assert sel.kept == (0, 3, 5)
+
+    @pytest.mark.parametrize("kept", [(-1, 3), (3, 8)])
+    def test_selection_out_of_range_rejected(self, kept):
+        # checked before position 0 is added: (-1, 3) would otherwise be (0, -1, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            Selection(kept=kept, m=8)
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):

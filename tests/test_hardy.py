@@ -34,11 +34,11 @@ def scalar_galerkin(A):
     return GalerkinSystem(system=system, spec=spec, block_dim=1)
 
 
-def split_system(K, n, n_e):
-    """The arguments _gmres_schur takes besides the mean block, b and the
-    workspace, for K ordered with its n_e eliminated states first."""
+def split_system(K, n_e):
+    """The couplings (L, U) _gmres_schur takes, for K ordered with its n_e
+    eliminated states first."""
     K = sp.csr_matrix(K)
-    return K, K[:n_e, n_e:], K[n_e:, :n_e]
+    return K[:n_e, n_e:], K[n_e:, :n_e]
 
 
 def two_cyclic_system(rng, blocks_e, blocks_o, n, eps):
@@ -246,7 +246,7 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(seed), blocks_e, blocks_o, n, eps)
         V = np.empty((3, blocks_o * n), dtype=complex)
         H = np.empty((2, 2), dtype=complex)
-        x, iterations = hardy._gmres_schur(*split_system(K, n, blocks_e * n), M, b, V, H)
+        x, iterations = hardy._gmres_schur(*split_system(K, blocks_e * n), M, b, V, H)
         assert iterations > 2  # at least two restart cycles
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
         ref = np.linalg.solve(K, b)
@@ -260,7 +260,7 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(9), 4, blocks_o, n, 0.1)
         V = np.empty((blocks_o * n + 1, blocks_o * n), dtype=complex)
         H = np.empty((blocks_o * n, blocks_o * n), dtype=complex)
-        x, iterations = hardy._gmres_schur(*split_system(K, n, 4 * n), M, b, V, H)
+        x, iterations = hardy._gmres_schur(*split_system(K, 4 * n), M, b, V, H)
         assert iterations <= blocks_o * n
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
 
@@ -272,10 +272,10 @@ class TestGalerkinSampling:
         V = np.empty((4, 2), dtype=complex)
         H = np.empty((3, 3), dtype=complex)
         b = np.arange(1.0, 7.0) * (1.0 + 1.0j)
-        x, iterations = hardy._gmres_schur(*split_system(K, 2, 4), M, b, V, H)
+        x, iterations = hardy._gmres_schur(*split_system(K, 4), M, b, V, H)
         assert iterations == 1
         assert np.allclose(x, np.linalg.solve(K, b), rtol=1e-15, atol=0.0)
-        x, iterations = hardy._gmres_schur(*split_system(K, 2, 4), M, np.zeros(6, dtype=complex), V, H)
+        x, iterations = hardy._gmres_schur(*split_system(K, 4), M, np.zeros(6, dtype=complex), V, H)
         assert iterations == 0 and not x.any()
 
     def test_workspace_reuse_is_bitwise(self, bench_galerkin_d1):
@@ -284,7 +284,7 @@ class TestGalerkinSampling:
         # the desk system, takes true-residual restarts at some frequencies.
         grid = sg.FrequencyGrid.logspaced(-2, 10, 2)
         H = sg.sample_transfer(bench_galerkin_d1, grid)
-        split = hardy._even_odd_order(bench_galerkin_d1)
+        split = bench_galerkin_d1.even_odd_split()
         for j in reversed(range(len(grid))):
             Hj = hardy._sample_galerkin(bench_galerkin_d1, split, grid.omegas[j : j + 1], SolverStats())
             assert np.array_equal(Hj[:, 0], H[:, j])
@@ -310,13 +310,35 @@ class TestGalerkinSampling:
     def test_unstructured_galerkin_uses_superlu(self, A):
         # degrees 0 and 2 coupled, or diagonal blocks -1 and -2: no exact split
         gsys = scalar_galerkin(A)
-        assert hardy._even_odd_order(gsys) is None
+        assert gsys.even_odd_split() is None
         grid = sg.FrequencyGrid(np.array([0.0, 1.0, 10.0]))
         stats = SolverStats()
         H = sg.sample_transfer(gsys, grid, stats)
         assert stats.summary()["method"] == "superlu"
         assert stats.iterations == [] and stats.schur_unknowns is None
         assert np.array_equal(H, sg.sample_transfer(gsys.system, grid))
+
+    @pytest.mark.parametrize("matrix", ["E", "A"])
+    @pytest.mark.parametrize("edit", ["one-ulp-off", "extra-nonzero"])
+    def test_perturbed_diagonal_block_rejected(self, desk_galerkin, matrix, edit):
+        # diagonal block 5 of E or A differs from block 0 in one value by one
+        # ulp, or has a nonzero where block 0 has none
+        n = desk_galerkin.block_dim
+        S = desk_galerkin.system
+        M = sp.lil_matrix(getattr(S, matrix))
+        mean = M[:n, :n].toarray()
+        if edit == "one-ulp-off":
+            M[5 * n, 5 * n] = np.nextafter(mean[0, 0], np.inf)
+        else:
+            i, j = np.argwhere(mean == 0)[0]
+            M[5 * n + i, 5 * n + j] = 0.1
+        E, A = (M.tocsr(), S.A) if matrix == "E" else (S.E, M.tocsr())
+        gsys = GalerkinSystem(DescriptorSystem(E, A, S.B, S.C), desk_galerkin.spec, n)
+        assert desk_galerkin.even_odd_split() is not None
+        assert gsys.even_odd_split() is None
+        stats = SolverStats()
+        sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.0, 1.0])), stats)
+        assert stats.method == "superlu"
 
     def test_one_class_only(self, desk_psys, desk_galerkin):
         # m = 1, and a kept set of degrees 0, 2 and 2: no Schur unknowns,
