@@ -257,7 +257,9 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
     sweep = cfg.mor.r_sweep
     r_final = min(cfg.mor.r, n)
     basis_r = r_final if sweep is None else min(max(r_final, sweep[1]), n)
-    krylov = arnoldi_reduce(gsys, s0, basis_r)
+    stats = SolverStats()
+    krylov = arnoldi_reduce(gsys, s0, basis_r, stats)
+    _write_json(out / "reduce_solver.json", stats.summary(), h)
 
     if sweep is not None:
         rows = []
@@ -335,7 +337,9 @@ def stage_simulate(cfg: PipelineConfig, out: Path) -> None:
 def stage_report(cfg: PipelineConfig, out: Path) -> dict:
     h = cfg.hash()
     bundle: dict = {"version": __version__, "seed": cfg.seed}
-    for name in ("resolved_config", "basis_map", "theorem1", "theorem2_mor", "selection", "trajectory_meta"):
+    for name in (
+        "resolved_config", "basis_map", "theorem1", "theorem2_mor", "reduce_solver", "selection", "trajectory_meta"
+    ):
         path = out / f"{name}.json"
         if path.exists():
             bundle[name] = json.loads(path.read_text())

@@ -22,6 +22,7 @@ __all__ = [
     "PoleProximityError",
     "PencilRegularityError",
     "factor_pencil",
+    "pencil_residual",
     "transfer_eval",
     "pencil_spectrum",
     "simulate_transient",
@@ -135,6 +136,11 @@ def factor_pencil(E, A, shift) -> Callable[[np.ndarray], np.ndarray]:
     if condition > 1e15:
         raise PoleProximityError(f"ill-conditioned shifted pencil at s={shift}", condition=condition)
     return lambda rhs: sla.lu_solve((lu, piv), rhs)
+
+
+def pencil_residual(sys: DescriptorSystem, s: float | complex, b: np.ndarray, x: np.ndarray) -> float:
+    """True relative residual ||b - (sE - A) x|| / ||b|| of a solve (||b|| = 0 read as 1)."""
+    return float(np.linalg.norm(b - s * (sys.E @ x) + sys.A @ x) / (np.linalg.norm(b) or 1.0))
 
 
 def transfer_eval(sys: DescriptorSystem, s: complex) -> np.ndarray:

@@ -137,15 +137,16 @@ class Selection:
 class EvenOddSplit(NamedTuple):
     """K = sE - A in the state order `order`, eliminated class e first:
     [[I (x) (s E00 - A00), L], [U, I (x) (s E00 - A00)]].  L and U hold
-    the (E, A) parts of the couplings K[e, o] and K[o, e]; e is the first
+    the (E, A) parts of the couplings K[e, o] and K[o, e], each pair on
+    one sparsity pattern, so a shift rewrites only values; e is the first
     n_e states."""
 
     E00: np.ndarray
     A00: np.ndarray
     order: np.ndarray
     n_e: int
-    L: tuple[sp.csr_matrix, sp.csr_matrix]
-    U: tuple[sp.csr_matrix, sp.csr_matrix]
+    L: tuple[sp.csr_array, sp.csr_array]
+    U: tuple[sp.csr_array, sp.csr_array]
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,17 @@ class GalerkinSystem:
         schur = odd if np.count_nonzero(odd) <= np.count_nonzero(~odd) else ~odd
         states = np.repeat(schur, n)
         e, o = np.flatnonzero(~states), np.flatnonzero(states)
-        L, U = tuple(R[e][:, o] for R in rests), tuple(R[o][:, e] for R in rests)
+        # A + iE holds both parts exactly, on the union of their patterns
+        K = rests[1] + 1j * rests[0]
+        L, U = (_parts(K[e][:, o]), _parts(K[o][:, e]))
         return EvenOddSplit(*means, np.concatenate([e, o]), len(e), L, U)
+
+
+def _parts(K: sp.csr_matrix) -> tuple[sp.csr_array, sp.csr_array]:
+    """The E (imaginary) and A (real) parts of K = A + iE on K's pattern."""
+    return tuple(
+        sp.csr_array((d.copy(), K.indices, K.indptr), shape=K.shape) for d in (K.data.imag, K.data.real)
+    )
 
 
 def linear_moment_matrix(spec: BasisSpec, dim: int) -> sp.csr_matrix:

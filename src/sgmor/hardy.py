@@ -1,4 +1,5 @@
-"""Frequency-grid estimation of per-output H2 and H-infinity norms.
+"""Frequency-grid estimation of per-output H2 and H-infinity norms, and the
+structured shifted solver of Galerkin systems.
 
 The transfer function is sampled on a logarithmic grid along the positive
 imaginary axis (conjugate symmetry folds the negative axis).
@@ -6,24 +7,29 @@ imaginary axis (conjugate symmetry folds the negative axis).
 Galerkin systems (full or downsized).  The three-term recurrence of the
 orthonormal basis couples total degree k only to k +- 1, and every diagonal
 block of sum_k G_k (x) (sE_k - A_k) is the mean pencil M = sE_00 - A_00.
-GalerkinSystem.even_odd_split checks this once per sweep and orders the
-states into an eliminated class e and a Schur class o, so that
-K = sE - A = [[I (x) M, L], [U, I (x) M]].  K is never formed: per
-frequency only M and the couplings L = K[e, o] and U = K[o, e] are
-rewritten.  With P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
+GalerkinSystem.even_odd_split checks this once and orders the states into
+an eliminated class e and a Schur class o, so that
+K = sE - A = [[I (x) M, L], [U, I (x) M]] at any shift s, real or complex.
+EvenOddSolver solves K x = b without forming K: per shift it writes only
+M and the couplings L = K[e, o] and U = K[o, e] and inverts M once.  With
+P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
 (I - U P L P) y = b_o - U P b_e for x_o = P y, which restarted GMRES
-solves.  Each of at most GMRES_MAXITER outer cycles computes the true
-residual r = b - (I (x) M) x - [L x_o; U x_e] and stops once
+solves, in real arithmetic for a real s and in complex for s = i*omega.
+Each of at most GMRES_MAXITER outer cycles computes the true residual
+r = b - (I (x) M) x - [L x_o; U x_e] and stops once
 ||r|| <= GMRES_RTOL ||b||; otherwise it runs up to GMRES_RESTART GMRES
 steps on f = r_o - U P r_e and adds d_o = P y and d_e = P (r_e - L d_o)
 to x (with no Schur unknowns a cycle is x += P r), so the later cycles
-refine x to about sparse-LU accuracy.  One Krylov workspace serves the
-sweep; the Arnoldi step is classical Gram-Schmidt run twice, and Givens
-rotations end a cycle at a tenth of the outer target.  A solution is used
-only if its recomputed true relative residual is at most RESIDUAL_RTOL;
-otherwise, or where M is singular, that frequency is solved by sparse LU.
-A Galerkin system without the structure is sampled like any other sparse
-system.
+refine x to about sparse-LU accuracy.  One Krylov workspace serves all
+the solver's shifts; the Arnoldi step is classical Gram-Schmidt run twice,
+and Givens rotations end a cycle at a tenth of the outer target.  A
+solution is returned only if its recomputed true relative residual is at
+most RESIDUAL_RTOL; otherwise the solver raises ResidualMissError naming
+the shift.  The frequency sweep moves one EvenOddSolver from frequency to
+frequency and falls back to sparse LU at a frequency where it misses or M
+is singular; mor.arnoldi_reduce runs all its Krylov solves through one
+EvenOddSolver at its real shift.  A Galerkin system without the structure
+is sampled like any other sparse system.
 
 Other sparse systems: one SuperLU factorization of i*omega*E - A per
 frequency.  Dense (reduced) systems: one complex QZ, A = Q AA Z^H and
@@ -46,12 +52,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil, loglog_slope
+from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil, loglog_slope, pencil_residual
 from .galerkin import EvenOddSplit, GalerkinSystem
 
 __all__ = [
+    "EvenOddSolver",
     "FrequencyGrid",
     "HardyNormReport",
+    "ResidualMissError",
     "SolverStats",
     "sample_transfer",
     "hardy_norms",
@@ -77,8 +85,8 @@ class FrequencyGrid:
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float)
-        if om.size < 2 or np.any(np.diff(om) <= 0) or om[0] < 0:
-            raise ValueError("omegas must be >= 0, strictly increasing, length >= 2")
+        if om.size < 2 or not np.all(np.isfinite(om)) or np.any(np.diff(om) <= 0) or om[0] < 0:
+            raise ValueError("omegas must be finite, >= 0, strictly increasing, length >= 2")
         object.__setattr__(self, "omegas", om)
 
     def __len__(self) -> int:
@@ -152,15 +160,16 @@ class HardyNormReport:
 
 @dataclass
 class SolverStats:
-    """How sample_transfer solved each frequency; pass one in to have it filled.
+    """How sample_transfer solved each frequency, or arnoldi_reduce each
+    Krylov vector; pass one in to have it filled.
 
     method is "gmres-schur" (Galerkin system with the even/odd structure),
     "superlu" (other sparse system) or "qz" (dense system).  On the GMRES
-    path `iterations` and `residuals` hold one entry per frequency: the
+    path `iterations` and `residuals` hold one entry per solve: the
     GMRES iterations spent and the true relative residual of the returned
-    solution; `fallbacks` counts the frequencies solved by sparse LU after
-    GMRES missed RESIDUAL_RTOL, and `schur_unknowns` is the size of the
-    system GMRES ran on.
+    solution; `fallbacks` counts the solves made by sparse LU after GMRES
+    missed RESIDUAL_RTOL or met a singular mean block, and
+    `schur_unknowns` is the size of the system GMRES ran on.
     """
 
     method: str = ""
@@ -233,6 +242,62 @@ def _factor_at(sys: DescriptorSystem, omega: float):
         raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
 
 
+class ResidualMissError(ArithmeticError):
+    """A structured solve missed RESIDUAL_RTOL after `iterations` GMRES steps."""
+
+    def __init__(self, message: str, iterations: int):
+        super().__init__(message)
+        self.iterations = iterations
+
+
+class EvenOddSolver:
+    """(sE - A) x = b for a Galerkin system with the even/odd split, at the
+    shift s of the last set_shift.
+
+    set_shift inverts the mean block M = s E00 - A00 once and writes the
+    couplings L and U at s; the solves until the next set_shift reuse them,
+    and one Krylov workspace serves every shift.  A real s works in real
+    arithmetic, a complex one in complex.  Vectors are in the split order.
+    """
+
+    def __init__(self, split: EvenOddSplit):
+        self.split = split
+        # a shift rewrites only their values; a sparse array's product costs
+        # less call overhead than a sparse matrix's on small systems
+        self.L, self.U = (E.copy() for E, _ in (split.L, split.U))
+        self.V = self.H = None
+
+    def set_shift(self, s: float | complex) -> None:
+        """Move to shift s.  Raises PoleProximityError naming s where M is
+        singular, and keeps the previous shift."""
+        split = self.split
+        mean_block = s * split.E00 - split.A00
+        try:
+            self.mean_inverse = np.linalg.inv(mean_block)
+        except np.linalg.LinAlgError as exc:
+            raise PoleProximityError(f"singular mean block at s={s}", condition=np.inf) from exc
+        self.s, self.mean_block = s, mean_block
+        for M, (E, A) in zip((self.L, self.U), (split.L, split.U)):
+            M.data = s * E.data - A.data
+        dtype = complex if np.iscomplexobj(s) else float
+        if self.V is None or self.V.dtype != dtype:
+            self.V = np.empty((GMRES_RESTART + 1, len(split.order) - split.n_e), dtype=dtype)
+            self.H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=dtype)
+
+    def solve(self, b: np.ndarray, stats: SolverStats | None = None) -> np.ndarray:
+        """x with a true relative residual of at most RESIDUAL_RTOL, else
+        ResidualMissError; `stats` gets the iterations and residual appended."""
+        x, iterations = _gmres_schur(self.L, self.U, self.mean_block, self.mean_inverse, b, self.V, self.H)
+        r = _residual(self.L, self.U, self.mean_block, b, x)
+        residual = float(np.linalg.norm(r) / (np.linalg.norm(b) or 1.0))
+        if not residual <= RESIDUAL_RTOL:  # also catches NaN
+            raise ResidualMissError(f"true relative residual {residual:.3g} at s={self.s}", iterations)
+        if stats is not None:
+            stats.iterations.append(iterations)
+            stats.residuals.append(residual)
+        return x
+
+
 def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """b - K x for K = [[I (x) M, L], [U, I (x) M]], M = mean_block, whose
     eliminated class is the first L.shape[0] states."""
@@ -244,30 +309,30 @@ def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.
 
 
 def _gmres_schur(
-    L: sp.csr_matrix,
-    U: sp.csr_matrix,
+    L: sp.csr_array,
+    U: sp.csr_array,
     mean_block: np.ndarray,
+    mean_inverse: np.ndarray,
     b: np.ndarray,
     V: np.ndarray,
     H: np.ndarray,
-) -> tuple[np.ndarray | None, int]:
+) -> tuple[np.ndarray, int]:
     """Restarted GMRES on K x = b through its Schur complement, K as in _residual.
 
     V, (restart + 1) x |o|, and H, restart x restart, are the caller's
-    workspace and are overwritten; the restart length is len(V) - 1.
-    Returns (x, iterations), or (None, 0) when the mean block is singular.
-    x is unchecked: where H is singular (a pole on the grid) it is the
-    iterate reached before that cycle.
+    workspace and are overwritten; the restart length is len(V) - 1.  The
+    arithmetic is that of V: real Givens rotations for a real workspace,
+    complex ones for a complex one.  Returns (x, iterations); x is
+    unchecked: where H is singular (a pole on the grid) it is the iterate
+    reached before that cycle.
     """
-    try:
-        P = np.linalg.inv(mean_block).T
-    except np.linalg.LinAlgError:
-        return None, 0
+    P = mean_inverse.T
     n = len(P)
 
     def precondition(v):
         return (v.reshape(-1, n) @ P).ravel()
 
+    scalar = complex if np.iscomplexobj(V) else float
     n_e = L.shape[0]
     restart = len(V) - 1
     tol = GMRES_RTOL * np.linalg.norm(b)
@@ -288,14 +353,14 @@ def _gmres_schur(
         beta = np.linalg.norm(f)
         if beta > cycle_tol:
             V[0] = f / beta
-            g = [complex(beta)]  # rotated right-hand side beta * e_1
+            g = [scalar(beta)]  # rotated right-hand side beta * e_1
             rotations = []
             for k in range(restart):
                 w = V[k] - U @ precondition(L @ precondition(V[k]))
                 Vk = V[: k + 1]
                 h = 0.0
                 for _ in range(2):
-                    dh = (Vk @ w.conj()).conj()
+                    dh = (Vk @ w.conj()).conj()  # conj() returns a real array itself
                     w -= dh @ Vk
                     h = h + dh
                 col = h.tolist()
@@ -305,9 +370,9 @@ def _gmres_schur(
                 for i, (c, s) in enumerate(rotations):
                     col[i], col[i + 1] = c.conjugate() * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
                 rho = math.hypot(abs(col[k]), w_norm)
-                c, s = (col[k] / rho, w_norm / rho) if rho else (1.0 + 0j, 0.0)
+                c, s = (col[k] / rho, w_norm / rho) if rho else (scalar(1.0), 0.0)
                 rotations.append((c, s))
-                col[k] = complex(rho)
+                col[k] = scalar(rho)
                 g.append(-s * g[k])
                 g[k] = c.conjugate() * g[k]
                 H[: k + 1, k] = col
@@ -331,33 +396,22 @@ def _sample_galerkin(
 ) -> np.ndarray:
     """Galerkin branch of sample_transfer; `split` is gsys.even_odd_split()."""
     S = gsys.system
-    order, n_e = split.order, split.n_e
-    # L = K[e, o] and U = K[o, e] on the patterns of A + iE, which is nonzero
-    # wherever E or A is and holds both exactly; a sparse array's product
-    # costs less call overhead than a sparse matrix's on small systems
-    L, U = (sp.csr_array(A + 1j * E) for E, A in (split.L, split.U))
-    parts = [(M, M.data.imag.copy(), M.data.real.copy()) for M in (L, U)]
+    order = split.order
     b = S.B[order, 0].astype(complex)
-    b_norm = np.linalg.norm(b) or 1.0
     C = sp.csr_matrix(S.C)[:, order]
-    stats.schur_unknowns = len(order) - n_e
-    # one Krylov workspace for the whole sweep
-    V = np.empty((GMRES_RESTART + 1, len(order) - n_e), dtype=complex)
-    H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=complex)
+    stats.schur_unknowns = len(order) - split.n_e
+    solver = EvenOddSolver(split)
     out = np.empty((S.n_out, len(omegas)), dtype=complex)
     for j, omega in enumerate(omegas):
-        s = 1j * omega
-        for M, e, a in parts:
-            M.data = s * e - a
-        mean_block = s * split.E00 - split.A00
-        x, iterations = _gmres_schur(L, U, mean_block, b, V, H)
-        residual = np.inf if x is None else np.linalg.norm(_residual(L, U, mean_block, b, x)) / b_norm
-        if not residual <= RESIDUAL_RTOL:  # also catches NaN
+        try:
+            solver.set_shift(1j * omega)
+            x = solver.solve(b, stats)
+        except (PoleProximityError, ResidualMissError) as exc:  # a singular mean block, or a miss
             stats.fallbacks += 1
-            x = _factor_at(S, omega)(S.B[:, 0])[order]
-            residual = np.linalg.norm(_residual(L, U, mean_block, b, x)) / b_norm
-        stats.iterations.append(iterations)
-        stats.residuals.append(float(residual))
+            x = _factor_at(S, omega)(S.B[:, 0])
+            stats.iterations.append(getattr(exc, "iterations", 0))
+            stats.residuals.append(pencil_residual(S, 1j * omega, S.B[:, 0], x))
+            x = x[order]
         out[:, j] = np.asarray(C @ x).ravel()
     return out
 

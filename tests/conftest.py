@@ -3,6 +3,7 @@ the circuit benchmark at low polynomial degree."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sgmor as sg
 from sgmor.galerkin import ParametricSystem
@@ -46,6 +47,17 @@ def make_desk_parametric() -> ParametricSystem:
         E_terms=[None, None, 0.05 * np.eye(n)],
         A_terms=[A1, A2, A3],
     )
+
+
+def scalar_galerkin(A):
+    """GalerkinSystem of block size 1 over a one-parameter basis of degree
+    len(A) - 1 (block i has degree i) with E = I."""
+    spec = sg.BasisSpec.uniform([(-1.0, 1.0)], sg.build_index_set(1, len(A) - 1))
+    eye = sp.identity(len(A), format="csr")
+    B = np.zeros((len(A), 1))
+    B[0] = 1.0
+    system = sg.DescriptorSystem(eye, sp.csr_matrix(A), B, eye)
+    return sg.GalerkinSystem(system=system, spec=spec, block_dim=1)
 
 
 DESK_BOUNDS = [(-1.0, 1.0)] * 3
@@ -113,4 +125,10 @@ def bench_psys():
 @pytest.fixture(scope="session")
 def bench_galerkin_d1(bench_psys):
     spec = sg.BasisSpec.uniform(bench_psys.parameter_bounds, sg.build_index_set(21, 1))
+    return sg.assemble(bench_psys, spec)
+
+
+@pytest.fixture(scope="session")
+def bench_galerkin_d2(bench_psys):
+    spec = sg.BasisSpec.uniform(bench_psys.parameter_bounds, sg.build_index_set(21, 2))
     return sg.assemble(bench_psys, spec)

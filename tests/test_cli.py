@@ -11,6 +11,7 @@ import scipy.io as sio
 from sgmor import cli
 from sgmor.cli import main
 from sgmor.descriptor import PoleProximityError
+from sgmor.hardy import RESIDUAL_RTOL
 from sgmor.mor import arnoldi_reduce
 from sgmor.config import PipelineConfig, load_config
 
@@ -69,6 +70,7 @@ ARTIFACTS = [
     "reduced_C.mtx",
     "projection_T.npy",
     "theorem2_mor.json",
+    "reduce_solver.json",
     "singular_values.csv",
     "kappa.csv",
     "deflation.csv",
@@ -262,6 +264,11 @@ class TestPipeline:
         assert report["theorem2_mor"]["r"] == 20
         assert report["selection"]["kept"][0] == 0
         assert report["norms_solver"]["method"] == "gmres-schur"
+        # one Arnoldi solve per Krylov vector, by GMRES on the Schur complement
+        reduce_solver = report["reduce_solver"]
+        assert reduce_solver == {**json.loads((out / "reduce_solver.json").read_text())}
+        assert reduce_solver["method"] == "gmres-schur" and reduce_solver["fallbacks"] == 0
+        assert reduce_solver["max_residual"] <= RESIDUAL_RTOL
 
     def test_trajectory_header_and_values(self, run_dir):
         out, _ = run_dir

@@ -14,6 +14,8 @@ from sgmor.descriptor import DescriptorSystem, PoleProximityError
 from sgmor.galerkin import GalerkinSystem, Selection
 from sgmor.hardy import RESIDUAL_RTOL, SolverStats
 
+from conftest import scalar_galerkin
+
 
 def first_order():
     return DescriptorSystem(np.eye(1), -np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
@@ -23,17 +25,6 @@ def as_csr(sys):
     return DescriptorSystem(sp.csr_matrix(sys.E), sp.csr_matrix(sys.A), sys.B, sp.csr_matrix(sys.C))
 
 
-def scalar_galerkin(A):
-    """GalerkinSystem of block size 1 over a one-parameter basis of degree
-    len(A) - 1 (block i has degree i) with E = I."""
-    spec = sg.BasisSpec.uniform([(-1.0, 1.0)], sg.build_index_set(1, len(A) - 1))
-    eye = sp.identity(len(A), format="csr")
-    B = np.zeros((len(A), 1))
-    B[0] = 1.0
-    system = DescriptorSystem(eye, sp.csr_matrix(A), B, eye)
-    return GalerkinSystem(system=system, spec=spec, block_dim=1)
-
-
 def split_system(K, n_e):
     """The couplings (L, U) _gmres_schur takes, for K ordered with its n_e
     eliminated states first."""
@@ -41,13 +32,14 @@ def split_system(K, n_e):
     return K[:n_e, n_e:], K[n_e:, :n_e]
 
 
-def two_cyclic_system(rng, blocks_e, blocks_o, n, eps):
+def two_cyclic_system(rng, blocks_e, blocks_o, n, eps, dtype=complex):
     """(K, M, b) with K = I (x) M + eps * sum_k G_k (x) K_k, each G_k coupling
     only the first blocks_e blocks with the last blocks_o, as the degree
-    parities of a Galerkin system are coupled."""
+    parities of a Galerkin system are coupled; real for dtype=float."""
 
     def unit(*shape):
         X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        X = X if dtype is complex else X.real
         return X / np.linalg.norm(X, 2)
 
     M = 2.0 * np.eye(n) + unit(n, n)
@@ -59,7 +51,7 @@ def two_cyclic_system(rng, blocks_e, blocks_o, n, eps):
         G += G.T
         K += eps * np.kron(G / np.linalg.norm(G, 2), unit(n, n))
     b = rng.normal(size=blocks * n) + 1j * rng.normal(size=blocks * n)
-    return K, M, b
+    return K, M, (b if dtype is complex else b.real)
 
 
 def difference_norms(sys_a, sys_b, grid):
@@ -100,6 +92,13 @@ class TestFrequencyGrid:
             sg.FrequencyGrid(np.array([1.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
             sg.FrequencyGrid(np.array([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN compares false, so it passes a bare monotonicity test
+        for omegas in ([1.0, bad], [bad, 1.0], [0.0, bad, 2.0]):
+            with pytest.raises(ValueError, match="finite"):
+                sg.FrequencyGrid(np.array(omegas))
 
     def test_refine(self):
         # doubling the points per decade keeps every coarse point
@@ -233,20 +232,23 @@ class TestGalerkinSampling:
         assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
         assert stats.summary()["fallbacks"] == len(grid)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         blocks_e=st.integers(1, 4),
         blocks_o=st.integers(2, 4),
         n=st.integers(2, 5),
         eps=st.floats(2e-2, 1e-1),
         seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([complex, float]),
     )
-    def test_restarted_gmres_solves_block_system(self, blocks_e, blocks_o, n, eps, seed):
-        # a 3-row workspace: restart 2
-        K, M, b = two_cyclic_system(np.random.default_rng(seed), blocks_e, blocks_o, n, eps)
-        V = np.empty((3, blocks_o * n), dtype=complex)
-        H = np.empty((2, 2), dtype=complex)
-        x, iterations = hardy._gmres_schur(*split_system(K, blocks_e * n), M, b, V, H)
+    def test_restarted_gmres_solves_block_system(self, blocks_e, blocks_o, n, eps, seed, dtype):
+        # a 3-row workspace: restart 2; a real system runs on a real
+        # workspace, with real Givens rotations, to the same accuracy
+        K, M, b = two_cyclic_system(np.random.default_rng(seed), blocks_e, blocks_o, n, eps, dtype)
+        V = np.empty((3, blocks_o * n), dtype=dtype)
+        H = np.empty((2, 2), dtype=dtype)
+        x, iterations = hardy._gmres_schur(*split_system(K, blocks_e * n), M, np.linalg.inv(M), b, V, H)
+        assert x.dtype == dtype
         assert iterations > 2  # at least two restart cycles
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
         ref = np.linalg.solve(K, b)
@@ -260,7 +262,7 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(9), 4, blocks_o, n, 0.1)
         V = np.empty((blocks_o * n + 1, blocks_o * n), dtype=complex)
         H = np.empty((blocks_o * n, blocks_o * n), dtype=complex)
-        x, iterations = hardy._gmres_schur(*split_system(K, 4 * n), M, b, V, H)
+        x, iterations = hardy._gmres_schur(*split_system(K, 4 * n), M, np.linalg.inv(M), b, V, H)
         assert iterations <= blocks_o * n
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
 
@@ -272,10 +274,11 @@ class TestGalerkinSampling:
         V = np.empty((4, 2), dtype=complex)
         H = np.empty((3, 3), dtype=complex)
         b = np.arange(1.0, 7.0) * (1.0 + 1.0j)
-        x, iterations = hardy._gmres_schur(*split_system(K, 4), M, b, V, H)
+        x, iterations = hardy._gmres_schur(*split_system(K, 4), M, np.linalg.inv(M), b, V, H)
         assert iterations == 1
         assert np.allclose(x, np.linalg.solve(K, b), rtol=1e-15, atol=0.0)
-        x, iterations = hardy._gmres_schur(*split_system(K, 4), M, np.zeros(6, dtype=complex), V, H)
+        zero = np.zeros(6, dtype=complex)
+        x, iterations = hardy._gmres_schur(*split_system(K, 4), M, np.linalg.inv(M), zero, V, H)
         assert iterations == 0 and not x.any()
 
     def test_workspace_reuse_is_bitwise(self, bench_galerkin_d1):

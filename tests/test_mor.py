@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import sgmor as sg
-from sgmor.descriptor import DescriptorSystem
+from sgmor import hardy
+from sgmor.descriptor import DescriptorSystem, PoleProximityError
+from sgmor.hardy import RESIDUAL_RTOL, EvenOddSolver, SolverStats
 from sgmor.mor import OutputLayoutError, ReducedSystem
 
-from conftest import make_multi_output_galerkin
+from conftest import make_multi_output_galerkin, scalar_galerkin
 
 
 def fake_reduced(Cbar):
@@ -122,6 +124,72 @@ class TestArnoldiReduce:
         sys = DescriptorSystem(np.eye(1), -np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(PoleProximityError):
             sg.arnoldi_reduce(sys, -1.0, 1)
+
+
+class TestStructuredArnoldi:
+    """Krylov solves by real GMRES on the even/odd Schur complement."""
+
+    S0 = 5.0e5  # the pipeline's default shift
+
+    def test_moments_match_superlu_oracle(self, bench_galerkin_d2):
+        # 1e-8 is the pipeline benchmark's moment bound; with solves at
+        # RESIDUAL_RTOL the first moments agree far below it
+        stats = SolverStats()
+        red = sg.arnoldi_reduce(bench_galerkin_d2, self.S0, 50, stats)
+        assert stats.method == "gmres-schur" and stats.fallbacks == 0
+        assert len(stats.iterations) == len(stats.residuals) == 50
+        assert max(stats.residuals) <= RESIDUAL_RTOL
+        assert stats.schur_unknowns == 420  # 21 degree-1 blocks of 20 states
+        mf = sg.moment_oracle(bench_galerkin_d2, self.S0, 4)
+        mr = sg.moment_oracle(red.system, self.S0, 4)
+        rel = np.linalg.norm(mf - mr, axis=1) / np.linalg.norm(mf, axis=1)
+        assert rel.max() <= 1e-8
+
+    def test_orthonormal_at_r120(self, bench_galerkin_d2):
+        red = sg.arnoldi_reduce(bench_galerkin_d2, self.S0, 120)
+        assert red.r == 120
+        assert np.linalg.norm(red.T.T @ red.T - np.eye(120)) <= 1e-12
+
+    def test_unstructured_galerkin_uses_superlu(self):
+        # degrees 0 and 2 coupled: no exact split
+        gsys = scalar_galerkin(np.array([[-1.0, 0.5, 0.2], [0.5, -1.0, 0.5], [0.2, 0.5, -1.0]]))
+        assert gsys.even_odd_split() is None
+        stats = SolverStats()
+        red = sg.arnoldi_reduce(gsys, 1.0, 3, stats)
+        assert stats.summary()["method"] == "superlu"
+        assert stats.iterations == [] and stats.fallbacks == 0
+        assert np.array_equal(red.T, sg.arnoldi_reduce(gsys.system, 1.0, 3).T)
+
+    def test_singular_mean_block(self):
+        # the mean block -A_00 = 0 is singular at s = 0; the coupled pencil is not
+        gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(PoleProximityError, match="s=0.0") as exc:
+            EvenOddSolver(gsys.even_odd_split()).set_shift(0.0)
+        assert exc.value.condition == np.inf
+        # Arnoldi then solves by sparse LU throughout, each solve a fallback
+        stats = SolverStats()
+        red = sg.arnoldi_reduce(gsys, 0.0, 2, stats)
+        assert stats.method == "gmres-schur" and stats.fallbacks == 2
+        assert stats.iterations == [0, 0] and max(stats.residuals) <= RESIDUAL_RTOL
+        assert np.array_equal(red.T, sg.arnoldi_reduce(gsys.system, 0.0, 2).T)
+
+    def test_unconverged_solve_falls_back(self, desk_galerkin, monkeypatch):
+        # a near miss that claims success: the residual check rejects the
+        # first solve, and the remaining ones go through one sparse LU
+        real_gmres = hardy._gmres_schur
+
+        def lying_gmres(*args):
+            x, iterations = real_gmres(*args)
+            return x * (1.0 + 1e-8), iterations
+
+        monkeypatch.setattr(hardy, "_gmres_schur", lying_gmres)
+        stats = SolverStats()
+        red = sg.arnoldi_reduce(desk_galerkin, 1.0, 6, stats)
+        assert stats.method == "gmres-schur"
+        assert stats.fallbacks == 6 and stats.summary()["fallbacks"] == 6
+        assert stats.iterations[0] > 0 and stats.iterations[1:] == [0] * 5
+        assert max(stats.residuals) <= RESIDUAL_RTOL
+        assert np.array_equal(red.T, sg.arnoldi_reduce(desk_galerkin.system, 1.0, 6).T)
 
 
 class TestTruncate:
