@@ -9,14 +9,13 @@ downsized systems obtained by discarding basis blocks.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import BasisSpec, QuadratureGrid, SizingError, eval_basis_matrix
+from .basis import BasisSpec, SizingError
 from .descriptor import DescriptorSystem
 
 __all__ = [
@@ -40,52 +39,43 @@ class ParametricSystem:
     """Descriptor system with affine parameter dependence.
 
     Each matrix is M(p) = M0 + sum_ell p_ell * M_terms[ell]; a term may be
-    None when the matrix does not depend on that parameter.  Systems
-    without an affine structure can supply `evaluator` only, in which case
-    assembly falls back to the generic quadrature path.  Optional
-    `parameter_bounds` and `nominal_parameters` give each parameter's
-    [lower, upper] range and nominal value.
+    None when the matrix does not depend on that parameter, and E0, B0 and
+    C0 default to zero.  Optional `parameter_bounds` and
+    `nominal_parameters` give each parameter's [lower, upper] range and
+    nominal value.
     """
 
     n: int
     q: int
+    A0: object
     E0: object = None
-    A0: object = None
     B0: np.ndarray = None
     C0: np.ndarray = None
     E_terms: Sequence[object] = None
     A_terms: Sequence[object] = None
     B_terms: Sequence[object] = None
     C_terms: Sequence[object] = None
-    evaluator: Callable[[np.ndarray], tuple] = None
     parameter_bounds: list[tuple[float, float]] | None = None
     nominal_parameters: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.is_affine:
-            for name in ("E_terms", "A_terms", "B_terms", "C_terms"):
-                terms = getattr(self, name)
-                if terms is None:
-                    terms = [None] * self.q
-                if len(terms) != self.q:
-                    raise ValueError(f"{name} must have length q={self.q}")
-                setattr(self, name, list(terms))
-            if self.B0 is None:
-                self.B0 = np.zeros((self.n, 1))
-            self.B0 = np.asarray(self.B0, dtype=float).reshape(self.n, -1)
-            if self.C0 is None:
-                self.C0 = np.zeros((1, self.n))
-            self.C0 = np.atleast_2d(np.asarray(self.C0, dtype=float))
-
-    @property
-    def is_affine(self) -> bool:
-        return self.A0 is not None
+        for name in ("E_terms", "A_terms", "B_terms", "C_terms"):
+            terms = getattr(self, name)
+            if terms is None:
+                terms = [None] * self.q
+            if len(terms) != self.q:
+                raise ValueError(f"{name} must have length q={self.q}")
+            setattr(self, name, list(terms))
+        if self.B0 is None:
+            self.B0 = np.zeros((self.n, 1))
+        self.B0 = np.asarray(self.B0, dtype=float).reshape(self.n, -1)
+        if self.C0 is None:
+            self.C0 = np.zeros((1, self.n))
+        self.C0 = np.atleast_2d(np.asarray(self.C0, dtype=float))
 
     def evaluate(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Dense (E(p), A(p), B(p), C(p)) at a single parameter point."""
         p = np.asarray(p, dtype=float).ravel()
-        if not self.is_affine:
-            return self.evaluator(p)
 
         def combine(M0, terms):
             out = M0.toarray().astype(float) if sp.issparse(M0) else np.array(M0, dtype=float)
@@ -276,54 +266,19 @@ def _assemble_affine(psys: ParametricSystem, spec: BasisSpec) -> tuple:
     return Ehat, Ahat, Bhat, Chat
 
 
-def _assemble_quadrature(psys: ParametricSystem, spec: BasisSpec, quad: QuadratureGrid) -> tuple:
-    """Quadrature sums M_hat = sum_k w_k kron(phi_k phi_k^T, M(p_k)) for E, A
-    and C, and B_hat = sum_k w_k kron(phi_k, B(p_k)); any input and output
-    count, in the block layout of `_assemble_affine`."""
-    phi = eval_basis_matrix(spec, quad.nodes)
-    Ehat = Ahat = Bhat = Chat = 0
-    for k in range(len(quad)):
-        E, A, B, C = psys.evaluate(quad.nodes[k])
-        col = sp.csr_matrix(quad.weights[k] * phi[k][:, None])
-        outer = col @ sp.csr_matrix(phi[k][None, :])
-        Ehat = Ehat + sp.kron(outer, _as_sparse(E), format="csr")
-        Ahat = Ahat + sp.kron(outer, _as_sparse(A), format="csr")
-        Bhat = Bhat + sp.kron(col, _as_sparse(B).reshape((psys.n, -1)), format="csr")
-        Chat = Chat + sp.kron(outer, _as_sparse(C).reshape((-1, psys.n)), format="csr")
-    return Ehat, Ahat, Bhat, Chat
-
-
 def assemble(
     psys: ParametricSystem,
     spec: BasisSpec,
-    quad: QuadratureGrid | None = None,
     dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
 ) -> GalerkinSystem:
-    """Assemble the coupled Galerkin system of dimension m*n.
-
-    Affine systems use exact moment matrices of the basis; generic
-    evaluator-only systems require a quadrature grid (a warning is
-    recorded when its declared exactness cannot be checked against the
-    parameter dependence).
-    """
+    """Assemble the coupled Galerkin system of dimension m*n from the exact
+    moment matrices of the basis."""
     if psys.q != spec.q:
         raise ValueError("parametric system and basis disagree on q")
     m, n = spec.m, psys.n
     if m * n > dimension_limit:
         raise SizingError(f"Galerkin dimension m*n = {m * n} exceeds limit {dimension_limit}")
-    if psys.is_affine:
-        Ehat, Ahat, Bhat, Chat = _assemble_affine(psys, spec)
-    else:
-        if quad is None:
-            raise ValueError("generic (non-affine) assembly requires a quadrature grid")
-        needed = 2 * spec.index_set.max_degree + 1
-        if quad.exactness < needed:
-            warnings.warn(
-                f"quadrature exactness {quad.exactness} below {needed}; "
-                "assembly may be inexact for non-polynomial dependence",
-                stacklevel=2,
-            )
-        Ehat, Ahat, Bhat, Chat = _assemble_quadrature(psys, spec, quad)
+    Ehat, Ahat, Bhat, Chat = _assemble_affine(psys, spec)
     return GalerkinSystem(system=DescriptorSystem(Ehat, Ahat, Bhat, Chat), spec=spec, block_dim=n)
 
 

@@ -1,5 +1,5 @@
 """Frequency-grid estimation of per-output H2 and H-infinity norms, and the
-structured shifted solver of Galerkin systems.
+shifted solver of sE - A that the sweep and the Krylov reduction share.
 
 The transfer function is sampled on a logarithmic grid along the positive
 imaginary axis (conjugate symmetry folds the negative axis).
@@ -22,20 +22,15 @@ steps on f = r_o - U P r_e and adds d_o = P y and d_e = P (r_e - L d_o)
 to x (with no Schur unknowns a cycle is x += P r), so the later cycles
 refine x to about sparse-LU accuracy.  One Krylov workspace serves all
 the solver's shifts; the Arnoldi step is classical Gram-Schmidt run twice,
-and Givens rotations end a cycle at a tenth of the outer target.  A
-solution is returned only if its recomputed true relative residual is at
-most RESIDUAL_RTOL; otherwise the solver raises ResidualMissError naming
-the shift.  The frequency sweep moves one EvenOddSolver from frequency to
-frequency and falls back to sparse LU at a frequency where it misses or M
-is singular; mor.arnoldi_reduce runs all its Krylov solves through one
-EvenOddSolver at its real shift.  A Galerkin system without the structure
-is sampled like any other sparse system.
+and Givens rotations end a cycle at a tenth of the outer target.
 
-Other sparse systems: one SuperLU factorization of i*omega*E - A per
-frequency.  Dense (reduced) systems: one complex QZ, A = Q AA Z^H and
-E = Q BB Z^H, for the whole grid, the triangular systems
-(i*omega*BB - AA) y = Q^H b back-substituted for all frequencies at once,
-and one refinement step through the residual in the original pencil.
+Sparse systems, Galerkin or not, are sampled through one ShiftedSolver
+moved from frequency to frequency; its docstring states the solve policy,
+which mor.arnoldi_reduce shares at its real shift.  Dense (reduced)
+systems: one complex QZ, A = Q AA Z^H and E = Q BB Z^H, for the whole
+grid, the triangular systems (i*omega*BB - AA) y = Q^H b back-substituted
+for all frequencies at once, and one refinement step through the residual
+in the original pencil.
 
 The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
 approximation of the frequency integral plus a c/omega tail model fitted
@@ -57,6 +52,7 @@ from .galerkin import EvenOddSplit, GalerkinSystem
 
 __all__ = [
     "EvenOddSolver",
+    "ShiftedSolver",
     "FrequencyGrid",
     "HardyNormReport",
     "ResidualMissError",
@@ -72,6 +68,9 @@ RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
 GMRES_RTOL = 5e-14
 GMRES_RESTART = 40
 GMRES_MAXITER = 5  # restart cycles: at most 200 iterations per frequency
+# largest Galerkin system ShiftedSolver falls back to sparse LU for: at
+# d = 4 on the ladder (N = 253 000) one factorization takes 390 s and 2.7 GB
+LU_FALLBACK_MAX_STATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -163,13 +162,12 @@ class SolverStats:
     """How sample_transfer solved each frequency, or arnoldi_reduce each
     Krylov vector; pass one in to have it filled.
 
-    method is "gmres-schur" (Galerkin system with the even/odd structure),
-    "superlu" (other sparse system) or "qz" (dense system).  On the GMRES
-    path `iterations` and `residuals` hold one entry per solve: the
-    GMRES iterations spent and the true relative residual of the returned
-    solution; `fallbacks` counts the solves made by sparse LU after GMRES
-    missed RESIDUAL_RTOL or met a singular mean block, and
-    `schur_unknowns` is the size of the system GMRES ran on.
+    method is "gmres-schur" or "superlu" (see ShiftedSolver), or "qz"
+    (dense system).  On the GMRES path `iterations` and `residuals` hold
+    one entry per solve: the GMRES iterations spent and the true relative
+    residual of the returned solution; `fallbacks` counts the solves made
+    by sparse LU, and `schur_unknowns` is the size of the system GMRES ran
+    on.
     """
 
     method: str = ""
@@ -198,16 +196,13 @@ def sample_transfer(
 ) -> np.ndarray:
     """H(i*omega_j) for all outputs of a single-input system; shape (n_out, k).
 
-    A Galerkin system with the even/odd structure is solved by GMRES
-    ("gmres-schur"), every other sparse system by SuperLU ("superlu"), a
-    dense one by QZ ("qz"); `stats` records which, and on the GMRES path
-    the iterations, true residuals and sparse-LU fallbacks per frequency.
-    Every GMRES sample has a true relative residual of at most
-    RESIDUAL_RTOL.
+    A sparse system is solved through one ShiftedSolver, a dense one by QZ
+    ("qz"); `stats` records the method and, per frequency, what
+    ShiftedSolver records.
 
     Raises PoleProximityError naming the omega, with `condition` set, where
-    i*omega*E - A is singular or ill-conditioned.  Sparse: SuperLU fails or
-    meets an exactly zero pivot.  Dense: a pivot d_i = i*omega*BB_ii - AA_ii
+    i*omega*E - A is singular or ill-conditioned.  Sparse: where
+    ShiftedSolver raises it.  Dense: a pivot d_i = i*omega*BB_ii - AA_ii
     is zero or non-finite, or max|d_i| / min|d_i| exceeds 1e15.
     """
     S = sys.system if isinstance(sys, GalerkinSystem) else sys
@@ -215,31 +210,20 @@ def sample_transfer(
         raise ValueError(f"sample_transfer needs a single-input system (n_in=1), got n_in={S.n_in}")
     if stats is None:
         stats = SolverStats()
-    if isinstance(sys, GalerkinSystem):
-        split = sys.even_odd_split()
-        if split is not None:
-            stats.method = "gmres-schur"
-            return _sample_galerkin(sys, split, grid.omegas, stats)
     if not S.is_sparse:
         stats.method = "qz"
         return _sample_dense(S, grid.omegas)
-    stats.method = "superlu"
+    solver = ShiftedSolver(sys, stats)
+    b = S.B[:, 0].astype(complex)
     out = np.empty((S.n_out, len(grid)), dtype=complex)
     for j, omega in enumerate(grid.omegas):
-        # `solve` keeps the previous factorization alive while the next one
-        # is built, so the allocator reuses its memory instead of returning
-        # it to the OS and faulting it back in at every frequency
-        solve = _factor_at(S, omega)
-        out[:, j] = np.asarray(S.C @ solve(S.B)).ravel()
+        try:
+            solver.set_shift(1j * omega)
+            x = solver.solve(b)
+        except PoleProximityError as exc:
+            raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
+        out[:, j] = S.C @ x
     return out
-
-
-def _factor_at(sys: DescriptorSystem, omega: float):
-    """factor_pencil at s = i*omega, naming omega in its PoleProximityError."""
-    try:
-        return factor_pencil(sys.E, sys.A, 1j * omega)
-    except PoleProximityError as exc:
-        raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
 
 
 class ResidualMissError(ArithmeticError):
@@ -296,6 +280,92 @@ class EvenOddSolver:
             stats.iterations.append(iterations)
             stats.residuals.append(residual)
         return x
+
+
+class ShiftedSolver:
+    """(sE - A) x = b at the shift s of the last set_shift, for a Galerkin
+    or any sparse descriptor system, filling `stats` (a SolverStats).  This
+    is the one solve policy of the package:
+
+    - A Galerkin system with GalerkinSystem.even_odd_split() ("gmres-schur")
+      is solved by one EvenOddSolver, which keeps its Krylov workspace for
+      the solver's whole life.  A GMRES solution is returned only if its
+      true relative residual is at most RESIDUAL_RTOL.  After a miss
+      (ResidualMissError), or where the mean block is singular at s, the
+      solver factors sE - A once; that factorization serves the remaining
+      solves at s, and each of them counts as a fallback, recorded with the
+      iterations GMRES spent and its pencil_residual.  The next set_shift
+      tries GMRES again.  Above LU_FALLBACK_MAX_STATES states there is no
+      fallback: the miss raises ResidualMissError, the singular mean block
+      PoleProximityError, each naming s and N.
+    - Any other sparse (or dense) system ("superlu") is solved through one
+      factor_pencil factorization per shift, built before the previous one
+      is dropped, so that the allocator reuses its memory.
+
+    Vectors are in the system's own state order; b is cast to the dtype of
+    s (complex for s = i*omega, float for a real s).  Factoring raises
+    PoleProximityError where sE - A is singular or ill-conditioned.
+    """
+
+    def __init__(self, system: GalerkinSystem | DescriptorSystem, stats: SolverStats):
+        self.S = system.system if isinstance(system, GalerkinSystem) else system
+        self.stats = stats
+        split = system.even_odd_split() if isinstance(system, GalerkinSystem) else None
+        if split is None:
+            stats.method, self.structured = "superlu", None
+        else:
+            stats.method, stats.schur_unknowns = "gmres-schur", len(split.order) - split.n_e
+            self.structured = EvenOddSolver(split)
+            self.order, self.inverse_order = split.order, np.argsort(split.order)
+        self.lu = self.b_split = None
+
+    def set_shift(self, s: float | complex) -> None:
+        """Move to shift s; an unstructured system is factored here."""
+        self.s = s
+        self.dtype = complex if np.iscomplexobj(s) else float
+        if self.structured is None:
+            self.lu = factor_pencil(self.S.E, self.S.A, s)
+            return
+        self.lu = None
+        self.missed = False
+        if self.b_split is None or self.b_split.dtype != self.dtype:
+            self.b_split = np.empty(len(self.order), dtype=self.dtype)
+        try:
+            self.structured.set_shift(s)
+        except PoleProximityError as exc:  # a singular mean block
+            self._miss(exc)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x solving (sE - A) x = b at the current shift, by the policy above."""
+        b = np.asarray(b, dtype=self.dtype)
+        iterations = 0
+        if self.structured is not None and not self.missed:
+            # b_split is reused, so that a solve allocates no N-vector for
+            # its right-hand side: fresh pages fault at every frequency
+            np.take(b, self.order, out=self.b_split, mode="clip")  # "raise" would buffer `out`
+            try:
+                x = self.structured.solve(self.b_split, self.stats)
+                return x[self.inverse_order]
+            except ResidualMissError as exc:
+                self._miss(exc)
+                iterations = exc.iterations
+        if self.structured is None:
+            return self.lu(b)
+        self.stats.fallbacks += 1
+        if self.lu is None:
+            self.lu = factor_pencil(self.S.E, self.S.A, self.s)
+        x = self.lu(b)
+        self.stats.iterations.append(iterations)
+        self.stats.residuals.append(pencil_residual(self.S, self.s, b, x))
+        return x
+
+    def _miss(self, exc: ArithmeticError) -> None:
+        """Send the remaining solves at this shift to sparse LU, or re-raise
+        exc, naming N, where the system is too large to factor."""
+        if self.S.n > LU_FALLBACK_MAX_STATES:
+            exc.args = (f"{exc}; no sparse-LU fallback for N={self.S.n} > {LU_FALLBACK_MAX_STATES} states",)
+            raise exc
+        self.missed = True
 
 
 def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -389,31 +459,6 @@ def _gmres_schur(
             p_e -= precondition(L @ d_o)
         x[:n_e] += p_e
     return x, iterations
-
-
-def _sample_galerkin(
-    gsys: GalerkinSystem, split: EvenOddSplit, omegas: np.ndarray, stats: SolverStats
-) -> np.ndarray:
-    """Galerkin branch of sample_transfer; `split` is gsys.even_odd_split()."""
-    S = gsys.system
-    order = split.order
-    b = S.B[order, 0].astype(complex)
-    C = sp.csr_matrix(S.C)[:, order]
-    stats.schur_unknowns = len(order) - split.n_e
-    solver = EvenOddSolver(split)
-    out = np.empty((S.n_out, len(omegas)), dtype=complex)
-    for j, omega in enumerate(omegas):
-        try:
-            solver.set_shift(1j * omega)
-            x = solver.solve(b, stats)
-        except (PoleProximityError, ResidualMissError) as exc:  # a singular mean block, or a miss
-            stats.fallbacks += 1
-            x = _factor_at(S, omega)(S.B[:, 0])
-            stats.iterations.append(getattr(exc, "iterations", 0))
-            stats.residuals.append(pencil_residual(S, 1j * omega, S.B[:, 0], x))
-            x = x[order]
-        out[:, j] = np.asarray(C @ x).ravel()
-    return out
 
 
 def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:

@@ -5,12 +5,9 @@ non-orthogonal basis on the parameter space, its SVD re-orthonormalization,
 deflation of the numerically rank-deficient part with error certificates,
 and the per-basis-function influence measures derived from the SVD.
 
-The Krylov solves at the real shift s0 of a Galerkin system with the
-even/odd split go through one hardy.EvenOddSolver, real GMRES on the
-Schur complement with each solution's true residual checked, and factor
-no sparse matrix; other systems, and the remaining solves after a missed
-residual, use one sparse LU factorization of s0 E - A.  moment_oracle
-always factors, so that it stays independent of the reduction it checks.
+The Krylov solves at the real shift s0 go through one hardy.ShiftedSolver,
+the solve policy the frequency sweep uses.  moment_oracle always factors,
+so that it stays independent of the reduction it checks.
 """
 
 from __future__ import annotations
@@ -20,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, eval_basis_matrix, eval_expansion
-from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil, pencil_residual
+from .descriptor import DescriptorSystem, factor_pencil
 from .galerkin import GalerkinSystem
-from .hardy import EvenOddSolver, ResidualMissError, SolverStats
+from .hardy import ShiftedSolver, SolverStats
 
 __all__ = [
     "OutputLayoutError",
@@ -101,15 +98,10 @@ def arnoldi_reduce(
     """One-point Krylov projection of the Galerkin system at real s0.
 
     Builds an orthonormal basis of span{b, Kb, ..., K^(r-1) b} with
-    K = (s0 E - A)^(-1) E and b = (s0 E - A)^(-1) B.  A Galerkin system
-    with the even/odd split is solved by one EvenOddSolver at s0
-    ("gmres-schur"), every solution's true relative residual at most
-    RESIDUAL_RTOL; after a miss, or where the mean block is singular at
-    s0, the remaining solves share one sparse LU factorization and each
-    counts as a fallback.  Any other system is solved through that
-    factorization alone ("superlu").  `stats` records which, with one
-    entry per solve.  Inexact solves keep T orthonormal and the Theorem 2
-    certificate valid; only the moment matching becomes approximate.
+    K = (s0 E - A)^(-1) E and b = (s0 E - A)^(-1) B, solved by one
+    ShiftedSolver at s0 that fills `stats`.  Inexact solves keep T
+    orthonormal and the Theorem 2 certificate valid; only the moment
+    matching becomes approximate.
     Each new vector is orthogonalized by classical Gram-Schmidt run twice,
     which keeps the basis orthonormal to machine precision.  On Krylov
     breakdown the achieved dimension is returned with the breakdown flag
@@ -120,9 +112,10 @@ def arnoldi_reduce(
     n = S.n
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    solve = _shifted_solve(gsys, float(s0), SolverStats() if stats is None else stats)
+    solver = ShiftedSolver(gsys, SolverStats() if stats is None else stats)
+    solver.set_shift(float(s0))
     Bd = S.B.ravel()
-    b = np.asarray(solve(Bd)).ravel()
+    b = solver.solve(Bd)
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         raise ValueError("zero input vector: Krylov space is empty")
@@ -130,7 +123,7 @@ def arnoldi_reduce(
     V[0] = b / b_norm
     breakdown = False
     for k in range(1, r):
-        w = np.asarray(solve(np.asarray(E @ V[k - 1]).ravel())).ravel()
+        w = solver.solve(np.asarray(E @ V[k - 1]).ravel())
         raw = np.linalg.norm(w)
         for _ in range(2):
             w -= V[:k].T @ (V[:k] @ w)
@@ -147,44 +140,6 @@ def arnoldi_reduce(
     reduced = DescriptorSystem(Er, Ar, (T.T @ Bd).reshape(-1, 1), np.asarray(S.C @ T))
     k = gsys.outputs_per_basis if isinstance(gsys, GalerkinSystem) else 1
     return ReducedSystem(system=reduced, T=T, s0=float(s0), breakdown=breakdown, outputs_per_basis=k)
-
-
-def _shifted_solve(gsys: GalerkinSystem | DescriptorSystem, s0: float, stats: SolverStats):
-    """solve(rhs) for (s0 E - A) x = rhs, the Krylov solves of arnoldi_reduce."""
-    S = gsys.system if isinstance(gsys, GalerkinSystem) else gsys
-    split = gsys.even_odd_split() if isinstance(gsys, GalerkinSystem) else None
-    if split is None:
-        stats.method = "superlu"
-        return factor_pencil(S.E, S.A, s0)
-    stats.method = "gmres-schur"
-    stats.schur_unknowns = len(split.order) - split.n_e
-    order = split.order
-    solver = EvenOddSolver(split)
-    try:
-        solver.set_shift(s0)
-    except PoleProximityError:  # a singular mean block
-        solver = None
-    lu = None
-
-    def solve(rhs):
-        nonlocal solver, lu
-        iterations = 0
-        if solver is not None:
-            x = np.empty_like(rhs)
-            try:
-                x[order] = solver.solve(rhs[order], stats)
-                return x
-            except ResidualMissError as exc:
-                solver, iterations = None, exc.iterations
-        stats.fallbacks += 1
-        if lu is None:
-            lu = factor_pencil(S.E, S.A, s0)
-        x = lu(rhs)
-        stats.iterations.append(iterations)
-        stats.residuals.append(pencil_residual(S, s0, rhs, x))
-        return x
-
-    return solve
 
 
 def moment_oracle(gsys: GalerkinSystem | DescriptorSystem, s0: float, k: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import sgmor as sg
+from sgmor import hardy
 from sgmor.galerkin import ParametricSystem
 
 
@@ -93,6 +94,19 @@ def band_limited_input(seed: int, tau: float = 3.0):
         return acc * np.exp(-t / tau)
 
     return u
+
+
+@pytest.fixture
+def lying_gmres(monkeypatch):
+    """GMRES that returns x * (1 + 1e-8) as converged: a near miss that
+    claims success, which the residual check must reject."""
+    real_gmres = hardy._gmres_schur
+
+    def lying(*args):
+        x, iterations = real_gmres(*args)
+        return x * (1.0 + 1e-8), iterations
+
+    monkeypatch.setattr(hardy, "_gmres_schur", lying)
 
 
 @pytest.fixture(scope="session")

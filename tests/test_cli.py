@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.io as sio
 
-from sgmor import cli
+from sgmor import cli, hardy
 from sgmor.cli import main
 from sgmor.descriptor import PoleProximityError
 from sgmor.hardy import RESIDUAL_RTOL
@@ -312,6 +312,16 @@ class TestStaging:
         err = capsys.readouterr().err
         assert err.startswith("sgmor: error: stage 'norms': pole proximity at omega=2.5")
         assert "condition=3.000e+16" in err
+
+    def test_no_fallback_at_scale_reported(self, run_dir, tmp_path, monkeypatch, lying_gmres, capsys):
+        out, cfg = run_dir
+        work = tmp_path / "miss"
+        shutil.copytree(out, work)
+        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", 0)
+        assert main(["norms", "--config", str(cfg), "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sgmor: error: stage 'norms': true relative residual")
+        assert "no sparse-LU fallback for N=440 > 0 states" in err
 
     def test_missing_upstream_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -8,6 +8,7 @@ import sgmor as sg
 from sgmor.galerkin import ParametricSystem, Selection, linear_moment_matrix
 
 from conftest import make_multi_output_galerkin
+from oracles import _assemble_quadrature
 
 
 def scalar_affine():
@@ -90,9 +91,11 @@ class TestAssemble:
         assert np.abs(sp.csr_matrix(g.system.A).toarray() - Ahat).max() < 1e-12
 
     def test_generic_evaluator_path_matches_affine(self, desk_psys, desk_spec):
-        generic = ParametricSystem(n=4, q=3, evaluator=desk_psys.evaluate)
+        # the quadrature oracle sees the system only through evaluate()
         quad = sg.build_quadrature(desk_spec, mode="tensor", level=3)
-        g_gen = sg.assemble(generic, desk_spec, quad=quad)
+        g_gen = sg.GalerkinSystem(
+            sg.DescriptorSystem(*_assemble_quadrature(desk_psys, desk_spec, quad)), desk_spec, desk_psys.n
+        )
         g_aff = sg.assemble(desk_psys, desk_spec)
         for name in ("E", "A", "B", "C"):
             Mg = sp.csr_matrix(getattr(g_gen.system, name)).toarray()
@@ -116,7 +119,7 @@ class TestAssemble:
         )
         spec = sg.BasisSpec.uniform([(-1.0, 1.0), (0.5, 1.5)], sg.build_index_set(q, 2))
         quad = sg.build_quadrature(spec, mode="tensor", level=3)
-        g_gen = sg.assemble(ParametricSystem(n=n, q=q, evaluator=affine.evaluate), spec, quad=quad)
+        g_gen = sg.GalerkinSystem(sg.DescriptorSystem(*_assemble_quadrature(affine, spec, quad)), spec, n)
         g_aff = sg.assemble(affine, spec)
         assert g_gen.system.B.shape == (spec.m * n, 2)
         assert g_gen.system.C.shape == (spec.m * 2, spec.m * n)

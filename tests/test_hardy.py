@@ -215,15 +215,8 @@ class TestGalerkinSampling:
         assert len(stats.iterations) == len(stats.residuals) == len(grid)
         assert max(stats.residuals) <= RESIDUAL_RTOL
 
-    def test_unconverged_gmres_caught(self, desk_galerkin, monkeypatch):
+    def test_unconverged_gmres_caught(self, desk_galerkin, lying_gmres):
         # a near miss that claims success: the residual check must reject it
-        real_gmres = hardy._gmres_schur
-
-        def lying_gmres(*args):
-            x, iterations = real_gmres(*args)
-            return x * (1.0 + 1e-8), iterations
-
-        monkeypatch.setattr(hardy, "_gmres_schur", lying_gmres)
         grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
         stats = SolverStats()
         H = sg.sample_transfer(desk_galerkin, grid, stats)
@@ -231,6 +224,49 @@ class TestGalerkinSampling:
         assert stats.fallbacks == len(grid)
         assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
         assert stats.summary()["fallbacks"] == len(grid)
+
+    def test_miss_at_one_frequency_only(self, desk_galerkin, monkeypatch):
+        # GMRES lies at the third frequency alone: that frequency falls back
+        # to sparse LU, and the next one runs GMRES again
+        real_gmres = hardy._gmres_schur
+        calls = []
+
+        def lying_once(*args):
+            x, iterations = real_gmres(*args)
+            calls.append(iterations)
+            return (x * (1.0 + 1e-8) if len(calls) == 3 else x), iterations
+
+        monkeypatch.setattr(hardy, "_gmres_schur", lying_once)
+        grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
+        stats = SolverStats()
+        H = sg.sample_transfer(desk_galerkin, grid, stats)
+        ref = sg.sample_transfer(desk_galerkin.system, grid)
+        assert stats.method == "gmres-schur" and stats.fallbacks == 1
+        assert len(calls) == len(grid) and stats.iterations == calls
+        assert all(iterations > 0 for iterations in calls)
+        assert len(stats.residuals) == len(grid) and max(stats.residuals) <= RESIDUAL_RTOL
+        assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_no_fallback_at_scale(self, desk_galerkin, lying_gmres, monkeypatch):
+        # above LU_FALLBACK_MAX_STATES a miss raises instead of factoring
+        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", desk_galerkin.dimension - 1)
+        stats = SolverStats()
+        with pytest.raises(hardy.ResidualMissError, match=r"at s=.*no sparse-LU fallback for N=40 ") as exc:
+            sg.sample_transfer(desk_galerkin, sg.FrequencyGrid.logspaced(-1, 2, 4), stats)
+        assert exc.value.iterations > 0
+        assert stats.fallbacks == 0
+
+    def test_singular_mean_block_at_scale(self, monkeypatch):
+        # the singular mean block of test_singular_mean_block_falls_back
+        gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", 1)
+        stats = SolverStats()
+        with pytest.raises(
+            PoleProximityError, match=r"omega=0.0: singular mean block at s=0j; no sparse-LU fallback for N=2 "
+        ) as exc:
+            sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.0, 0.5])), stats)
+        assert exc.value.condition == np.inf
+        assert stats.fallbacks == 0
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -282,15 +318,17 @@ class TestGalerkinSampling:
         assert iterations == 0 and not x.any()
 
     def test_workspace_reuse_is_bitwise(self, bench_galerkin_d1):
-        # one sweep reuses its Krylov workspace; single-frequency sweeps, run
-        # in reverse order, each start from a fresh one.  The ladder, unlike
+        # one sweep reuses its Krylov workspace; single frequencies, run in
+        # reverse order, each start from a fresh solver.  The ladder, unlike
         # the desk system, takes true-residual restarts at some frequencies.
         grid = sg.FrequencyGrid.logspaced(-2, 10, 2)
         H = sg.sample_transfer(bench_galerkin_d1, grid)
-        split = bench_galerkin_d1.even_odd_split()
+        S = bench_galerkin_d1.system
         for j in reversed(range(len(grid))):
-            Hj = hardy._sample_galerkin(bench_galerkin_d1, split, grid.omegas[j : j + 1], SolverStats())
-            assert np.array_equal(Hj[:, 0], H[:, j])
+            solver = hardy.ShiftedSolver(bench_galerkin_d1, SolverStats())
+            solver.set_shift(1j * grid.omegas[j])
+            Hj = S.C @ solver.solve(S.B[:, 0])
+            assert np.array_equal(Hj, H[:, j])
 
     def test_ladder_at_superlu_level(self, bench_galerkin_d1):
         # stopping at the first inner convergence, without true-residual restarts,

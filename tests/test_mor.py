@@ -173,16 +173,9 @@ class TestStructuredArnoldi:
         assert stats.iterations == [0, 0] and max(stats.residuals) <= RESIDUAL_RTOL
         assert np.array_equal(red.T, sg.arnoldi_reduce(gsys.system, 0.0, 2).T)
 
-    def test_unconverged_solve_falls_back(self, desk_galerkin, monkeypatch):
+    def test_unconverged_solve_falls_back(self, desk_galerkin, lying_gmres):
         # a near miss that claims success: the residual check rejects the
         # first solve, and the remaining ones go through one sparse LU
-        real_gmres = hardy._gmres_schur
-
-        def lying_gmres(*args):
-            x, iterations = real_gmres(*args)
-            return x * (1.0 + 1e-8), iterations
-
-        monkeypatch.setattr(hardy, "_gmres_schur", lying_gmres)
         stats = SolverStats()
         red = sg.arnoldi_reduce(desk_galerkin, 1.0, 6, stats)
         assert stats.method == "gmres-schur"
@@ -190,6 +183,14 @@ class TestStructuredArnoldi:
         assert stats.iterations[0] > 0 and stats.iterations[1:] == [0] * 5
         assert max(stats.residuals) <= RESIDUAL_RTOL
         assert np.array_equal(red.T, sg.arnoldi_reduce(desk_galerkin.system, 1.0, 6).T)
+
+    def test_no_fallback_at_scale(self, desk_galerkin, lying_gmres, monkeypatch):
+        # above LU_FALLBACK_MAX_STATES the first miss raises instead of factoring
+        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", desk_galerkin.dimension - 1)
+        stats = SolverStats()
+        with pytest.raises(hardy.ResidualMissError, match=r"at s=1.0; no sparse-LU fallback for N=40 "):
+            sg.arnoldi_reduce(desk_galerkin, 1.0, 6, stats)
+        assert stats.fallbacks == 0 and stats.iterations == []
 
 
 class TestTruncate:
