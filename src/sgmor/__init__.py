@@ -11,13 +11,9 @@ from .basis import (
     BasisSpec,
     Distribution1D,
     MultiIndexSet,
-    QuadratureGrid,
     build_index_set,
-    build_quadrature,
     eval_basis,
     eval_basis_matrix,
-    expectation_tensors,
-    univariate_rule,
 )
 from .circuits import (
     CircuitNetlist,

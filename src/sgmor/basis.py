@@ -1,8 +1,9 @@
 """Multivariate orthonormal polynomial bases for independent uniform parameters.
 
-Provides total-degree multi-index sets, orthonormal (shifted Legendre)
-polynomial evaluation, and Gauss / Smolyak quadrature for probabilistic
-integrals against the product density of the parameters.
+Provides total-degree multi-index sets and orthonormal (shifted Legendre)
+polynomial and expansion evaluation.  Expectations over the parameters are
+exact moment matrices (galerkin.linear_moment_matrix); the tests check them
+against quadrature.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,19 +19,15 @@ __all__ = [
     "Distribution1D",
     "MultiIndexSet",
     "BasisSpec",
-    "QuadratureGrid",
     "SizingError",
     "DomainError",
     "build_index_set",
-    "univariate_rule",
-    "build_quadrature",
     "eval_basis",
     "eval_basis_matrix",
     "eval_expansion",
-    "expectation_tensors",
 ]
 
-#: hard cap on |index set| and on quadrature node counts before a SizingError
+#: hard cap on |index set| before a SizingError
 DEFAULT_SIZE_LIMIT = 5_000_000
 
 
@@ -190,109 +187,6 @@ class BasisSpec:
         return np.column_stack(cols)
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Nodes/weights discretising the expectation over the parameter domain."""
-
-    nodes: np.ndarray  # (n_nodes, q)
-    weights: np.ndarray  # (n_nodes,)
-    exactness: int
-    construction: str  # "tensor" | "smolyak"
-
-    def __post_init__(self):
-        if self.nodes.ndim != 2 or len(self.weights) != self.nodes.shape[0]:
-            raise ValueError("inconsistent node/weight shapes")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-def univariate_rule(dist: Distribution1D, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule with `order` nodes, exact to degree 2*order-1 against the density.
-
-    Weights sum to one (probability measure).
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(order)
-    if not np.all(np.isfinite(x)):
-        raise ArithmeticError("Gauss-Legendre recurrence did not converge")
-    nodes = dist.midpoint + dist.halfwidth * x
-    weights = 0.5 * w  # Legendre weights sum to 2; density is uniform
-    return nodes, weights
-
-
-def _tensor_grid(spec: BasisSpec, orders: Sequence[int], limit: int) -> tuple[np.ndarray, np.ndarray]:
-    count = int(np.prod([float(o) for o in orders]))
-    if count > limit:
-        raise SizingError(f"tensor grid would have {count} nodes (limit {limit})")
-    rules = [univariate_rule(d, o) for d, o in zip(spec.distributions, orders)]
-    mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    nodes = np.column_stack([m.ravel() for m in mesh])
-    wmesh = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for wm in wmesh:
-        weights *= wm.ravel()
-    return nodes, weights
-
-
-def _smolyak_grid(spec: BasisSpec, level: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Classic Smolyak combination of the univariate Gauss rules.
-
-    Level L combines tensor rules over multi-levels l (l_i >= 1) with
-    L <= |l| <= L+q-1, coefficient (-1)^(L+q-1-|l|) * binom(q-1, |l|-L).
-    Duplicate nodes across terms are merged.
-    """
-    q = spec.q
-    acc: dict[tuple[int, ...], float] = {}
-    coords: dict[tuple[int, ...], np.ndarray] = {}
-    lo = max(level, q)
-    hi = level + q - 1
-    for total in range(lo, hi + 1):
-        coeff = (-1.0) ** (hi - total) * math.comb(q - 1, total - level)
-        for lvl in _compositions(total - q, q):  # shift so entries are >= 0
-            orders = tuple(l + 1 for l in lvl)
-            nodes, weights = _tensor_grid(spec, orders, limit)
-            keys = np.round(nodes, 12)
-            for row, key_row, w in zip(nodes, keys, weights):
-                key = tuple(key_row)
-                acc[key] = acc.get(key, 0.0) + coeff * w
-                coords.setdefault(key, row)
-            if len(acc) > limit:
-                raise SizingError(f"Smolyak grid exceeds node limit {limit}")
-    keys = list(acc)
-    nodes = np.array([coords[k] for k in keys])
-    weights = np.array([acc[k] for k in keys])
-    keep = np.abs(weights) > 1e-300
-    return nodes[keep], weights[keep]
-
-
-def build_quadrature(
-    spec: BasisSpec,
-    mode: str = "auto",
-    level: int | None = None,
-    limit: int = DEFAULT_SIZE_LIMIT,
-) -> QuadratureGrid:
-    """Quadrature grid exact for polynomials of total degree <= 2*level-1.
-
-    mode "auto" picks tensor for q <= 4 and Smolyak otherwise; the default
-    level d+1 covers the affine-parameter Galerkin integrals (degree 2d+1).
-    """
-    if level is None:
-        level = (spec.index_set.degree_bound or spec.index_set.max_degree) + 1
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if mode == "auto":
-        mode = "tensor" if spec.q <= 4 else "smolyak"
-    if mode == "tensor":
-        nodes, weights = _tensor_grid(spec, [level] * spec.q, limit)
-    elif mode == "smolyak":
-        nodes, weights = _smolyak_grid(spec, level, limit)
-    else:
-        raise ValueError(f"unknown quadrature mode {mode!r}")
-    return QuadratureGrid(nodes=nodes, weights=weights, exactness=2 * level - 1, construction=mode)
-
-
 def _univariate_table(spec: BasisSpec, points: np.ndarray) -> list[np.ndarray]:
     """Per-dimension tables phi_j(p_ell) for j = 0..max_degree.
 
@@ -356,28 +250,3 @@ def eval_expansion(spec: BasisSpec, coeffs, p) -> np.ndarray | float:
     if pts.ndim == 1:
         vals = vals[..., 0]
     return float(vals) if vals.ndim == 0 else vals
-
-
-def expectation_tensors(
-    spec: BasisSpec,
-    quad: QuadratureGrid,
-    weight: Callable[[np.ndarray], np.ndarray] | None = None,
-    weight_degree: int | None = None,
-) -> np.ndarray:
-    """Matrix of E[Phi_i Phi_j * weight(p)] under the quadrature grid.
-
-    `weight` maps an (n_nodes, q) array to (n_nodes,); identity weight gives
-    the Gram matrix.  When `weight_degree` is supplied and the declared grid
-    exactness does not cover 2*d + weight_degree, a warning is emitted.
-    """
-    if weight_degree is not None:
-        needed = 2 * spec.index_set.max_degree + weight_degree
-        if quad.exactness < needed:
-            warnings.warn(
-                f"quadrature exactness {quad.exactness} below required degree {needed}",
-                stacklevel=2,
-            )
-    phi = eval_basis_matrix(spec, quad.nodes)
-    w = quad.weights if weight is None else quad.weights * np.asarray(weight(quad.nodes))
-    mat = (phi * w[:, None]).T @ phi
-    return 0.5 * (mat + mat.T)

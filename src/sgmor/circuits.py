@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .galerkin import ParametricSystem
 
@@ -280,9 +279,9 @@ def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
         A0 += A_const
         if el.tolerance > 0:
             bounds.append((el.nominal * (1 - el.tolerance), el.nominal * (1 + el.tolerance)))
-            E_terms.append(sp.csr_matrix(Es) if Es.any() else None)
-            A_terms.append(sp.csr_matrix(As) if As.any() else None)
-            B_terms.append(Bs.reshape(n, 1) if Bs.any() else None)
+            E_terms.append(Es if Es.any() else None)
+            A_terms.append(As if As.any() else None)
+            B_terms.append(Bs if Bs.any() else None)
         else:
             E0 += el.nominal * Es
             A0 += el.nominal * As
@@ -293,9 +292,9 @@ def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
     return ParametricSystem(
         n=n,
         q=q,
-        E0=sp.csr_matrix(E0),
-        A0=sp.csr_matrix(A0),
-        B0=B0.reshape(n, 1),
+        E0=E0,
+        A0=A0,
+        B0=B0,
         C0=C0,
         E_terms=E_terms,
         A_terms=A_terms,

@@ -102,10 +102,10 @@ def stage_assemble(cfg: PipelineConfig, out: Path) -> GalerkinSystem:
     gsys = assemble(psys, spec)
     h = cfg.hash()
     S = gsys.system
-    sio.mmwrite(out / "galerkin_E.mtx", sp.coo_matrix(S.E))
-    sio.mmwrite(out / "galerkin_A.mtx", sp.coo_matrix(S.A))
-    sio.mmwrite(out / "galerkin_B.mtx", sp.coo_matrix(S.B))
-    sio.mmwrite(out / "galerkin_C.mtx", sp.coo_matrix(S.C))
+    sio.mmwrite(out / "galerkin_E.mtx", S.E)
+    sio.mmwrite(out / "galerkin_A.mtx", S.A)
+    sio.mmwrite(out / "galerkin_B.mtx", sp.coo_matrix(S.B))  # a coordinate file, like E, A and C
+    sio.mmwrite(out / "galerkin_C.mtx", S.C)
     _write_json(
         out / "basis_map.json",
         {
@@ -126,10 +126,7 @@ def _load_galerkin(cfg: PipelineConfig, out: Path, stage: str) -> GalerkinSystem
     if not path.exists():
         raise MissingArtifactError(stage, str(path))
     meta = json.loads(path.read_text())
-    E = sp.csr_matrix(sio.mmread(out / "galerkin_E.mtx"))
-    A = sp.csr_matrix(sio.mmread(out / "galerkin_A.mtx"))
-    B = sio.mmread(out / "galerkin_B.mtx")
-    C = sp.csr_matrix(sio.mmread(out / "galerkin_C.mtx"))
+    E, A, B, C = (sio.mmread(out / f"galerkin_{name}.mtx") for name in "EABC")
     iset = build_index_set(meta["q"], meta["degree"])
     spec = BasisSpec.uniform([tuple(b) for b in meta["bounds"]], iset)
     return GalerkinSystem(system=DescriptorSystem(E, A, B, C), spec=spec, block_dim=meta["block_dim"])
@@ -398,7 +395,12 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=False, help="YAML config file (defaults used if absent)")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="seed override for randomized checks")
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help="seed override, recorded in report.json and the config hash; no stage draws random numbers",
+        )
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else PipelineConfig()

@@ -45,29 +45,34 @@ class PencilRegularityError(ValueError):
 class DescriptorSystem:
     """Quadruple (E, A, B, C); E may be singular (DAE case).
 
-    B is stored as a dense float (n, n_in) array, whatever it is given as.
-    C has shape (n_out, n); E, A and C may each be dense ndarrays or scipy
-    sparse and keep their type.
+    The format is fixed here: a system given a sparse E or A is sparse and
+    holds E, A and C as float CSR matrices, any other system holds them as
+    2-D float ndarrays.  B is a dense float (n, n_in) array in both cases
+    and C has shape (n_out, n).  A matrix already in its format is not copied.
     """
 
-    E: object
-    A: object
+    E: np.ndarray | sp.csr_matrix
+    A: np.ndarray | sp.csr_matrix
     B: np.ndarray
-    C: np.ndarray
+    C: np.ndarray | sp.csr_matrix
 
     def __post_init__(self):
-        n = self.A.shape[0]
-        if self.A.shape != (n, n) or self.E.shape != (n, n):
-            raise ValueError("E and A must be square of equal size")
-        B = np.asarray(self.B.toarray() if sp.issparse(self.B) else self.B, dtype=float)
+        def dense(M):
+            return np.asarray(M.toarray() if sp.issparse(M) else M, dtype=float)
+
+        sparse = sp.issparse(self.E) or sp.issparse(self.A)
+        E, A, C = (sp.csr_matrix(M, dtype=float) if sparse else dense(M) for M in (self.E, self.A, self.C))
+        B = dense(self.B)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B.reshape(-1, 1) if B.ndim == 1 else B)
+        object.__setattr__(self, "C", C.reshape(1, -1) if C.ndim == 1 else C)
+        n = A.shape[0]
+        if A.shape != (n, n) or E.shape != (n, n):
+            raise ValueError("E and A must be square of equal size")
         if self.B.shape[0] != n:
             raise ValueError("B row count must equal n")
-        C = self.C
-        if not sp.issparse(C):
-            C = np.atleast_2d(np.asarray(C))
-            object.__setattr__(self, "C", C)
-        if C.shape[1] != n:
+        if self.C.shape[1] != n:
             raise ValueError("C column count must equal n")
 
     @property
@@ -84,13 +89,12 @@ class DescriptorSystem:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.A) or sp.issparse(self.E)
+        return sp.issparse(self.A)
 
     def dense(self) -> "DescriptorSystem":
-        def d(M):
-            return M.toarray() if sp.issparse(M) else np.asarray(M)
-
-        return DescriptorSystem(d(self.E), d(self.A), self.B, d(self.C))
+        if not self.is_sparse:
+            return self
+        return DescriptorSystem(self.E.toarray(), self.A.toarray(), self.B, self.C.toarray())
 
 
 def factor_pencil(E, A, shift) -> Callable[[np.ndarray], np.ndarray]:
@@ -149,7 +153,7 @@ def transfer_eval(sys: DescriptorSystem, s: complex) -> np.ndarray:
     Never forms an explicit inverse.
     """
     X = factor_pencil(sys.E, sys.A, complex(s))(sys.B)
-    return np.asarray(sys.C @ X)
+    return sys.C @ X
 
 
 @dataclass(frozen=True)
@@ -311,9 +315,9 @@ def simulate_transient(
     B = sys.B.ravel()
     x = np.zeros(sys.n)
     outputs = np.empty((n_steps + 1, sys.n_out))
-    outputs[0] = np.asarray(sys.C @ x).ravel()
+    outputs[0] = sys.C @ x
     for k in range(n_steps):
         x = solve(sigma * (sys.E @ x) + sys.A @ x + (u[k] + u[k + 1]) * B)
-        outputs[k + 1] = np.asarray(sys.C @ x).ravel()
+        outputs[k + 1] = sys.C @ x
     input_l2 = float(np.sqrt(np.trapezoid(u**2, times)))
     return Trajectory(times=times, outputs=outputs, inputs=u, input_l2=input_l2)

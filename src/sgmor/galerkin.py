@@ -30,19 +30,16 @@ __all__ = [
 DEFAULT_DIMENSION_LIMIT = 1_000_000
 
 
-def _as_sparse(M):
-    return sp.csr_matrix(M) if not sp.issparse(M) else M.tocsr()
-
-
 @dataclass
 class ParametricSystem:
     """Descriptor system with affine parameter dependence.
 
     Each matrix is M(p) = M0 + sum_ell p_ell * M_terms[ell]; a term may be
     None when the matrix does not depend on that parameter, and E0, B0 and
-    C0 default to zero.  Optional `parameter_bounds` and
-    `nominal_parameters` give each parameter's [lower, upper] range and
-    nominal value.
+    C0 default to zero.  E0, A0 and the E and A terms are held as float CSR
+    matrices, B0, C0 and the B and C terms as dense float (n, n_in) and
+    (n_out, n) arrays.  Optional `parameter_bounds` and `nominal_parameters`
+    give each parameter's [lower, upper] range and nominal value.
     """
 
     n: int
@@ -59,36 +56,42 @@ class ParametricSystem:
     nominal_parameters: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("E_terms", "A_terms", "B_terms", "C_terms"):
+        n = self.n
+
+        def csr(M):
+            return sp.csr_matrix(M, dtype=float)
+
+        def column(M):
+            return np.asarray(M.toarray() if sp.issparse(M) else M, dtype=float).reshape(n, -1)
+
+        def row(M):
+            return np.asarray(M.toarray() if sp.issparse(M) else M, dtype=float).reshape(-1, n)
+
+        self.E0 = csr((n, n) if self.E0 is None else self.E0)
+        self.A0 = csr(self.A0)
+        self.B0 = column(np.zeros(n) if self.B0 is None else self.B0)
+        self.C0 = row(np.zeros(n) if self.C0 is None else self.C0)
+        for name, fmt in (("E_terms", csr), ("A_terms", csr), ("B_terms", column), ("C_terms", row)):
             terms = getattr(self, name)
             if terms is None:
                 terms = [None] * self.q
             if len(terms) != self.q:
                 raise ValueError(f"{name} must have length q={self.q}")
-            setattr(self, name, list(terms))
-        if self.B0 is None:
-            self.B0 = np.zeros((self.n, 1))
-        self.B0 = np.asarray(self.B0, dtype=float).reshape(self.n, -1)
-        if self.C0 is None:
-            self.C0 = np.zeros((1, self.n))
-        self.C0 = np.atleast_2d(np.asarray(self.C0, dtype=float))
+            setattr(self, name, [None if t is None else fmt(t) for t in terms])
 
     def evaluate(self, p) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Dense (E(p), A(p), B(p), C(p)) at a single parameter point."""
         p = np.asarray(p, dtype=float).ravel()
 
-        def combine(M0, terms):
-            out = M0.toarray().astype(float) if sp.issparse(M0) else np.array(M0, dtype=float)
+        def combine(out, terms):
             for val, term in zip(p, terms):
                 if term is not None:
-                    out = out + val * (term.toarray() if sp.issparse(term) else np.asarray(term))
+                    out = out + val * term
             return out
 
-        E = combine(self.E0 if self.E0 is not None else np.zeros((self.n, self.n)), self.E_terms)
-        A = combine(self.A0, self.A_terms)
-        B = combine(self.B0, self.B_terms)
-        C = combine(self.C0, self.C_terms)
-        return E, A, B, C
+        E = combine(self.E0.toarray(), [t if t is None else t.toarray() for t in self.E_terms])
+        A = combine(self.A0.toarray(), [t if t is None else t.toarray() for t in self.A_terms])
+        return E, A, combine(self.B0.copy(), self.B_terms), combine(self.C0.copy(), self.C_terms)
 
     def system_at(self, p) -> DescriptorSystem:
         E, A, B, C = self.evaluate(p)
@@ -189,7 +192,6 @@ class GalerkinSystem:
         eye = sp.identity(len(odd), format="csr")
         means, rests = [], []
         for M in (self.system.E, self.system.A):
-            M = sp.csr_matrix(M)
             mean = M[:n, :n].toarray()
             rest = (M - sp.kron(eye, mean, format="csr")).tocoo()
             nonzero = rest.data != 0
@@ -243,26 +245,26 @@ def linear_moment_matrix(spec: BasisSpec, dim: int) -> sp.csr_matrix:
 
 
 def _assemble_affine(psys: ParametricSystem, spec: BasisSpec) -> tuple:
-    m, n = spec.m, psys.n
+    m = spec.m
     eye = sp.identity(m, format="csr")
-    Ehat = sp.kron(eye, _as_sparse(psys.E0) if psys.E0 is not None else sp.csr_matrix((n, n)), format="csr")
-    Ahat = sp.kron(eye, _as_sparse(psys.A0), format="csr")
-    Chat = sp.kron(eye, _as_sparse(psys.C0), format="csr")
+    Ehat = sp.kron(eye, psys.E0, format="csr")
+    Ahat = sp.kron(eye, psys.A0, format="csr")
+    Chat = sp.kron(eye, psys.C0, format="csr")
     e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(m, 1))
-    Bhat = sp.kron(e0, _as_sparse(psys.B0), format="csr")
+    Bhat = sp.kron(e0, psys.B0, format="csr")
     for ell in range(psys.q):
         terms = (psys.E_terms[ell], psys.A_terms[ell], psys.B_terms[ell], psys.C_terms[ell])
         if all(t is None for t in terms):
             continue
         G = linear_moment_matrix(spec, ell)
         if terms[0] is not None:
-            Ehat = Ehat + sp.kron(G, _as_sparse(terms[0]), format="csr")
+            Ehat = Ehat + sp.kron(G, terms[0], format="csr")
         if terms[1] is not None:
-            Ahat = Ahat + sp.kron(G, _as_sparse(terms[1]), format="csr")
+            Ahat = Ahat + sp.kron(G, terms[1], format="csr")
         if terms[2] is not None:
-            Bhat = Bhat + sp.kron(G[:, [0]], _as_sparse(terms[2]), format="csr")
+            Bhat = Bhat + sp.kron(G[:, [0]], terms[2], format="csr")
         if terms[3] is not None:
-            Chat = Chat + sp.kron(G, _as_sparse(terms[3]), format="csr")
+            Chat = Chat + sp.kron(G, terms[3], format="csr")
     return Ehat, Ahat, Bhat, Chat
 
 
@@ -302,9 +304,6 @@ def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
     n = gsys.block_dim
     cols = np.concatenate([np.arange(b * n, (b + 1) * n) for b in block_ids])
     S = gsys.system
-    E = sp.csr_matrix(S.E)[cols][:, cols]
-    A = sp.csr_matrix(S.A)[cols][:, cols]
     keep_rows = sp.diags(np.repeat(sel.mask(), gsys.outputs_per_basis).astype(float))
-    C = keep_rows @ sp.csr_matrix(S.C)[:, cols]
-    system = DescriptorSystem(E, A, S.B[cols], C)
+    system = DescriptorSystem(S.E[cols][:, cols], S.A[cols][:, cols], S.B[cols], keep_rows @ S.C[:, cols])
     return GalerkinSystem(system=system, spec=gsys.spec, block_dim=n, selection=sel)

@@ -126,10 +126,6 @@ class HardyNormReport:
     def n_out(self) -> int:
         return len(self.h2)
 
-    def total(self, kind: str = "h2") -> float:
-        vals = self.h2 if kind == "h2" else self.hinf
-        return float(np.sqrt(np.sum(vals**2)))
-
     def to_json(self, path, solver: dict | None = None) -> None:
         """Write the norms; `solver` is a SolverStats.summary() of the sampling.
 
@@ -487,7 +483,7 @@ def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
     X = Z @ Y
     R = b[:, None] - s * (sys.E @ X) + sys.A @ X
     Y += _back_substitute(AA, BB, d, s, Q.conj().T @ R)
-    return np.asarray(sys.C @ Z) @ Y
+    return sys.C @ Z @ Y
 
 
 def _back_substitute(AA, BB, d, s, g) -> np.ndarray:

@@ -123,7 +123,7 @@ def arnoldi_reduce(
     V[0] = b / b_norm
     breakdown = False
     for k in range(1, r):
-        w = solver.solve(np.asarray(E @ V[k - 1]).ravel())
+        w = solver.solve(E @ V[k - 1])
         raw = np.linalg.norm(w)
         for _ in range(2):
             w -= V[:k].T @ (V[:k] @ w)
@@ -135,9 +135,7 @@ def arnoldi_reduce(
     # one column-major copy, so the sparse products below need no copy each
     T = V.T.copy()
     del V
-    Er = T.T @ np.asarray(E @ T)
-    Ar = T.T @ np.asarray(A @ T)
-    reduced = DescriptorSystem(Er, Ar, (T.T @ Bd).reshape(-1, 1), np.asarray(S.C @ T))
+    reduced = DescriptorSystem(T.T @ (E @ T), T.T @ (A @ T), (T.T @ Bd).reshape(-1, 1), S.C @ T)
     k = gsys.outputs_per_basis if isinstance(gsys, GalerkinSystem) else 1
     return ReducedSystem(system=reduced, T=T, s0=float(s0), breakdown=breakdown, outputs_per_basis=k)
 
@@ -150,13 +148,13 @@ def moment_oracle(gsys: GalerkinSystem | DescriptorSystem, s0: float, k: int) ->
     """
     S = gsys.system if isinstance(gsys, GalerkinSystem) else gsys
     solve = factor_pencil(S.E, S.A, float(s0))
-    v = np.asarray(solve(S.B.ravel())).ravel()
+    v = solve(S.B.ravel())
     out = np.empty((k, S.n_out))
     sign = 1.0
     for j in range(k):
-        out[j] = sign * np.asarray(S.C @ v).ravel()
+        out[j] = sign * (S.C @ v)
         if j + 1 < k:
-            v = np.asarray(solve(np.asarray(S.E @ v).ravel())).ravel()
+            v = solve(S.E @ v)
             sign = -sign
     return out
 
@@ -177,7 +175,7 @@ def reduced_output_surrogate(
     vbar = np.asarray(vbar, dtype=float)
     if vbar.shape[-1] != rsys.r:
         raise ValueError(f"coefficient rows must have length r={rsys.r}")
-    return eval_expansion(spec, vbar @ np.asarray(rsys.system.C).T, p)
+    return eval_expansion(spec, vbar @ rsys.system.C.T, p)
 
 
 @dataclass(frozen=True)
@@ -214,7 +212,7 @@ def svd_basis(rsys: ReducedSystem) -> OrthonormalizedBasis:
     OutputLayoutError for more than one output row per basis function.
     """
     rsys._one_row_per_basis("svd_basis")
-    Cbar = np.asarray(rsys.system.C)
+    Cbar = rsys.system.C
     U, s, Q = np.linalg.svd(Cbar, full_matrices=False)
     r = rsys.r
     tol = max(Cbar.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)

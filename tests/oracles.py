@@ -1,23 +1,171 @@
-"""Independent reference computations the tests compare the package against."""
+"""Independent reference computations the tests compare the package against:
+Gauss and Smolyak quadrature over the parameter domain, expectation
+tensors by quadrature, and Galerkin assembly by quadrature sums."""
 
+import itertools
+import math
+import warnings
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 import scipy.sparse as sp
 
-from sgmor.basis import BasisSpec, QuadratureGrid, eval_basis_matrix
-from sgmor.galerkin import ParametricSystem, _as_sparse
+from sgmor.basis import DEFAULT_SIZE_LIMIT, BasisSpec, Distribution1D, SizingError, eval_basis_matrix
+from sgmor.galerkin import ParametricSystem
+
+
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Tuples of `parts` non-negative ints summing to `total`, lexicographically
+    descending: stars and bars, the bars at `parts - 1` of `total + parts - 1` slots."""
+    slots = total + parts - 1
+    out = []
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1, *bars, slots)
+        out.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return out[::-1]
+
+
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Nodes/weights discretising the expectation over the parameter domain."""
+
+    nodes: np.ndarray  # (n_nodes, q)
+    weights: np.ndarray  # (n_nodes,)
+    exactness: int
+    construction: str  # "tensor" | "smolyak"
+
+    def __post_init__(self):
+        if self.nodes.ndim != 2 or len(self.weights) != self.nodes.shape[0]:
+            raise ValueError("inconsistent node/weight shapes")
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+def univariate_rule(dist: Distribution1D, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule with `order` nodes, exact to degree 2*order-1 against the density.
+
+    Weights sum to one (probability measure).
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    x, w = np.polynomial.legendre.leggauss(order)
+    if not np.all(np.isfinite(x)):
+        raise ArithmeticError("Gauss-Legendre recurrence did not converge")
+    nodes = dist.midpoint + dist.halfwidth * x
+    weights = 0.5 * w  # Legendre weights sum to 2; density is uniform
+    return nodes, weights
+
+
+def _tensor_grid(spec: BasisSpec, orders: Sequence[int], limit: int) -> tuple[np.ndarray, np.ndarray]:
+    count = int(np.prod([float(o) for o in orders]))
+    if count > limit:
+        raise SizingError(f"tensor grid would have {count} nodes (limit {limit})")
+    rules = [univariate_rule(d, o) for d, o in zip(spec.distributions, orders)]
+    mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+    nodes = np.column_stack([m.ravel() for m in mesh])
+    wmesh = np.meshgrid(*[r[1] for r in rules], indexing="ij")
+    weights = np.ones(nodes.shape[0])
+    for wm in wmesh:
+        weights *= wm.ravel()
+    return nodes, weights
+
+
+def _smolyak_grid(spec: BasisSpec, level: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Classic Smolyak combination of the univariate Gauss rules.
+
+    Level L combines tensor rules over multi-levels l (l_i >= 1) with
+    L <= |l| <= L+q-1, coefficient (-1)^(L+q-1-|l|) * binom(q-1, |l|-L).
+    Duplicate nodes across terms are merged.
+    """
+    q = spec.q
+    acc: dict[tuple[int, ...], float] = {}
+    coords: dict[tuple[int, ...], np.ndarray] = {}
+    lo = max(level, q)
+    hi = level + q - 1
+    for total in range(lo, hi + 1):
+        coeff = (-1.0) ** (hi - total) * math.comb(q - 1, total - level)
+        for lvl in _compositions(total - q, q):  # shift so entries are >= 0
+            orders = tuple(l + 1 for l in lvl)
+            nodes, weights = _tensor_grid(spec, orders, limit)
+            keys = np.round(nodes, 12)
+            for row, key_row, w in zip(nodes, keys, weights):
+                key = tuple(key_row)
+                acc[key] = acc.get(key, 0.0) + coeff * w
+                coords.setdefault(key, row)
+            if len(acc) > limit:
+                raise SizingError(f"Smolyak grid exceeds node limit {limit}")
+    keys = list(acc)
+    nodes = np.array([coords[k] for k in keys])
+    weights = np.array([acc[k] for k in keys])
+    keep = np.abs(weights) > 1e-300
+    return nodes[keep], weights[keep]
+
+
+def build_quadrature(
+    spec: BasisSpec,
+    mode: str = "auto",
+    level: int | None = None,
+    limit: int = DEFAULT_SIZE_LIMIT,
+) -> QuadratureGrid:
+    """Quadrature grid exact for polynomials of total degree <= 2*level-1.
+
+    mode "auto" picks tensor for q <= 4 and Smolyak otherwise; the default
+    level d+1 covers the affine-parameter Galerkin integrals (degree 2d+1).
+    """
+    if level is None:
+        level = (spec.index_set.degree_bound or spec.index_set.max_degree) + 1
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if mode == "auto":
+        mode = "tensor" if spec.q <= 4 else "smolyak"
+    if mode == "tensor":
+        nodes, weights = _tensor_grid(spec, [level] * spec.q, limit)
+    elif mode == "smolyak":
+        nodes, weights = _smolyak_grid(spec, level, limit)
+    else:
+        raise ValueError(f"unknown quadrature mode {mode!r}")
+    return QuadratureGrid(nodes=nodes, weights=weights, exactness=2 * level - 1, construction=mode)
+
+
+def expectation_tensors(
+    spec: BasisSpec,
+    quad: QuadratureGrid,
+    weight: Callable[[np.ndarray], np.ndarray] | None = None,
+    weight_degree: int | None = None,
+) -> np.ndarray:
+    """Matrix of E[Phi_i Phi_j * weight(p)] under the quadrature grid.
+
+    `weight` maps an (n_nodes, q) array to (n_nodes,); identity weight gives
+    the Gram matrix.  When `weight_degree` is supplied and the declared grid
+    exactness does not cover 2*d + weight_degree, a warning is emitted.
+    """
+    if weight_degree is not None:
+        needed = 2 * spec.index_set.max_degree + weight_degree
+        if quad.exactness < needed:
+            warnings.warn(
+                f"quadrature exactness {quad.exactness} below required degree {needed}",
+                stacklevel=2,
+            )
+    phi = eval_basis_matrix(spec, quad.nodes)
+    w = quad.weights if weight is None else quad.weights * np.asarray(weight(quad.nodes))
+    mat = (phi * w[:, None]).T @ phi
+    return 0.5 * (mat + mat.T)
 
 
 def _assemble_quadrature(psys: ParametricSystem, spec: BasisSpec, quad: QuadratureGrid) -> tuple:
     """Quadrature sums M_hat = sum_k w_k kron(phi_k phi_k^T, M(p_k)) for E, A
     and C, and B_hat = sum_k w_k kron(phi_k, B(p_k)); any input and output
-    count, in the block layout of `_assemble_affine`."""
+    count, in the block layout of the affine assembly."""
     phi = eval_basis_matrix(spec, quad.nodes)
     Ehat = Ahat = Bhat = Chat = 0
     for k in range(len(quad)):
-        E, A, B, C = psys.evaluate(quad.nodes[k])
+        E, A, B, C = (sp.csr_matrix(M) for M in psys.evaluate(quad.nodes[k]))
         col = sp.csr_matrix(quad.weights[k] * phi[k][:, None])
         outer = col @ sp.csr_matrix(phi[k][None, :])
-        Ehat = Ehat + sp.kron(outer, _as_sparse(E), format="csr")
-        Ahat = Ahat + sp.kron(outer, _as_sparse(A), format="csr")
-        Bhat = Bhat + sp.kron(col, _as_sparse(B).reshape((psys.n, -1)), format="csr")
-        Chat = Chat + sp.kron(outer, _as_sparse(C).reshape((-1, psys.n)), format="csr")
+        Ehat = Ehat + sp.kron(outer, E, format="csr")
+        Ahat = Ahat + sp.kron(outer, A, format="csr")
+        Bhat = Bhat + sp.kron(col, B, format="csr")
+        Chat = Chat + sp.kron(outer, C, format="csr")
     return Ehat, Ahat, Bhat, Chat

@@ -15,6 +15,7 @@ from sgmor.descriptor import DescriptorSystem
 from sgmor.galerkin import Selection
 from sgmor.mor import ReducedSystem
 from tests.conftest import band_limited_input
+from tests.oracles import build_quadrature, expectation_tensors
 
 
 @contextmanager
@@ -59,8 +60,8 @@ def test_criterion_2_orthonormality():
                 spec = sg.BasisSpec.uniform(
                     [(-1.0, 1.0)] * q, sg.build_index_set(q, d)
                 )
-                quad = sg.build_quadrature(spec, mode="tensor", level=d + 1)
-                G = sg.expectation_tensors(spec, quad)
+                quad = build_quadrature(spec, mode="tensor", level=d + 1)
+                G = expectation_tensors(spec, quad)
                 assert np.abs(G - np.eye(spec.m)).max() < 1e-10, (q, d)
 
 
@@ -133,7 +134,7 @@ def test_criterion_6_theorem_3_trials():
     with criterion(6, "theorem 3 deflation certificates on 100 random trials"):
         t0 = time.monotonic()
         spec = sg.BasisSpec.uniform([(-1.0, 1.0)] * 2, sg.build_index_set(2, 4))
-        quad = sg.build_quadrature(spec, mode="tensor", level=5)
+        quad = build_quadrature(spec, mode="tensor", level=5)
         phi = sg.eval_basis_matrix(spec, quad.nodes)
         rng = np.random.default_rng(7)
         for trial in range(100):

@@ -71,3 +71,54 @@ def test_cli_binds_traced_names(name):
         globals_read.update(i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL")
         codes.extend(c for c in code.co_consts if inspect.iscode(c))
     assert name in globals_read, f"no function of sgmor.cli looks {name} up as a global"
+
+
+def _scoped_calls(node, scope=()):
+    """(scope, call) for every call under node; scope names the enclosing
+    classes and functions, outermost first."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        if isinstance(child, ast.Call):
+            yield inner, child
+        yield from _scoped_calls(child, inner)
+
+
+def _callee(call: ast.Call) -> str | None:
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
+SOURCE_CALLS = [
+    (f"{path.stem}:{'.'.join(scope)}", call)
+    for path in sorted(Path(sgmor.__file__).parent.glob("*.py"))
+    for scope, call in _scoped_calls(ast.parse(path.read_text()))
+]
+
+
+def _within(where: str, scopes) -> bool:
+    return any(where == s or where.startswith(s + ".") for s in scopes)
+
+
+def test_matrix_type_asked_only_where_decided():
+    # a system's matrix format is fixed when it is built, and factor_pencil
+    # picks SuperLU or LAPACK from it; nothing else asks what type a matrix is
+    decided = ("descriptor:DescriptorSystem", "descriptor:factor_pencil", "galerkin:ParametricSystem.__post_init__")
+    asked = {where for where, call in SOURCE_CALLS if _callee(call) == "issparse"}
+    assert asked, "no issparse call found: the guard no longer sees the source"
+    assert all(_within(where, decided) for where in asked), sorted(asked)
+
+
+def test_system_matrices_not_reconverted():
+    # a conversion of a system's E, A or C, or of a product, outside the
+    # classes that fix the format, repeats their decision
+    converters = {"csr_matrix", "csc_matrix", "coo_matrix", "csr_array", "asarray", "array", "toarray"}
+    matrices = {"E", "A", "C", "E0", "A0", "C0"}
+    construction = ("descriptor:DescriptorSystem", "galerkin:ParametricSystem")
+    offenders = []
+    for where, call in SOURCE_CALLS:
+        if _callee(call) not in converters or _within(where, construction):
+            continue
+        subject = call.args[0] if call.args else getattr(call.func, "value", None)
+        product = isinstance(subject, ast.BinOp) and isinstance(subject.op, ast.MatMult)
+        if product or (isinstance(subject, ast.Attribute) and subject.attr in matrices):
+            offenders.append(f"{where}: {ast.unparse(call)}")
+    assert not offenders, offenders

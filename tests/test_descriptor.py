@@ -1,5 +1,7 @@
 """Descriptor systems: transfer evaluation, pencil checks, transient runs."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -272,3 +274,39 @@ class TestSparseDenseAgreement:
         ys = sg.simulate_transient(sparse_sys, u, 5.0, 0.01).outputs
         yd = sg.simulate_transient(dense_sys, u, 5.0, 0.01).outputs
         assert self.close(ys, yd)
+
+
+@pytest.mark.parametrize(
+    "fmt_E, fmt_A, fmt_C",
+    list(itertools.product(DENSE_OR_SPARSE, repeat=3)),
+    ids=lambda f: "sparse" if f is sp.csr_matrix else "dense",
+)
+def test_format_fixed_at_construction(fmt_E, fmt_A, fmt_C):
+    # a sparse E or A makes E, A and C float CSR, anything else makes them
+    # float ndarrays; B is dense either way, and nothing in its format is copied
+    rng = np.random.default_rng(8)
+    E, A = np.diag([1.0, 1.0, 0.0, 1.0]), -2.0 * np.eye(4) + 0.3 * rng.normal(size=(4, 4))
+    B, C = rng.normal(size=(4, 1)), rng.normal(size=(2, 4))
+    given = {"E": fmt_E(E), "A": fmt_A(A), "C": fmt_C(C)}
+    sys = DescriptorSystem(given["E"], given["A"], sp.csr_matrix(B), given["C"])
+    sparse = sp.csr_matrix in (fmt_E, fmt_A)
+    assert sys.is_sparse == sparse
+    for name, M in given.items():
+        stored = getattr(sys, name)
+        assert type(stored) is (sp.csr_matrix if sparse else np.ndarray) and stored.dtype == float
+        if type(M) is type(stored):
+            assert np.shares_memory(stored.data, M.data)
+    assert type(sys.B) is np.ndarray and sys.B.dtype == float and np.array_equal(sys.B, B)
+
+    reference = DescriptorSystem(E, A, B, C)
+    grid = sg.FrequencyGrid(np.array([0.0, 0.5, 3.0, 40.0]))
+    H = np.column_stack([sg.transfer_eval(reference, 1j * w)[:, 0] for w in grid.omegas])
+    scale = np.abs(H).max()
+    assert np.abs(sg.sample_transfer(sys, grid) - H).max() <= 1e-13 * scale
+    for j, w in enumerate(grid.omegas):
+        assert np.abs(sg.transfer_eval(sys, 1j * w)[:, 0] - H[:, j]).max() <= 1e-13 * scale
+
+    D = sys.dense()
+    assert not D.is_sparse and D.dense() is D
+    for name, M in (("E", E), ("A", A), ("B", B), ("C", C)):
+        assert type(getattr(D, name)) is np.ndarray and np.array_equal(getattr(D, name), M)

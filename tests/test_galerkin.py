@@ -8,7 +8,7 @@ import sgmor as sg
 from sgmor.galerkin import ParametricSystem, Selection, linear_moment_matrix
 
 from conftest import make_multi_output_galerkin
-from oracles import _assemble_quadrature
+from oracles import _assemble_quadrature, build_quadrature, expectation_tensors
 
 
 def scalar_affine():
@@ -41,7 +41,7 @@ class TestAssemble:
         spec = sg.BasisSpec.uniform([(-1, 1)] * 2, sg.build_index_set(2, 2))
         g = sg.assemble(psys, spec)
         A = sp.csr_matrix(g.system.A).toarray()
-        expect = np.kron(np.eye(spec.m), psys.A0)
+        expect = np.kron(np.eye(spec.m), psys.A0.toarray())
         assert np.abs(A - expect).max() < 1e-14
         B = sp.csr_matrix(g.system.B).toarray()
         assert np.abs(B[:2] - psys.B0).max() < 1e-14
@@ -81,7 +81,7 @@ class TestAssemble:
         psys = scalar_affine()
         spec = scalar_spec(d=2)
         g = sg.assemble(psys, spec)
-        quad = sg.build_quadrature(spec, mode="tensor", level=8)
+        quad = build_quadrature(spec, mode="tensor", level=8)
         phi = sg.eval_basis_matrix(spec, quad.nodes)
         m, n = spec.m, psys.n
         Ahat = np.zeros((m * n, m * n))
@@ -92,7 +92,7 @@ class TestAssemble:
 
     def test_generic_evaluator_path_matches_affine(self, desk_psys, desk_spec):
         # the quadrature oracle sees the system only through evaluate()
-        quad = sg.build_quadrature(desk_spec, mode="tensor", level=3)
+        quad = build_quadrature(desk_spec, mode="tensor", level=3)
         g_gen = sg.GalerkinSystem(
             sg.DescriptorSystem(*_assemble_quadrature(desk_psys, desk_spec, quad)), desk_spec, desk_psys.n
         )
@@ -118,7 +118,7 @@ class TestAssemble:
             C_terms=[None, rng.normal(size=(2, n))],
         )
         spec = sg.BasisSpec.uniform([(-1.0, 1.0), (0.5, 1.5)], sg.build_index_set(q, 2))
-        quad = sg.build_quadrature(spec, mode="tensor", level=3)
+        quad = build_quadrature(spec, mode="tensor", level=3)
         g_gen = sg.GalerkinSystem(sg.DescriptorSystem(*_assemble_quadrature(affine, spec, quad)), spec, n)
         g_aff = sg.assemble(affine, spec)
         assert g_gen.system.B.shape == (spec.m * n, 2)
@@ -152,13 +152,37 @@ class TestAssemble:
             )
             assert np.abs(A - manual_A).max() < 1e-12
 
+    def test_stored_formats(self):
+        # E and A parts are held as float CSR, B and C parts as dense float
+        # arrays, whatever they are given as; evaluate returns dense arrays
+        psys = ParametricSystem(
+            n=2,
+            q=1,
+            A0=-np.eye(2, dtype=int),
+            B0=sp.csr_matrix([[1.0], [0.0]]),
+            C0=[1.0, 0.0],
+            E_terms=[np.eye(2)],
+            C_terms=[sp.csr_matrix([[0.0, 1.0]])],
+        )
+        for M in (psys.E0, psys.A0, psys.E_terms[0]):
+            assert type(M) is sp.csr_matrix and M.dtype == float and M.shape == (2, 2)
+        assert psys.E0.nnz == 0 and psys.A_terms == [None] and psys.B_terms == [None]
+        for M, shape in ((psys.B0, (2, 1)), (psys.C0, (1, 2)), (psys.C_terms[0], (1, 2))):
+            assert type(M) is np.ndarray and M.dtype == float and M.shape == shape
+        E, A, B, C = psys.evaluate([0.5])
+        assert all(type(M) is np.ndarray for M in (E, A, B, C))
+        assert np.array_equal(E, 0.5 * np.eye(2)) and np.array_equal(A, -np.eye(2))
+        assert np.array_equal(B, [[1.0], [0.0]]) and np.array_equal(C, [[1.0, 0.5]])
+        B[0, 0] = 7.0  # a copy, not the stored B0
+        assert psys.B0[0, 0] == 1.0
+
 
 class TestLinearMomentMatrix:
     def test_scalar_tridiagonal(self):
         spec = scalar_spec(d=3)
         G = linear_moment_matrix(spec, 0).toarray()
-        quad = sg.build_quadrature(spec, mode="tensor", level=5)
-        ref = sg.expectation_tensors(spec, quad, weight=lambda p: p[:, 0], weight_degree=1)
+        quad = build_quadrature(spec, mode="tensor", level=5)
+        ref = expectation_tensors(spec, quad, weight=lambda p: p[:, 0], weight_degree=1)
         assert np.abs(G - ref).max() < 1e-13
 
     def test_shifted_interval_diagonal(self):

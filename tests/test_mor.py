@@ -10,6 +10,7 @@ from sgmor.hardy import RESIDUAL_RTOL, EvenOddSolver, SolverStats
 from sgmor.mor import OutputLayoutError, ReducedSystem
 
 from conftest import make_multi_output_galerkin, scalar_galerkin
+from oracles import build_quadrature
 
 
 def fake_reduced(Cbar):
@@ -298,7 +299,7 @@ class TestSvdBasis:
     def test_orthonormal_on_parameter_space(self, desk_galerkin, desk_spec):
         red = sg.arnoldi_reduce(desk_galerkin, 1.0, 6)
         basis = sg.svd_basis(red)
-        quad = sg.build_quadrature(desk_spec, mode="tensor", level=3)
+        quad = build_quadrature(desk_spec, mode="tensor", level=3)
         psi = basis.eval_orthonormal(desk_spec, quad.nodes)
         G = (psi * quad.weights[:, None]).T @ psi
         assert np.abs(G - np.eye(basis.rank)).max() < 1e-10
