@@ -139,7 +139,7 @@ def stage_norms(cfg: PipelineConfig, out: Path) -> HardyNormReport:
     grid = _grid(cfg)
     stats = SolverStats()
     samples = sample_transfer(gsys, grid, stats)
-    np.savez_compressed(out / "samples.npz", samples=samples, omegas=grid.omegas)
+    np.savez(out / "samples.npz", samples=samples, omegas=grid.omegas)
     report = hardy_norms(samples, grid)
     h = cfg.hash()
     mi = gsys.output_multi_indices()

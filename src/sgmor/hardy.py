@@ -47,7 +47,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .descriptor import DescriptorSystem, PoleProximityError, factor_pencil, loglog_slope, pencil_residual
+from .descriptor import (
+    LU_FALLBACK_MAX_STATES,
+    DescriptorSystem,
+    PoleProximityError,
+    factor_pencil,
+    loglog_slope,
+    pencil_residual,
+)
 from .galerkin import EvenOddSplit, GalerkinSystem
 
 __all__ = [
@@ -68,9 +75,6 @@ RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
 GMRES_RTOL = 5e-14
 GMRES_RESTART = 40
 GMRES_MAXITER = 5  # restart cycles: at most 200 iterations per frequency
-# largest Galerkin system ShiftedSolver falls back to sparse LU for: at
-# d = 4 on the ladder (N = 253 000) one factorization takes 390 s and 2.7 GB
-LU_FALLBACK_MAX_STATES = 100_000
 
 
 @dataclass(frozen=True)

@@ -122,3 +122,17 @@ def test_system_matrices_not_reconverted():
         if product or (isinstance(subject, ast.Attribute) and subject.attr in matrices):
             offenders.append(f"{where}: {ast.unparse(call)}")
     assert not offenders, offenders
+
+
+def test_factorizations_only_in_factor_pencil():
+    # factor_pencil is the one place that factors a pencil, and SuperLU's
+    # symmetric mode, good at the transient's real shift 2/h but not at a
+    # sweep's complex shifts, is asked for by simulate_transient alone
+    factorizations = {where for where, call in SOURCE_CALLS if _callee(call) in ("splu", "lu_factor")}
+    assert factorizations == {"descriptor:factor_pencil"}, sorted(factorizations)
+    symmetric = {
+        where
+        for where, call in SOURCE_CALLS
+        if _callee(call) == "factor_pencil" and any(k.arg == "symmetric_mode" for k in call.keywords)
+    }
+    assert symmetric == {"descriptor:simulate_transient"}, sorted(symmetric)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.io as sio
 
-from sgmor import cli, hardy
+from sgmor import cli, descriptor, hardy
 from sgmor.cli import main
 from sgmor.descriptor import PoleProximityError
 from sgmor.hardy import RESIDUAL_RTOL
@@ -322,6 +322,13 @@ class TestStaging:
         err = capsys.readouterr().err
         assert err.startswith("sgmor: error: stage 'norms': true relative residual")
         assert "no sparse-LU fallback for N=440 > 0 states" in err
+
+    def test_transient_above_state_limit_reported(self, run_dir, monkeypatch, capsys):
+        out, cfg = run_dir
+        monkeypatch.setattr(descriptor, "LU_FALLBACK_MAX_STATES", 0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sgmor: error: stage 'simulate': no transient for N=440 > 0 states")
 
     def test_missing_upstream_artifact(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sgmor as sg
+from sgmor import descriptor
 from sgmor.descriptor import (
     DescriptorSystem,
     PencilRegularityError,
@@ -64,6 +65,24 @@ class TestFactorPencil:
     def test_non_finite(self):
         with pytest.raises(PoleProximityError):
             factor_pencil(np.eye(1), np.full((1, 1), np.nan), 1.0)
+
+    @pytest.mark.parametrize("symmetric_mode", [False, True])
+    def test_symmetric_mode_pivots(self, symmetric_mode):
+        # MNA of an RC ladder driven by three near-ideal voltage sources
+        # (series resistance 1e-12): a structurally symmetric pencil whose
+        # source rows have diagonals 12 orders below their off-diagonal 1.
+        # Taking those diagonals as pivots (SuperLU's symmetric mode with a
+        # zero pivot threshold) leaves a residual of 1.5e-5
+        n, sources = 30, (0, 11, 23)
+        G = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]) * 1e-3
+        P = sp.csr_matrix((np.ones(len(sources)), (sources, range(len(sources)))), shape=(n, len(sources)))
+        E = sp.block_diag([sp.diags(np.linspace(1e-9, 3e-9, n)), sp.csr_matrix((3, 3))]).tocsr()
+        A = -sp.bmat([[G, P], [P.T, -1e-12 * sp.eye(len(sources))]]).tocsr()
+        sigma = 2.0 / 1e-6
+        rhs = np.random.default_rng(3).normal(size=n + len(sources))
+        x = factor_pencil(E, A, sigma, symmetric_mode=symmetric_mode)(rhs)
+        residual = np.linalg.norm(rhs - (sigma * E - A) @ x) / np.linalg.norm(rhs)
+        assert residual <= 1e-13
 
 
 class TestTransferEval:
@@ -247,6 +266,18 @@ class TestSimulateTransient:
             assert sup_y <= rep.h2[0] * traj.input_l2 * (1 + 2e-3)
             assert l2_y <= rep.hinf[0] * traj.input_l2 * (1 + 2e-3)
 
+    def test_state_limit(self, bench_galerkin_d1, monkeypatch):
+        # above LU_FALLBACK_MAX_STATES the transient raises before factoring
+        S = bench_galerkin_d1.system
+        monkeypatch.setattr(descriptor, "LU_FALLBACK_MAX_STATES", S.n - 1)
+
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("factored a system above the limit")
+
+        monkeypatch.setattr(descriptor, "factor_pencil", unexpected)
+        with pytest.raises(ValueError, match=f"N={S.n} > {S.n - 1} states"):
+            sg.simulate_transient(S, lambda t: np.sin(t), 1e-4, 1e-6)
+
     def test_trajectory_csv(self, tmp_path):
         traj = sg.simulate_transient(scalar_system(), lambda t: np.sin(t), 1.0, 0.1)
         path = tmp_path / "traj.csv"
@@ -273,6 +304,17 @@ class TestSparseDenseAgreement:
         u = lambda t: np.sin(t) * np.exp(-t)
         ys = sg.simulate_transient(sparse_sys, u, 5.0, 0.01).outputs
         yd = sg.simulate_transient(dense_sys, u, 5.0, 0.01).outputs
+        assert self.close(ys, yd)
+
+    @pytest.mark.parametrize("step", [5e-8, 1e-6, 1e-4])
+    def test_ladder_transient(self, bench_galerkin_d1, step):
+        # SuperLU's symmetric mode on the sparse ladder against LAPACK's LU
+        # of its dense copy, from a step far below the ladder's time
+        # constants to one far above them
+        sparse_sys = bench_galerkin_d1.system
+        u = lambda t: 1.0 - np.exp(-t / (t[-1] / 20.0))
+        ys = sg.simulate_transient(sparse_sys, u, 400 * step, step).outputs
+        yd = sg.simulate_transient(sparse_sys.dense(), u, 400 * step, step).outputs
         assert self.close(ys, yd)
 
 
