@@ -127,22 +127,34 @@ def _is_sweep(v) -> bool:
     return v is None or triple and 1 <= _real(v[0], int) <= _real(v[1], int) and _real(v[2], int) >= 1
 
 
+def _all_reals(v, ok) -> bool:
+    """v is a list whose entries are all reals that pass ok."""
+    return isinstance(v, tuple) and all(ok(_real(x)) for x in v)
+
+
 def _validate(cfg: PipelineConfig) -> None:
     """Reject, before any stage runs, a config that some stage cannot run."""
     spa, fg, tr, mor, degree = cfg.sparsify, cfg.frequency_grid, cfg.transient, cfg.mor, cfg.basis.degree
     ppd, lo, hi = fg.points_per_decade, fg.decade_min, fg.decade_max
+    deltas, thresholds = spa.table_deltas, mor.deflation_thresholds
     sweep = "must be [start, stop, step], integers with 1 <= start <= stop and step >= 1"
     checks = [
         ("sparsify.norm", spa.norm, spa.norm in ("h2", "hinf"), "must be h2 or hinf"),
         ("sparsify.mode", spa.mode, spa.mode in ("threshold", "top_k"), "must be threshold or top_k"),
         ("sparsify.k", spa.k, spa.mode != "top_k" or _real(spa.k, int) >= 1, "must be an integer >= 1 in mode top_k"),
         ("sparsify.delta", spa.delta, spa.mode != "threshold" or _real(spa.delta) > 0, "must be > 0 in mode threshold"),
+        ("sparsify.table_deltas", deltas, _all_reals(deltas, lambda d: d >= 0), "must be a list of numbers >= 0"),
         ("sparsify.downsize_sweep", spa.downsize_sweep, _is_sweep(spa.downsize_sweep), sweep),
         ("mor.r_sweep", mor.r_sweep, _is_sweep(mor.r_sweep), sweep),
         ("mor.r", mor.r, _real(mor.r, int) >= 1, "must be an integer >= 1"),
+        ("mor.s0", mor.s0, math.isfinite(_real(mor.s0)), "must be a finite real number"),
+        ("mor.deflation_thresholds", thresholds, _all_reals(thresholds, lambda t: t > 0),
+         "must be a list of numbers > 0"),
         ("basis.degree", degree, _real(degree, int) >= 0, "must be an integer >= 0"),
         ("frequency_grid.points_per_decade", ppd, _real(ppd) >= 1, "must be >= 1"),
         ("frequency_grid.decade_min", lo, _real(lo) < _real(hi), f"must be below decade_max = {hi!r}"),
+        ("frequency_grid.include_zero", fg.include_zero, isinstance(fg.include_zero, bool), "must be true or false"),
+        ("transient.enabled", tr.enabled, isinstance(tr.enabled, bool), "must be true or false"),
         ("transient.input", tr.input, tr.input in TRANSIENT_INPUTS, f"must be one of {TRANSIENT_INPUTS}"),
         ("transient.step", tr.step, _real(tr.step) > 0, "must be > 0"),
         ("transient.horizon", tr.horizon, _real(tr.horizon) > 0, "must be > 0"),

@@ -34,6 +34,10 @@ __all__ = [
 # the ladder (N = 253 000) one sparse LU takes 390 s and 2.7 GB
 LU_FALLBACK_MAX_STATES = 100_000
 
+# largest system whose pencil pencil_spectrum decomposes densely; above it,
+# shift-invert samples stand in for the O(n^3) generalized eigendecomposition
+DENSE_SPECTRUM_MAX_STATES = 2000
+
 
 class PoleProximityError(ArithmeticError):
     """Shifted pencil s*E - A is singular or too ill-conditioned to factor."""
@@ -202,18 +206,18 @@ def loglog_slope(w_lo: float, h_lo: float, w_hi: float, h_hi: float) -> float:
     return float(np.log10(h_hi / h_lo) / np.log10(w_hi / w_lo))
 
 
-def pencil_spectrum(sys: DescriptorSystem, dim_cap: int = 2000) -> PencilReport:
+def pencil_spectrum(sys: DescriptorSystem) -> PencilReport:
     """Finite spectrum, stability and a properness verdict for the pencil.
 
-    Dense generalized eigendecomposition up to `dim_cap`; above it, a
-    sampled shift-inverse check near the imaginary axis is used and the
-    report is flagged with method="sampled".  If the sampled check finds no
-    finite eigenvalue at any shift, `stable` is None (unknown) and
-    `stability_reason` names what each shift met.
+    Dense generalized eigendecomposition up to DENSE_SPECTRUM_MAX_STATES
+    states; above it, a sampled shift-inverse check near the imaginary axis
+    is used and the report is flagged with method="sampled".  If the
+    sampled check finds no finite eigenvalue at any shift, `stable` is None
+    (unknown) and `stability_reason` names what each shift met.
     """
     reason = ""
     n = sys.n
-    if n <= dim_cap:
+    if n <= DENSE_SPECTRUM_MAX_STATES:
         D = sys.dense()
         alpha, beta = sla.eig(D.A, D.E, right=False, homogeneous_eigvals=True)
         if np.any(np.isnan(alpha)) or np.any(np.isnan(beta)):

@@ -10,7 +10,7 @@ block of sum_k G_k (x) (sE_k - A_k) is the mean pencil M = sE_00 - A_00.
 GalerkinSystem.even_odd_split checks this once and orders the states into
 an eliminated class e and a Schur class o, so that
 K = sE - A = [[I (x) M, L], [U, I (x) M]] at any shift s, real or complex.
-EvenOddSolver solves K x = b without forming K: per shift it writes only
+ShiftedSolver solves K x = b without forming K: per shift it writes only
 M and the couplings L = K[e, o] and U = K[o, e] and inverts M once.  With
 P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
 (I - U P L P) y = b_o - U P b_e for x_o = P y, which restarted GMRES
@@ -55,10 +55,9 @@ from .descriptor import (
     loglog_slope,
     pencil_residual,
 )
-from .galerkin import EvenOddSplit, GalerkinSystem
+from .galerkin import GalerkinSystem
 
 __all__ = [
-    "EvenOddSolver",
     "ShiftedSolver",
     "FrequencyGrid",
     "HardyNormReport",
@@ -208,8 +207,7 @@ def sample_transfer(
     S = sys.system if isinstance(sys, GalerkinSystem) else sys
     if S.n_in != 1:
         raise ValueError(f"sample_transfer needs a single-input system (n_in=1), got n_in={S.n_in}")
-    if stats is None:
-        stats = SolverStats()
+    stats = SolverStats() if stats is None else stats
     if not S.is_sparse:
         stats.method = "qz"
         return _sample_dense(S, grid.omegas)
@@ -227,59 +225,12 @@ def sample_transfer(
 
 
 class ResidualMissError(ArithmeticError):
-    """A structured solve missed RESIDUAL_RTOL after `iterations` GMRES steps."""
+    """A structured solve missed RESIDUAL_RTOL after `iterations` GMRES steps
+    on a system too large for the sparse-LU fallback."""
 
     def __init__(self, message: str, iterations: int):
         super().__init__(message)
         self.iterations = iterations
-
-
-class EvenOddSolver:
-    """(sE - A) x = b for a Galerkin system with the even/odd split, at the
-    shift s of the last set_shift.
-
-    set_shift inverts the mean block M = s E00 - A00 once and writes the
-    couplings L and U at s; the solves until the next set_shift reuse them,
-    and one Krylov workspace serves every shift.  A real s works in real
-    arithmetic, a complex one in complex.  Vectors are in the split order.
-    """
-
-    def __init__(self, split: EvenOddSplit):
-        self.split = split
-        # a shift rewrites only their values; a sparse array's product costs
-        # less call overhead than a sparse matrix's on small systems
-        self.L, self.U = (E.copy() for E, _ in (split.L, split.U))
-        self.V = self.H = None
-
-    def set_shift(self, s: float | complex) -> None:
-        """Move to shift s.  Raises PoleProximityError naming s where M is
-        singular, and keeps the previous shift."""
-        split = self.split
-        mean_block = s * split.E00 - split.A00
-        try:
-            self.mean_inverse = np.linalg.inv(mean_block)
-        except np.linalg.LinAlgError as exc:
-            raise PoleProximityError(f"singular mean block at s={s}", condition=np.inf) from exc
-        self.s, self.mean_block = s, mean_block
-        for M, (E, A) in zip((self.L, self.U), (split.L, split.U)):
-            M.data = s * E.data - A.data
-        dtype = complex if np.iscomplexobj(s) else float
-        if self.V is None or self.V.dtype != dtype:
-            self.V = np.empty((GMRES_RESTART + 1, len(split.order) - split.n_e), dtype=dtype)
-            self.H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=dtype)
-
-    def solve(self, b: np.ndarray, stats: SolverStats | None = None) -> np.ndarray:
-        """x with a true relative residual of at most RESIDUAL_RTOL, else
-        ResidualMissError; `stats` gets the iterations and residual appended."""
-        x, iterations = _gmres_schur(self.L, self.U, self.mean_block, self.mean_inverse, b, self.V, self.H)
-        r = _residual(self.L, self.U, self.mean_block, b, x)
-        residual = float(np.linalg.norm(r) / (np.linalg.norm(b) or 1.0))
-        if not residual <= RESIDUAL_RTOL:  # also catches NaN
-            raise ResidualMissError(f"true relative residual {residual:.3g} at s={self.s}", iterations)
-        if stats is not None:
-            stats.iterations.append(iterations)
-            stats.residuals.append(residual)
-        return x
 
 
 class ShiftedSolver:
@@ -288,84 +239,98 @@ class ShiftedSolver:
     is the one solve policy of the package:
 
     - A Galerkin system with GalerkinSystem.even_odd_split() ("gmres-schur")
-      is solved by one EvenOddSolver, which keeps its Krylov workspace for
-      the solver's whole life.  A GMRES solution is returned only if its
-      true relative residual is at most RESIDUAL_RTOL.  After a miss
-      (ResidualMissError), or where the mean block is singular at s, the
-      solver factors sE - A once; that factorization serves the remaining
-      solves at s, and each of them counts as a fallback, recorded with the
-      iterations GMRES spent and its pencil_residual.  The next set_shift
-      tries GMRES again.  Above LU_FALLBACK_MAX_STATES states there is no
-      fallback: the miss raises ResidualMissError, the singular mean block
+      is solved by GMRES on the Schur complement, as the module docstring
+      describes.  A GMRES solution is returned only if its true relative
+      residual is at most RESIDUAL_RTOL.  After a miss, or where the mean
+      block is singular at s, the remaining solves at s go to sparse LU,
+      each counted as a fallback and recorded with the iterations GMRES
+      spent and its pencil_residual; the next set_shift tries GMRES
+      again.  Above LU_FALLBACK_MAX_STATES states there is no fallback:
+      the miss raises ResidualMissError, the singular mean block
       PoleProximityError, each naming s and N.
-    - Any other sparse (or dense) system ("superlu") is solved through one
-      factor_pencil factorization per shift, built before the previous one
-      is dropped, so that the allocator reuses its memory.
+    - Any other sparse (or dense) system ("superlu") is solved by sparse LU
+      alone.
 
-    Vectors are in the system's own state order; b is cast to the dtype of
-    s (complex for s = i*omega, float for a real s).  Factoring raises
-    PoleProximityError where sE - A is singular or ill-conditioned.
+    The LU route factors sE - A at the first solve at s that needs it; the
+    new factorization replaces the previous one only once it is built, so
+    that the allocator reuses its memory.  Vectors are in the system's own
+    state order; b is cast to the dtype of s (complex for s = i*omega, float
+    for a real s).  Factoring raises PoleProximityError where sE - A is
+    singular or ill-conditioned.
     """
 
     def __init__(self, system: GalerkinSystem | DescriptorSystem, stats: SolverStats):
         self.S = system.system if isinstance(system, GalerkinSystem) else system
         self.stats = stats
-        split = system.even_odd_split() if isinstance(system, GalerkinSystem) else None
+        self.split = split = system.even_odd_split() if isinstance(system, GalerkinSystem) else None
         if split is None:
-            stats.method, self.structured = "superlu", None
-        else:
-            stats.method, stats.schur_unknowns = "gmres-schur", len(split.order) - split.n_e
-            self.structured = EvenOddSolver(split)
-            self.order, self.inverse_order = split.order, np.argsort(split.order)
-        self.lu = self.b_split = None
+            stats.method = "superlu"
+            return
+        stats.method, stats.schur_unknowns = "gmres-schur", len(split.order) - split.n_e
+        self.order, self.inverse_order = split.order, np.argsort(split.order)
+        # a shift rewrites only their values; a sparse array's product costs
+        # less call overhead than a sparse matrix's on small systems
+        self.L, self.U = (E.copy() for E, _ in (split.L, split.U))
+        self.b_split = self.V = self.H = None
 
     def set_shift(self, s: float | complex) -> None:
-        """Move to shift s; an unstructured system is factored here."""
-        self.s = s
-        self.dtype = complex if np.iscomplexobj(s) else float
-        if self.structured is None:
-            self.lu = factor_pencil(self.S.E, self.S.A, s)
+        """Move to shift s.  Raises PoleProximityError naming s and N where
+        the mean block is singular and the system too large to factor."""
+        self.s, self.dtype = s, complex if np.iscomplexobj(s) else float
+        # the factorization is marked stale here, not by comparing shifts:
+        # 1.0 == 1+0j, but a real factorization cannot solve at a complex shift
+        self.lu_stale, self.gmres = True, False
+        split = self.split
+        if split is None:
             return
-        self.lu = None
-        self.missed = False
-        if self.b_split is None or self.b_split.dtype != self.dtype:
-            self.b_split = np.empty(len(self.order), dtype=self.dtype)
+        self.mean_block = s * split.E00 - split.A00
         try:
-            self.structured.set_shift(s)
-        except PoleProximityError as exc:  # a singular mean block
-            self._miss(exc)
+            self.mean_inverse = np.linalg.inv(self.mean_block)
+        except np.linalg.LinAlgError as exc:
+            if refusal := self._lu_refusal():
+                raise PoleProximityError(f"singular mean block at s={s}{refusal}", condition=np.inf) from exc
+            return
+        for M, (E, A) in zip((self.L, self.U), (split.L, split.U)):
+            M.data = s * E.data - A.data
+        if self.V is None or self.V.dtype != self.dtype:
+            self.V = np.empty((GMRES_RESTART + 1, self.L.shape[1]), dtype=self.dtype)
+            self.H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=self.dtype)
+            self.b_split = np.empty(len(self.order), dtype=self.dtype)
+        self.gmres = True
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x solving (sE - A) x = b at the current shift, by the policy above."""
         b = np.asarray(b, dtype=self.dtype)
         iterations = 0
-        if self.structured is not None and not self.missed:
+        if self.gmres:
             # b_split is reused, so that a solve allocates no N-vector for
             # its right-hand side: fresh pages fault at every frequency
-            np.take(b, self.order, out=self.b_split, mode="clip")  # "raise" would buffer `out`
-            try:
-                x = self.structured.solve(self.b_split, self.stats)
+            b_split = np.take(b, self.order, out=self.b_split, mode="clip")  # "raise" would buffer `out`
+            x, iterations = _gmres_schur(self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H)
+            r = _residual(self.L, self.U, self.mean_block, b_split, x)
+            residual = float(np.linalg.norm(r) / (np.linalg.norm(b_split) or 1.0))
+            if residual <= RESIDUAL_RTOL:
+                self.stats.iterations.append(iterations)
+                self.stats.residuals.append(residual)
                 return x[self.inverse_order]
-            except ResidualMissError as exc:
-                self._miss(exc)
-                iterations = exc.iterations
-        if self.structured is None:
-            return self.lu(b)
-        self.stats.fallbacks += 1
-        if self.lu is None:
-            self.lu = factor_pencil(self.S.E, self.S.A, self.s)
+            if refusal := self._lu_refusal():  # a miss, or a NaN residual
+                raise ResidualMissError(f"true relative residual {residual:.3g} at s={self.s}{refusal}", iterations)
+            self.gmres = False  # the remaining solves at s go to sparse LU
+        if self.split is not None:
+            self.stats.fallbacks += 1  # also where the factorization below fails
+        if self.lu_stale:
+            self.lu, self.lu_stale = factor_pencil(self.S.E, self.S.A, self.s), False
         x = self.lu(b)
-        self.stats.iterations.append(iterations)
-        self.stats.residuals.append(pencil_residual(self.S, self.s, b, x))
+        if self.split is not None:
+            self.stats.iterations.append(iterations)
+            self.stats.residuals.append(pencil_residual(self.S, self.s, b, x))
         return x
 
-    def _miss(self, exc: ArithmeticError) -> None:
-        """Send the remaining solves at this shift to sparse LU, or re-raise
-        exc, naming N, where the system is too large to factor."""
-        if self.S.n > LU_FALLBACK_MAX_STATES:
-            exc.args = (f"{exc}; no sparse-LU fallback for N={self.S.n} > {LU_FALLBACK_MAX_STATES} states",)
-            raise exc
-        self.missed = True
+    def _lu_refusal(self) -> str:
+        """Why sparse LU may not take over a missed solve, or "" where it may."""
+        if self.S.n <= LU_FALLBACK_MAX_STATES:
+            return ""
+        return f"; no sparse-LU fallback for N={self.S.n} > {LU_FALLBACK_MAX_STATES} states"
 
 
 def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -56,7 +56,10 @@ class NormRanking:
         return len(self.order)
 
     def minimal_r(self, delta: float) -> int:
-        """Smallest r with theta_r >= 1 - delta."""
+        """Smallest r with theta_r >= 1 - delta; delta must be >= 0, as
+        theta never exceeds 1."""
+        if not delta >= 0:
+            raise ValueError(f"delta must be >= 0, got {delta!r}")
         return int(np.searchsorted(self.theta, 1.0 - delta) + 1)
 
 

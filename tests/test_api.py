@@ -136,3 +136,14 @@ def test_factorizations_only_in_factor_pencil():
         if _callee(call) == "factor_pencil" and any(k.arg == "symmetric_mode" for k in call.keywords)
     }
     assert symmetric == {"descriptor:simulate_transient"}, sorted(symmetric)
+
+
+def test_shifted_solve_policy_in_one_class():
+    # the sweep and Arnoldi share one solve policy: within hardy.py only
+    # ShiftedSolver runs GMRES, factors a pencil or reports a miss
+    policy = {"_gmres_schur", "factor_pencil", "ResidualMissError"}
+    calls = [(where, _callee(call)) for where, call in SOURCE_CALLS if where.startswith("hardy:")]
+    called = {callee for _, callee in calls if callee in policy}
+    assert called == policy, "a policy call is gone: the guard no longer sees the source"
+    offenders = {where for where, callee in calls if callee in policy and not _within(where, ("hardy:ShiftedSolver",))}
+    assert not offenders, sorted(offenders)

@@ -136,10 +136,16 @@ class TestConfig:
             ("mor:\n  r: 0\n", "mor.r must be an integer >= 1, got 0"),
             ("transient:\n  step: -1.0e-6\n", "transient.step must be > 0"),
             ("transient:\n  horizon: 0.0\n", "transient.horizon must be > 0"),
+            ('transient:\n  enabled: "false"\n', "transient.enabled must be true or false, got 'false'"),
+            ("frequency_grid:\n  include_zero: 1\n", "frequency_grid.include_zero must be true or false, got 1"),
+            ("mor:\n  s0: .nan\n", "mor.s0 must be a finite real number, got nan"),
+            ("mor:\n  deflation_thresholds: [-1.0]\n", "mor.deflation_thresholds must be a list of numbers > 0"),
+            ("sparsify:\n  table_deltas: [-0.1]\n", "sparsify.table_deltas must be a list of numbers >= 0"),
         ],
         ids=[
             "downsize-sweep", "r-sweep", "mode", "top-k-without-k", "threshold-delta", "transient-input",
             "degree", "points-per-decade", "decades", "mor-r", "transient-step", "transient-horizon",
+            "transient-enabled", "include-zero", "s0", "deflation-thresholds", "table-deltas",
         ],
     )
     def test_invalid_value_rejected_before_any_stage(self, tmp_path, capsys, text, message):

@@ -183,8 +183,9 @@ class TestPencilSpectrum:
         )
         assert not sg.pencil_spectrum(sys).strictly_proper
 
-    def test_sampled_method_above_cap(self, bench_galerkin_d1):
-        rep = sg.pencil_spectrum(bench_galerkin_d1.system, dim_cap=100)
+    def test_sampled_method_above_cap(self, bench_galerkin_d1, monkeypatch):
+        monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 100)
+        rep = sg.pencil_spectrum(bench_galerkin_d1.system)
         assert rep.method == "sampled"
         assert rep.stable is True and rep.stability_reason == ""
 
@@ -193,7 +194,8 @@ class TestPencilSpectrum:
             raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
         monkeypatch.setattr(spla, "eigs", no_convergence)
-        rep = sg.pencil_spectrum(bench_galerkin_d1.system, dim_cap=100)
+        monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 100)
+        rep = sg.pencil_spectrum(bench_galerkin_d1.system)
         assert rep.method == "sampled"
         assert rep.stable is None
         assert rep.stability_reason.count("ArpackNoConvergence") == 5
@@ -204,8 +206,9 @@ class TestPencilSpectrum:
             raise TypeError("not an eigensolver failure")
 
         monkeypatch.setattr(spla, "eigs", broken)
+        monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 100)
         with pytest.raises(TypeError):
-            sg.pencil_spectrum(bench_galerkin_d1.system, dim_cap=100)
+            sg.pencil_spectrum(bench_galerkin_d1.system)
 
 
 class TestSimulateTransient:

@@ -6,7 +6,7 @@ import pytest
 import sgmor as sg
 from sgmor import hardy
 from sgmor.descriptor import DescriptorSystem, PoleProximityError
-from sgmor.hardy import RESIDUAL_RTOL, EvenOddSolver, SolverStats
+from sgmor.hardy import RESIDUAL_RTOL, SolverStats
 from sgmor.mor import OutputLayoutError, ReducedSystem
 
 from conftest import make_multi_output_galerkin, scalar_galerkin
@@ -161,18 +161,20 @@ class TestStructuredArnoldi:
         assert stats.iterations == [] and stats.fallbacks == 0
         assert np.array_equal(red.T, sg.arnoldi_reduce(gsys.system, 1.0, 3).T)
 
-    def test_singular_mean_block(self):
-        # the mean block -A_00 = 0 is singular at s = 0; the coupled pencil is not
+    def test_singular_mean_block(self, monkeypatch):
+        # the mean block -A_00 = 0 is singular at s = 0; the coupled pencil is
+        # not, so Arnoldi solves by sparse LU throughout, each solve a fallback
         gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        with pytest.raises(PoleProximityError, match="s=0.0") as exc:
-            EvenOddSolver(gsys.even_odd_split()).set_shift(0.0)
-        assert exc.value.condition == np.inf
-        # Arnoldi then solves by sparse LU throughout, each solve a fallback
         stats = SolverStats()
         red = sg.arnoldi_reduce(gsys, 0.0, 2, stats)
         assert stats.method == "gmres-schur" and stats.fallbacks == 2
         assert stats.iterations == [0, 0] and max(stats.residuals) <= RESIDUAL_RTOL
         assert np.array_equal(red.T, sg.arnoldi_reduce(gsys.system, 0.0, 2).T)
+        # above LU_FALLBACK_MAX_STATES the singular mean block itself raises
+        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", gsys.dimension - 1)
+        with pytest.raises(PoleProximityError, match=r"singular mean block at s=0\.0") as exc:
+            sg.arnoldi_reduce(gsys, 0.0, 2)
+        assert exc.value.condition == np.inf
 
     def test_unconverged_solve_falls_back(self, desk_galerkin, lying_gmres):
         # a near miss that claims success: the residual check rejects the

@@ -85,6 +85,11 @@ class TestRankAndTheta:
         r = sg.rank_and_theta(report_from([3.0, 4.0]))
         assert r.minimal_r(0.5) == 1
         assert r.minimal_r(1e-9) == 2
+        assert r.minimal_r(0.0) == 2
+        # theta never exceeds 1, so no r reaches 1 - delta > 1: an r of m + 1
+        # would claim more outputs than there are
+        with pytest.raises(ValueError, match=r"delta must be >= 0, got -0\.1"):
+            r.minimal_r(-0.1)
 
 
 class TestSelectIndices:
