@@ -44,7 +44,6 @@ from .mor import (
     ReducedSystem,
     arnoldi_reduce,
     deflate,
-    moment_oracle,
     reduced_output_surrogate,
     svd_basis,
     transform_coefficients,

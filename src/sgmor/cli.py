@@ -258,32 +258,36 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
     krylov = arnoldi_reduce(gsys, s0, basis_r, stats)
     _write_json(out / "reduce_solver.json", stats.summary(), h)
 
-    if sweep is not None:
-        rows = []
-        start, stop, step = sweep
-        for r in range(start, min(stop, krylov.r) + 1, step):
-            sub = krylov.truncate(r).system
-            diff = hardy_norms(samples - sample_transfer(sub, grid), grid)
-            cert = theorem2_certificate(diff)
-            stable = pencil_spectrum(sub).stable
-            rows.append((r, float(cert.bound_sup), float(cert.bound_l2), "" if stable is None else int(stable)))
-        _write_csv(out / "reduce_bounds.csv", "r,bound_sup,bound_l2,stable", rows, h)
-
     red = krylov.truncate(min(r_final, krylov.r))
-    S = red.system
+    S, r_red, breakdown = red.system, red.r, krylov.r < r_final
     # dense arrays as dense files: no row and column index per entry
     sio.mmwrite(out / "reduced_E.mtx", S.E)
     sio.mmwrite(out / "reduced_A.mtx", S.A)
     sio.mmwrite(out / "reduced_B.mtx", S.B)
     sio.mmwrite(out / "reduced_C.mtx", S.C)
     np.save(out / "projection_T.npy", red.T)
+    basis = svd_basis(red)
+    # T is the stage's largest array, and nothing below needs it
+    full = krylov.system
+    del krylov, red
+
+    if sweep is not None:
+        rows = []
+        start, stop, step = sweep
+        for r in range(start, min(stop, full.n) + 1, step):
+            sub = full.leading(r)
+            diff = hardy_norms(samples - sample_transfer(sub, grid), grid)
+            cert = theorem2_certificate(diff)
+            stable = pencil_spectrum(sub).stable
+            rows.append((r, float(cert.bound_sup), float(cert.bound_l2), "" if stable is None else int(stable)))
+        _write_csv(out / "reduce_bounds.csv", "r,bound_sup,bound_l2,stable", rows, h)
+
     diff = hardy_norms(samples - sample_transfer(S, grid), grid)
     cert = theorem2_certificate(diff)
     payload = cert.to_dict()
-    payload.update({"r": red.r, "s0": s0, "breakdown": krylov.r < r_final})
+    payload.update({"r": r_red, "s0": s0, "breakdown": breakdown})
     _write_json(out / "theorem2_mor.json", payload, h)
 
-    basis = svd_basis(red)
     _write_csv(
         out / "singular_values.csv",
         "l,sigma",
@@ -297,12 +301,12 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
         h,
     )
     defl_rows = []
-    vbar_stub = np.zeros((1, red.r))  # r' depends on singular values only
+    vbar_stub = np.zeros((1, r_red))  # r' depends on singular values only
     for thr in cfg.mor.deflation_thresholds:
         if thr >= basis.singular_values[0]:
             continue
         r_prime, _cert = deflate(basis, thr, vbar_stub)
-        defl_rows.append((red.r, float(thr), r_prime, float(r_prime / red.r)))
+        defl_rows.append((r_red, float(thr), r_prime, float(r_prime / r_red)))
     _write_csv(out / "deflation.csv", "r,threshold,r_prime,ratio", defl_rows, h)
 
 

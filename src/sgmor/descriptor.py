@@ -101,6 +101,10 @@ class DescriptorSystem:
     def is_sparse(self) -> bool:
         return sp.issparse(self.A)
 
+    def leading(self, r: int) -> "DescriptorSystem":
+        """The system restricted to its first r states."""
+        return DescriptorSystem(self.E[:r, :r], self.A[:r, :r], self.B[:r], self.C[:, :r])
+
     def dense(self) -> "DescriptorSystem":
         if not self.is_sparse:
             return self

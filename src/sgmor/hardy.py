@@ -74,6 +74,7 @@ RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
 GMRES_RTOL = 5e-14
 GMRES_RESTART = 40
 GMRES_MAXITER = 5  # restart cycles: at most 200 iterations per frequency
+NORMS_BLOCK_ROWS = 256  # outputs per block of hardy_norms' m x k temporaries
 
 
 @dataclass(frozen=True)
@@ -306,9 +307,10 @@ class ShiftedSolver:
             # b_split is reused, so that a solve allocates no N-vector for
             # its right-hand side: fresh pages fault at every frequency
             b_split = np.take(b, self.order, out=self.b_split, mode="clip")  # "raise" would buffer `out`
-            x, iterations = _gmres_schur(self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H)
-            r = _residual(self.L, self.U, self.mean_block, b_split, x)
-            residual = float(np.linalg.norm(r) / (np.linalg.norm(b_split) or 1.0))
+            x, iterations, r_norm = _gmres_schur(
+                self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H
+            )
+            residual = float(r_norm / (np.linalg.norm(b_split) or 1.0))
             if residual <= RESIDUAL_RTOL:
                 self.stats.iterations.append(iterations)
                 self.stats.residuals.append(residual)
@@ -351,15 +353,16 @@ def _gmres_schur(
     b: np.ndarray,
     V: np.ndarray,
     H: np.ndarray,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, float]:
     """Restarted GMRES on K x = b through its Schur complement, K as in _residual.
 
     V, (restart + 1) x |o|, and H, restart x restart, are the caller's
     workspace and are overwritten; the restart length is len(V) - 1.  The
     arithmetic is that of V: real Givens rotations for a real workspace,
-    complex ones for a complex one.  Returns (x, iterations); x is
-    unchecked: where H is singular (a pole on the grid) it is the iterate
-    reached before that cycle.
+    complex ones for a complex one.  Returns (x, iterations, ||b - K x||),
+    the norm being that of the true residual each cycle starts from, so the
+    last allowed cycle is followed by one more residual.  Where H is singular
+    (a pole on the grid) x is the iterate reached before that cycle.
     """
     P = mean_inverse.T
     n = len(P)
@@ -378,10 +381,11 @@ def _gmres_schur(
     x = np.zeros_like(b)
     r = b
     iterations = 0
-    for cycle in range(GMRES_MAXITER):
+    for cycle in range(GMRES_MAXITER + 1):
         if cycle:
             r = _residual(L, U, mean_block, b, x)
-        if np.linalg.norm(r) <= tol:
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= tol or cycle == GMRES_MAXITER:
             break
         p_e = precondition(r[:n_e])
         f = r[n_e:] - U @ p_e
@@ -423,7 +427,7 @@ def _gmres_schur(
             x[n_e:] += d_o
             p_e -= precondition(L @ d_o)
         x[:n_e] += p_e
-    return x, iterations
+    return x, iterations, r_norm
 
 
 def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
@@ -472,30 +476,36 @@ def hardy_norms(samples: np.ndarray, grid: FrequencyGrid) -> HardyNormReport:
     discrete maximum; H2 is sqrt((1/pi) * trapezoid(|H|^2) + tail^2)
     with tail^2 = c^2 / (pi * omega_k) from the c/omega decay model.
     The norms of a difference H_a - H_b are those of its samples,
-    hardy_norms(samples_a - samples_b, grid).
+    hardy_norms(samples_a - samples_b, grid).  |H| and its temporaries
+    exist for NORMS_BLOCK_ROWS outputs at a time.
     """
     samples = np.atleast_2d(samples)
-    mag = np.abs(samples)
     om = grid.omegas
     n_out = samples.shape[0]
+    # the log-log slope of |H| is taken over the top frequency decade
+    j = min(int(np.searchsorted(om, om[-1] / 10.0)), len(om) - 2)
 
-    jmax = np.argmax(mag, axis=1)
-    hinf = mag[np.arange(n_out), jmax]
+    jmax = np.empty(n_out, dtype=np.intp)
+    hinf, integral, mag_j, mag_top = (np.empty(n_out) for _ in range(4))
+    for i0 in range(0, n_out, NORMS_BLOCK_ROWS):
+        rows = slice(i0, i0 + NORMS_BLOCK_ROWS)
+        mag = np.abs(samples[rows])
+        jmax[rows] = np.argmax(mag, axis=1)
+        hinf[rows] = mag[np.arange(len(mag)), jmax[rows]]
+        integral[rows] = np.trapezoid(mag**2, om, axis=1)
+        mag_j[rows], mag_top[rows] = mag[:, j], mag[:, -1]
     argmax_omega = om[jmax]
 
-    integral = np.trapezoid(mag**2, om, axis=1)
-    c = mag[:, -1] * om[-1]
+    c = mag_top * om[-1]
     tail_sq = c**2 / (np.pi * om[-1])
     h2 = np.sqrt(integral / np.pi + tail_sq)
     tail = np.sqrt(tail_sq)
 
-    # log-log slope of |H| over the top frequency decade
     proper_ok = np.ones(n_out, dtype=bool)
-    j = min(int(np.searchsorted(om, om[-1] / 10.0)), len(om) - 2)
     for i in range(n_out):
         if hinf[i] == 0.0:
             continue
-        proper_ok[i] = loglog_slope(om[j], mag[i, j], om[-1], mag[i, -1]) <= -0.5
+        proper_ok[i] = loglog_slope(om[j], mag_j[i], om[-1], mag_top[i]) <= -0.5
     with np.errstate(invalid="ignore", divide="ignore"):
         tail_warn = tail > 0.01 * np.where(h2 > 0, h2, np.inf)
     return HardyNormReport(

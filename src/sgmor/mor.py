@@ -6,8 +6,7 @@ deflation of the numerically rank-deficient part with error certificates,
 and the per-basis-function influence measures derived from the SVD.
 
 The Krylov solves at the real shift s0 go through one hardy.ShiftedSolver,
-the solve policy the frequency sweep uses.  moment_oracle always factors,
-so that it stays independent of the reduction it checks.
+the solve policy the frequency sweep uses.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, eval_basis_matrix, eval_expansion
-from .descriptor import DescriptorSystem, factor_pencil
+from .descriptor import DescriptorSystem
 from .galerkin import GalerkinSystem
 from .hardy import ShiftedSolver, SolverStats
 
@@ -27,7 +26,6 @@ __all__ = [
     "OrthonormalizedBasis",
     "DeflationCertificate",
     "arnoldi_reduce",
-    "moment_oracle",
     "reduced_output_surrogate",
     "svd_basis",
     "transform_coefficients",
@@ -35,6 +33,7 @@ __all__ = [
 ]
 
 BREAKDOWN_RTOL = 1e-14
+PROJECTION_BLOCK = 16  # basis vectors per GEMM when projecting onto the Krylov basis
 
 
 class OutputLayoutError(ValueError):
@@ -48,7 +47,8 @@ class ReducedSystem:
     system holds the dense (r x r) matrices and the full output matrix
     C_bar = C_hat T, block-major with `outputs_per_basis` rows per basis
     function as in its Galerkin source; T has orthonormal columns
-    (T_l = T_r).
+    (T_l = T_r).  From arnoldi_reduce, T is a Fortran-ordered view of the
+    Arnoldi basis, whose vectors are stored as rows.
     """
 
     system: DescriptorSystem
@@ -81,10 +81,8 @@ class ReducedSystem:
         """
         if not 1 <= r <= self.r:
             raise ValueError(f"need 1 <= r <= {self.r}")
-        S = self.system
-        system = DescriptorSystem(S.E[:r, :r], S.A[:r, :r], S.B[:r], S.C[:, :r])
         return ReducedSystem(
-            system=system,
+            system=self.system.leading(r),
             T=self.T[:, :r],
             s0=self.s0,
             breakdown=self.breakdown and r == self.r,
@@ -132,31 +130,29 @@ def arnoldi_reduce(
             V, breakdown = V[:k], True
             break
         V[k] = w / h
-    # one column-major copy, so the sparse products below need no copy each
-    T = V.T.copy()
-    del V
-    reduced = DescriptorSystem(T.T @ (E @ T), T.T @ (A @ T), (T.T @ Bd).reshape(-1, 1), S.C @ T)
+    Er, Ar, Cr = _project(V, E, A, S.C)
+    reduced = DescriptorSystem(Er, Ar, (V @ Bd).reshape(-1, 1), Cr)
     k = gsys.outputs_per_basis if isinstance(gsys, GalerkinSystem) else 1
-    return ReducedSystem(system=reduced, T=T, s0=float(s0), breakdown=breakdown, outputs_per_basis=k)
+    return ReducedSystem(system=reduced, T=V.T, s0=float(s0), breakdown=breakdown, outputs_per_basis=k)
 
 
-def moment_oracle(gsys: GalerkinSystem | DescriptorSystem, s0: float, k: int) -> np.ndarray:
-    """First k Taylor coefficients of H at s0, per output; shape (k, n_out).
-
-    Coefficient j is (-1)^j C K^j b with K, b as in `arnoldi_reduce`,
-    computed by repeated linear solves on the full system.
-    """
-    S = gsys.system if isinstance(gsys, GalerkinSystem) else gsys
-    solve = factor_pencil(S.E, S.A, float(s0))
-    v = solve(S.B.ravel())
-    out = np.empty((k, S.n_out))
-    sign = 1.0
-    for j in range(k):
-        out[j] = sign * (S.C @ v)
-        if j + 1 < k:
-            v = solve(S.E @ v)
-            sign = -sign
-    return out
+def _project(V: np.ndarray, E, A, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T^T E T, T^T A T and C T for T = V.T, PROJECTION_BLOCK basis vectors
+    at a time: one sparse product per vector into a reused block, then one
+    GEMM per block, so that no N x r product is formed."""
+    r, n = V.shape
+    Er, Ar, Cr = np.empty((r, r)), np.empty((r, r)), np.empty((C.shape[0], r))
+    W = np.empty((min(PROJECTION_BLOCK, r), n))
+    for i0 in range(0, r, PROJECTION_BLOCK):
+        block = V[i0 : i0 + PROJECTION_BLOCK]
+        cols = slice(i0, i0 + len(block))
+        for M, Mr in ((E, Er), (A, Ar)):
+            for j, v in enumerate(block):
+                W[j] = M @ v
+            Mr[:, cols] = V @ W[: len(block)].T
+        for j, v in enumerate(block, i0):
+            Cr[:, j] = C @ v
+    return Er, Ar, Cr
 
 
 def reduced_output_surrogate(

@@ -96,17 +96,20 @@ def band_limited_input(seed: int, tau: float = 3.0):
     return u
 
 
+def perturbed_gmres(real_gmres, *args):
+    """real_gmres's x times 1 + 1e-8, with its iterations and the true
+    residual norm of that x: a near miss, which the residual check must reject."""
+    x, iterations, _ = real_gmres(*args)
+    L, U, mean_block, _, b = args[:5]
+    x = x * (1.0 + 1e-8)
+    return x, iterations, float(np.linalg.norm(hardy._residual(L, U, mean_block, b, x)))
+
+
 @pytest.fixture
 def lying_gmres(monkeypatch):
-    """GMRES that returns x * (1 + 1e-8) as converged: a near miss that
-    claims success, which the residual check must reject."""
+    """GMRES that returns x * (1 + 1e-8) at every solve (perturbed_gmres)."""
     real_gmres = hardy._gmres_schur
-
-    def lying(*args):
-        x, iterations = real_gmres(*args)
-        return x * (1.0 + 1e-8), iterations
-
-    monkeypatch.setattr(hardy, "_gmres_schur", lying)
+    monkeypatch.setattr(hardy, "_gmres_schur", lambda *args: perturbed_gmres(real_gmres, *args))
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Independent reference computations the tests compare the package against:
 Gauss and Smolyak quadrature over the parameter domain, expectation
-tensors by quadrature, and Galerkin assembly by quadrature sums."""
+tensors by quadrature, Galerkin assembly by quadrature sums, and the
+transfer-function moments that Krylov reduction must match."""
 
 import itertools
 import math
@@ -12,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from sgmor.basis import DEFAULT_SIZE_LIMIT, BasisSpec, Distribution1D, SizingError, eval_basis_matrix
-from sgmor.galerkin import ParametricSystem
+from sgmor.descriptor import DescriptorSystem, factor_pencil
+from sgmor.galerkin import GalerkinSystem, ParametricSystem
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -169,3 +171,23 @@ def _assemble_quadrature(psys: ParametricSystem, spec: BasisSpec, quad: Quadratu
         Bhat = Bhat + sp.kron(col, B, format="csr")
         Chat = Chat + sp.kron(outer, C, format="csr")
     return Ehat, Ahat, Bhat, Chat
+
+
+def moment_oracle(gsys: GalerkinSystem | DescriptorSystem, s0: float, k: int) -> np.ndarray:
+    """First k Taylor coefficients of H at s0, per output; shape (k, n_out).
+
+    Coefficient j is (-1)^j C K^j b with K = (s0 E - A)^(-1) E and
+    b = (s0 E - A)^(-1) B, computed by repeated solves with one sparse LU of
+    the full system, independent of the GMRES solves the reduction makes.
+    """
+    S = gsys.system if isinstance(gsys, GalerkinSystem) else gsys
+    solve = factor_pencil(S.E, S.A, float(s0))
+    v = solve(S.B.ravel())
+    out = np.empty((k, S.n_out))
+    sign = 1.0
+    for j in range(k):
+        out[j] = sign * (S.C @ v)
+        if j + 1 < k:
+            v = solve(S.E @ v)
+            sign = -sign
+    return out

@@ -1,6 +1,7 @@
 """Pipeline configuration and the command line driver."""
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -174,6 +175,16 @@ def rerun_dir(run_dir, tmp_path_factory):
 
 
 REDUCED = ["reduced_E.mtx", "reduced_A.mtx", "reduced_B.mtx", "reduced_C.mtx"]
+REDUCE_ARTIFACTS = [
+    "reduce_solver.json",
+    *REDUCED,
+    "projection_T.npy",
+    "reduce_bounds.csv",
+    "theorem2_mor.json",
+    "singular_values.csv",
+    "kappa.csv",
+    "deflation.csv",
+]
 
 
 class TestPipeline:
@@ -303,6 +314,18 @@ class TestStaging:
         assert [int(row.split(",")[0]) for row in rows] == [5, 10, 15, 20]
         t2 = json.loads((work / "theorem2_mor.json").read_text())
         assert t2["r"] == 20 and t2["breakdown"] is False
+
+    def test_deflation_written_last(self, run_dir, tmp_path):
+        # perfbench takes the mtime of deflation.csv as the end of the reduce stage
+        out, cfg = run_dir
+        work = tmp_path / "reduce"
+        shutil.copytree(out, work)
+        for path in work.iterdir():
+            os.utime(path, ns=(0, 0))
+        assert main(["reduce", "--config", str(cfg), "--out", str(work)]) == 0
+        written = {path.name: path.stat().st_mtime_ns for path in work.iterdir() if path.stat().st_mtime_ns}
+        assert set(written) == set(REDUCE_ARTIFACTS)
+        assert written["deflation.csv"] == max(written.values())
 
     @pytest.mark.parametrize("command", ["norms", "run"])
     def test_pole_proximity_reported(self, run_dir, tmp_path, monkeypatch, capsys, command):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor import hardy
-from sgmor.descriptor import DescriptorSystem, PoleProximityError
+from sgmor.descriptor import DescriptorSystem, PoleProximityError, loglog_slope
 from sgmor.galerkin import GalerkinSystem, Selection
 from sgmor.hardy import RESIDUAL_RTOL, SolverStats
 
-from conftest import scalar_galerkin
+from conftest import perturbed_gmres, scalar_galerkin
 
 
 def first_order():
@@ -225,6 +225,18 @@ class TestGalerkinSampling:
         assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
         assert stats.summary()["fallbacks"] == len(grid)
 
+    def test_cycle_limit_miss_caught(self, desk_galerkin, monkeypatch):
+        # one cycle of one GMRES step cannot converge: the residual computed
+        # after the last allowed cycle shows the miss, and LU takes over
+        monkeypatch.setattr(hardy, "GMRES_MAXITER", 1)
+        monkeypatch.setattr(hardy, "GMRES_RESTART", 1)
+        grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
+        stats = SolverStats()
+        H = sg.sample_transfer(desk_galerkin, grid, stats)
+        ref = sg.sample_transfer(desk_galerkin.system, grid)
+        assert stats.fallbacks == len(grid) and stats.iterations == [1] * len(grid)
+        assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_miss_at_one_frequency_only(self, desk_galerkin, monkeypatch):
         # GMRES lies at the third frequency alone: that frequency falls back
         # to sparse LU, and the next one runs GMRES again
@@ -232,9 +244,9 @@ class TestGalerkinSampling:
         calls = []
 
         def lying_once(*args):
-            x, iterations = real_gmres(*args)
-            calls.append(iterations)
-            return (x * (1.0 + 1e-8) if len(calls) == 3 else x), iterations
+            result = perturbed_gmres(real_gmres, *args) if len(calls) == 2 else real_gmres(*args)
+            calls.append(result[1])
+            return result
 
         monkeypatch.setattr(hardy, "_gmres_schur", lying_once)
         grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
@@ -283,12 +295,26 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(seed), blocks_e, blocks_o, n, eps, dtype)
         V = np.empty((3, blocks_o * n), dtype=dtype)
         H = np.empty((2, 2), dtype=dtype)
-        x, iterations = hardy._gmres_schur(*split_system(K, blocks_e * n), M, np.linalg.inv(M), b, V, H)
+        L, U = split_system(K, blocks_e * n)
+        x, iterations, r_norm = hardy._gmres_schur(L, U, M, np.linalg.inv(M), b, V, H)
         assert x.dtype == dtype
         assert iterations > 2  # at least two restart cycles
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
+        assert r_norm == np.linalg.norm(hardy._residual(L, U, M, b, x))  # the returned x's true residual
         ref = np.linalg.solve(K, b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_cycle_limit_exit_returns_true_residual(self, monkeypatch):
+        # stopped by GMRES_MAXITER short of the target, GMRES still returns
+        # the true residual of the x it returns
+        monkeypatch.setattr(hardy, "GMRES_MAXITER", 2)
+        K, M, b = two_cyclic_system(np.random.default_rng(3), 3, 3, 3, 0.1)
+        L, U = split_system(K, 9)
+        V, H = np.empty((2, 9), dtype=complex), np.empty((1, 1), dtype=complex)
+        x, iterations, r_norm = hardy._gmres_schur(L, U, M, np.linalg.inv(M), b, V, H)
+        assert iterations == 2
+        assert r_norm == np.linalg.norm(hardy._residual(L, U, M, b, x))
+        assert r_norm > RESIDUAL_RTOL * np.linalg.norm(b)
 
     def test_one_cycle_with_full_workspace(self, monkeypatch):
         # a Krylov space as large as the Schur system solves it in one cycle,
@@ -298,7 +324,7 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(9), 4, blocks_o, n, 0.1)
         V = np.empty((blocks_o * n + 1, blocks_o * n), dtype=complex)
         H = np.empty((blocks_o * n, blocks_o * n), dtype=complex)
-        x, iterations = hardy._gmres_schur(*split_system(K, 4 * n), M, np.linalg.inv(M), b, V, H)
+        x, iterations, _ = hardy._gmres_schur(*split_system(K, 4 * n), M, np.linalg.inv(M), b, V, H)
         assert iterations <= blocks_o * n
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
 
@@ -310,12 +336,12 @@ class TestGalerkinSampling:
         V = np.empty((4, 2), dtype=complex)
         H = np.empty((3, 3), dtype=complex)
         b = np.arange(1.0, 7.0) * (1.0 + 1.0j)
-        x, iterations = hardy._gmres_schur(*split_system(K, 4), M, np.linalg.inv(M), b, V, H)
+        x, iterations, _ = hardy._gmres_schur(*split_system(K, 4), M, np.linalg.inv(M), b, V, H)
         assert iterations == 1
         assert np.allclose(x, np.linalg.solve(K, b), rtol=1e-15, atol=0.0)
         zero = np.zeros(6, dtype=complex)
-        x, iterations = hardy._gmres_schur(*split_system(K, 4), M, np.linalg.inv(M), zero, V, H)
-        assert iterations == 0 and not x.any()
+        x, iterations, r_norm = hardy._gmres_schur(*split_system(K, 4), M, np.linalg.inv(M), zero, V, H)
+        assert iterations == 0 and not x.any() and r_norm == 0.0
 
     def test_workspace_reuse_is_bitwise(self, bench_galerkin_d1):
         # one sweep reuses its Krylov workspace; single frequencies, run in
@@ -501,6 +527,33 @@ class TestHardyNorms:
         assert data["h2"] == rep.h2.tolist()
         assert data["tail_fraction_warning"] == rep.tail_fraction_warning.tolist()
         assert data["grid"]["n_points"] == len(rep.grid)
+
+    def test_row_blocks_bitwise_equal_whole_array(self):
+        # every operation of hardy_norms is row-wise, so its row blocks give
+        # bit for bit the norms of one pass over the whole m x k array
+        grid = sg.FrequencyGrid.logspaced(-2, 6, 10)
+        om = grid.omegas
+        m = 2 * hardy.NORMS_BLOCK_ROWS + 37
+        rng = np.random.default_rng(4)
+        poles = 10.0 ** rng.uniform(-1, 5, m)
+        samples = rng.normal(size=(m, 1)) * poles[:, None] / (1j * om + poles[:, None])
+        samples += 1e-3 * (rng.normal(size=samples.shape) + 1j * rng.normal(size=samples.shape))
+        samples[5] = 0.0
+        samples[300] = 1.0  # improper
+
+        mag = np.abs(samples)
+        jmax = np.argmax(mag, axis=1)
+        hinf = mag[np.arange(m), jmax]
+        tail_sq = (mag[:, -1] * om[-1]) ** 2 / (np.pi * om[-1])
+        h2 = np.sqrt(np.trapezoid(mag**2, om, axis=1) / np.pi + tail_sq)
+        j = min(int(np.searchsorted(om, om[-1] / 10.0)), len(om) - 2)
+        proper = [hinf[i] == 0.0 or loglog_slope(om[j], mag[i, j], om[-1], mag[i, -1]) <= -0.5 for i in range(m)]
+
+        rep = sg.hardy_norms(samples, grid)
+        assert np.array_equal(rep.hinf, hinf) and np.array_equal(rep.argmax_omega, om[jmax])
+        assert np.array_equal(rep.h2, h2) and np.array_equal(rep.tail_estimate, np.sqrt(tail_sq))
+        assert rep.strictly_proper_ok.tolist() == proper
+        assert not proper[300] and proper[5]
 
 
 class TestDifferenceNorms:

@@ -1,16 +1,19 @@
 """Krylov projection, SVD re-orthonormalization, and deflation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sgmor as sg
 from sgmor import hardy
 from sgmor.descriptor import DescriptorSystem, PoleProximityError
 from sgmor.hardy import RESIDUAL_RTOL, SolverStats
-from sgmor.mor import OutputLayoutError, ReducedSystem
+from sgmor.mor import PROJECTION_BLOCK, OutputLayoutError, ReducedSystem
 
 from conftest import make_multi_output_galerkin, scalar_galerkin
-from oracles import build_quadrature
+from oracles import build_quadrature, moment_oracle
 
 
 def fake_reduced(Cbar):
@@ -22,13 +25,13 @@ def fake_reduced(Cbar):
 class TestMomentOracle:
     def test_scalar_first_moment(self):
         sys = DescriptorSystem(np.eye(1), -np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
-        mom = sg.moment_oracle(sys, 0.0, 1)
+        mom = moment_oracle(sys, 0.0, 1)
         assert abs(mom[0, 0] - 1.0) < 1e-14
 
     def test_scalar_second_moment_finite_difference(self):
         # H(s) = 1/(1+s): Taylor coefficients at 0 are 1, -1, ...
         sys = DescriptorSystem(np.eye(1), -np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
-        mom = sg.moment_oracle(sys, 0.0, 2)
+        mom = moment_oracle(sys, 0.0, 2)
         assert abs(mom[1, 0] + 1.0) < 1e-14
         eps = 1e-6
         fd = (
@@ -38,7 +41,7 @@ class TestMomentOracle:
 
     def test_taylor_reconstruction(self, desk_galerkin):
         s0, k = 1.0, 6
-        mom = sg.moment_oracle(desk_galerkin, s0, k)
+        mom = moment_oracle(desk_galerkin, s0, k)
         ds = 0.05
         series = sum(mom[j] * ds**j for j in range(k))
         exact = sg.transfer_eval(desk_galerkin.system, s0 + ds)[:, 0].real
@@ -47,7 +50,7 @@ class TestMomentOracle:
     def test_zero_input_vector(self, desk_galerkin):
         S = desk_galerkin.system
         sys = DescriptorSystem(S.E, S.A, np.zeros((S.n, 1)), S.C)
-        mom = sg.moment_oracle(sys, 1.0, 3)
+        mom = moment_oracle(sys, 1.0, 3)
         assert np.all(mom == 0.0)
 
 
@@ -60,8 +63,6 @@ class TestArnoldiReduce:
     def test_projected_matrices_consistent(self, desk_galerkin):
         red = sg.arnoldi_reduce(desk_galerkin, 1.0, 10)
         S = desk_galerkin.system
-        import scipy.sparse as sp
-
         E = sp.csr_matrix(S.E).toarray()
         A = sp.csr_matrix(S.A).toarray()
         B = sp.csr_matrix(S.B).toarray()
@@ -75,8 +76,8 @@ class TestArnoldiReduce:
     def test_moment_matching(self, desk_galerkin):
         for r in (4, 8, 12):
             red = sg.arnoldi_reduce(desk_galerkin, 1.0, r)
-            mf = sg.moment_oracle(desk_galerkin, 1.0, r)
-            mr = sg.moment_oracle(red.system, 1.0, r)
+            mf = moment_oracle(desk_galerkin, 1.0, r)
+            mr = moment_oracle(red.system, 1.0, r)
             rel = np.abs(mf - mr) / np.maximum(np.abs(mf), 1e-300)
             assert rel.max() < 1e-6
 
@@ -141,8 +142,8 @@ class TestStructuredArnoldi:
         assert len(stats.iterations) == len(stats.residuals) == 50
         assert max(stats.residuals) <= RESIDUAL_RTOL
         assert stats.schur_unknowns == 420  # 21 degree-1 blocks of 20 states
-        mf = sg.moment_oracle(bench_galerkin_d2, self.S0, 4)
-        mr = sg.moment_oracle(red.system, self.S0, 4)
+        mf = moment_oracle(bench_galerkin_d2, self.S0, 4)
+        mr = moment_oracle(red.system, self.S0, 4)
         rel = np.linalg.norm(mf - mr, axis=1) / np.linalg.norm(mf, axis=1)
         assert rel.max() <= 1e-8
 
@@ -194,6 +195,57 @@ class TestStructuredArnoldi:
         with pytest.raises(hardy.ResidualMissError, match=r"at s=1.0; no sparse-LU fallback for N=40 "):
             sg.arnoldi_reduce(desk_galerkin, 1.0, 6, stats)
         assert stats.fallbacks == 0 and stats.iterations == []
+
+
+
+@pytest.fixture(scope="module")
+def traced_r120(bench_galerkin_d2):
+    """arnoldi_reduce on the d = 2 ladder at r = 120, with its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        red = sg.arnoldi_reduce(bench_galerkin_d2, TestStructuredArnoldi.S0, 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return red, peak
+
+
+def projection_error(red: ReducedSystem, S: DescriptorSystem) -> float:
+    """Largest relative gap of the reduced E, A, B and C to T^T E T, T^T A T,
+    T^T B and C T formed from T in one product each."""
+    T, R = red.T, red.system
+    pairs = ((R.E, T.T @ (S.E @ T)), (R.A, T.T @ (S.A @ T)), (R.B, T.T @ S.B), (R.C, S.C @ T))
+    return max(np.abs(got - ref).max() / np.abs(ref).max() for got, ref in pairs)
+
+
+class TestBlockProjection:
+    """T is the Arnoldi basis itself, and the reduced matrices are projected
+    onto it mor.PROJECTION_BLOCK basis vectors at a time."""
+
+    def test_peak_holds_one_basis(self, traced_r120):
+        # T is a Fortran-ordered view of the basis rows, not a copy, and no
+        # N x r product is formed: a copy of T or the product E T would
+        # put the peak about 1.15 T above T; the blocks leave about 0.34 T
+        red, peak = traced_r120
+        assert red.T.flags.f_contiguous and not red.T.flags.owndata
+        assert peak - red.T.nbytes < 0.5 * red.T.nbytes
+
+    def test_reduced_matrices_are_projections(self, bench_galerkin_d2, traced_r120):
+        red, _ = traced_r120
+        assert projection_error(red, bench_galerkin_d2.system) <= 1e-14
+
+    @pytest.mark.parametrize("r", [1, PROJECTION_BLOCK, PROJECTION_BLOCK + 1, 2 * PROJECTION_BLOCK + 1])
+    def test_block_edges(self, desk_galerkin, r):
+        red = sg.arnoldi_reduce(desk_galerkin, 1.0, r)
+        assert red.r == r and projection_error(red, desk_galerkin.system) <= 1e-14
+
+    def test_breakdown_basis(self):
+        # the Krylov space of test_breakdown_kept_only_without_cut, sparse:
+        # T keeps the two rows Gram-Schmidt filled
+        sys = DescriptorSystem(sp.identity(3), -sp.diags([1.0, 1.0, 2.0]), np.ones((3, 1)), np.ones((1, 3)))
+        red = sg.arnoldi_reduce(sys, 1.0, 3)
+        assert red.breakdown and red.r == 2 and red.T.flags.f_contiguous
+        assert projection_error(red, sys) <= 1e-14
 
 
 class TestTruncate:
@@ -250,8 +302,6 @@ class TestSurrogate:
         vbar = red.T.T @ x
         P = rng.uniform(-1, 1, (4, 3))
         got = sg.reduced_output_surrogate(red, vbar, desk_spec, P)
-        import scipy.sparse as sp
-
         w = sp.csr_matrix(desk_galerkin.system.C).toarray() @ (red.T @ vbar)
         phi = sg.eval_basis_matrix(desk_spec, P)
         assert np.abs(got - phi @ w).max() < 1e-10
