@@ -12,7 +12,6 @@ from .basis import (
     Distribution1D,
     MultiIndexSet,
     build_index_set,
-    eval_basis,
     eval_basis_matrix,
 )
 from .circuits import (

@@ -9,7 +9,6 @@ against quadrature.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -22,13 +21,15 @@ __all__ = [
     "SizingError",
     "DomainError",
     "build_index_set",
-    "eval_basis",
     "eval_basis_matrix",
     "eval_expansion",
 ]
 
 #: hard cap on |index set| before a SizingError
 DEFAULT_SIZE_LIMIT = 5_000_000
+
+#: points this far outside [lower, upper], relative to its width, still count as inside
+DOMAIN_RTOL = 1e-12
 
 
 class SizingError(ValueError):
@@ -62,8 +63,8 @@ class Distribution1D:
         """Affine map [lower, upper] -> [-1, 1]."""
         return (np.asarray(p) - self.midpoint) / self.halfwidth
 
-    def contains(self, p, rtol: float = 1e-12) -> bool:
-        pad = rtol * (self.upper - self.lower)
+    def contains(self, p) -> bool:
+        pad = DOMAIN_RTOL * (self.upper - self.lower)
         return bool(np.all(p >= self.lower - pad) and np.all(p <= self.upper + pad))
 
 
@@ -117,19 +118,19 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def build_index_set(q: int, d: int, limit: int = DEFAULT_SIZE_LIMIT) -> MultiIndexSet:
+def build_index_set(q: int, d: int) -> MultiIndexSet:
     """All multi-indices of total degree <= d in graded lexicographic order.
 
     The cardinality is binomial(q+d, d); a SizingError names the would-be
-    size when it exceeds `limit`.
+    size when it exceeds DEFAULT_SIZE_LIMIT.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     if d < 0:
         raise ValueError("d must be >= 0")
     m = math.comb(q + d, d)
-    if m > limit:
-        raise SizingError(f"index set would have m={m} elements (limit {limit})")
+    if m > DEFAULT_SIZE_LIMIT:
+        raise SizingError(f"index set would have m={m} elements (limit {DEFAULT_SIZE_LIMIT})")
     indices = []
     for deg in range(d + 1):
         indices.extend(_compositions(deg, q))
@@ -207,19 +208,16 @@ def _univariate_table(spec: BasisSpec, points: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
-def eval_basis_matrix(spec: BasisSpec, points, on_outside: str = "error") -> np.ndarray:
+def eval_basis_matrix(spec: BasisSpec, points) -> np.ndarray:
     """Evaluate all basis functions at many points; shape (n_points, m).
 
-    on_outside: "error" rejects points outside the domain, "warn"
-    extrapolates with a warning.
+    A point outside the parameter domain raises DomainError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != spec.q:
         raise ValueError(f"points must have {spec.q} columns")
     if not spec.domain_contains(pts):
-        if on_outside == "error":
-            raise DomainError("evaluation point outside the parameter domain")
-        warnings.warn("evaluating basis outside the parameter domain", stacklevel=2)
+        raise DomainError("evaluation point outside the parameter domain")
     tables = _univariate_table(spec, pts)
     out = np.ones((pts.shape[0], spec.m))
     for i, idx in enumerate(spec.index_set):
@@ -227,11 +225,6 @@ def eval_basis_matrix(spec: BasisSpec, points, on_outside: str = "error") -> np.
             if j:
                 out[:, i] *= tables[ell][:, j]
     return out
-
-
-def eval_basis(spec: BasisSpec, p, on_outside: str = "error") -> np.ndarray:
-    """Vector (m,) of basis function values at a single point."""
-    return eval_basis_matrix(spec, np.asarray(p, dtype=float)[None, :], on_outside)[0]
 
 
 def eval_expansion(spec: BasisSpec, coeffs, p) -> np.ndarray | float:

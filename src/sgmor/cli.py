@@ -279,7 +279,7 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
             diff = hardy_norms(samples - sample_transfer(sub, grid), grid)
             cert = theorem2_certificate(diff)
             stable = pencil_spectrum(sub).stable
-            rows.append((r, float(cert.bound_sup), float(cert.bound_l2), "" if stable is None else int(stable)))
+            rows.append((r, float(cert.bound_sup), float(cert.bound_l2), int(stable)))
         _write_csv(out / "reduce_bounds.csv", "r,bound_sup,bound_l2,stable", rows, h)
 
     diff = hardy_norms(samples - sample_transfer(S, grid), grid)

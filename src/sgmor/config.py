@@ -107,10 +107,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     for key, val in raw.items():
         if key in _SECTIONS:
             setattr(cfg, key, _build_section(_SECTIONS[key], val or {}))
-        elif key in ("netlist", "output_dir"):
-            setattr(cfg, key, str(val))
-        elif key == "seed":
-            cfg.seed = int(val)
+        elif key in ("netlist", "output_dir", "seed"):
+            setattr(cfg, key, val)
         else:
             raise ValueError(f"unknown config key {key!r}")
     _validate(cfg)
@@ -139,6 +137,9 @@ def _validate(cfg: PipelineConfig) -> None:
     deltas, thresholds = spa.table_deltas, mor.deflation_thresholds
     sweep = "must be [start, stop, step], integers with 1 <= start <= stop and step >= 1"
     checks = [
+        ("netlist", cfg.netlist, isinstance(cfg.netlist, str), "must be a string"),
+        ("output_dir", cfg.output_dir, isinstance(cfg.output_dir, str), "must be a string"),
+        ("seed", cfg.seed, not math.isnan(_real(cfg.seed, int)), "must be an integer"),
         ("sparsify.norm", spa.norm, spa.norm in ("h2", "hinf"), "must be h2 or hinf"),
         ("sparsify.mode", spa.mode, spa.mode in ("threshold", "top_k"), "must be threshold or top_k"),
         ("sparsify.k", spa.k, spa.mode != "top_k" or _real(spa.k, int) >= 1, "must be an integer >= 1 in mode top_k"),

@@ -268,18 +268,15 @@ def _assemble_affine(psys: ParametricSystem, spec: BasisSpec) -> tuple:
     return Ehat, Ahat, Bhat, Chat
 
 
-def assemble(
-    psys: ParametricSystem,
-    spec: BasisSpec,
-    dimension_limit: int = DEFAULT_DIMENSION_LIMIT,
-) -> GalerkinSystem:
+def assemble(psys: ParametricSystem, spec: BasisSpec) -> GalerkinSystem:
     """Assemble the coupled Galerkin system of dimension m*n from the exact
-    moment matrices of the basis."""
+    moment matrices of the basis; a SizingError names m*n when it exceeds
+    DEFAULT_DIMENSION_LIMIT."""
     if psys.q != spec.q:
         raise ValueError("parametric system and basis disagree on q")
     m, n = spec.m, psys.n
-    if m * n > dimension_limit:
-        raise SizingError(f"Galerkin dimension m*n = {m * n} exceeds limit {dimension_limit}")
+    if m * n > DEFAULT_DIMENSION_LIMIT:
+        raise SizingError(f"Galerkin dimension m*n = {m * n} exceeds limit {DEFAULT_DIMENSION_LIMIT}")
     Ehat, Ahat, Bhat, Chat = _assemble_affine(psys, spec)
     return GalerkinSystem(system=DescriptorSystem(Ehat, Ahat, Bhat, Chat), spec=spec, block_dim=n)
 

@@ -22,6 +22,52 @@ def test_module_all_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+# public names that only tests call, kept because they are what the paper
+# delivers: serialize_netlist writes back the netlist parse_netlist reads
+# (acceptance criterion 9's round trip), and sparse_output_eval and
+# transform_coefficients evaluate the paper's sparse surrogates of the random
+# output, the pruned expansion and the SVD-basis coefficients
+DELIVERABLES = {"serialize_netlist", "sparse_output_eval", "transform_coefficients"}
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _loaded_names(tree: ast.AST, skip: str | None = None) -> set[str]:
+    """Names the tree loads, bare or as an attribute, outside any function
+    or class named `skip`."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_public_names_have_callers():
+    # a public name that nothing outside tests/ uses is code kept for its
+    # tests alone; neither an export list nor a package re-export counts
+    paths = [path for d in ("src", "demos", "perfbench") for path in sorted((REPO / d).rglob("*.py"))]
+    sources = {path: ast.parse(path.read_text()) for path in paths}
+    assert any(path.name == "traced.py" for path in sources), "the guard no longer sees perfbench/"
+    unused = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        own = Path(module.__file__).resolve()
+        for public in getattr(module, "__all__", ()):
+            used = any(
+                public in _loaded_names(tree, public if path.resolve() == own else None)
+                for path, tree in sources.items()
+            )
+            if not used and public not in DELIVERABLES:
+                unused.append(f"{name}.{public}")
+    assert not unused, f"public names with no caller outside tests/: {unused}"
+
+
 def test_package_reexports_resolve():
     tree = ast.parse(Path(sgmor.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]

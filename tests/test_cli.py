@@ -142,11 +142,16 @@ class TestConfig:
             ("mor:\n  s0: .nan\n", "mor.s0 must be a finite real number, got nan"),
             ("mor:\n  deflation_thresholds: [-1.0]\n", "mor.deflation_thresholds must be a list of numbers > 0"),
             ("sparsify:\n  table_deltas: [-0.1]\n", "sparsify.table_deltas must be a list of numbers >= 0"),
+            ("output_dir: null\n", "output_dir must be a string, got None"),
+            ("netlist: null\n", "netlist must be a string, got None"),
+            ("seed: 1.5\n", "seed must be an integer, got 1.5"),
+            ("seed: true\n", "seed must be an integer, got True"),
         ],
         ids=[
             "downsize-sweep", "r-sweep", "mode", "top-k-without-k", "threshold-delta", "transient-input",
             "degree", "points-per-decade", "decades", "mor-r", "transient-step", "transient-horizon",
             "transient-enabled", "include-zero", "s0", "deflation-thresholds", "table-deltas",
+            "output-dir-null", "netlist-null", "seed-float", "seed-bool",
         ],
     )
     def test_invalid_value_rejected_before_any_stage(self, tmp_path, capsys, text, message):

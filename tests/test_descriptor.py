@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import sgmor as sg
 from sgmor import descriptor
@@ -185,32 +184,21 @@ class TestPencilSpectrum:
         )
         assert not sg.pencil_spectrum(sys).strictly_proper
 
-    def test_sampled_method_above_cap(self, bench_galerkin_d1, monkeypatch):
+    def test_sparse_above_cap_rejected_before_densifying(self, bench_galerkin_d1, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a sparse system above the cap was densified or decomposed")
+
         monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 100)
-        rep = sg.pencil_spectrum(bench_galerkin_d1.system)
-        assert rep.method == "sampled"
-        assert rep.stable is True and rep.stability_reason == ""
+        monkeypatch.setattr(DescriptorSystem, "dense", forbidden)
+        monkeypatch.setattr(descriptor.sla, "eig", forbidden)
+        S = bench_galerkin_d1.system
+        with pytest.raises(ValueError, match=f"N={S.n} > DENSE_SPECTRUM_MAX_STATES = 100 "):
+            sg.pencil_spectrum(S)
 
-    def test_sampled_method_no_eigenvalue_is_unknown(self, bench_galerkin_d1, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-        monkeypatch.setattr(spla, "eigs", no_convergence)
-        monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 100)
-        rep = sg.pencil_spectrum(bench_galerkin_d1.system)
-        assert rep.method == "sampled"
-        assert rep.stable is None
-        assert rep.stability_reason.count("ArpackNoConvergence") == 5
-        assert "no finite eigenvalue" in rep.stability_reason
-
-    def test_sampled_method_propagates_unexpected_errors(self, bench_galerkin_d1, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("not an eigensolver failure")
-
-        monkeypatch.setattr(spla, "eigs", broken)
-        monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 100)
-        with pytest.raises(TypeError):
-            sg.pencil_spectrum(bench_galerkin_d1.system)
+    def test_dense_above_cap_still_decomposed(self, monkeypatch):
+        monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 1)
+        rep = sg.pencil_spectrum(dae_system())
+        assert rep.stable is True and rep.infinite_count == 1
 
 
 class TestSimulateTransient:

@@ -136,11 +136,13 @@ class TestAssemble:
         with pytest.raises(ValueError, match="q"):
             sg.assemble(desk_psys, spec)
 
-    def test_dimension_limit(self, desk_psys, desk_spec):
+    def test_dimension_limit(self, desk_psys, desk_spec, monkeypatch):
+        from sgmor import galerkin
         from sgmor.basis import SizingError
 
+        monkeypatch.setattr(galerkin, "DEFAULT_DIMENSION_LIMIT", 10)
         with pytest.raises(SizingError):
-            sg.assemble(desk_psys, desk_spec, dimension_limit=10)
+            sg.assemble(desk_psys, desk_spec)
 
     def test_affine_reconstruction_matches_evaluator(self, desk_psys):
         rng = np.random.default_rng(11)

@@ -371,7 +371,7 @@ class TestTransformCoefficients:
         for _ in range(100):
             v = rng.normal(size=4)
             p = rng.uniform(-1, 1, 3)
-            phi = sg.eval_basis(desk_spec, p)
+            phi = sg.eval_basis_matrix(desk_spec, p)[0]
             lhs = float(phi @ (Cbar @ v))
             vstar = sg.transform_coefficients(basis, v)
             rhs = float((phi @ basis.U) @ vstar)
