@@ -78,7 +78,6 @@ class MultiIndexSet:
 
     q: int
     indices: tuple[tuple[int, ...], ...]
-    degree_bound: int | None = None
 
     def __post_init__(self):
         if len(self.indices) == 0:
@@ -103,9 +102,6 @@ class MultiIndexSet:
 
     def total_degrees(self) -> np.ndarray:
         return np.array([sum(idx) for idx in self.indices], dtype=int)
-
-    def position(self, idx: Sequence[int]) -> int:
-        return self.indices.index(tuple(idx))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -134,7 +130,7 @@ def build_index_set(q: int, d: int) -> MultiIndexSet:
     indices = []
     for deg in range(d + 1):
         indices.extend(_compositions(deg, q))
-    return MultiIndexSet(q=q, indices=tuple(indices), degree_bound=d)
+    return MultiIndexSet(q=q, indices=tuple(indices))
 
 
 def _recurrence_offdiag(max_degree: int) -> np.ndarray:

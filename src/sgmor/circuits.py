@@ -1,9 +1,12 @@
 """Netlist parsing and modified nodal analysis for RCL circuits.
 
-Produces affine parametric descriptor systems: one stamp matrix per
-element, scaled by its (random) parameter.  The ideal voltage source is
-handled by extended MNA followed by elimination of the driven node, which
-requires the source node to touch only conductances.
+Produces affine parametric descriptor systems: one stamp per element,
+scaled by its (random) parameter and built from the element's incidence
+vector a (+1 at node+, -1 at node-, no entry for ground or the driven node):
+a a^T in E for a capacitor, -a a^T in A for a conductance, and for an
+inductor -a in its current's column of A, +a in its flux row.  The ideal
+voltage source is handled by extended MNA followed by elimination of the
+driven node, which requires the source node to touch only conductances.
 
 Netlist grammar (one statement per line, `#` starts a comment):
 
@@ -149,23 +152,22 @@ def parse_netlist(text: str) -> CircuitNetlist:
     return netlist
 
 
+def _find(parent: dict[str, str], x: str) -> str:
+    """Root of x in the union-find forest `parent`, adding x as its own root."""
+    while parent.setdefault(x, x) != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _validate_connectivity(netlist: CircuitNetlist, lineno: int) -> None:
-    adj: dict[str, set[str]] = {}
-    for el in netlist.elements:
-        adj.setdefault(el.node_a, set()).add(el.node_b)
-        adj.setdefault(el.node_b, set()).add(el.node_a)
-    adj.setdefault(netlist.input_nodes[0], set()).add(GROUND)
-    adj.setdefault(GROUND, set()).add(netlist.input_nodes[0])
-    if netlist.output_node not in adj:
+    parent: dict[str, str] = {}
+    for a, b in [(el.node_a, el.node_b) for el in netlist.elements] + [(netlist.input_nodes[0], GROUND)]:
+        parent[_find(parent, a)] = _find(parent, b)
+    if netlist.output_node not in parent:
         raise NetlistError(f"output node {netlist.output_node!r} is dangling", lineno)
-    stack, seen = [GROUND], {GROUND}
-    while stack:
-        nd = stack.pop()
-        for nb in adj.get(nd, ()):
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    missing = set(adj) - seen
+    root = _find(parent, GROUND)
+    missing = [nd for nd in parent if _find(parent, nd) != root]
     if missing:
         raise NetlistError(f"nodes not connected to ground: {sorted(missing)}", lineno)
 
@@ -183,17 +185,10 @@ def serialize_netlist(netlist: CircuitNetlist) -> str:
 def _check_inductor_loops(netlist: CircuitNetlist) -> None:
     """Reject cycles made of inductors only (structural index > 1)."""
     parent: dict[str, str] = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for el in netlist.elements:
         if el.kind != "L":
             continue
-        ra, rb = find(el.node_a), find(el.node_b)
+        ra, rb = _find(parent, el.node_a), _find(parent, el.node_b)
         if ra == rb:
             raise ModellingError(f"inductor-only loop through {el.name}")
         parent[ra] = rb
@@ -223,50 +218,6 @@ def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
     ind_pos = {el.name: len(nodes) + k for k, el in enumerate(inductors)}
     n = len(nodes) + len(inductors)
 
-    def stamp_for(el: CircuitElement):
-        """Per-unit-value contributions (E_s, A_s, B_s) plus the constant
-        incidence part A_const (inductor coupling rows, not scaled by the
-        element value)."""
-        Es = np.zeros((n, n))
-        As = np.zeros((n, n))
-        Bs = np.zeros(n)
-        A_const = np.zeros((n, n))
-        a, b = el.node_a, el.node_b
-        ia = node_pos.get(a)
-        ib = node_pos.get(b)
-        if el.kind == "C":
-            for i, sign_i in ((ia, 1.0), (ib, -1.0)):
-                if i is None:
-                    continue
-                if ia is not None:
-                    Es[i, ia] += sign_i
-                if ib is not None:
-                    Es[i, ib] -= sign_i
-        elif el.kind == "G":
-            # KCL rows: E x' = A x + B u, so conductance enters A negated
-            for i, sign_i in ((ia, 1.0), (ib, -1.0)):
-                if i is None:
-                    continue
-                if ia is not None:
-                    As[i, ia] -= sign_i
-                if ib is not None:
-                    As[i, ib] += sign_i
-                # the driven node's voltage column moves to the input vector
-                if a == source:
-                    Bs[i] -= sign_i
-                if b == source:
-                    Bs[i] += sign_i
-        else:  # inductor: branch current from a to b plus flux equation
-            k = ind_pos[el.name]
-            if ia is not None:
-                A_const[ia, k] -= 1.0
-                A_const[k, ia] += 1.0
-            if ib is not None:
-                A_const[ib, k] += 1.0
-                A_const[k, ib] -= 1.0
-            Es[k, k] += 1.0  # scaled by the inductance parameter
-        return Es, As, Bs, A_const
-
     E0 = np.zeros((n, n))
     A0 = np.zeros((n, n))
     B0 = np.zeros(n)
@@ -275,8 +226,24 @@ def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
     B_terms: list = []
     bounds: list[tuple[float, float]] = []
     for el in netlist.elements:
-        Es, As, Bs, A_const = stamp_for(el)
-        A0 += A_const
+        a = np.zeros(n)  # incidence vector
+        for nd, sign in ((el.node_a, 1.0), (el.node_b, -1.0)):
+            if nd in node_pos:
+                a[node_pos[nd]] = sign
+        # each stamp is built into zeros by += or -=, so that no -0.0 survives
+        Es, As, Bs = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+        if el.kind == "C":
+            Es += np.outer(a, a)
+        elif el.kind == "G":
+            # KCL rows: E x' = A x + B u, so the conductance enters A negated
+            # and the driven node's voltage column moves to the input vector
+            As -= np.outer(a, a)
+            Bs -= a * ((el.node_a == source) - (el.node_b == source))
+        else:  # inductor: branch current k from a to b, flux equation in row k
+            k = ind_pos[el.name]
+            A0[:, k] -= a
+            A0[k, :] += a
+            Es[k, k] = 1.0  # scaled by the inductance parameter
         if el.tolerance > 0:
             bounds.append((el.nominal * (1 - el.tolerance), el.nominal * (1 + el.tolerance)))
             E_terms.append(Es if Es.any() else None)

@@ -1,7 +1,7 @@
 """Linear time-invariant descriptor systems E x' = A x + B u, y = C x.
 
-Transfer-function evaluation, pencil spectrum / stability / properness
-checks, and implicit trapezoidal transient simulation (index-1 safe) for
+Transfer-function evaluation, pencil spectrum and stability checks, and
+implicit trapezoidal transient simulation (index-1 safe) for
 verifying input-output bounds.
 """
 
@@ -189,32 +189,19 @@ def transfer_eval(sys: DescriptorSystem, s: complex) -> np.ndarray:
 class PencilReport:
     """Spectrum verdicts from a dense generalized eigendecomposition.
 
-    finite_eigenvalues are sorted, infinite_count is exact, `stable` says
-    every finite eigenvalue lies in the open left half-plane, and
-    `strictly_proper` that |H| falls at least as omega^-1/2 far above the
-    spectrum (False when sE - A cannot be factored there).
+    finite_eigenvalues are sorted, infinite_count is exact, and `stable`
+    says every finite eigenvalue lies in the open left half-plane.
+    Properness is judged from the sampled transfer function, by
+    hardy.hardy_norms (`strictly_proper_ok`).
     """
 
     finite_eigenvalues: np.ndarray
     infinite_count: int
     stable: bool
-    strictly_proper: bool
-
-
-def loglog_slope(w_lo: float, h_lo: float, w_hi: float, h_hi: float) -> float:
-    """Slope of log|H| against log omega between two samples of |H|.
-
-    -inf when |H| vanishes at w_hi; 0 when it vanishes only at w_lo.
-    """
-    if h_hi == 0.0:
-        return -np.inf
-    if h_lo == 0.0:
-        return 0.0
-    return float(np.log10(h_hi / h_lo) / np.log10(w_hi / w_lo))
 
 
 def pencil_spectrum(sys: DescriptorSystem) -> PencilReport:
-    """Finite spectrum, stability and a properness verdict for the pencil.
+    """Finite eigenvalues, infinite-eigenvalue count and stability of the pencil.
 
     One dense generalized eigendecomposition (QZ) of A - lambda E.  A dense
     system of any size is decomposed, since it is already in memory; a
@@ -238,18 +225,10 @@ def pencil_spectrum(sys: DescriptorSystem) -> PencilReport:
     finite = alpha[finite_mask] / beta[finite_mask]
     if np.any(~np.isfinite(finite)):
         raise PencilRegularityError("pencil is numerically singular")
-    omega_scale = max(1.0, float(np.abs(finite).max())) if len(finite) else 1.0
-    w1, w2 = 1e8 * omega_scale, 1e10 * omega_scale
-    try:
-        h1, h2 = (np.max(np.abs(transfer_eval(sys, 1j * w))) for w in (w1, w2))
-        strictly_proper = loglog_slope(w1, h1, w2, h2) <= -0.5
-    except PoleProximityError:
-        strictly_proper = False
     return PencilReport(
         finite_eigenvalues=np.sort_complex(finite),
         infinite_count=int(n - finite_mask.sum()),
         stable=bool(np.all(finite.real < 0)),
-        strictly_proper=strictly_proper,
     )
 
 
@@ -259,7 +238,6 @@ class Trajectory:
 
     times: np.ndarray  # (N+1,)
     outputs: np.ndarray  # (N+1, n_out)
-    inputs: np.ndarray  # (N+1,)
     input_l2: float
 
     def __post_init__(self):
@@ -330,4 +308,4 @@ def simulate_transient(
         x = solve(F @ x + (u[k] + u[k + 1]) * B)
         outputs[k + 1] = sys.C @ x
     input_l2 = float(np.sqrt(np.trapezoid(u**2, times)))
-    return Trajectory(times=times, outputs=outputs, inputs=u, input_l2=input_l2)
+    return Trajectory(times=times, outputs=outputs, input_l2=input_l2)

@@ -52,7 +52,6 @@ from .descriptor import (
     DescriptorSystem,
     PoleProximityError,
     factor_pencil,
-    loglog_slope,
     pencil_residual,
 )
 from .galerkin import GalerkinSystem
@@ -467,6 +466,18 @@ def _back_substitute(AA, BB, d, s, g) -> np.ndarray:
         tail = Y[i + 1 :]
         Y[i] = (g[i] - s * (BB[i, i + 1 :] @ tail) + AA[i, i + 1 :] @ tail) / d[i]
     return Y
+
+
+def loglog_slope(w_lo: float, h_lo: float, w_hi: float, h_hi: float) -> float:
+    """Slope of log|H| against log omega between two samples of |H|.
+
+    -inf when |H| vanishes at w_hi; 0 when it vanishes only at w_lo.
+    """
+    if h_hi == 0.0:
+        return -np.inf
+    if h_lo == 0.0:
+        return 0.0
+    return float(np.log10(h_hi / h_lo) / np.log10(w_hi / w_lo))
 
 
 def hardy_norms(samples: np.ndarray, grid: FrequencyGrid) -> HardyNormReport:

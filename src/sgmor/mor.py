@@ -130,6 +130,7 @@ def arnoldi_reduce(
             V, breakdown = V[:k], True
             break
         V[k] = w / h
+    del solver  # free its factors or Krylov workspace before _project allocates
     Er, Ar, Cr = _project(V, E, A, S.C)
     reduced = DescriptorSystem(Er, Ar, (V @ Bd).reshape(-1, 1), Cr)
     k = gsys.outputs_per_basis if isinstance(gsys, GalerkinSystem) else 1
@@ -187,7 +188,6 @@ class OrthonormalizedBasis:
     Q: np.ndarray  # (rank, r)
     r: int
     kappa: np.ndarray  # (m,)
-    rank_truncated: bool = False
 
     @property
     def rank(self) -> int:
@@ -202,8 +202,8 @@ class OrthonormalizedBasis:
 def svd_basis(rsys: ReducedSystem) -> OrthonormalizedBasis:
     """SVD re-orthonormalization of the reduced output matrix.
 
-    Exactly zero (or below machine-noise) singular values are truncated
-    with the `rank_truncated` flag set; numerical rank deficiency above
+    Exactly zero (or below machine-noise) singular values are truncated,
+    so `rank` may fall below min(m, r); numerical rank deficiency above
     that level is deliberately kept for the deflation step.  Raises
     OutputLayoutError for more than one output row per basis function.
     """
@@ -213,12 +213,9 @@ def svd_basis(rsys: ReducedSystem) -> OrthonormalizedBasis:
     r = rsys.r
     tol = max(Cbar.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0)
     rank = int(np.sum(s > tol))
-    truncated = rank < len(s)
     U, s, Q = U[:, :rank], s[:rank], Q[:rank]
     kappa = np.sqrt(np.sum(U**2, axis=1))
-    return OrthonormalizedBasis(
-        U=U, singular_values=s, Q=Q, r=r, kappa=kappa, rank_truncated=truncated
-    )
+    return OrthonormalizedBasis(U=U, singular_values=s, Q=Q, r=r, kappa=kappa)
 
 
 def transform_coefficients(basis: OrthonormalizedBasis, vbar: np.ndarray) -> np.ndarray:
@@ -237,22 +234,11 @@ def transform_coefficients(basis: OrthonormalizedBasis, vbar: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class DeflationCertificate:
-    """Error certificate for truncating the orthonormalized basis at r'."""
+    """Error certificate for truncating the orthonormalized basis at r'
+    (deflate returns r' beside it)."""
 
-    r_prime: int
-    threshold: float
     pointwise: np.ndarray  # bound on the L2(Omega) error at each time sample
     aggregate: float  # bound on the space-time L2 error
-    truncated_singular_value: float
-
-    def to_dict(self) -> dict:
-        return {
-            "r_prime": self.r_prime,
-            "threshold": self.threshold,
-            "aggregate": self.aggregate,
-            "truncated_singular_value": self.truncated_singular_value,
-            "pointwise_max": float(np.max(self.pointwise)) if len(self.pointwise) else 0.0,
-        }
 
 
 def deflate(
@@ -279,7 +265,6 @@ def deflate(
     if r_prime >= rank:
         pointwise = np.zeros(len(vnorm_t))
         aggregate = 0.0
-        s_cut = 0.0
     else:
         s_cut = float(s[r_prime])
         factor = np.sqrt(rank - r_prime) * s_cut
@@ -289,11 +274,4 @@ def deflate(
         else:
             comp_l2_sq = np.sum(Vt**2, axis=0)
         aggregate = float(factor * np.sqrt(np.sum(comp_l2_sq)))
-    cert = DeflationCertificate(
-        r_prime=r_prime,
-        threshold=threshold,
-        pointwise=pointwise,
-        aggregate=aggregate,
-        truncated_singular_value=s_cut,
-    )
-    return r_prime, cert
+    return r_prime, DeflationCertificate(pointwise=pointwise, aggregate=aggregate)

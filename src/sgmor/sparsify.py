@@ -47,9 +47,7 @@ class NormRanking:
 
     order: np.ndarray  # output positions, descending norm
     theta: np.ndarray
-    norm_kind: str  # "h2" | "hinf"
     norms: np.ndarray  # in original output order
-    total: float
 
     @property
     def m(self) -> int:
@@ -84,7 +82,7 @@ def rank_and_theta(report: HardyNormReport, kind: str = "h2") -> NormRanking:
     order = order[np.lexsort((order, tie_run))]
     theta = np.minimum(np.sqrt(np.cumsum(norms[order] ** 2) / total_sq), 1.0)
     theta[-1] = 1.0
-    return NormRanking(order=order, theta=theta, norm_kind=kind, norms=norms, total=np.sqrt(total_sq))
+    return NormRanking(order=order, theta=theta, norms=norms)
 
 
 def select_indices(
@@ -190,10 +188,8 @@ def theorem2_certificate(
     hinf_sq = float(np.sum(diff_report.hinf**2))
     floor_sup = floor_l2 = 0.0
     if full_report is not None and sel is not None:
-        dropped = list(sel.dropped)
-        if dropped:
-            floor_sup = float(np.sqrt(np.sum(full_report.h2[dropped] ** 2))) * input_l2
-            floor_l2 = float(np.sqrt(np.sum(full_report.hinf[dropped] ** 2))) * input_l2
+        floor = theorem1_certificate(full_report, sel, input_l2)
+        floor_sup, floor_l2 = float(floor.bound_sup), float(floor.bound_l2)
     conditional = not bool(np.all(diff_report.strictly_proper_ok))
     return BoundCertificate(
         bound_sup=np.sqrt(h2_sq) * input_l2,

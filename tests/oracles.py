@@ -1,7 +1,8 @@
 """Independent reference computations the tests compare the package against:
 Gauss and Smolyak quadrature over the parameter domain, expectation
-tensors by quadrature, Galerkin assembly by quadrature sums, and the
-transfer-function moments that Krylov reduction must match."""
+tensors by quadrature, Galerkin assembly by quadrature sums, the
+transfer-function moments that Krylov reduction must match, and a circuit's
+transfer function by plain nodal analysis."""
 
 import itertools
 import math
@@ -12,6 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from sgmor.circuits import CircuitNetlist
 from sgmor.basis import DEFAULT_SIZE_LIMIT, BasisSpec, Distribution1D, SizingError, eval_basis_matrix
 from sgmor.descriptor import DescriptorSystem, factor_pencil
 from sgmor.galerkin import GalerkinSystem, ParametricSystem
@@ -117,7 +119,7 @@ def build_quadrature(
     level d+1 covers the affine-parameter Galerkin integrals (degree 2d+1).
     """
     if level is None:
-        level = (spec.index_set.degree_bound or spec.index_set.max_degree) + 1
+        level = spec.index_set.max_degree + 1
     if level < 1:
         raise ValueError("level must be >= 1")
     if mode == "auto":
@@ -191,3 +193,28 @@ def moment_oracle(gsys: GalerkinSystem | DescriptorSystem, s0: float, k: int) ->
             v = solve(S.E @ v)
             sign = -sign
     return out
+
+
+def nodal_transfer(netlist: CircuitNetlist, values: Sequence[float], s: complex) -> complex:
+    """Output voltage at complex frequency s with the driven node held at 1 V.
+
+    Plain nodal analysis: one unknown per node other than ground and the
+    driven node, and each element, valued by `values` in netlist order,
+    enters as its admittance g, s*c or 1/(s*l).  No inductor currents are
+    unknowns and no source is eliminated, unlike modified nodal analysis.
+    """
+    source = netlist.input_nodes[0]
+    ends = [nd for el in netlist.elements for nd in (el.node_a, el.node_b)]
+    pos = {nd: i for i, nd in enumerate(dict.fromkeys(nd for nd in ends if nd not in ("0", source)))}
+    Y = np.zeros((len(pos), len(pos)), dtype=complex)
+    current = np.zeros(len(pos), dtype=complex)
+    for el, v in zip(netlist.elements, values, strict=True):
+        y = {"G": v, "C": s * v, "L": 1.0 / (s * v)}[el.kind]
+        for here, there in ((el.node_a, el.node_b), (el.node_b, el.node_a)):
+            if here in pos:
+                Y[pos[here], pos[here]] += y
+                if there in pos:
+                    Y[pos[here], pos[there]] -= y
+                elif there == source:
+                    current[pos[here]] += y  # y * (1 V at the driven node)
+    return complex(np.linalg.solve(Y, current)[pos[netlist.output_node]])

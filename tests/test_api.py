@@ -22,12 +22,23 @@ def test_module_all_resolves(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-# public names that only tests call, kept because they are what the paper
-# delivers: serialize_netlist writes back the netlist parse_netlist reads
-# (acceptance criterion 9's round trip), and sparse_output_eval and
-# transform_coefficients evaluate the paper's sparse surrogates of the random
-# output, the pruned expansion and the SVD-basis coefficients
-DELIVERABLES = {"serialize_netlist", "sparse_output_eval", "transform_coefficients"}
+# public names and class members that only tests call, kept because they are
+# what the paper delivers: serialize_netlist writes back the netlist
+# parse_netlist reads (acceptance criterion 9's round trip), and
+# sparse_output_eval and transform_coefficients evaluate the paper's sparse
+# surrogates of the random output, the pruned expansion and the SVD-basis
+# coefficients
+DELIVERABLES = {
+    "serialize_netlist",
+    "sparse_output_eval",
+    "transform_coefficients",
+    # the orthonormalized basis functions themselves, evaluated at parameter points
+    "OrthonormalizedBasis.eval_orthonormal",
+    # a simulated output's L2 and sup norms in time, the quantities that
+    # the sparsification and reduction bounds are stated for
+    "Trajectory.output_l2",
+    "Trajectory.output_sup",
+}
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,12 +59,39 @@ def _loaded_names(tree: ast.AST, skip: str | None = None) -> set[str]:
     return names
 
 
+def _read_attributes(tree: ast.AST) -> set[str]:
+    """Attribute names the tree reads, as `x.name` or `getattr(x, "name")`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            names.add(node.args[1].value)
+    return names
+
+
+def _public_members(cls: type) -> list[str]:
+    """The public methods, properties and annotated fields a class defines itself."""
+    fields = vars(cls).get("__annotations__", {})
+    routines = [
+        n for n, v in vars(cls).items() if inspect.isfunction(v) or isinstance(v, (property, classmethod, staticmethod))
+    ]
+    return [n for n in dict.fromkeys([*fields, *routines]) if not n.startswith("_")]
+
+
 def test_public_names_have_callers():
-    # a public name that nothing outside tests/ uses is code kept for its
-    # tests alone; neither an export list nor a package re-export counts
+    # a public name, or a field, property or method of a public class, that
+    # nothing outside tests/ uses is code kept for its tests alone; neither an
+    # export list nor a package re-export counts
     paths = [path for d in ("src", "demos", "perfbench") for path in sorted((REPO / d).rglob("*.py"))]
     sources = {path: ast.parse(path.read_text()) for path in paths}
     assert any(path.name == "traced.py" for path in sources), "the guard no longer sees perfbench/"
+    read = set().union(*map(_read_attributes, sources.values()))
     unused = []
     for name in MODULES:
         module = importlib.import_module(name)
@@ -65,6 +103,13 @@ def test_public_names_have_callers():
             )
             if not used and public not in DELIVERABLES:
                 unused.append(f"{name}.{public}")
+            cls = getattr(module, public)
+            if inspect.isclass(cls) and cls.__module__ == name:
+                unused += [
+                    f"{name}.{public}.{member}"
+                    for member in _public_members(cls)
+                    if member not in read and f"{public}.{member}" not in DELIVERABLES
+                ]
     assert not unused, f"public names with no caller outside tests/: {unused}"
 
 

@@ -150,7 +150,7 @@ class TestEvalBasis:
 
     def test_product_structure(self):
         spec = uniform_spec([(-1, 1), (-1, 1)], 2, 2)
-        pos = spec.index_set.position((1, 1))
+        pos = spec.index_set.indices.index((1, 1))
         vals = sg.eval_basis_matrix(spec, np.array([1.0, 1.0]))[0]
         assert abs(vals[pos] - 3.0) < 1e-13
 

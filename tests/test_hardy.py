@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor import hardy
-from sgmor.descriptor import DescriptorSystem, PoleProximityError, loglog_slope
+from sgmor.descriptor import DescriptorSystem, PoleProximityError
 from sgmor.galerkin import GalerkinSystem, Selection
-from sgmor.hardy import RESIDUAL_RTOL, SolverStats
+from sgmor.hardy import RESIDUAL_RTOL, SolverStats, loglog_slope
 
 from conftest import perturbed_gmres, scalar_galerkin
 
