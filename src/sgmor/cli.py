@@ -113,7 +113,7 @@ def stage_assemble(cfg: PipelineConfig, out: Path) -> GalerkinSystem:
             "degree": cfg.basis.degree,
             "block_dim": gsys.block_dim,
             "bounds": [[d.lower, d.upper] for d in spec.distributions],
-            "output_rows": [list(idx) for idx in gsys.output_multi_indices()],
+            "output_rows": [list(idx) for idx in spec.index_set.indices],
         },
         h,
     )
@@ -142,11 +142,11 @@ def stage_norms(cfg: PipelineConfig, out: Path) -> HardyNormReport:
     np.savez(out / "samples.npz", samples=samples, omegas=grid.omegas)
     report = hardy_norms(samples, grid)
     h = cfg.hash()
-    mi = gsys.output_multi_indices()
+    degrees = gsys.spec.index_set.total_degrees()
     rows = [
         (
             i + 1,
-            "deg" + str(sum(mi[i])),
+            f"deg{degrees[i]}",
             float(report.h2[i]),
             float(report.hinf[i]),
             float(report.argmax_omega[i]),
@@ -159,7 +159,7 @@ def stage_norms(cfg: PipelineConfig, out: Path) -> HardyNormReport:
     return report
 
 
-def _load_samples(cfg: PipelineConfig, out: Path, stage: str):
+def _load_samples(cfg: PipelineConfig, out: Path, stage: str, n_out: int):
     path = out / "samples.npz"
     if not path.exists():
         raise MissingArtifactError(stage, str(path))
@@ -167,14 +167,19 @@ def _load_samples(cfg: PipelineConfig, out: Path, stage: str):
     grid = _grid(cfg)
     if not np.array_equal(data["omegas"], grid.omegas):
         raise StageError(stage, "cached samples were produced with a different grid")
-    return data["samples"], grid
+    samples = data["samples"]
+    if samples.shape[0] != n_out:
+        raise StageError(
+            stage, f"cached samples have {samples.shape[0]} outputs, the Galerkin system has {n_out}; rerun norms"
+        )
+    return samples, grid
 
 
 # ---------------------------------------------------------------- sparsify
 
 def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
     gsys = _load_galerkin(cfg, out, "sparsify")
-    samples, grid = _load_samples(cfg, out, "sparsify")
+    samples, grid = _load_samples(cfg, out, "sparsify", gsys.m)
     report = hardy_norms(samples, grid)
     h = cfg.hash()
     m = gsys.m
@@ -245,7 +250,7 @@ def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
 
 def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
     gsys = _load_galerkin(cfg, out, "reduce")
-    samples, grid = _load_samples(cfg, out, "reduce")
+    samples, grid = _load_samples(cfg, out, "reduce", gsys.m)
     h = cfg.hash()
     s0 = cfg.mor.s0
     n = gsys.dimension

@@ -87,7 +87,11 @@ _SECTIONS = {
 }
 
 
-def _build_section(cls, data: dict):
+def _build_section(key: str, data):
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ValueError(f"{key} must be a mapping of its settings, got {data!r}")
+    cls = _SECTIONS[key]
     fields = {f for f in cls.__dataclass_fields__}
     unknown = set(data) - fields
     if unknown:
@@ -106,7 +110,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     cfg = PipelineConfig()
     for key, val in raw.items():
         if key in _SECTIONS:
-            setattr(cfg, key, _build_section(_SECTIONS[key], val or {}))
+            setattr(cfg, key, _build_section(key, val))
         elif key in ("netlist", "output_dir", "seed"):
             setattr(cfg, key, val)
         else:

@@ -115,9 +115,9 @@ class DescriptorSystem:
 def factor_pencil(E, A, shift, *, symmetric_mode: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Factor shift*E - A once and return a solve closure.
 
-    SuperLU on CSC when E or A is sparse, dense LU otherwise; a complex
-    shift gives a complex factorization, a real one a real factorization.
-    Sparse pencils are ordered by COLAMD.  symmetric_mode=True runs
+    One route for every pencil: SuperLU on a CSC copy, dense E and A
+    included; a complex shift gives a complex factorization, a real one a
+    real factorization.  Columns are ordered by COLAMD.  symmetric_mode=True runs
     SuperLU's symmetric mode instead: minimum-degree ordering on A^T + A,
     with the default pivot threshold, so partial pivoting stays.  Only
     simulate_transient passes it.  At its real shift 2/h the ladder's
@@ -125,50 +125,32 @@ def factor_pencil(E, A, shift, *, symmetric_mode: bool = False) -> Callable[[np.
     at the complex shifts of a frequency sweep the mode loses digits
     (1.1e-12 against 3.3e-14 of max|H| at d = 1), and at d = 3 it fills a
     third more and factors 2.6 to 9 times slower (omega = 1e-2 to 1e8).
-    The dense path ignores the switch.
-    A failed factorization or an exactly zero pivot raises
-    PoleProximityError, and so does an ill-conditioned pencil: on the dense
-    path non-finite factors or a pivot ratio above 1e15, on the sparse path
-    an estimated 1-norm condition number above 1e15 (SuperLU's pivots are
-    readable only through CSC copies of both factors, which would roughly
-    double the memory of every sparse factorization).
+    A failed factorization (an exactly singular pencil) raises
+    PoleProximityError, and so does an ill-conditioned one: an estimated
+    1-norm condition number above 1e15, or not a number (non-finite
+    entries).  SuperLU's pivots are readable only through CSC copies of
+    both factors, which would roughly double the memory of every
+    factorization, so no pivot ratio is taken.
     """
     dtype = complex if np.iscomplexobj(shift) else float
-    sparse = sp.issparse(E) or sp.issparse(A)
-    if sparse:
-        M = shift * sp.csc_matrix(E, dtype=dtype) - sp.csc_matrix(A, dtype=dtype)
-    else:
-        M = shift * np.asarray(E, dtype=dtype) - np.asarray(A, dtype=dtype)
+    M = shift * sp.csc_matrix(E, dtype=dtype) - sp.csc_matrix(A, dtype=dtype)
     try:
-        if not sparse:
-            factors = sla.lu_factor(M)
-        elif symmetric_mode:
+        if symmetric_mode:
             factors = spla.splu(M, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         else:
             factors = spla.splu(M)
-    except (RuntimeError, ValueError, sla.LinAlgError) as exc:
+    except (RuntimeError, ValueError) as exc:
         raise PoleProximityError(f"singular shifted pencil at s={shift}: {exc}", condition=np.inf) from exc
-    if sparse:
-        # cond_1 = ||M||_1 ||M^-1||_1, the inverse's norm estimated from
-        # solves; t=1 keeps the estimate deterministic (t >= 2 draws from
-        # numpy's global RNG)
-        inv = spla.LinearOperator(
-            M.shape, matvec=factors.solve, rmatvec=lambda v: factors.solve(v, trans="H"), dtype=dtype
-        )
-        condition = spla.norm(M, 1) * spla.onenormest(inv, t=1)
-        if condition > 1e15:
-            raise PoleProximityError(f"ill-conditioned shifted pencil at s={shift}", condition=condition)
-        return factors.solve
-    lu, piv = factors
-    if not np.all(np.isfinite(lu)):
-        raise PoleProximityError(f"non-finite factorization at s={shift}", condition=np.inf)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() == 0.0:
-        raise PoleProximityError(f"exactly singular shifted pencil at s={shift}", condition=np.inf)
-    condition = pivots.max() / pivots.min()
-    if condition > 1e15:
+    # cond_1 = ||M||_1 ||M^-1||_1, the inverse's norm estimated from
+    # solves; t=1 keeps the estimate deterministic (t >= 2 draws from
+    # numpy's global RNG)
+    inv = spla.LinearOperator(
+        M.shape, matvec=factors.solve, rmatvec=lambda v: factors.solve(v, trans="H"), dtype=dtype
+    )
+    condition = spla.norm(M, 1) * spla.onenormest(inv, t=1)
+    if not condition <= 1e15:
         raise PoleProximityError(f"ill-conditioned shifted pencil at s={shift}", condition=condition)
-    return lambda rhs: sla.lu_solve((lu, piv), rhs)
+    return factors.solve
 
 
 def pencil_residual(sys: DescriptorSystem, s: float | complex, b: np.ndarray, x: np.ndarray) -> float:
@@ -277,7 +259,7 @@ def simulate_transient(
     zero start enforced by u(0) = 0.  With sigma = 2/h each step solves
     (sigma E - A) x_{k+1} = F x_k + (u_k + u_{k+1}) B with F = sigma E + A
     built once, reusing one factorization of sigma E - A across all steps.
-    A sparse system is factored in SuperLU's symmetric mode (see
+    The pencil is factored in SuperLU's symmetric mode (see
     factor_pencil).  On the ladder at one BLAS thread a step then costs
     about 0.2 ms at d = 2 (N = 5060; 31 737 nonzeros in L + U) and 4.1 ms
     at d = 3 (N = 40 480; 2.22 M), against 0.4-0.5 ms (39 177) and

@@ -2,8 +2,9 @@
 
 Projects a parameter-dependent system (E(p), A(p), B(p), C(p)) onto an
 orthonormal polynomial basis, producing one coupled deterministic
-descriptor system of dimension m*n with m outputs (basis-major block
-ordering: block i holds the n states of basis function i).  Also builds
+single-input descriptor system of dimension m*n with one output row per
+basis function (basis-major block ordering: block i holds the n states of
+basis function i, and output i is its coefficient function).  Also builds
 downsized systems obtained by discarding basis blocks.
 """
 
@@ -144,16 +145,28 @@ class EvenOddSplit(NamedTuple):
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Block-structured Galerkin descriptor system with basis metadata."""
+    """Block-structured Galerkin descriptor system with basis metadata.
+
+    The system is single-input, and output row i is the coefficient of
+    basis function i: n_in = 1 and n_out = m.
+    """
 
     system: DescriptorSystem
     spec: BasisSpec
     block_dim: int
     selection: Selection | None = None
 
+    def __post_init__(self):
+        S = self.system
+        if S.n_in != 1 or S.n_out != self.m:
+            raise ValueError(
+                f"a Galerkin system has one input and one output per basis function (m={self.m}), "
+                f"got n_in={S.n_in}, n_out={S.n_out}"
+            )
+
     @property
     def m(self) -> int:
-        """Number of basis functions; each holds n_out output rows of C."""
+        """Number of basis functions, and of output rows."""
         return self.spec.m
 
     @property
@@ -163,17 +176,6 @@ class GalerkinSystem:
     @property
     def is_sparse(self) -> bool:
         return self.system.is_sparse
-
-    @property
-    def outputs_per_basis(self) -> int:
-        """Rows of C per basis function: row i belongs to basis function
-        i // outputs_per_basis in the block-major layout."""
-        return self.system.n_out // self.m
-
-    def output_multi_indices(self) -> list[tuple[int, ...]]:
-        """Multi-index of each output row."""
-        k = self.outputs_per_basis
-        return [self.spec.index_set.indices[i // k] for i in range(self.system.n_out)]
 
     def even_odd_split(self) -> EvenOddSplit | None:
         """The blocks split by the degree parity of their basis function,
@@ -285,9 +287,9 @@ def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
     """Galerkin system restricted to the kept basis blocks.
 
     The inner dimension shrinks to |kept| * n (identity-column projection
-    applied from both sides) while the output matrix keeps all its rows
-    with the n_out rows of each dropped basis function zeroed, so the
-    output count is unchanged.
+    applied from both sides) while the output matrix keeps all m rows,
+    the row of each dropped basis function zeroed, so the output count is
+    unchanged.
     """
     if sel.m != gsys.m:
         raise ValueError(f"selection size {sel.m} does not match the basis size {gsys.m}")
@@ -301,6 +303,6 @@ def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:
     n = gsys.block_dim
     cols = np.concatenate([np.arange(b * n, (b + 1) * n) for b in block_ids])
     S = gsys.system
-    keep_rows = sp.diags(np.repeat(sel.mask(), gsys.outputs_per_basis).astype(float))
+    keep_rows = sp.diags(sel.mask().astype(float))
     system = DescriptorSystem(S.E[cols][:, cols], S.A[cols][:, cols], S.B[cols], keep_rows @ S.C[:, cols])
     return GalerkinSystem(system=system, spec=gsys.spec, block_dim=n, selection=sel)

@@ -21,7 +21,6 @@ from .galerkin import GalerkinSystem
 from .hardy import ShiftedSolver, SolverStats
 
 __all__ = [
-    "OutputLayoutError",
     "ReducedSystem",
     "OrthonormalizedBasis",
     "DeflationCertificate",
@@ -36,58 +35,33 @@ BREAKDOWN_RTOL = 1e-14
 PROJECTION_BLOCK = 16  # basis vectors per GEMM when projecting onto the Krylov basis
 
 
-class OutputLayoutError(ValueError):
-    """The reduced output matrix has more than one row per basis function."""
-
-
 @dataclass(frozen=True)
 class ReducedSystem:
     """Reduced descriptor system with its projection matrix.
 
     system holds the dense (r x r) matrices and the full output matrix
-    C_bar = C_hat T, block-major with `outputs_per_basis` rows per basis
-    function as in its Galerkin source; T has orthonormal columns
-    (T_l = T_r).  From arnoldi_reduce, T is a Fortran-ordered view of the
-    Arnoldi basis, whose vectors are stored as rows.
+    C_bar = C_hat T, with one row per basis function as in its Galerkin
+    source; T has orthonormal columns (T_l = T_r).  From arnoldi_reduce,
+    T is a Fortran-ordered view of the Arnoldi basis, whose vectors are
+    stored as rows.
     """
 
     system: DescriptorSystem
     T: np.ndarray  # (mn, r)
-    s0: float
-    breakdown: bool = False
-    outputs_per_basis: int = 1
 
     @property
     def r(self) -> int:
         return self.T.shape[1]
 
-    @property
-    def m(self) -> int:
-        """Number of basis functions of the Galerkin source."""
-        return self.system.n_out // self.outputs_per_basis
-
-    def _one_row_per_basis(self, what: str) -> None:
-        if self.outputs_per_basis != 1:
-            raise OutputLayoutError(
-                f"{what} needs one output row per basis function; this system has "
-                f"{self.outputs_per_basis} rows for each of its m={self.m} basis functions"
-            )
-
     def truncate(self, r: int) -> ReducedSystem:
         """Projection onto the first r basis vectors.
 
         Krylov bases are nested, so this is the order-r reduction at the
-        same shift.  The breakdown flag carries over only when nothing is cut.
+        same shift.
         """
         if not 1 <= r <= self.r:
             raise ValueError(f"need 1 <= r <= {self.r}")
-        return ReducedSystem(
-            system=self.system.leading(r),
-            T=self.T[:, :r],
-            s0=self.s0,
-            breakdown=self.breakdown and r == self.r,
-            outputs_per_basis=self.outputs_per_basis,
-        )
+        return ReducedSystem(system=self.system.leading(r), T=self.T[:, :r])
 
 
 def arnoldi_reduce(
@@ -101,13 +75,15 @@ def arnoldi_reduce(
     orthonormal and the Theorem 2 certificate valid; only the moment
     matching becomes approximate.
     Each new vector is orthogonalized by classical Gram-Schmidt run twice,
-    which keeps the basis orthonormal to machine precision.  On Krylov
-    breakdown the achieved dimension is returned with the breakdown flag
-    set.
+    which keeps the basis orthonormal to machine precision.  On breakdown
+    fewer than r vectors are returned.  A system with more than one input
+    raises ValueError before any solve.
     """
     S = gsys.system if isinstance(gsys, GalerkinSystem) else gsys
     E, A = S.E, S.A
     n = S.n
+    if S.n_in != 1:
+        raise ValueError(f"arnoldi_reduce needs a single-input system (n_in=1), got n_in={S.n_in}")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
     solver = ShiftedSolver(gsys, SolverStats() if stats is None else stats)
@@ -119,7 +95,6 @@ def arnoldi_reduce(
         raise ValueError("zero input vector: Krylov space is empty")
     V = np.empty((r, n))  # basis vectors as rows
     V[0] = b / b_norm
-    breakdown = False
     for k in range(1, r):
         w = solver.solve(E @ V[k - 1])
         raw = np.linalg.norm(w)
@@ -127,14 +102,12 @@ def arnoldi_reduce(
             w -= V[:k].T @ (V[:k] @ w)
         h = np.linalg.norm(w)
         if h <= BREAKDOWN_RTOL * max(raw, b_norm):
-            V, breakdown = V[:k], True
+            V = V[:k]
             break
         V[k] = w / h
     del solver  # free its factors or Krylov workspace before _project allocates
     Er, Ar, Cr = _project(V, E, A, S.C)
-    reduced = DescriptorSystem(Er, Ar, (V @ Bd).reshape(-1, 1), Cr)
-    k = gsys.outputs_per_basis if isinstance(gsys, GalerkinSystem) else 1
-    return ReducedSystem(system=reduced, T=V.T, s0=float(s0), breakdown=breakdown, outputs_per_basis=k)
+    return ReducedSystem(system=DescriptorSystem(Er, Ar, (V @ Bd).reshape(-1, 1), Cr), T=V.T)
 
 
 def _project(V: np.ndarray, E, A, C) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,9 +139,7 @@ def reduced_output_surrogate(
 
     Computes (Phi(p)^T C_bar) vbar without materializing the induced basis
     functions.  vbar has shape (r,) or (T, r); p is (q,) or (N, q).
-    Raises OutputLayoutError for more than one output row per basis function.
     """
-    rsys._one_row_per_basis("reduced_output_surrogate")
     vbar = np.asarray(vbar, dtype=float)
     if vbar.shape[-1] != rsys.r:
         raise ValueError(f"coefficient rows must have length r={rsys.r}")
@@ -204,10 +175,8 @@ def svd_basis(rsys: ReducedSystem) -> OrthonormalizedBasis:
 
     Exactly zero (or below machine-noise) singular values are truncated,
     so `rank` may fall below min(m, r); numerical rank deficiency above
-    that level is deliberately kept for the deflation step.  Raises
-    OutputLayoutError for more than one output row per basis function.
+    that level is deliberately kept for the deflation step.
     """
-    rsys._one_row_per_basis("svd_basis")
     Cbar = rsys.system.C
     U, s, Q = np.linalg.svd(Cbar, full_matrices=False)
     r = rsys.r

@@ -64,23 +64,6 @@ def scalar_galerkin(A):
 DESK_BOUNDS = [(-1.0, 1.0)] * 3
 
 
-def make_multi_output_galerkin() -> sg.GalerkinSystem:
-    """3 states, 2 outputs, degree 2 in one parameter: m = 3 basis
-    functions, C has 2 rows per basis function."""
-    rng = np.random.default_rng(6)
-    n = 3
-    psys = ParametricSystem(
-        n=n,
-        q=1,
-        E0=np.eye(n),
-        A0=-2.0 * np.eye(n) + 0.1 * rng.normal(size=(n, n)),
-        B0=rng.normal(size=(n, 1)),
-        C0=rng.normal(size=(2, n)),
-        A_terms=[0.1 * rng.normal(size=(n, n))],
-    )
-    return sg.assemble(psys, sg.BasisSpec.uniform([(-1.0, 1.0)], sg.build_index_set(1, 2)))
-
-
 def band_limited_input(seed: int, tau: float = 3.0):
     """Random decaying sum of sines with u(0) = 0 (not L2-normalized)."""
     r = np.random.default_rng(seed)

@@ -190,9 +190,9 @@ def _within(where: str, scopes) -> bool:
 
 
 def test_matrix_type_asked_only_where_decided():
-    # a system's matrix format is fixed when it is built, and factor_pencil
-    # picks SuperLU or LAPACK from it; nothing else asks what type a matrix is
-    decided = ("descriptor:DescriptorSystem", "descriptor:factor_pencil", "galerkin:ParametricSystem.__post_init__")
+    # a system's matrix format is fixed when it is built; nothing else asks
+    # what type a matrix is
+    decided = ("descriptor:DescriptorSystem", "galerkin:ParametricSystem.__post_init__")
     asked = {where for where, call in SOURCE_CALLS if _callee(call) == "issparse"}
     assert asked, "no issparse call found: the guard no longer sees the source"
     assert all(_within(where, decided) for where in asked), sorted(asked)
@@ -216,11 +216,13 @@ def test_system_matrices_not_reconverted():
 
 
 def test_factorizations_only_in_factor_pencil():
-    # factor_pencil is the one place that factors a pencil, and SuperLU's
-    # symmetric mode, good at the transient's real shift 2/h but not at a
-    # sweep's complex shifts, is asked for by simulate_transient alone
-    factorizations = {where for where, call in SOURCE_CALLS if _callee(call) in ("splu", "lu_factor")}
+    # factor_pencil is the one place that factors a pencil, by SuperLU alone,
+    # and SuperLU's symmetric mode, good at the transient's real shift 2/h
+    # but not at a sweep's complex shifts, is asked for by simulate_transient
+    # alone
+    factorizations = {where for where, call in SOURCE_CALLS if _callee(call) == "splu"}
     assert factorizations == {"descriptor:factor_pencil"}, sorted(factorizations)
+    assert not [where for where, call in SOURCE_CALLS if _callee(call) == "lu_factor"]
     symmetric = {
         where
         for where, call in SOURCE_CALLS

@@ -146,12 +146,13 @@ class TestConfig:
             ("netlist: null\n", "netlist must be a string, got None"),
             ("seed: 1.5\n", "seed must be an integer, got 1.5"),
             ("seed: true\n", "seed must be an integer, got True"),
+            ("basis: 5\n", "basis must be a mapping of its settings, got 5"),
         ],
         ids=[
             "downsize-sweep", "r-sweep", "mode", "top-k-without-k", "threshold-delta", "transient-input",
             "degree", "points-per-decade", "decades", "mor-r", "transient-step", "transient-horizon",
             "transient-enabled", "include-zero", "s0", "deflation-thresholds", "table-deltas",
-            "output-dir-null", "netlist-null", "seed-float", "seed-bool",
+            "output-dir-null", "netlist-null", "seed-float", "seed-bool", "section-scalar",
         ],
     )
     def test_invalid_value_rejected_before_any_stage(self, tmp_path, capsys, text, message):
@@ -380,6 +381,36 @@ class TestStaging:
         assert main(["sparsify", "--config", str(moved), "--out", str(out)]) == 1
         assert "cached samples were produced with a different grid" in capsys.readouterr().err
         assert not (out / "table1.csv").exists()
+
+    def test_samples_of_another_system_rejected(self, run_dir, tmp_path, capsys):
+        # degree-1 samples (m = 22) beside a degree-2 system (m = 253)
+        out, _ = run_dir
+        work = tmp_path / "stale"
+        shutil.copytree(out, work)
+        degree2 = write_config(tmp_path, FAST_CONFIG.replace("degree: 1", "degree: 2"))
+        assert main(["assemble", "--config", str(degree2), "--out", str(work)]) == 0
+        before = {path.name: path.read_bytes() for path in work.iterdir()}
+        for stage in ("sparsify", "reduce"):
+            assert main([stage, "--config", str(degree2), "--out", str(work)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"sgmor: error: stage {stage!r}: cached samples have 22 outputs")
+            assert "the Galerkin system has 253" in err
+        assert {path.name: path.read_bytes() for path in work.iterdir()} == before
+
+    def test_sine_burst_transient(self, run_dir, tmp_path):
+        out, _ = run_dir
+        work = tmp_path / "burst"
+        shutil.copytree(out, work)
+        cfg = write_config(tmp_path, FAST_CONFIG.replace("  enabled: true", "  enabled: true\n  input: sine_burst"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(work)]) == 0
+        meta = json.loads((work / "trajectory_meta.json").read_text())
+        assert meta["input"] == "sine_burst" and meta["input_l2"] > 0.0
+        data = np.loadtxt(work / "trajectory.csv", delimiter=",", skiprows=1)
+        assert data.shape == (201, 23) and np.all(np.isfinite(data))
+        u = cli._input_signal("sine_burst")(data[:, 0])
+        assert u[0] == 0.0 and np.abs(u).max() > 0.1
+        # the trajectory differs from the smooth step's of run_dir
+        assert not np.array_equal(data, np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1))
 
     def test_stagewise_equals_run(self, tmp_path):
         cfg = write_config(tmp_path)

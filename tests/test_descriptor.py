@@ -48,7 +48,6 @@ class TestFactorPencil:
         assert np.abs((np.eye(3) - A @ np.eye(3)) @ x - rhs).max() < 1e-14
         assert factor_pencil(E, A, 1.0 + 2.0j)(rhs.astype(complex)).dtype == complex
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize("fmt", DENSE_OR_SPARSE)
     def test_zero_pivot(self, fmt):
         E, A = singular_at(3.0)
@@ -123,12 +122,10 @@ class TestTransferEval:
         s = 0.2 + 2.0j
         assert np.abs(sg.transfer_eval(sys, np.conj(s)) - np.conj(sg.transfer_eval(sys, s))).max() < 1e-12
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_pole_proximity_error(self):
         with pytest.raises(PoleProximityError):
             sg.transfer_eval(scalar_system(), -1.0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize("fmt", DENSE_OR_SPARSE)
     def test_exactly_singular_pencil(self, fmt):
         E, A = singular_at(200.0)
@@ -237,7 +234,6 @@ class TestSimulateTransient:
         with pytest.raises(ValueError, match="u\\(0\\)"):
             sg.simulate_transient(scalar_system(), lambda t: np.ones_like(t), 1.0, 0.01)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @pytest.mark.parametrize("fmt", DENSE_OR_SPARSE)
     def test_exactly_singular_step_matrix(self, fmt):
         # sigma E - A vanishes for sigma = 2/h

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 import sgmor as sg
 from sgmor.galerkin import ParametricSystem, Selection, linear_moment_matrix
 
-from conftest import make_multi_output_galerkin
 from oracles import _assemble_quadrature, build_quadrature, expectation_tensors
 
 
@@ -102,7 +101,8 @@ class TestAssemble:
             Ma = sp.csr_matrix(getattr(g_aff.system, name)).toarray()
             assert np.abs(Mg - Ma).max() < 1e-12
 
-    def test_generic_evaluator_path_multi_input_output(self):
+    def test_generic_evaluator_path_input_output_terms(self):
+        # parameter-dependent B and C, on a non-centred parameter range
         rng = np.random.default_rng(5)
         n, q = 3, 2
         affine = ParametricSystem(
@@ -110,19 +110,19 @@ class TestAssemble:
             q=q,
             E0=np.eye(n),
             A0=rng.normal(size=(n, n)),
-            B0=rng.normal(size=(n, 2)),
-            C0=rng.normal(size=(2, n)),
+            B0=rng.normal(size=(n, 1)),
+            C0=rng.normal(size=(1, n)),
             E_terms=[0.1 * np.eye(n), None],
             A_terms=[rng.normal(size=(n, n)), rng.normal(size=(n, n))],
-            B_terms=[rng.normal(size=(n, 2)), None],
-            C_terms=[None, rng.normal(size=(2, n))],
+            B_terms=[rng.normal(size=(n, 1)), None],
+            C_terms=[None, rng.normal(size=(1, n))],
         )
         spec = sg.BasisSpec.uniform([(-1.0, 1.0), (0.5, 1.5)], sg.build_index_set(q, 2))
         quad = build_quadrature(spec, mode="tensor", level=3)
         g_gen = sg.GalerkinSystem(sg.DescriptorSystem(*_assemble_quadrature(affine, spec, quad)), spec, n)
         g_aff = sg.assemble(affine, spec)
-        assert g_gen.system.B.shape == (spec.m * n, 2)
-        assert g_gen.system.C.shape == (spec.m * 2, spec.m * n)
+        assert g_gen.system.B.shape == (spec.m * n, 1)
+        assert g_gen.system.C.shape == (spec.m, spec.m * n)
         for name in ("E", "A", "B", "C"):
             Mg = getattr(g_gen.system, name)
             Ma = getattr(g_aff.system, name)
@@ -135,6 +135,18 @@ class TestAssemble:
         spec = sg.BasisSpec.uniform([(-1, 1)] * 2, sg.build_index_set(2, 1))
         with pytest.raises(ValueError, match="q"):
             sg.assemble(desk_psys, spec)
+
+    @pytest.mark.parametrize(
+        "B0, C0, got",
+        [(np.ones((1, 1)), np.ones((2, 1)), "n_in=1, n_out=6"), (np.ones((1, 2)), np.ones((1, 1)), "n_in=2, n_out=3")],
+        ids=["two-outputs", "two-inputs"],
+    )
+    def test_one_input_one_output_per_basis_function(self, B0, C0, got):
+        # output i is the coefficient of basis function i: a parametric system
+        # with more inputs or outputs has no Galerkin system
+        psys = ParametricSystem(n=1, q=1, E0=np.eye(1), A0=-np.eye(1), B0=B0, C0=C0)
+        with pytest.raises(ValueError, match=rf"one output per basis function \(m=3\), got {got}$"):
+            sg.assemble(psys, scalar_spec(2))
 
     def test_dimension_limit(self, desk_psys, desk_spec, monkeypatch):
         from sgmor import galerkin
@@ -245,28 +257,15 @@ class TestDownsize:
             sg.downsize(outer, Selection(kept=(0, 2), m=desk_galerkin.m))
 
     def test_output_labels_downsized(self, desk_galerkin):
-        # downsizing keeps every output row, and with it every row's label
+        # downsizing keeps every output row, so row i is still labelled by
+        # basis function i; the rows of dropped functions are zero
         small = sg.downsize(desk_galerkin, Selection(kept=(0, 4), m=desk_galerkin.m))
-        labels = small.output_multi_indices()
-        assert len(labels) == small.system.n_out == 10
-        assert labels == desk_galerkin.output_multi_indices() == list(desk_galerkin.spec.index_set.indices)
-
-    def test_multi_output_blocks(self):
-        g = make_multi_output_galerkin()
-        n = g.block_dim
-        assert g.m == 3 and g.system.n_out == 6 and g.outputs_per_basis == 2
-        with pytest.raises(ValueError):
-            sg.downsize(g, Selection(kept=(0, 1), m=6))
-        small = sg.downsize(g, Selection(kept=(0, 1), m=3))
-        C = sp.csr_matrix(small.system.C).toarray()
-        assert C.shape == (6, 2 * n)
-        assert np.all(C[4:] == 0.0)
-        full = sp.csr_matrix(g.system.C).toarray()
-        assert np.array_equal(C[:4], full[:4, : 2 * n])
-        # each basis function labels its two output rows
-        idx = g.spec.index_set.indices
-        expected = [idx[0], idx[0], idx[1], idx[1], idx[2], idx[2]]
-        assert g.output_multi_indices() == small.output_multi_indices() == expected
+        assert small.system.n_out == small.m == desk_galerkin.m == 10
+        n = small.block_dim
+        C = small.system.C.toarray()
+        full = desk_galerkin.system.C.toarray()
+        assert np.array_equal(C[[0, 4]], full[[0, 4]][:, np.r_[0:n, 4 * n : 5 * n]])
+        assert np.all(np.delete(C, [0, 4], axis=0) == 0.0)
 
     def test_selection_forces_constant_index(self):
         sel = Selection(kept=(5, 3, 5), m=8)

@@ -11,16 +11,16 @@ import sgmor as sg
 from sgmor import hardy, mor
 from sgmor.descriptor import DescriptorSystem, PoleProximityError
 from sgmor.hardy import RESIDUAL_RTOL, SolverStats
-from sgmor.mor import PROJECTION_BLOCK, OutputLayoutError, ReducedSystem
+from sgmor.mor import PROJECTION_BLOCK, ReducedSystem
 
-from conftest import make_multi_output_galerkin, scalar_galerkin
+from conftest import scalar_galerkin
 from oracles import build_quadrature, moment_oracle
 
 
 def fake_reduced(Cbar):
     r = Cbar.shape[1]
     sys = DescriptorSystem(np.eye(r), -np.eye(r), np.ones((r, 1)), Cbar)
-    return ReducedSystem(system=sys, T=np.eye(r), s0=0.0)
+    return ReducedSystem(system=sys, T=np.eye(r))
 
 
 class TestMomentOracle:
@@ -90,10 +90,10 @@ class TestArnoldiReduce:
             assert np.abs(hf - hr).max() < 1e-8
 
     def test_breakdown_flag(self):
-        # K b is proportional to b: the Krylov space has dimension 1
+        # K b is proportional to b: the Krylov space has dimension 1, and
+        # breakdown returns fewer vectors than asked for
         sys = DescriptorSystem(np.eye(3), -np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
         red = sg.arnoldi_reduce(sys, 1.0, 3)
-        assert red.breakdown
         assert red.r == 1
 
     def test_final_system_breakdown_rule(self):
@@ -104,7 +104,7 @@ class TestArnoldiReduce:
         for target in (1, 2, 3):
             direct = sg.arnoldi_reduce(sys, 1.0, target)
             final = krylov.truncate(min(target, krylov.r))
-            assert (krylov.r < target) == direct.breakdown
+            assert (krylov.r < target) == (direct.r < target)
             assert final.r == direct.r
             assert np.array_equal(final.T, direct.T)
 
@@ -120,7 +120,13 @@ class TestArnoldiReduce:
         with pytest.raises(ValueError):
             sg.arnoldi_reduce(desk_galerkin, 1.0, desk_galerkin.dimension + 1)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @pytest.mark.parametrize("fmt", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    def test_multi_input_rejected(self, fmt):
+        # refused before the solver sees the (n, 2) right-hand side
+        sys = DescriptorSystem(fmt(np.eye(3)), fmt(-np.eye(3)), np.ones((3, 2)), np.ones((1, 3)))
+        with pytest.raises(ValueError, match=r"single-input system \(n_in=1\), got n_in=2"):
+            sg.arnoldi_reduce(sys, 1.0, 2)
+
     def test_singular_shift_rejected(self):
         from sgmor.descriptor import PoleProximityError
 
@@ -267,7 +273,7 @@ class TestBlockProjection:
         # T keeps the two rows Gram-Schmidt filled
         sys = DescriptorSystem(sp.identity(3), -sp.diags([1.0, 1.0, 2.0]), np.ones((3, 1)), np.ones((1, 3)))
         red = sg.arnoldi_reduce(sys, 1.0, 3)
-        assert red.breakdown and red.r == 2 and red.T.flags.f_contiguous
+        assert red.r == 2 and red.T.flags.f_contiguous
         assert projection_error(red, sys) <= 1e-14
 
 
@@ -276,7 +282,7 @@ class TestTruncate:
         big = sg.arnoldi_reduce(desk_galerkin, 1.0, 12).truncate(8)
         small = sg.arnoldi_reduce(desk_galerkin, 1.0, 8)
         assert np.array_equal(big.T, small.T)
-        assert big.r == 8 and not big.breakdown
+        assert big.r == 8
         for name in ("E", "A", "B", "C"):
             a = np.asarray(getattr(big.system, name))
             b = np.asarray(getattr(small.system, name))
@@ -291,12 +297,14 @@ class TestTruncate:
             red.truncate(red.r + 1)
 
     def test_breakdown_kept_only_without_cut(self):
-        # two distinct eigenvalues: the Krylov space has dimension 2
+        # two distinct eigenvalues: the Krylov space has dimension 2, so the
+        # basis falls short of r = 3; truncating to 2 cuts nothing, and
+        # truncating to 1 meets its target
         sys = DescriptorSystem(np.eye(3), -np.diag([1.0, 1.0, 2.0]), np.ones((3, 1)), np.ones((1, 3)))
         red = sg.arnoldi_reduce(sys, 1.0, 3)
-        assert red.breakdown and red.r == 2
-        assert red.truncate(2).breakdown
-        assert not red.truncate(1).breakdown
+        assert red.r == 2
+        assert np.array_equal(red.truncate(2).T, red.T)
+        assert red.truncate(1).r == 1
 
 
 class TestSurrogate:
@@ -331,21 +339,10 @@ class TestSurrogate:
 
 
 class TestOutputLayout:
-    def test_two_rows_per_basis_function(self):
-        # m = 3 basis functions with 2 output rows each: m counts basis
-        # functions, and the one-row-per-function steps refuse the layout
-        g = make_multi_output_galerkin()
-        red = sg.arnoldi_reduce(g, 1.0, 4)
-        assert red.outputs_per_basis == 2 and red.system.n_out == 6
-        assert red.m == red.truncate(2).m == g.m == 3
-        with pytest.raises(OutputLayoutError, match="2 rows for each of its m=3 basis functions"):
-            sg.svd_basis(red)
-        with pytest.raises(OutputLayoutError, match="reduced_output_surrogate"):
-            sg.reduced_output_surrogate(red, np.zeros(4), g.spec, np.zeros(1))
-
     def test_one_row_per_basis_function(self, desk_galerkin):
         red = sg.arnoldi_reduce(desk_galerkin, 1.0, 4)
-        assert red.outputs_per_basis == 1 and red.m == desk_galerkin.m == 10
+        assert red.system.n_out == red.truncate(2).system.n_out == desk_galerkin.m == 10
+        assert len(sg.svd_basis(red).kappa) == desk_galerkin.m
 
 
 class TestSvdBasis:
