@@ -104,7 +104,15 @@ def _build_section(key: str, data):
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    raw = yaml.safe_load(Path(path).read_text()) or {}
+    """The config in the YAML file at `path`; ValueError, on one line, where
+    the file is not valid YAML or its settings are invalid."""
+    try:
+        raw = yaml.safe_load(Path(path).read_text()) or {}
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ValueError(f"not valid YAML{where}: {problem}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config must be a YAML mapping")
     cfg = PipelineConfig()

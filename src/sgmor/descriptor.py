@@ -263,10 +263,12 @@ def simulate_transient(
     factor_pencil).  On the ladder at one BLAS thread a step then costs
     about 0.2 ms at d = 2 (N = 5060; 31 737 nonzeros in L + U) and 4.1 ms
     at d = 3 (N = 40 480; 2.22 M), against 0.4-0.5 ms (39 177) and
-    6.0-6.7 ms (1.77 M) with COLAMD.  A system above
-    LU_FALLBACK_MAX_STATES states raises ValueError before anything is
+    6.0-6.7 ms (1.77 M) with COLAMD.  A multi-input system, or one above
+    LU_FALLBACK_MAX_STATES states, raises ValueError before anything is
     factored.
     """
+    if sys.n_in != 1:
+        raise ValueError(f"simulate_transient needs a single-input system (n_in=1), got n_in={sys.n_in}")
     if step <= 0:
         raise ValueError("step must be positive")
     if sys.n > LU_FALLBACK_MAX_STATES:

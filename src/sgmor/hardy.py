@@ -20,17 +20,28 @@ r = b - (I (x) M) x - [L x_o; U x_e] and stops once
 ||r|| <= GMRES_RTOL ||b||; otherwise it runs up to GMRES_RESTART GMRES
 steps on f = r_o - U P r_e and adds d_o = P y and d_e = P (r_e - L d_o)
 to x (with no Schur unknowns a cycle is x += P r), so the later cycles
-refine x to about sparse-LU accuracy.  One Krylov workspace serves all
-the solver's shifts; the Arnoldi step is classical Gram-Schmidt run twice,
-and Givens rotations end a cycle at a tenth of the outer target.
+refine x to about sparse-LU accuracy.  One Krylov workspace, iterate and
+residual serve all the solver's shifts of one dtype; the Arnoldi step is
+classical Gram-Schmidt run twice, and Givens rotations end a cycle at a
+tenth of the outer target.
 
-Sparse systems, Galerkin or not, are sampled through one ShiftedSolver
-moved from frequency to frequency; its docstring states the solve policy,
-which mor.arnoldi_reduce shares at its real shift.  Dense (reduced)
-systems: one complex QZ, A = Q AA Z^H and E = Q BB Z^H, for the whole
-grid, the triangular systems (i*omega*BB - AA) y = Q^H b back-substituted
-for all frequencies at once, and one refinement step through the residual
-in the original pencil.
+Sparse systems, Galerkin or not, are sampled through one ShiftedSolver;
+its docstring states the solve policy, which mor.arnoldi_reduce shares at
+its real shift.  The low band comes first, from the Taylor series
+x(s) = sum_k s^k x_k at s = 0 (the moments of asymptotic waveform
+evaluation): its terms are real solves at s = 0, added only as far as the
+next grid point needs them and only while they serve as many points as they
+cost, and each point it serves is kept only where its true residual in the
+system's own E and A is at most GMRES_RTOL, the target of a solved point.
+From the first point beyond the series' reach the solver is moved from
+frequency to frequency.  On the d = 2 ladder (slowest pole at |lambda| =
+1.4e4) 24 terms serve the 329 of 722 default grid points up to omega of
+about 2.9e3, each term a real GMRES solve of 2 to 3 iterations.
+
+Dense (reduced) systems: one complex QZ, A = Q AA Z^H and E = Q BB Z^H,
+for the whole grid, the triangular systems (i*omega*BB - AA) y = Q^H b
+back-substituted for all frequencies at once, and one refinement step
+through the residual in the original pencil.
 
 The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
 approximation of the frequency integral plus a c/omega tail model fitted
@@ -74,6 +85,13 @@ GMRES_RTOL = 5e-14
 GMRES_RESTART = 40
 GMRES_MAXITER = 5  # restart cycles: at most 200 iterations per frequency
 NORMS_BLOCK_ROWS = 256  # outputs per block of hardy_norms' m x k temporaries
+# terms of the Taylor series at s = 0 that may serve the low band of a sweep
+# (N x 24 floats: 7.8 MB at d = 3); on the ladder, whose slowest pole sits at
+# |lambda| = 1.4e4, 24 terms reach omega of about 2.9e3
+SERIES_MAX_TERMS = 24
+SERIES_BLOCK_BYTES = 1 << 20  # the N x c complex block of series samples
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k by k mod 4, exactly
 
 
 @dataclass(frozen=True)
@@ -163,10 +181,17 @@ class SolverStats:
 
     method is "gmres-schur" or "superlu" (see ShiftedSolver), or "qz"
     (dense system).  On the GMRES path `iterations` and `residuals` hold
-    one entry per solve: the GMRES iterations spent and the true relative
-    residual of the returned solution; `fallbacks` counts the solves made
-    by sparse LU, and `schur_unknowns` is the size of the system GMRES ran
-    on.
+    one entry per solve, or per frequency of a sweep: the GMRES iterations
+    spent and the true relative residual of the returned solution, where a
+    sample the Taylor series served records 0 iterations and the series'
+    own residual; `fallbacks` counts the solves made by sparse LU, and
+    `schur_unknowns` is the size of the system GMRES ran on.
+
+    A frequency sweep of a sparse system also sets `series_points`, the
+    frequencies the series served, and `series_terms`, the GMRES iterations
+    of each term solve at s = 0 (0 on the sparse-LU route); term solves
+    appear nowhere else.  Elsewhere both stay None and summary() leaves
+    them out.
     """
 
     method: str = ""
@@ -174,10 +199,12 @@ class SolverStats:
     residuals: list[float] = field(default_factory=list)
     fallbacks: int = 0
     schur_unknowns: int | None = None
+    series_points: int | None = None
+    series_terms: list[int] | None = None
 
     def summary(self) -> dict:
         its = self.iterations
-        return {
+        summary = {
             "method": self.method,
             "max_iterations": max(its) if its else None,
             "median_iterations": float(np.median(its)) if its else None,
@@ -186,6 +213,11 @@ class SolverStats:
             "fallbacks": self.fallbacks,
             "schur_unknowns": self.schur_unknowns,
         }
+        if self.series_terms is not None:
+            summary["series_points"] = self.series_points
+            summary["series_terms"] = len(self.series_terms)
+            summary["series_iterations"] = sum(self.series_terms)
+        return summary
 
 
 def sample_transfer(
@@ -197,7 +229,12 @@ def sample_transfer(
 
     A sparse system is solved through one ShiftedSolver, a dense one by QZ
     ("qz"); `stats` records the method and, per frequency, what
-    ShiftedSolver records.
+    ShiftedSolver records.  On a sparse system the low band is served by
+    the Taylor series at s = 0 first (_series_band): a point whose series
+    sample has a true relative residual of at most GMRES_RTOL keeps it, a
+    point above that but within RESIDUAL_RTOL is solved by ShiftedSolver
+    started from its series sample, and every point from the first one
+    beyond the series' reach is solved as if there were no series.
 
     Raises PoleProximityError naming the omega, with `condition` set, where
     i*omega*E - A is singular or ill-conditioned.  Sparse: where
@@ -212,16 +249,124 @@ def sample_transfer(
         stats.method = "qz"
         return _sample_dense(S, grid.omegas)
     solver = ShiftedSolver(sys, stats)
-    b = S.B[:, 0].astype(complex)
     out = np.empty((S.n_out, len(grid)), dtype=complex)
+    end, kept, residuals, terms = _series_band(solver, S, grid.omegas, out)
+    b = S.B[:, 0].astype(complex)
     for j, omega in enumerate(grid.omegas):
+        if kept[j]:
+            if solver.split is not None:
+                stats.iterations.append(0)
+                stats.residuals.append(float(residuals[j]))
+            continue
+        x0 = _series_at(terms, grid.omegas[j : j + 1])[:, 0] if j < end else None
         try:
             solver.set_shift(1j * omega)
-            x = solver.solve(b)
+            x = solver.solve(b, x0)
         except PoleProximityError as exc:
             raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
         out[:, j] = S.C @ x
     return out
+
+
+def _series_band(
+    solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray, out: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The low band of a sweep from the Taylor series x(s) = sum_k s^k x_k at s = 0.
+
+    The terms solve -A x_0 = b and -A x_k = -E x_{k-1} through `solver` at
+    the real shift 0, so that (sE - A) sum_k s^k x_k = b holds term by term.
+    They are added only as the next grid point needs them: with rho the
+    ratio ||x_k|| / ||x_{k-1}|| of the last two terms, a point at omega
+    needs K terms with (omega rho)^K <= UNIT_ROUNDOFF.  Growing to K terms
+    must not spend more term solves than the points kept so far plus the
+    points that K terms reach, and K is at most SERIES_MAX_TERMS (so the
+    first two terms, which give rho, are spent on trust).  Points are
+    evaluated in increasing omega, SERIES_BLOCK_BYTES of samples at a time,
+    each with its true relative residual ||b - (i omega E - A) x|| / ||b||
+    in S's own E and A, and a point within GMRES_RTOL is written to `out`.
+    x is held as x_0 + D, D the terms from x_1 on, and its residual and
+    outputs are those of the two parts: rounding x_0 + D to one vector would
+    add about u ||A|| ||x|| to the residual, 4e-14 to 9e-14 of ||b|| on the
+    d = 2 ladder, where x_0's own is what its solve refined (0 there).
+
+    The series stops at the first point beyond its reach or above
+    RESIDUAL_RTOL, and where a solve at s = 0 raises or falls back to sparse
+    LU (then the sweep meets that shift as if there were no series).  Term
+    solves are recorded only in the stats' series_terms.  Returns (end,
+    kept, residuals, terms): the points before `end` were evaluated, with
+    those residuals, from the terms, shape (K, N), and where `kept` their
+    samples are in `out`.
+    """
+    stats = solver.stats
+    b = S.B[:, 0]
+    b_norm = np.linalg.norm(b) or 1.0
+    residuals = np.empty(len(omegas))
+    kept = np.zeros(len(omegas), dtype=bool)
+    terms = np.empty((SERIES_MAX_TERMS, S.n))
+    n_terms = j = 0
+    norms = []
+    block = max(1, SERIES_BLOCK_BYTES // (16 * S.n))
+
+    def reach(k: int) -> float:
+        """The largest omega k terms serve, by the current estimate of rho."""
+        if n_terms < 2:
+            return 0.0 if k else -1.0  # x_0 alone serves omega = 0
+        rho = norms[-1] / norms[-2] if norms[-2] else 0.0
+        return UNIT_ROUNDOFF ** (1.0 / k) / rho if rho else np.inf
+
+    solver.stats = term_stats = SolverStats()
+    try:
+        solver.set_shift(0.0)
+        while j < len(omegas):
+            if omegas[j] > reach(n_terms):
+                # the terms omega_j needs; one more while rho is unknown
+                k, n_reach = n_terms + 1, len(omegas) - j
+                if n_terms >= 2:
+                    while k <= SERIES_MAX_TERMS and omegas[j] > reach(k):
+                        k += 1
+                    n_reach = np.searchsorted(omegas, reach(k), "right") - j
+                if k > SERIES_MAX_TERMS or k > np.count_nonzero(kept) + n_reach or solver.falls_back:
+                    break
+                rhs = b if n_terms == 0 else -(S.E @ terms[n_terms - 1])
+                terms[n_terms] = solver.solve(rhs)
+                if solver.falls_back:  # that solve missed: LU takes over at s = 0
+                    break
+                norms.append(np.linalg.norm(terms[n_terms]))
+                n_terms += 1
+                continue
+            stop = min(int(np.searchsorted(omegas, reach(n_terms), "right")), j + block)
+            om = omegas[j:stop]
+            # x = x_0 + D, D's real and imaginary parts in adjacent columns
+            x0, D = terms[0], _series_at(terms[1:n_terms], om, 1).view(float)
+            R = (S.A @ D).view(complex)
+            R -= ((S.E @ D).view(complex) + (S.E @ x0)[:, None]) * (1j * om)
+            R += (b + S.A @ x0)[:, None]
+            res = np.linalg.norm(R, axis=0) / b_norm
+            ok = res <= RESIDUAL_RTOL  # False where NaN
+            n_ok = len(om) if ok.all() else int(np.argmin(ok))
+            keep = np.flatnonzero(res[:n_ok] <= GMRES_RTOL)
+            out[:, j + keep] = (S.C @ D).view(complex)[:, keep] + (S.C @ x0)[:, None]
+            residuals[j : j + n_ok] = res[:n_ok]
+            kept[j + keep] = True
+            j += n_ok
+            if n_ok < len(om):
+                break
+    except (PoleProximityError, ResidualMissError):
+        pass
+    finally:
+        solver.stats = stats
+    stats.series_points = int(np.count_nonzero(kept))
+    stats.series_terms = term_stats.iterations if solver.split is not None else [0] * n_terms
+    return j, kept, residuals, terms[:n_terms]
+
+
+def _series_at(terms: np.ndarray, omegas: np.ndarray, first: int = 0) -> np.ndarray:
+    """sum_k (i omega)^(first + k) terms[k] for each omega, the columns of one
+    N x c complex array, by one real product with the powers' real and
+    imaginary parts."""
+    k = first + np.arange(len(terms))
+    powers = omegas[None, :] ** k[:, None] * _I_POWERS[k % 4, None]
+    return (terms.T @ powers.view(float)).view(complex)
 
 
 class ResidualMissError(ArithmeticError):
@@ -295,19 +440,30 @@ class ShiftedSolver:
         if self.V is None or self.V.dtype != self.dtype:
             self.V = np.empty((GMRES_RESTART + 1, self.L.shape[1]), dtype=self.dtype)
             self.H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=self.dtype)
-            self.b_split = np.empty(len(self.order), dtype=self.dtype)
+            # right-hand side, iterate and residual, in the split order
+            self.b_split, self.x, self.r = np.empty((3, len(self.order)), dtype=self.dtype)
         self.gmres = True
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x solving (sE - A) x = b at the current shift, by the policy above."""
+    @property
+    def falls_back(self) -> bool:
+        """Whether the next solve at this shift is a sparse-LU fallback."""
+        return self.split is not None and not self.gmres
+
+    def solve(self, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+        """x solving (sE - A) x = b at the current shift, by the policy above;
+        GMRES starts from x0 where given (the LU route ignores it)."""
         b = np.asarray(b, dtype=self.dtype)
         iterations = 0
         if self.gmres:
-            # b_split is reused, so that a solve allocates no N-vector for
-            # its right-hand side: fresh pages fault at every frequency
-            b_split = np.take(b, self.order, out=self.b_split, mode="clip")  # "raise" would buffer `out`
+            # the N-vectors of a solve are reused, so that it allocates none
+            # for its right-hand side, iterate or residual: fresh pages fault
+            # at every frequency.  "raise" would make np.take buffer `out`
+            b_split = np.take(b, self.order, out=self.b_split, mode="clip")
+            if x0 is not None:
+                np.take(np.asarray(x0, dtype=self.dtype), self.order, out=self.x, mode="clip")
             x, iterations, r_norm = _gmres_schur(
-                self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H
+                self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H,
+                self.x, self.r, x0 is not None,
             )
             residual = float(r_norm / (np.linalg.norm(b_split) or 1.0))
             if residual <= RESIDUAL_RTOL:
@@ -334,11 +490,13 @@ class ShiftedSolver:
         return f"; no sparse-LU fallback for N={self.S.n} > {LU_FALLBACK_MAX_STATES} states"
 
 
-def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     """b - K x for K = [[I (x) M, L], [U, I (x) M]], M = mean_block, whose
-    eliminated class is the first L.shape[0] states."""
+    eliminated class is the first L.shape[0] states; written to `out` where given."""
     n_e = L.shape[0]
-    r = b - (x.reshape(-1, len(mean_block)) @ mean_block.T).ravel()
+    r = np.empty_like(b) if out is None else out
+    np.matmul(x.reshape(-1, len(mean_block)), mean_block.T, out=r.reshape(-1, len(mean_block)))
+    np.subtract(b, r, out=r)
     r[:n_e] -= L @ x[n_e:]
     r[n_e:] -= U @ x[:n_e]
     return r
@@ -352,16 +510,21 @@ def _gmres_schur(
     b: np.ndarray,
     V: np.ndarray,
     H: np.ndarray,
+    x: np.ndarray,
+    r: np.ndarray,
+    warm: bool = False,
 ) -> tuple[np.ndarray, int, float]:
     """Restarted GMRES on K x = b through its Schur complement, K as in _residual.
 
     V, (restart + 1) x |o|, and H, restart x restart, are the caller's
-    workspace and are overwritten; the restart length is len(V) - 1.  The
-    arithmetic is that of V: real Givens rotations for a real workspace,
-    complex ones for a complex one.  Returns (x, iterations, ||b - K x||),
-    the norm being that of the true residual each cycle starts from, so the
-    last allowed cycle is followed by one more residual.  Where H is singular
-    (a pole on the grid) x is the iterate reached before that cycle.
+    workspace and are overwritten; the restart length is len(V) - 1.  So are
+    x and r, vectors like b: x holds the iterate, started from zero, or from
+    x's own values where `warm`, and r the residual.  The arithmetic is that of V: real Givens rotations for a real
+    workspace, complex ones for a complex one.  Returns (x, iterations,
+    ||b - K x||), the norm being that of the true residual each cycle starts
+    from, so the last allowed cycle is followed by one more residual.  Where
+    H is singular (a pole on the grid) x is the iterate reached before that
+    cycle.
     """
     P = mean_inverse.T
     n = len(P)
@@ -377,12 +540,13 @@ def _gmres_schur(
     # at `tol` left samples up to 1.3e-13 * max|H| off SuperLU, against
     # 3.3e-14 at this target
     cycle_tol = 0.1 * tol
-    x = np.zeros_like(b)
-    r = b
+    if not warm:
+        x.fill(0)
+    r_work, r = r, b
     iterations = 0
     for cycle in range(GMRES_MAXITER + 1):
-        if cycle:
-            r = _residual(L, U, mean_block, b, x)
+        if cycle or warm:
+            r = _residual(L, U, mean_block, b, x, r_work)
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol or cycle == GMRES_MAXITER:
             break

@@ -147,12 +147,13 @@ class TestConfig:
             ("seed: 1.5\n", "seed must be an integer, got 1.5"),
             ("seed: true\n", "seed must be an integer, got True"),
             ("basis: 5\n", "basis must be a mapping of its settings, got 5"),
+            ("basis: [1\n", "not valid YAML at line 2, column 1: expected ',' or ']', but got '<stream end>'"),
         ],
         ids=[
             "downsize-sweep", "r-sweep", "mode", "top-k-without-k", "threshold-delta", "transient-input",
             "degree", "points-per-decade", "decades", "mor-r", "transient-step", "transient-horizon",
             "transient-enabled", "include-zero", "s0", "deflation-thresholds", "table-deltas",
-            "output-dir-null", "netlist-null", "seed-float", "seed-bool", "section-scalar",
+            "output-dir-null", "netlist-null", "seed-float", "seed-bool", "section-scalar", "yaml-syntax",
         ],
     )
     def test_invalid_value_rejected_before_any_stage(self, tmp_path, capsys, text, message):

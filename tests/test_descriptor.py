@@ -66,6 +66,14 @@ class TestFactorPencil:
         with pytest.raises(PoleProximityError):
             factor_pencil(np.eye(1), np.full((1, 1), np.nan), 1.0)
 
+    def test_nan_condition_estimate(self, monkeypatch):
+        # SuperLU factors the well-conditioned pencil; a NaN estimate of
+        # ||M^-1||_1 must still be refused, which `condition > 1e15` would not
+        monkeypatch.setattr(descriptor.spla, "onenormest", lambda *_args, **_kwargs: np.nan)
+        with pytest.raises(PoleProximityError, match="ill-conditioned shifted pencil at s=1.0") as exc:
+            factor_pencil(np.eye(2), -np.eye(2), 1.0)
+        assert np.isnan(exc.value.condition)
+
     @pytest.mark.parametrize("symmetric_mode", [False, True])
     def test_symmetric_mode_pivots(self, symmetric_mode):
         # MNA of an RC ladder driven by three near-ideal voltage sources
@@ -229,6 +237,15 @@ class TestSimulateTransient:
             errs.append(np.abs(traj.outputs[:, 0] - exact).max())
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(rates > 1.9)
+
+    def test_multi_input_rejected_before_factoring(self, monkeypatch):
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("factored a multi-input system")
+
+        monkeypatch.setattr(descriptor, "factor_pencil", unexpected)
+        sys = DescriptorSystem(np.eye(2), -np.eye(2), np.ones((2, 2)), np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"single-input system \(n_in=1\), got n_in=2"):
+            sg.simulate_transient(sys, lambda t: np.sin(t), 1.0, 0.1)
 
     def test_inconsistent_start_rejected(self):
         with pytest.raises(ValueError, match="u\\(0\\)"):

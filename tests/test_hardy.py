@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor import hardy
-from sgmor.descriptor import DescriptorSystem, PoleProximityError
+from sgmor.descriptor import DescriptorSystem, PoleProximityError, pencil_residual
 from sgmor.galerkin import GalerkinSystem, Selection
 from sgmor.hardy import RESIDUAL_RTOL, SolverStats, loglog_slope
 
@@ -30,6 +30,11 @@ def split_system(K, n_e):
     eliminated states first."""
     K = sp.csr_matrix(K)
     return K[:n_e, n_e:], K[n_e:, :n_e]
+
+
+def gmres(L, U, M, b, V, H):
+    """_gmres_schur from a zero start, with fresh iterate and residual vectors."""
+    return hardy._gmres_schur(L, U, M, np.linalg.inv(M), b, V, H, np.empty_like(b), np.empty_like(b))
 
 
 def two_cyclic_system(rng, blocks_e, blocks_o, n, eps, dtype=complex):
@@ -239,17 +244,21 @@ class TestGalerkinSampling:
 
     def test_miss_at_one_frequency_only(self, desk_galerkin, monkeypatch):
         # GMRES lies at the third frequency alone: that frequency falls back
-        # to sparse LU, and the next one runs GMRES again
+        # to sparse LU, and the next one runs GMRES again.  The grid lies
+        # above the Taylor series' reach, and the series' real term solves
+        # at s = 0 are neither perturbed nor counted
         real_gmres = hardy._gmres_schur
         calls = []
 
         def lying_once(*args):
+            if not np.iscomplexobj(args[4]):
+                return real_gmres(*args)
             result = perturbed_gmres(real_gmres, *args) if len(calls) == 2 else real_gmres(*args)
             calls.append(result[1])
             return result
 
         monkeypatch.setattr(hardy, "_gmres_schur", lying_once)
-        grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
+        grid = sg.FrequencyGrid.logspaced(0, 3, 4, include_zero=False)
         stats = SolverStats()
         H = sg.sample_transfer(desk_galerkin, grid, stats)
         ref = sg.sample_transfer(desk_galerkin.system, grid)
@@ -296,7 +305,7 @@ class TestGalerkinSampling:
         V = np.empty((3, blocks_o * n), dtype=dtype)
         H = np.empty((2, 2), dtype=dtype)
         L, U = split_system(K, blocks_e * n)
-        x, iterations, r_norm = hardy._gmres_schur(L, U, M, np.linalg.inv(M), b, V, H)
+        x, iterations, r_norm = gmres(L, U, M, b, V, H)
         assert x.dtype == dtype
         assert iterations > 2  # at least two restart cycles
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
@@ -311,7 +320,7 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(3), 3, 3, 3, 0.1)
         L, U = split_system(K, 9)
         V, H = np.empty((2, 9), dtype=complex), np.empty((1, 1), dtype=complex)
-        x, iterations, r_norm = hardy._gmres_schur(L, U, M, np.linalg.inv(M), b, V, H)
+        x, iterations, r_norm = gmres(L, U, M, b, V, H)
         assert iterations == 2
         assert r_norm == np.linalg.norm(hardy._residual(L, U, M, b, x))
         assert r_norm > RESIDUAL_RTOL * np.linalg.norm(b)
@@ -324,7 +333,7 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(9), 4, blocks_o, n, 0.1)
         V = np.empty((blocks_o * n + 1, blocks_o * n), dtype=complex)
         H = np.empty((blocks_o * n, blocks_o * n), dtype=complex)
-        x, iterations, _ = hardy._gmres_schur(*split_system(K, 4 * n), M, np.linalg.inv(M), b, V, H)
+        x, iterations, _ = gmres(*split_system(K, 4 * n), M, b, V, H)
         assert iterations <= blocks_o * n
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
 
@@ -336,18 +345,19 @@ class TestGalerkinSampling:
         V = np.empty((4, 2), dtype=complex)
         H = np.empty((3, 3), dtype=complex)
         b = np.arange(1.0, 7.0) * (1.0 + 1.0j)
-        x, iterations, _ = hardy._gmres_schur(*split_system(K, 4), M, np.linalg.inv(M), b, V, H)
+        x, iterations, _ = gmres(*split_system(K, 4), M, b, V, H)
         assert iterations == 1
         assert np.allclose(x, np.linalg.solve(K, b), rtol=1e-15, atol=0.0)
         zero = np.zeros(6, dtype=complex)
-        x, iterations, r_norm = hardy._gmres_schur(*split_system(K, 4), M, np.linalg.inv(M), zero, V, H)
+        x, iterations, r_norm = gmres(*split_system(K, 4), M, zero, V, H)
         assert iterations == 0 and not x.any() and r_norm == 0.0
 
     def test_workspace_reuse_is_bitwise(self, bench_galerkin_d1):
         # one sweep reuses its Krylov workspace; single frequencies, run in
         # reverse order, each start from a fresh solver.  The ladder, unlike
         # the desk system, takes true-residual restarts at some frequencies.
-        grid = sg.FrequencyGrid.logspaced(-2, 10, 2)
+        # The grid lies above the reach of the Taylor series at s = 0.
+        grid = sg.FrequencyGrid.logspaced(4, 10, 2, include_zero=False)
         H = sg.sample_transfer(bench_galerkin_d1, grid)
         S = bench_galerkin_d1.system
         for j in reversed(range(len(grid))):
@@ -447,7 +457,7 @@ class TestGalerkinSampling:
         sys = desk_galerkin.system.dense() if dense else desk_galerkin.system
         stats = SolverStats()
         sg.sample_transfer(sys, sg.FrequencyGrid(np.array([0.0, 1.0])), stats)
-        assert stats.summary() == {
+        expected = {
             "method": method,
             "max_iterations": None,
             "median_iterations": None,
@@ -456,6 +466,118 @@ class TestGalerkinSampling:
             "fallbacks": 0,
             "schur_unknowns": None,
         }
+        if not dense:
+            # the series' first term serves omega = 0; the norm ratio that
+            # omega = 1 would need takes a second, and 1 lies beyond its reach
+            expected.update(series_points=1, series_terms=2, series_iterations=0)
+        assert stats.summary() == expected
+
+
+def superlu_samples(sys, omegas):
+    """H(i*omega) by one SuperLU factorization per frequency (transfer_eval)."""
+    return np.column_stack([sg.transfer_eval(sys, 1j * w)[:, 0] for w in omegas])
+
+
+class TestTaylorSeries:
+    @pytest.mark.parametrize("ladder", ["bench_galerkin_d1", "bench_galerkin_d2"])
+    def test_low_band_at_superlu_level(self, ladder, request):
+        # the bound of test_ladder_at_superlu_level, against SuperLU at every
+        # point the series can reach (24 terms: omega up to about 2.9e3)
+        gsys = request.getfixturevalue(ladder)
+        grid = sg.FrequencyGrid.logspaced(-2, 10, 10)
+        stats = SolverStats()
+        H = sg.sample_transfer(gsys, grid, stats)
+        band = grid.omegas <= 3e3
+        ref = superlu_samples(gsys.system, grid.omegas[band])
+        assert stats.series_points >= 50 and max(stats.residuals) <= RESIDUAL_RTOL
+        assert len(stats.series_terms) <= stats.series_points
+        assert np.abs(H[:, band] - ref).max() <= 5e-14 * np.abs(ref).max()
+
+    def test_singular_mean_block_runs_no_series(self):
+        # the system of test_singular_mean_block_falls_back: GMRES cannot
+        # run at s = 0, so no term is solved and omega = 0 falls back as before
+        gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        stats = SolverStats()
+        sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.0, 0.5])), stats)
+        assert stats.series_points == 0 and stats.series_terms == []
+        assert stats.fallbacks == 1 and stats.iterations[0] == 0 and len(stats.residuals) == 2
+
+    @pytest.mark.parametrize("galerkin", [True, False], ids=["gmres-schur", "superlu"])
+    def test_pencil_singular_at_zero(self, galerkin):
+        # -A = [[1, -1], [-1, 1]] is singular while its mean block 1 is not:
+        # the sweep raises at omega = 0 what it raised without the series
+        gsys = scalar_galerkin(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        stats = SolverStats()
+        with pytest.raises(
+            PoleProximityError, match=r"^pole proximity at omega=0.0: singular shifted pencil at s=0j: "
+        ) as exc:
+            sg.sample_transfer(gsys if galerkin else gsys.system, sg.FrequencyGrid(np.array([0.0, 0.5])), stats)
+        assert exc.value.condition == np.inf
+        assert stats.series_points == 0 and stats.fallbacks == int(galerkin)
+
+    def test_grid_above_reach_is_the_plain_sweep(self, bench_galerkin_d1):
+        # two term solves estimate the reach, and then every point is solved
+        # by one ShiftedSolver moved from frequency to frequency
+        grid = sg.FrequencyGrid.logspaced(4, 10, 4, include_zero=False)
+        stats = SolverStats()
+        H = sg.sample_transfer(bench_galerkin_d1, grid, stats)
+        assert stats.series_points == 0 and len(stats.series_terms) == 2
+        S = bench_galerkin_d1.system
+        plain = SolverStats()
+        solver = hardy.ShiftedSolver(bench_galerkin_d1, plain)
+        for j, w in enumerate(grid.omegas):
+            solver.set_shift(1j * w)
+            assert np.array_equal(S.C @ solver.solve(S.B[:, 0]), H[:, j])
+        assert stats.iterations == plain.iterations and stats.residuals == plain.residuals
+        assert stats.fallbacks == plain.fallbacks == 0
+
+    def test_warm_start_takes_fewer_iterations(self, bench_galerkin_d1):
+        # a series sample cut short to a residual between GMRES_RTOL and
+        # RESIDUAL_RTOL, as a handed-over point has, against a cold start
+        S = bench_galerkin_d1.system
+        grid = sg.FrequencyGrid.logspaced(-2, 4, 10)
+        solver = hardy.ShiftedSolver(bench_galerkin_d1, SolverStats())
+        *_, terms = hardy._series_band(solver, S, grid.omegas, np.empty((S.n_out, len(grid)), dtype=complex))
+        w, b = 1e3, S.B[:, 0].astype(complex)
+        samples = [hardy._series_at(terms[:k], np.array([w]))[:, 0] for k in range(1, len(terms) + 1)]
+        x0 = next(x for x in samples if pencil_residual(S, 1j * w, b, x) <= RESIDUAL_RTOL)
+        assert hardy.GMRES_RTOL < pencil_residual(S, 1j * w, b, x0) <= RESIDUAL_RTOL
+        cold, warm = SolverStats(), SolverStats()
+        for stats, guess in ((cold, None), (warm, x0)):
+            solver = hardy.ShiftedSolver(bench_galerkin_d1, stats)
+            solver.set_shift(1j * w)
+            solver.solve(b, guess)
+        assert cold.residuals[0] <= hardy.GMRES_RTOL and warm.residuals[0] <= hardy.GMRES_RTOL
+        assert 0 < warm.iterations[0] < cold.iterations[0]
+
+    def test_sweep_hands_over_near_misses(self, bench_galerkin_d1, monkeypatch):
+        # truncated at 1e-13 instead of the unit round-off, series samples
+        # miss GMRES_RTOL: ShiftedSolver refines them, each from its series
+        # sample, in fewer iterations than the plain sweep (no series terms)
+        gsys, grid = bench_galerkin_d1, sg.FrequencyGrid.logspaced(-2, 4, 10)
+        monkeypatch.setattr(hardy, "SERIES_MAX_TERMS", 0)
+        plain = SolverStats()
+        ref = sg.sample_transfer(gsys, grid, plain)
+        assert plain.series_points == 0 and plain.series_terms == []
+        monkeypatch.setattr(hardy, "SERIES_MAX_TERMS", 24)
+        monkeypatch.setattr(hardy, "UNIT_ROUNDOFF", 1e-13)
+        stats = SolverStats()
+        H = sg.sample_transfer(gsys, grid, stats)
+        its, plain_its = np.array(stats.iterations), np.array(plain.iterations)
+        handed_over = its > 0
+        assert np.all(its <= plain_its) and np.any(its[handed_over] < plain_its[handed_over])
+        assert max(stats.residuals) <= RESIDUAL_RTOL and stats.fallbacks == 0
+        assert np.abs(H - ref).max() <= 5e-14 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), alg_fraction=st.floats(0.0, 0.9), seed=st.integers(0, 2**32 - 1))
+    def test_sparse_matches_dense_solves(self, n, alg_fraction, seed):
+        sys = random_stable_dae(n, int(alg_fraction * n), seed)
+        grid = sg.FrequencyGrid.logspaced(-3, 1, 10)
+        stats = SolverStats()
+        H = sg.sample_transfer(as_csr(sys), grid, stats)
+        ref = np.column_stack([sys.C @ np.linalg.solve(1j * w * sys.E - sys.A, sys.B[:, 0]) for w in grid.omegas])
+        assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestHardyNorms:
