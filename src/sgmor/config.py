@@ -164,13 +164,15 @@ def _validate(cfg: PipelineConfig) -> None:
         ("mor.deflation_thresholds", thresholds, _all_reals(thresholds, lambda t: t > 0),
          "must be a list of numbers > 0"),
         ("basis.degree", degree, _real(degree, int) >= 0, "must be an integer >= 0"),
-        ("frequency_grid.points_per_decade", ppd, _real(ppd) >= 1, "must be >= 1"),
-        ("frequency_grid.decade_min", lo, _real(lo) < _real(hi), f"must be below decade_max = {hi!r}"),
+        ("frequency_grid.points_per_decade", ppd, 1 <= _real(ppd) < math.inf, "must be >= 1 and finite"),
+        ("frequency_grid.decade_max", hi, math.isfinite(_real(hi)), "must be a finite real number"),
+        ("frequency_grid.decade_min", lo, -math.inf < _real(lo) < _real(hi),
+         f"must be below decade_max = {hi!r} and finite"),
         ("frequency_grid.include_zero", fg.include_zero, isinstance(fg.include_zero, bool), "must be true or false"),
         ("transient.enabled", tr.enabled, isinstance(tr.enabled, bool), "must be true or false"),
         ("transient.input", tr.input, tr.input in TRANSIENT_INPUTS, f"must be one of {TRANSIENT_INPUTS}"),
-        ("transient.step", tr.step, _real(tr.step) > 0, "must be > 0"),
-        ("transient.horizon", tr.horizon, _real(tr.horizon) > 0, "must be > 0"),
+        ("transient.step", tr.step, 0 < _real(tr.step) < math.inf, "must be > 0 and finite"),
+        ("transient.horizon", tr.horizon, 0 < _real(tr.horizon) < math.inf, "must be > 0 and finite"),
     ]
     for name, value, ok, rule in checks:
         if not ok:

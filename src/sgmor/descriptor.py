@@ -1,19 +1,20 @@
 """Linear time-invariant descriptor systems E x' = A x + B u, y = C x.
 
-Transfer-function evaluation, pencil spectrum and stability checks, and
-implicit trapezoidal transient simulation (index-1 safe) for
-verifying input-output bounds.
+Transfer-function evaluation, the real generalized Schur form of a dense
+pencil, pencil spectrum and stability checks, and implicit trapezoidal
+transient simulation (index-1 safe) for verifying input-output bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 __all__ = [
     "DescriptorSystem",
@@ -35,8 +36,8 @@ __all__ = [
 LU_FALLBACK_MAX_STATES = 100_000
 
 # largest sparse system pencil_spectrum densifies for its O(n^3) generalized
-# eigendecomposition; the pipeline asks only the dense reduced systems of the
-# r sweep (r <= 120 in every workload) for a verdict
+# Schur form; the pipeline asks only the dense reduced systems of the r sweep
+# (r <= 120 in every workload) for a verdict
 DENSE_SPECTRUM_MAX_STATES = 2000
 
 
@@ -111,6 +112,37 @@ class DescriptorSystem:
             return self
         return DescriptorSystem(self.E.toarray(), self.A.toarray(), self.B, self.C.toarray())
 
+    @cached_property
+    def schur_form(self) -> tuple[np.ndarray, ...]:
+        """(AA, BB, Q, Z, alpha, beta), the real generalized Schur form of a
+        dense pencil, computed at the first read and kept on the system.
+
+        A = Q AA Z^T and E = Q BB Z^T with Q and Z orthogonal, BB upper
+        triangular and AA upper quasi-triangular: a 1 x 1 diagonal block per
+        real eigenvalue, a 2 x 2 block (a nonzero subdiagonal entry of AA) per
+        complex-conjugate pair.  The eigenvalues are alpha_i / beta_i, alpha
+        complex and beta real and >= 0, beta_i = 0 for an infinite one.
+        LAPACK's gges, with the optimal workspace from a query first, as
+        scipy.linalg.qz calls it; its alpha and beta are ggev's, the
+        eigenvalues scipy.linalg.eig returns.  Both hardy.sample_transfer and
+        pencil_spectrum read it, so a reduced system sampled and then judged
+        is decomposed once; every reader gets the same arrays and writes to
+        none of them.  Raises LinAlgError where E or A has a non-finite
+        entry, which LAPACK does not check, or gges fails.
+        """
+        A, E = self.A, self.E
+        if not (np.isfinite(A).all() and np.isfinite(E).all()):
+            raise np.linalg.LinAlgError("the pencil has non-finite entries")
+
+        def unsorted(*_):  # gges' eigenvalue selector, unused without sorting
+            return 0
+
+        lwork = int(lapack.dgges(unsorted, A, E, lwork=-1)[-2][0])
+        AA, BB, _, alphar, alphai, beta, Q, Z, _, info = lapack.dgges(unsorted, A, E, lwork=lwork)
+        if info:
+            raise np.linalg.LinAlgError(f"gges failed with info = {info}")
+        return AA, BB, Q, Z, alphar + 1j * alphai, beta
+
 
 def factor_pencil(E, A, shift, *, symmetric_mode: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """Factor shift*E - A once and return a solve closure.
@@ -169,7 +201,7 @@ def transfer_eval(sys: DescriptorSystem, s: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PencilReport:
-    """Spectrum verdicts from a dense generalized eigendecomposition.
+    """Spectrum verdicts from a dense generalized Schur form.
 
     finite_eigenvalues are sorted, infinite_count is exact, and `stable`
     says every finite eigenvalue lies in the open left half-plane.
@@ -185,10 +217,15 @@ class PencilReport:
 def pencil_spectrum(sys: DescriptorSystem) -> PencilReport:
     """Finite eigenvalues, infinite-eigenvalue count and stability of the pencil.
 
-    One dense generalized eigendecomposition (QZ) of A - lambda E.  A dense
-    system of any size is decomposed, since it is already in memory; a
+    Read from the eigenvalue pairs (alpha, beta) of the system's real
+    generalized Schur form (DescriptorSystem.schur_form), the one its dense
+    samples come from: a system sampled first is not decomposed again.  An
+    eigenvalue is infinite where |beta| <= 1e-12 (|alpha| + |beta|).  A
+    dense system of any size is decomposed, since it is already in memory; a
     sparse one above DENSE_SPECTRUM_MAX_STATES states raises ValueError
-    before it is densified.
+    before it is densified.  Raises PencilRegularityError where the
+    decomposition fails, E or A has a non-finite entry, or some pair is
+    (numerically) 0 / 0.
     """
     n = sys.n
     if sys.is_sparse and n > DENSE_SPECTRUM_MAX_STATES:
@@ -196,17 +233,17 @@ def pencil_spectrum(sys: DescriptorSystem) -> PencilReport:
             f"no dense pencil spectrum for a sparse system of N={n} > "
             f"DENSE_SPECTRUM_MAX_STATES = {DENSE_SPECTRUM_MAX_STATES} states"
         )
-    D = sys.dense()
-    alpha, beta = sla.eig(D.A, D.E, right=False, homogeneous_eigvals=True)
-    if np.any(np.isnan(alpha)) or np.any(np.isnan(beta)):
+    try:
+        *_, alpha, beta = sys.dense().schur_form
+    except np.linalg.LinAlgError as exc:
+        raise PencilRegularityError(f"no generalized Schur form of the pencil: {exc}") from exc
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
         raise PencilRegularityError("pencil is numerically singular")
     mag = np.abs(alpha) + np.abs(beta)
     if np.any(mag == 0.0):
         raise PencilRegularityError("pencil is identically singular")
     finite_mask = np.abs(beta) > 1e-12 * mag
     finite = alpha[finite_mask] / beta[finite_mask]
-    if np.any(~np.isfinite(finite)):
-        raise PencilRegularityError("pencil is numerically singular")
     return PencilReport(
         finite_eigenvalues=np.sort_complex(finite),
         infinite_count=int(n - finite_mask.sum()),

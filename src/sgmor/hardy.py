@@ -38,10 +38,15 @@ frequency to frequency.  On the d = 2 ladder (slowest pole at |lambda| =
 1.4e4) 24 terms serve the 329 of 722 default grid points up to omega of
 about 2.9e3, each term a real GMRES solve of 2 to 3 iterations.
 
-Dense (reduced) systems: one complex QZ, A = Q AA Z^H and E = Q BB Z^H,
-for the whole grid, the triangular systems (i*omega*BB - AA) y = Q^H b
-back-substituted for all frequencies at once, and one refinement step
-through the residual in the original pencil.
+Dense (reduced) systems: one real generalized Schur form, A = Q AA Z^T and
+E = Q BB Z^T with AA quasi-triangular and BB triangular, for the whole grid
+(DescriptorSystem.schur_form, kept on the system, where pencil_spectrum
+reads its eigenvalues too).  The systems (i*omega*BB - AA) y = Q^T b are
+back-substituted for all frequencies at once, over AA's 1 x 1 and 2 x 2
+diagonal blocks, each 2 x 2 block solved in closed form, and one
+refinement step goes through the residual in the original pencil.  Real
+matrices meet the complex right-hand sides as one real product with their
+real and imaginary parts.
 
 The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
 approximation of the frequency integral plus a c/omega tail model fitted
@@ -227,19 +232,22 @@ def sample_transfer(
 ) -> np.ndarray:
     """H(i*omega_j) for all outputs of a single-input system; shape (n_out, k).
 
-    A sparse system is solved through one ShiftedSolver, a dense one by QZ
-    ("qz"); `stats` records the method and, per frequency, what
-    ShiftedSolver records.  On a sparse system the low band is served by
-    the Taylor series at s = 0 first (_series_band): a point whose series
-    sample has a true relative residual of at most GMRES_RTOL keeps it, a
-    point above that but within RESIDUAL_RTOL is solved by ShiftedSolver
-    started from its series sample, and every point from the first one
-    beyond the series' reach is solved as if there were no series.
+    A sparse system is solved through one ShiftedSolver, a dense one by its
+    real generalized Schur form ("qz", see the module docstring); `stats`
+    records the method and, per frequency, what ShiftedSolver records.  On
+    a sparse system the low band is served by the Taylor series at s = 0
+    first (_series_band): a point whose series sample has a true relative
+    residual of at most GMRES_RTOL keeps it, a point above that but within
+    RESIDUAL_RTOL is solved by ShiftedSolver started from its series
+    sample, and every point from the first one beyond the series' reach is
+    solved as if there were no series.
 
     Raises PoleProximityError naming the omega, with `condition` set, where
     i*omega*E - A is singular or ill-conditioned.  Sparse: where
-    ShiftedSolver raises it.  Dense: a pivot d_i = i*omega*BB_ii - AA_ii
-    is zero or non-finite, or max|d_i| / min|d_i| exceeds 1e15.
+    ShiftedSolver raises it.  Dense: the decomposition fails or E or A has
+    a non-finite entry (condition inf), or, with (alpha_i, beta_i) the
+    eigenvalue pairs of the Schur form, a pivot d_i = |i*omega*beta_i -
+    alpha_i| is zero (inf) or max d_i / min d_i exceeds 1e15.
     """
     S = sys.system if isinstance(sys, GalerkinSystem) else sys
     if S.n_in != 1:
@@ -594,17 +602,17 @@ def _gmres_schur(
 
 
 def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
-    """Dense branch of sample_transfer: one QZ, two vectorised back-substitutions."""
+    """Dense branch of sample_transfer: the system's real generalized Schur
+    form, two vectorised back-substitutions."""
     try:
-        AA, BB, Q, Z = sla.qz(sys.A, sys.E, output="complex")
-    except (ValueError, sla.LinAlgError) as exc:
+        AA, BB, Q, Z, alpha, beta = sys.schur_form
+    except np.linalg.LinAlgError as exc:
         raise PoleProximityError(f"QZ decomposition of the pencil failed: {exc}", condition=np.inf) from exc
     s = 1j * omegas
-    d = s * np.diag(BB)[:, None] - np.diag(AA)[:, None]  # pivots, (n, k)
-    pivots = np.abs(d)
+    pivots = np.abs(s * beta[:, None] - alpha[:, None])  # |s_j beta_i - alpha_i|, (n, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = pivots.max(axis=0) / pivots.min(axis=0)
-    condition[np.isnan(condition)] = np.inf  # zero or non-finite pivots
+    condition[np.isnan(condition)] = np.inf  # all pivots zero
     bad = np.flatnonzero(condition > 1e15)
     if bad.size:
         j = bad[0]
@@ -613,22 +621,40 @@ def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
             condition=float(condition[j]),
         )
     b = sys.B[:, 0]
-    Y = _back_substitute(AA, BB, d, s, Q.conj().T @ b)
+    Y = _back_substitute(AA, BB, s, (Q.T @ b)[:, None])
     # one step of iterative refinement, on the residual in the original
     # pencil, takes the QZ round-off down to the level of an LU solve
-    X = Z @ Y
-    R = b[:, None] - s * (sys.E @ X) + sys.A @ X
-    Y += _back_substitute(AA, BB, d, s, Q.conj().T @ R)
-    return sys.C @ Z @ Y
+    X = _real_times(Z, Y)
+    R = b[:, None] - s * _real_times(sys.E, X) + _real_times(sys.A, X)
+    Y += _back_substitute(AA, BB, s, _real_times(Q.T, R))
+    return _real_times(sys.C @ Z, Y)
 
 
-def _back_substitute(AA, BB, d, s, g) -> np.ndarray:
-    """Y[:, j] solving (s_j BB - AA) Y[:, j] = g (or g[:, j]) for all j at once;
-    d holds the pivots s_j BB_ii - AA_ii, shape (n, k)."""
-    Y = np.empty_like(d)
-    for i in range(len(d) - 1, -1, -1):
-        tail = Y[i + 1 :]
-        Y[i] = (g[i] - s * (BB[i, i + 1 :] @ tail) + AA[i, i + 1 :] @ tail) / d[i]
+def _real_times(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for a real M and a C-ordered complex X, as one real product
+    with X's real and imaginary parts."""
+    return (M @ X.view(float)).view(complex)
+
+
+def _back_substitute(AA, BB, s, g) -> np.ndarray:
+    """Y[:, j] solving (s_j BB - AA) Y[:, j] = g[:, j] for all j at once (g
+    may have one column for all); AA upper quasi-triangular, BB upper
+    triangular.  A 1 x 1 diagonal block is a division, a 2 x 2 one (AA has
+    a subdiagonal entry there) is solved by Cramer's rule."""
+    Y = np.empty((len(AA), len(s)), dtype=complex)
+    i = len(AA)
+    while i:
+        lo = i - 2 if i > 1 and AA[i - 1, i - 2] != 0 else i - 1
+        rows, tail = slice(lo, i), Y[i:]
+        r = g[rows] - s * _real_times(BB[rows, i:], tail) + _real_times(AA[rows, i:], tail)
+        M = s * BB[rows, rows, None] - AA[rows, rows, None]  # the block at each s_j, (b, b, k)
+        if i - lo == 1:
+            Y[lo] = r[0] / M[0, 0]
+        else:
+            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            Y[lo] = (M[1, 1] * r[0] - M[0, 1] * r[1]) / det
+            Y[lo + 1] = (M[0, 0] * r[1] - M[1, 0] * r[0]) / det
+        i = lo
     return Y
 
 

@@ -1,8 +1,9 @@
 """Independent reference computations the tests compare the package against:
 Gauss and Smolyak quadrature over the parameter domain, expectation
 tensors by quadrature, Galerkin assembly by quadrature sums, the
-transfer-function moments that Krylov reduction must match, and a circuit's
-transfer function by plain nodal analysis."""
+transfer-function moments that Krylov reduction must match, a circuit's
+transfer function by plain nodal analysis, and a dense system's transfer
+function by one LU solve per frequency."""
 
 import itertools
 import math
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from sgmor.circuits import CircuitNetlist
@@ -218,3 +220,22 @@ def nodal_transfer(netlist: CircuitNetlist, values: Sequence[float], s: complex)
                 elif there == source:
                     current[pos[here]] += y  # y * (1 V at the driven node)
     return complex(np.linalg.solve(Y, current)[pos[netlist.output_node]])
+
+
+def dense_transfer(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
+    """H(i*omega) of a dense single-input system, one frequency at a time;
+    shape (n_out, k).
+
+    LAPACK's LU of i*omega*E - A per frequency, then one refinement step
+    through the residual, as the package's dense sampler takes one, but
+    without its Schur form.
+    """
+    b = sys.B[:, 0]
+    out = np.empty((sys.n_out, len(omegas)), dtype=complex)
+    for j, omega in enumerate(omegas):
+        K = 1j * omega * sys.E - sys.A
+        lu = sla.lu_factor(K)
+        x = sla.lu_solve(lu, b)
+        x += sla.lu_solve(lu, b - K @ x)
+        out[:, j] = sys.C @ x
+    return out

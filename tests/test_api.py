@@ -240,3 +240,19 @@ def test_shifted_solve_policy_in_one_class():
     assert called == policy, "a policy call is gone: the guard no longer sees the source"
     offenders = {where for where, callee in calls if callee in policy and not _within(where, ("hardy:ShiftedSolver",))}
     assert not offenders, sorted(offenders)
+
+
+def test_generalized_eigenproblems_only_in_schur_form():
+    # one path for dense generalized eigen and Schur decompositions: the real
+    # Schur form kept on a dense DescriptorSystem, which the dense sampler and
+    # pencil_spectrum both read.  A LAPACK routine counts by its name with or
+    # without the precision letter, called or named to get_lapack_funcs
+    names = {"qz", "ordqz", "eig", "eigvals", "gges", "ggev"}
+
+    def decomposes(call):
+        callee = _callee(call) or ""
+        named = {n.value for arg in call.args for n in ast.walk(arg) if isinstance(n, ast.Constant)}
+        return callee in names or (callee[:1] in "sdcz" and callee[1:] in names) or bool(names & named)
+
+    where = {where for where, call in SOURCE_CALLS if decomposes(call)}
+    assert where == {"descriptor:DescriptorSystem.schur_form"}, sorted(where)

@@ -148,12 +148,19 @@ class TestConfig:
             ("seed: true\n", "seed must be an integer, got True"),
             ("basis: 5\n", "basis must be a mapping of its settings, got 5"),
             ("basis: [1\n", "not valid YAML at line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+            ("transient:\n  horizon: .inf\n", "transient.horizon must be > 0 and finite, got inf"),
+            ("transient:\n  step: .inf\n", "transient.step must be > 0 and finite, got inf"),
+            ("frequency_grid:\n  decade_max: .inf\n", "frequency_grid.decade_max must be a finite real number, got inf"),
+            ("frequency_grid:\n  decade_min: -.inf\n", "frequency_grid.decade_min must be below decade_max = 10.0 and finite"),
+            ("frequency_grid:\n  points_per_decade: .inf\n", "frequency_grid.points_per_decade must be >= 1 and finite"),
         ],
         ids=[
             "downsize-sweep", "r-sweep", "mode", "top-k-without-k", "threshold-delta", "transient-input",
             "degree", "points-per-decade", "decades", "mor-r", "transient-step", "transient-horizon",
             "transient-enabled", "include-zero", "s0", "deflation-thresholds", "table-deltas",
             "output-dir-null", "netlist-null", "seed-float", "seed-bool", "section-scalar", "yaml-syntax",
+            "transient-horizon-inf", "transient-step-inf", "decade-max-inf", "decade-min-inf",
+            "points-per-decade-inf",
         ],
     )
     def test_invalid_value_rejected_before_any_stage(self, tmp_path, capsys, text, message):
@@ -321,6 +328,27 @@ class TestStaging:
         assert [int(row.split(",")[0]) for row in rows] == [5, 10, 15, 20]
         t2 = json.loads((work / "theorem2_mor.json").read_text())
         assert t2["r"] == 20 and t2["breakdown"] is False
+
+    def test_reduce_decomposes_each_dense_system_once(self, run_dir, tmp_path, monkeypatch):
+        # each swept system is sampled and judged from one Schur form, and
+        # the written system at mor.r is sampled from one more; each gges
+        # call is preceded by its workspace query
+        out, cfg = run_dir
+        work = tmp_path / "reduce"
+        shutil.copytree(out, work)
+        calls = []
+        real_gges = descriptor.lapack.dgges
+
+        def spy(*args, **kwargs):
+            calls.append((len(args[1]), kwargs.get("lwork") == -1))
+            return real_gges(*args, **kwargs)
+
+        monkeypatch.setattr(descriptor.lapack, "dgges", spy)
+        assert main(["reduce", "--config", str(cfg), "--out", str(work)]) == 0
+        rows = (work / "reduce_bounds.csv").read_text().splitlines()[2:]
+        swept = [int(row.split(",")[0]) for row in rows]
+        assert swept == [5, 10, 15, 20]
+        assert calls == [(r, query) for r in [*swept, 20] for query in (True, False)]
 
     def test_deflation_written_last(self, run_dir, tmp_path):
         # perfbench takes the mtime of deflation.csv as the end of the reduce stage

@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor import descriptor
@@ -202,10 +205,34 @@ class TestPencilSpectrum:
 
         monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 100)
         monkeypatch.setattr(DescriptorSystem, "dense", forbidden)
-        monkeypatch.setattr(descriptor.sla, "eig", forbidden)
+        monkeypatch.setattr(descriptor.lapack, "dgges", forbidden)
         S = bench_galerkin_d1.system
         with pytest.raises(ValueError, match=f"N={S.n} > DENSE_SPECTRUM_MAX_STATES = 100 "):
             sg.pencil_spectrum(S)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 25), rank_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_generalized_eigenvalues(self, n, rank_fraction, seed):
+        # the verdicts from the Schur form's (alpha, beta) are those of the
+        # generalized eigenvalues LAPACK's ggev gives, E singular included
+        rng = np.random.default_rng(seed)
+        rank = round(rank_fraction * n)
+        E = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
+        A = rng.normal(size=(n, n)) - rng.uniform(0.0, 3.0) * np.eye(n)
+        rep = sg.pencil_spectrum(DescriptorSystem(E, A, np.ones((n, 1)), np.ones((1, n))))
+        alpha, beta = sla.eig(A, E, right=False, homogeneous_eigvals=True)
+        finite_mask = np.abs(beta) > 1e-12 * (np.abs(alpha) + np.abs(beta))
+        finite = np.sort_complex(alpha[finite_mask] / beta[finite_mask])
+        assert rep.infinite_count == n - np.count_nonzero(finite_mask) >= n - rank
+        assert rep.finite_eigenvalues.shape == finite.shape
+        assert np.allclose(rep.finite_eigenvalues, finite, rtol=1e-10, atol=1e-12)
+        assert rep.stable == bool(np.all(finite.real < 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pencil_rejected(self, bad):
+        sys = DescriptorSystem(np.eye(2), np.array([[-1.0, bad], [0.0, -1.0]]), np.ones((2, 1)), np.ones((1, 2)))
+        with pytest.raises(PencilRegularityError, match="non-finite"):
+            sg.pencil_spectrum(sys)
 
     def test_dense_above_cap_still_decomposed(self, monkeypatch):
         monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 1)

@@ -15,6 +15,7 @@ from sgmor.galerkin import GalerkinSystem, Selection
 from sgmor.hardy import RESIDUAL_RTOL, SolverStats, loglog_slope
 
 from conftest import perturbed_gmres, scalar_galerkin
+from oracles import dense_transfer
 
 
 def first_order():
@@ -82,6 +83,26 @@ def random_stable_dae(n, n_alg, seed):
     B = rng.normal(size=(n, 1))
     C = rng.normal(size=(3, n))
     return DescriptorSystem(P @ De @ R, P @ Da @ R, B, C)
+
+
+def random_dae_spectrum(n, n_alg, n_pairs, seed):
+    """E = P diag(I, 0) R, A = P diag(J, -I) R with P, R random orthogonal and
+    J = U D U^T, U random orthogonal and D block diagonal: n_pairs
+    complex-conjugate pole pairs a +- ib, each from a block [[a, b], [-b, a]],
+    the rest of J's n - n_alg poles real, every a and real pole in
+    [-10, -0.1], and n_alg infinite eigenvalues."""
+    rng = np.random.default_rng(seed)
+    n_dyn = n - n_alg
+    D = np.diag(-rng.uniform(0.1, 10.0, n_dyn))
+    for k in range(n_pairs):
+        D[2 * k, 2 * k + 1] = rng.uniform(0.1, 10.0)
+        D[2 * k + 1, 2 * k] = -D[2 * k, 2 * k + 1]
+        D[2 * k + 1, 2 * k + 1] = D[2 * k, 2 * k]
+    P, R, U = (np.linalg.qr(rng.normal(size=(m, m)))[0] for m in (n, n, n_dyn))
+    De, Da = np.zeros((n, n)), -np.eye(n)
+    De[:n_dyn, :n_dyn] = np.eye(n_dyn)
+    Da[:n_dyn, :n_dyn] = U @ D @ U.T
+    return DescriptorSystem(P @ De @ R, P @ Da @ R, rng.normal(size=(n, 1)), rng.normal(size=(3, n)))
 
 
 class TestFrequencyGrid:
@@ -152,6 +173,32 @@ class TestSampleTransfer:
             ref_j = sg.transfer_eval(sys, 1j * w)[:, 0]
             kappa = np.linalg.cond(1j * w * sys.E - sys.A)
             assert np.abs(H[:, j] - ref_j).max() <= 1e-14 * kappa * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        alg_fraction=st.floats(0.0, 0.9),
+        pair_fraction=st.floats(0.0, 1.0),
+        real_spectrum=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_matches_per_frequency_solves(self, n, alg_fraction, pair_fraction, real_spectrum, seed):
+        # AA of the Schur form has one 2 x 2 diagonal block per conjugate
+        # pair and 1 x 1 blocks elsewhere, the infinite eigenvalues included
+        n_alg = int(alg_fraction * n)
+        n_dyn = n - n_alg
+        n_pairs = 0 if real_spectrum else min(max(1, int(pair_fraction * n_dyn / 2)), n_dyn // 2)
+        sys = random_dae_spectrum(n, n_alg, n_pairs, seed)
+        assert np.count_nonzero(np.diagonal(sys.schur_form[0], -1)) == n_pairs
+        grid = sg.FrequencyGrid(np.concatenate([[0.0], np.logspace(-2, 6, 17)]))
+        H = sg.sample_transfer(sys, grid)
+        ref = dense_transfer(sys, grid.omegas)
+        # as in test_dense_matches_transfer_eval: the round-off of both
+        # paths grows with the condition number of i*omega*E - A
+        scale = np.abs(ref).max()
+        for j, w in enumerate(grid.omegas):
+            kappa = np.linalg.cond(1j * w * sys.E - sys.A)
+            assert np.abs(H[:, j] - ref[:, j]).max() <= max(1e-12, 1e-14 * kappa) * scale
 
     def test_dense_reduced_matches_sparse_copy(self, desk_galerkin):
         red = sg.arnoldi_reduce(desk_galerkin, 1.0, 5).system
