@@ -31,13 +31,7 @@ from .descriptor import (
     transfer_eval,
 )
 from .galerkin import GalerkinSystem, ParametricSystem, Selection, assemble, downsize
-from .hardy import (
-    FrequencyGrid,
-    HardyNormReport,
-    SolverStats,
-    hardy_norms,
-    sample_transfer,
-)
+from .hardy import FrequencyGrid, HardyNormReport, hardy_norms, sample_transfer
 from .mor import (
     OrthonormalizedBasis,
     ReducedSystem,
@@ -47,6 +41,7 @@ from .mor import (
     svd_basis,
     transform_coefficients,
 )
+from .solver import SolverStats
 from .sparsify import (
     BoundCertificate,
     NormRanking,

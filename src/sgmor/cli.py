@@ -22,10 +22,11 @@ from . import __version__
 from .basis import BasisSpec, build_index_set
 from .circuits import lowpass_benchmark, mna_assemble, parse_netlist
 from .config import PipelineConfig, load_config
-from .descriptor import DescriptorSystem, PoleProximityError, pencil_spectrum, simulate_transient
+from .descriptor import DescriptorSystem, pencil_spectrum, simulate_transient
 from .galerkin import GalerkinSystem, assemble, downsize
-from .hardy import FrequencyGrid, HardyNormReport, SolverStats, hardy_norms, sample_transfer
+from .hardy import FrequencyGrid, HardyNormReport, hardy_norms, sample_transfer
 from .mor import arnoldi_reduce, deflate, svd_basis
+from .solver import PoleProximityError, SolverStats
 from .sparsify import (
     rank_and_theta,
     select_indices,

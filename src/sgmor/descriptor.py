@@ -13,40 +13,24 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
+
+from .solver import LU_FALLBACK_MAX_STATES, factor_pencil
 
 __all__ = [
     "DescriptorSystem",
     "PencilReport",
     "Trajectory",
-    "PoleProximityError",
     "PencilRegularityError",
-    "factor_pencil",
-    "pencil_residual",
     "transfer_eval",
     "pencil_spectrum",
     "simulate_transient",
 ]
 
-
-# largest system the package factors where a structured solve misses
-# (hardy.ShiftedSolver) and the largest it integrates in time: at d = 4 on
-# the ladder (N = 253 000) one sparse LU takes 390 s and 2.7 GB
-LU_FALLBACK_MAX_STATES = 100_000
-
 # largest sparse system pencil_spectrum densifies for its O(n^3) generalized
 # Schur form; the pipeline asks only the dense reduced systems of the r sweep
 # (r <= 120 in every workload) for a verdict
 DENSE_SPECTRUM_MAX_STATES = 2000
-
-
-class PoleProximityError(ArithmeticError):
-    """Shifted pencil s*E - A is singular or too ill-conditioned to factor."""
-
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition
 
 
 class PencilRegularityError(ValueError):
@@ -142,52 +126,6 @@ class DescriptorSystem:
         if info:
             raise np.linalg.LinAlgError(f"gges failed with info = {info}")
         return AA, BB, Q, Z, alphar + 1j * alphai, beta
-
-
-def factor_pencil(E, A, shift, *, symmetric_mode: bool = False) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor shift*E - A once and return a solve closure.
-
-    One route for every pencil: SuperLU on a CSC copy, dense E and A
-    included; a complex shift gives a complex factorization, a real one a
-    real factorization.  Columns are ordered by COLAMD.  symmetric_mode=True runs
-    SuperLU's symmetric mode instead: minimum-degree ordering on A^T + A,
-    with the default pivot threshold, so partial pivoting stays.  Only
-    simulate_transient passes it.  At its real shift 2/h the ladder's
-    Galerkin pencils solve faster this way and as accurately (see there);
-    at the complex shifts of a frequency sweep the mode loses digits
-    (1.1e-12 against 3.3e-14 of max|H| at d = 1), and at d = 3 it fills a
-    third more and factors 2.6 to 9 times slower (omega = 1e-2 to 1e8).
-    A failed factorization (an exactly singular pencil) raises
-    PoleProximityError, and so does an ill-conditioned one: an estimated
-    1-norm condition number above 1e15, or not a number (non-finite
-    entries).  SuperLU's pivots are readable only through CSC copies of
-    both factors, which would roughly double the memory of every
-    factorization, so no pivot ratio is taken.
-    """
-    dtype = complex if np.iscomplexobj(shift) else float
-    M = shift * sp.csc_matrix(E, dtype=dtype) - sp.csc_matrix(A, dtype=dtype)
-    try:
-        if symmetric_mode:
-            factors = spla.splu(M, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        else:
-            factors = spla.splu(M)
-    except (RuntimeError, ValueError) as exc:
-        raise PoleProximityError(f"singular shifted pencil at s={shift}: {exc}", condition=np.inf) from exc
-    # cond_1 = ||M||_1 ||M^-1||_1, the inverse's norm estimated from
-    # solves; t=1 keeps the estimate deterministic (t >= 2 draws from
-    # numpy's global RNG)
-    inv = spla.LinearOperator(
-        M.shape, matvec=factors.solve, rmatvec=lambda v: factors.solve(v, trans="H"), dtype=dtype
-    )
-    condition = spla.norm(M, 1) * spla.onenormest(inv, t=1)
-    if not condition <= 1e15:
-        raise PoleProximityError(f"ill-conditioned shifted pencil at s={shift}", condition=condition)
-    return factors.solve
-
-
-def pencil_residual(sys: DescriptorSystem, s: float | complex, b: np.ndarray, x: np.ndarray) -> float:
-    """True relative residual ||b - (sE - A) x|| / ||b|| of a solve (||b|| = 0 read as 1)."""
-    return float(np.linalg.norm(b - s * (sys.E @ x) + sys.A @ x) / (np.linalg.norm(b) or 1.0))
 
 
 def transfer_eval(sys: DescriptorSystem, s: complex) -> np.ndarray:

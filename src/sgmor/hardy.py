@@ -1,42 +1,21 @@
-"""Frequency-grid estimation of per-output H2 and H-infinity norms, and the
-shifted solver of sE - A that the sweep and the Krylov reduction share.
+"""Frequency-grid estimation of per-output H2 and H-infinity norms.
 
 The transfer function is sampled on a logarithmic grid along the positive
 imaginary axis (conjugate symmetry folds the negative axis).
 
-Galerkin systems (full or downsized).  The three-term recurrence of the
-orthonormal basis couples total degree k only to k +- 1, and every diagonal
-block of sum_k G_k (x) (sE_k - A_k) is the mean pencil M = sE_00 - A_00.
-GalerkinSystem.even_odd_split checks this once and orders the states into
-an eliminated class e and a Schur class o, so that
-K = sE - A = [[I (x) M, L], [U, I (x) M]] at any shift s, real or complex.
-ShiftedSolver solves K x = b without forming K: per shift it writes only
-M and the couplings L = K[e, o] and U = K[o, e] and inverts M once.  With
-P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
-(I - U P L P) y = b_o - U P b_e for x_o = P y, which restarted GMRES
-solves, in real arithmetic for a real s and in complex for s = i*omega.
-Each of at most GMRES_MAXITER outer cycles computes the true residual
-r = b - (I (x) M) x - [L x_o; U x_e] and stops once
-||r|| <= GMRES_RTOL ||b||; otherwise it runs up to GMRES_RESTART GMRES
-steps on f = r_o - U P r_e and adds d_o = P y and d_e = P (r_e - L d_o)
-to x (with no Schur unknowns a cycle is x += P r), so the later cycles
-refine x to about sparse-LU accuracy.  One Krylov workspace, iterate and
-residual serve all the solver's shifts of one dtype; the Arnoldi step is
-classical Gram-Schmidt run twice, and Givens rotations end a cycle at a
-tenth of the outer target.
-
-Sparse systems, Galerkin or not, are sampled through one ShiftedSolver;
-its docstring states the solve policy, which mor.arnoldi_reduce shares at
-its real shift.  The low band comes first, from the Taylor series
-x(s) = sum_k s^k x_k at s = 0 (the moments of asymptotic waveform
-evaluation): its terms are real solves at s = 0, added only as far as the
-next grid point needs them and only while they serve as many points as they
-cost, and each point it serves is kept only where its true residual in the
-system's own E and A is at most GMRES_RTOL, the target of a solved point.
-From the first point beyond the series' reach the solver is moved from
-frequency to frequency.  On the d = 2 ladder (slowest pole at |lambda| =
-1.4e4) 24 terms serve the 329 of 722 default grid points up to omega of
-about 2.9e3, each term a real GMRES solve of 2 to 3 iterations.
+Sparse systems, Galerkin or not, are sampled through one
+solver.ShiftedSolver; its docstring states the solve policy, which
+mor.arnoldi_reduce shares at its real shift.  The low band comes first,
+from the Taylor series x(s) = sum_k s^k x_k at s = 0 (the moments of
+asymptotic waveform evaluation): its terms are real solves at s = 0, added
+only as far as the next grid point needs them and only while they serve as
+many points as they cost, and each point it serves is kept only where its
+true residual in the system's own E and A is at most GMRES_RTOL, the target
+of a solved point.  From the first point beyond the series' reach the
+solver is moved from frequency to frequency.  On the d = 2 ladder (slowest
+pole at |lambda| = 1.4e4) 24 terms serve the 329 of 722 default grid
+points up to omega of about 2.9e3, each term a real GMRES solve of 2 to 3
+iterations.
 
 Dense (reduced) systems: one real generalized Schur form, A = Q AA Z^T and
 E = Q BB Z^T with AA quasi-triangular and BB triangular, for the whole grid
@@ -56,39 +35,16 @@ at the last grid point.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .descriptor import (
-    LU_FALLBACK_MAX_STATES,
-    DescriptorSystem,
-    PoleProximityError,
-    factor_pencil,
-    pencil_residual,
-)
+from .descriptor import DescriptorSystem, pencil_spectrum
 from .galerkin import GalerkinSystem
+from .solver import GMRES_RTOL, RESIDUAL_RTOL, PoleProximityError, ResidualMissError, ShiftedSolver, SolverStats
 
-__all__ = [
-    "ShiftedSolver",
-    "FrequencyGrid",
-    "HardyNormReport",
-    "ResidualMissError",
-    "SolverStats",
-    "sample_transfer",
-    "hardy_norms",
-]
+__all__ = ["FrequencyGrid", "HardyNormReport", "sample_transfer", "hardy_norms"]
 
-RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
-# GMRES's own target sits below RESIDUAL_RTOL, near the round-off floor of
-# the true residual: on the d = 2 ladder, stopping at 1e-12 left errors of up
-# to 1.3e-12 * max|H| in the samples, against 3.6e-14 at this target
-GMRES_RTOL = 5e-14
-GMRES_RESTART = 40
-GMRES_MAXITER = 5  # restart cycles: at most 200 iterations per frequency
 NORMS_BLOCK_ROWS = 256  # outputs per block of hardy_norms' m x k temporaries
 # terms of the Taylor series at s = 0 that may serve the low band of a sweep
 # (N x 24 floats: 7.8 MB at d = 3); on the ladder, whose slowest pole sits at
@@ -179,52 +135,6 @@ class HardyNormReport:
             json.dump(payload, fh, indent=2)
 
 
-@dataclass
-class SolverStats:
-    """How sample_transfer solved each frequency, or arnoldi_reduce each
-    Krylov vector; pass one in to have it filled.
-
-    method is "gmres-schur" or "superlu" (see ShiftedSolver), or "qz"
-    (dense system).  On the GMRES path `iterations` and `residuals` hold
-    one entry per solve, or per frequency of a sweep: the GMRES iterations
-    spent and the true relative residual of the returned solution, where a
-    sample the Taylor series served records 0 iterations and the series'
-    own residual; `fallbacks` counts the solves made by sparse LU, and
-    `schur_unknowns` is the size of the system GMRES ran on.
-
-    A frequency sweep of a sparse system also sets `series_points`, the
-    frequencies the series served, and `series_terms`, the GMRES iterations
-    of each term solve at s = 0 (0 on the sparse-LU route); term solves
-    appear nowhere else.  Elsewhere both stay None and summary() leaves
-    them out.
-    """
-
-    method: str = ""
-    iterations: list[int] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
-    fallbacks: int = 0
-    schur_unknowns: int | None = None
-    series_points: int | None = None
-    series_terms: list[int] | None = None
-
-    def summary(self) -> dict:
-        its = self.iterations
-        summary = {
-            "method": self.method,
-            "max_iterations": max(its) if its else None,
-            "median_iterations": float(np.median(its)) if its else None,
-            "total_iterations": sum(its) if its else None,
-            "max_residual": max(self.residuals) if self.residuals else None,
-            "fallbacks": self.fallbacks,
-            "schur_unknowns": self.schur_unknowns,
-        }
-        if self.series_terms is not None:
-            summary["series_points"] = self.series_points
-            summary["series_terms"] = len(self.series_terms)
-            summary["series_iterations"] = sum(self.series_terms)
-        return summary
-
-
 def sample_transfer(
     sys: DescriptorSystem | GalerkinSystem,
     grid: FrequencyGrid,
@@ -256,7 +166,8 @@ def sample_transfer(
     if not S.is_sparse:
         stats.method = "qz"
         return _sample_dense(S, grid.omegas)
-    solver = ShiftedSolver(sys, stats)
+    split = sys.even_odd_split() if isinstance(sys, GalerkinSystem) else None
+    solver = ShiftedSolver(S.E, S.A, stats, split)
     out = np.empty((S.n_out, len(grid)), dtype=complex)
     end, kept, residuals, terms = _series_band(solver, S, grid.omegas, out)
     b = S.B[:, 0].astype(complex)
@@ -287,8 +198,11 @@ def _series_band(
     ratio ||x_k|| / ||x_{k-1}|| of the last two terms, a point at omega
     needs K terms with (omega rho)^K <= UNIT_ROUNDOFF.  Growing to K terms
     must not spend more term solves than the points kept so far plus the
-    points that K terms reach, and K is at most SERIES_MAX_TERMS (so the
-    first two terms, which give rho, are spent on trust).  Points are
+    points that K terms reach, and K is at most SERIES_MAX_TERMS.  The
+    first term is spent on trust, and so is the second, which gives rho,
+    except on a Galerkin system: there rho is first estimated without a
+    solve (_mean_pencil_rate), and the series stops where even that
+    estimate says the second term cannot pay.  Points are
     evaluated in increasing omega, SERIES_BLOCK_BYTES of samples at a time,
     each with its true relative residual ||b - (i omega E - A) x|| / ||b||
     in S's own E and A, and a point within GMRES_RTOL is written to `out`.
@@ -313,13 +227,13 @@ def _series_band(
     terms = np.empty((SERIES_MAX_TERMS, S.n))
     n_terms = j = 0
     norms = []
+    rho = None  # ||x_k|| / ||x_{k-1}|| of the last two terms, None while unknown
     block = max(1, SERIES_BLOCK_BYTES // (16 * S.n))
 
     def reach(k: int) -> float:
-        """The largest omega k terms serve, by the current estimate of rho."""
-        if n_terms < 2:
+        """The largest omega k terms serve, by the current value of rho."""
+        if rho is None:
             return 0.0 if k else -1.0  # x_0 alone serves omega = 0
-        rho = norms[-1] / norms[-2] if norms[-2] else 0.0
         return UNIT_ROUNDOFF ** (1.0 / k) / rho if rho else np.inf
 
     solver.stats = term_stats = SolverStats()
@@ -327,9 +241,11 @@ def _series_band(
         solver.set_shift(0.0)
         while j < len(omegas):
             if omegas[j] > reach(n_terms):
+                if n_terms == 1 and solver.split is not None:
+                    rho = _mean_pencil_rate(solver.split)  # until the second term replaces it
                 # the terms omega_j needs; one more while rho is unknown
                 k, n_reach = n_terms + 1, len(omegas) - j
-                if n_terms >= 2:
+                if rho is not None:
                     while k <= SERIES_MAX_TERMS and omegas[j] > reach(k):
                         k += 1
                     n_reach = np.searchsorted(omegas, reach(k), "right") - j
@@ -341,6 +257,8 @@ def _series_band(
                     break
                 norms.append(np.linalg.norm(terms[n_terms]))
                 n_terms += 1
+                if n_terms >= 2:
+                    rho = norms[-1] / norms[-2] if norms[-2] else 0.0
                 continue
             stop = min(int(np.searchsorted(omegas, reach(n_terms), "right")), j + block)
             om = omegas[j:stop]
@@ -368,6 +286,15 @@ def _series_band(
     return j, kept, residuals, terms[:n_terms]
 
 
+def _mean_pencil_rate(split) -> float:
+    """rho estimated from a Galerkin system's even_odd_split: 1 / |lambda| for
+    the slowest finite eigenvalue of its mean pencil s E00 - A00, the limit of
+    ||x_k|| / ||x_{k-1}|| were the couplings zero (0 where it has none)."""
+    n = len(split.A00)
+    mean = DescriptorSystem(split.E00, split.A00, np.zeros((n, 1)), np.zeros((1, n)))
+    return 1.0 / np.abs(pencil_spectrum(mean).finite_eigenvalues).min(initial=np.inf)
+
+
 def _series_at(terms: np.ndarray, omegas: np.ndarray, first: int = 0) -> np.ndarray:
     """sum_k (i omega)^(first + k) terms[k] for each omega, the columns of one
     N x c complex array, by one real product with the powers' real and
@@ -375,230 +302,6 @@ def _series_at(terms: np.ndarray, omegas: np.ndarray, first: int = 0) -> np.ndar
     k = first + np.arange(len(terms))
     powers = omegas[None, :] ** k[:, None] * _I_POWERS[k % 4, None]
     return (terms.T @ powers.view(float)).view(complex)
-
-
-class ResidualMissError(ArithmeticError):
-    """A structured solve missed RESIDUAL_RTOL after `iterations` GMRES steps
-    on a system too large for the sparse-LU fallback."""
-
-    def __init__(self, message: str, iterations: int):
-        super().__init__(message)
-        self.iterations = iterations
-
-
-class ShiftedSolver:
-    """(sE - A) x = b at the shift s of the last set_shift, for a Galerkin
-    or any sparse descriptor system, filling `stats` (a SolverStats).  This
-    is the one solve policy of the package:
-
-    - A Galerkin system with GalerkinSystem.even_odd_split() ("gmres-schur")
-      is solved by GMRES on the Schur complement, as the module docstring
-      describes.  A GMRES solution is returned only if its true relative
-      residual is at most RESIDUAL_RTOL.  After a miss, or where the mean
-      block is singular at s, the remaining solves at s go to sparse LU,
-      each counted as a fallback and recorded with the iterations GMRES
-      spent and its pencil_residual; the next set_shift tries GMRES
-      again.  Above LU_FALLBACK_MAX_STATES states there is no fallback:
-      the miss raises ResidualMissError, the singular mean block
-      PoleProximityError, each naming s and N.
-    - Any other sparse (or dense) system ("superlu") is solved by sparse LU
-      alone.
-
-    The LU route factors sE - A at the first solve at s that needs it; the
-    new factorization replaces the previous one only once it is built, so
-    that the allocator reuses its memory.  Vectors are in the system's own
-    state order; b is cast to the dtype of s (complex for s = i*omega, float
-    for a real s).  Factoring raises PoleProximityError where sE - A is
-    singular or ill-conditioned.
-    """
-
-    def __init__(self, system: GalerkinSystem | DescriptorSystem, stats: SolverStats):
-        self.S = system.system if isinstance(system, GalerkinSystem) else system
-        self.stats = stats
-        self.split = split = system.even_odd_split() if isinstance(system, GalerkinSystem) else None
-        if split is None:
-            stats.method = "superlu"
-            return
-        stats.method, stats.schur_unknowns = "gmres-schur", len(split.order) - split.n_e
-        self.order, self.inverse_order = split.order, np.argsort(split.order)
-        # a shift rewrites only their values; a sparse array's product costs
-        # less call overhead than a sparse matrix's on small systems
-        self.L, self.U = (E.copy() for E, _ in (split.L, split.U))
-        self.b_split = self.V = self.H = None
-
-    def set_shift(self, s: float | complex) -> None:
-        """Move to shift s.  Raises PoleProximityError naming s and N where
-        the mean block is singular and the system too large to factor."""
-        self.s, self.dtype = s, complex if np.iscomplexobj(s) else float
-        # the factorization is marked stale here, not by comparing shifts:
-        # 1.0 == 1+0j, but a real factorization cannot solve at a complex shift
-        self.lu_stale, self.gmres = True, False
-        split = self.split
-        if split is None:
-            return
-        self.mean_block = s * split.E00 - split.A00
-        try:
-            self.mean_inverse = np.linalg.inv(self.mean_block)
-        except np.linalg.LinAlgError as exc:
-            if refusal := self._lu_refusal():
-                raise PoleProximityError(f"singular mean block at s={s}{refusal}", condition=np.inf) from exc
-            return
-        for M, (E, A) in zip((self.L, self.U), (split.L, split.U)):
-            M.data = s * E.data - A.data
-        if self.V is None or self.V.dtype != self.dtype:
-            self.V = np.empty((GMRES_RESTART + 1, self.L.shape[1]), dtype=self.dtype)
-            self.H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=self.dtype)
-            # right-hand side, iterate and residual, in the split order
-            self.b_split, self.x, self.r = np.empty((3, len(self.order)), dtype=self.dtype)
-        self.gmres = True
-
-    @property
-    def falls_back(self) -> bool:
-        """Whether the next solve at this shift is a sparse-LU fallback."""
-        return self.split is not None and not self.gmres
-
-    def solve(self, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-        """x solving (sE - A) x = b at the current shift, by the policy above;
-        GMRES starts from x0 where given (the LU route ignores it)."""
-        b = np.asarray(b, dtype=self.dtype)
-        iterations = 0
-        if self.gmres:
-            # the N-vectors of a solve are reused, so that it allocates none
-            # for its right-hand side, iterate or residual: fresh pages fault
-            # at every frequency.  "raise" would make np.take buffer `out`
-            b_split = np.take(b, self.order, out=self.b_split, mode="clip")
-            if x0 is not None:
-                np.take(np.asarray(x0, dtype=self.dtype), self.order, out=self.x, mode="clip")
-            x, iterations, r_norm = _gmres_schur(
-                self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H,
-                self.x, self.r, x0 is not None,
-            )
-            residual = float(r_norm / (np.linalg.norm(b_split) or 1.0))
-            if residual <= RESIDUAL_RTOL:
-                self.stats.iterations.append(iterations)
-                self.stats.residuals.append(residual)
-                return x[self.inverse_order]
-            if refusal := self._lu_refusal():  # a miss, or a NaN residual
-                raise ResidualMissError(f"true relative residual {residual:.3g} at s={self.s}{refusal}", iterations)
-            self.gmres = False  # the remaining solves at s go to sparse LU
-        if self.split is not None:
-            self.stats.fallbacks += 1  # also where the factorization below fails
-        if self.lu_stale:
-            self.lu, self.lu_stale = factor_pencil(self.S.E, self.S.A, self.s), False
-        x = self.lu(b)
-        if self.split is not None:
-            self.stats.iterations.append(iterations)
-            self.stats.residuals.append(pencil_residual(self.S, self.s, b, x))
-        return x
-
-    def _lu_refusal(self) -> str:
-        """Why sparse LU may not take over a missed solve, or "" where it may."""
-        if self.S.n <= LU_FALLBACK_MAX_STATES:
-            return ""
-        return f"; no sparse-LU fallback for N={self.S.n} > {LU_FALLBACK_MAX_STATES} states"
-
-
-def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
-    """b - K x for K = [[I (x) M, L], [U, I (x) M]], M = mean_block, whose
-    eliminated class is the first L.shape[0] states; written to `out` where given."""
-    n_e = L.shape[0]
-    r = np.empty_like(b) if out is None else out
-    np.matmul(x.reshape(-1, len(mean_block)), mean_block.T, out=r.reshape(-1, len(mean_block)))
-    np.subtract(b, r, out=r)
-    r[:n_e] -= L @ x[n_e:]
-    r[n_e:] -= U @ x[:n_e]
-    return r
-
-
-def _gmres_schur(
-    L: sp.csr_array,
-    U: sp.csr_array,
-    mean_block: np.ndarray,
-    mean_inverse: np.ndarray,
-    b: np.ndarray,
-    V: np.ndarray,
-    H: np.ndarray,
-    x: np.ndarray,
-    r: np.ndarray,
-    warm: bool = False,
-) -> tuple[np.ndarray, int, float]:
-    """Restarted GMRES on K x = b through its Schur complement, K as in _residual.
-
-    V, (restart + 1) x |o|, and H, restart x restart, are the caller's
-    workspace and are overwritten; the restart length is len(V) - 1.  So are
-    x and r, vectors like b: x holds the iterate, started from zero, or from
-    x's own values where `warm`, and r the residual.  The arithmetic is that of V: real Givens rotations for a real
-    workspace, complex ones for a complex one.  Returns (x, iterations,
-    ||b - K x||), the norm being that of the true residual each cycle starts
-    from, so the last allowed cycle is followed by one more residual.  Where
-    H is singular (a pole on the grid) x is the iterate reached before that
-    cycle.
-    """
-    P = mean_inverse.T
-    n = len(P)
-
-    def precondition(v):
-        return (v.reshape(-1, n) @ P).ravel()
-
-    scalar = complex if np.iscomplexobj(V) else float
-    n_e = L.shape[0]
-    restart = len(V) - 1
-    tol = GMRES_RTOL * np.linalg.norm(b)
-    # a GMRES cycle aims a decade lower: on the d = 1 ladder, cycles stopped
-    # at `tol` left samples up to 1.3e-13 * max|H| off SuperLU, against
-    # 3.3e-14 at this target
-    cycle_tol = 0.1 * tol
-    if not warm:
-        x.fill(0)
-    r_work, r = r, b
-    iterations = 0
-    for cycle in range(GMRES_MAXITER + 1):
-        if cycle or warm:
-            r = _residual(L, U, mean_block, b, x, r_work)
-        r_norm = float(np.linalg.norm(r))
-        if r_norm <= tol or cycle == GMRES_MAXITER:
-            break
-        p_e = precondition(r[:n_e])
-        f = r[n_e:] - U @ p_e
-        beta = np.linalg.norm(f)
-        if beta > cycle_tol:
-            V[0] = f / beta
-            g = [scalar(beta)]  # rotated right-hand side beta * e_1
-            rotations = []
-            for k in range(restart):
-                w = V[k] - U @ precondition(L @ precondition(V[k]))
-                Vk = V[: k + 1]
-                h = 0.0
-                for _ in range(2):
-                    dh = (Vk @ w.conj()).conj()  # conj() returns a real array itself
-                    w -= dh @ Vk
-                    h = h + dh
-                col = h.tolist()
-                w_norm = float(np.linalg.norm(w))
-                iterations += 1
-                # the earlier rotations, then a new one zeroing the subdiagonal w_norm
-                for i, (c, s) in enumerate(rotations):
-                    col[i], col[i + 1] = c.conjugate() * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-                rho = math.hypot(abs(col[k]), w_norm)
-                c, s = (col[k] / rho, w_norm / rho) if rho else (scalar(1.0), 0.0)
-                rotations.append((c, s))
-                col[k] = scalar(rho)
-                g.append(-s * g[k])
-                g[k] = c.conjugate() * g[k]
-                H[: k + 1, k] = col
-                if abs(g[k + 1]) <= cycle_tol or k == restart - 1:  # a breakdown, w = 0, ends here too
-                    break
-                V[k + 1] = w / w_norm
-            m = k + 1
-            try:
-                y = sla.solve_triangular(H[:m, :m], np.array(g[:m]), check_finite=False)
-            except sla.LinAlgError:
-                break
-            d_o = precondition(y @ V[:m])
-            x[n_e:] += d_o
-            p_e -= precondition(L @ d_o)
-        x[:n_e] += p_e
-    return x, iterations, r_norm
 
 
 def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
@@ -658,18 +361,6 @@ def _back_substitute(AA, BB, s, g) -> np.ndarray:
     return Y
 
 
-def loglog_slope(w_lo: float, h_lo: float, w_hi: float, h_hi: float) -> float:
-    """Slope of log|H| against log omega between two samples of |H|.
-
-    -inf when |H| vanishes at w_hi; 0 when it vanishes only at w_lo.
-    """
-    if h_hi == 0.0:
-        return -np.inf
-    if h_lo == 0.0:
-        return 0.0
-    return float(np.log10(h_hi / h_lo) / np.log10(w_hi / w_lo))
-
-
 def hardy_norms(samples: np.ndarray, grid: FrequencyGrid) -> HardyNormReport:
     """Hardy norms of already-sampled transfer functions.
 
@@ -702,13 +393,12 @@ def hardy_norms(samples: np.ndarray, grid: FrequencyGrid) -> HardyNormReport:
     h2 = np.sqrt(integral / np.pi + tail_sq)
     tail = np.sqrt(tail_sq)
 
-    proper_ok = np.ones(n_out, dtype=bool)
-    for i in range(n_out):
-        if hinf[i] == 0.0:
-            continue
-        proper_ok[i] = loglog_slope(om[j], mag_j[i], om[-1], mag_top[i]) <= -0.5
     with np.errstate(invalid="ignore", divide="ignore"):
+        # slope -inf where |H| vanishes at the top, 0 where only at om[j]
+        slope = np.log10(mag_top / mag_j) / np.log10(om[-1] / om[j])
         tail_warn = tail > 0.01 * np.where(h2 > 0, h2, np.inf)
+    slope = np.where(mag_top == 0.0, -np.inf, np.where(mag_j == 0.0, 0.0, slope))
+    proper_ok = (hinf == 0.0) | (slope <= -0.5)
     return HardyNormReport(
         h2=h2,
         hinf=hinf,

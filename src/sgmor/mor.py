@@ -5,7 +5,7 @@ non-orthogonal basis on the parameter space, its SVD re-orthonormalization,
 deflation of the numerically rank-deficient part with error certificates,
 and the per-basis-function influence measures derived from the SVD.
 
-The Krylov solves at the real shift s0 go through one hardy.ShiftedSolver,
+The Krylov solves at the real shift s0 go through one solver.ShiftedSolver,
 the solve policy the frequency sweep uses.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from .basis import BasisSpec, eval_basis_matrix, eval_expansion
 from .descriptor import DescriptorSystem
 from .galerkin import GalerkinSystem
-from .hardy import ShiftedSolver, SolverStats
+from .solver import ShiftedSolver, SolverStats
 
 __all__ = [
     "ReducedSystem",
@@ -86,7 +86,8 @@ def arnoldi_reduce(
         raise ValueError(f"arnoldi_reduce needs a single-input system (n_in=1), got n_in={S.n_in}")
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= {n}")
-    solver = ShiftedSolver(gsys, SolverStats() if stats is None else stats)
+    split = gsys.even_odd_split() if isinstance(gsys, GalerkinSystem) else None
+    solver = ShiftedSolver(E, A, SolverStats() if stats is None else stats, split)
     solver.set_shift(float(s0))
     Bd = S.B.ravel()
     b = solver.solve(Bd)
@@ -105,7 +106,7 @@ def arnoldi_reduce(
             V = V[:k]
             break
         V[k] = w / h
-    del solver  # free its factors or Krylov workspace before _project allocates
+    del solver, split  # free the factors or the split and Krylov workspace before _project allocates
     Er, Ar, Cr = _project(V, E, A, S.C)
     return ReducedSystem(system=DescriptorSystem(Er, Ar, (V @ Bd).reshape(-1, 1), Cr), T=V.T)
 

@@ -1,0 +1,375 @@
+"""Solves with the shifted pencil sE - A, to which the frequency sweep
+(hardy.sample_transfer), the Krylov reduction (mor.arnoldi_reduce) and the
+transient (descriptor.simulate_transient) all reduce.  factor_pencil
+factors one pencil by sparse LU; ShiftedSolver is the one solve policy of
+the sweep and the reduction.  The module knows no system type: a solver
+takes the pencil's E and A and, for a Galerkin system, its even-odd split.
+
+Galerkin systems (full or downsized).  The three-term recurrence of the
+orthonormal basis couples total degree k only to k +- 1, and every diagonal
+block of sum_k G_k (x) (sE_k - A_k) is the mean pencil M = sE_00 - A_00.
+GalerkinSystem.even_odd_split checks this once and orders the states into
+an eliminated class e and a Schur class o, so that
+K = sE - A = [[I (x) M, L], [U, I (x) M]] at any shift s, real or complex.
+ShiftedSolver solves K x = b without forming K: per shift it writes only
+M and the couplings L = K[e, o] and U = K[o, e] and inverts M once.  With
+P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
+(I - U P L P) y = b_o - U P b_e for x_o = P y, which restarted GMRES
+solves, in real arithmetic for a real s and in complex for s = i*omega.
+Each of at most GMRES_MAXITER outer cycles computes the true residual
+r = b - (I (x) M) x - [L x_o; U x_e] and stops once
+||r|| <= GMRES_RTOL ||b||; otherwise it runs up to GMRES_RESTART GMRES
+steps on f = r_o - U P r_e and adds d_o = P y and d_e = P (r_e - L d_o)
+to x (with no Schur unknowns a cycle is x += P r), so the later cycles
+refine x to about sparse-LU accuracy.  One Krylov workspace, iterate and
+residual serve all the solver's shifts of one dtype; the Arnoldi step is
+classical Gram-Schmidt run twice, and Givens rotations end a cycle at a
+tenth of the outer target.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+__all__ = ["PoleProximityError", "ResidualMissError", "SolverStats", "ShiftedSolver", "factor_pencil"]
+
+# largest system the package factors where a structured solve misses
+# (ShiftedSolver) and the largest it integrates in time: at d = 4 on
+# the ladder (N = 253 000) one sparse LU takes 390 s and 2.7 GB
+LU_FALLBACK_MAX_STATES = 100_000
+RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
+# GMRES's own target sits below RESIDUAL_RTOL, near the round-off floor of
+# the true residual: on the d = 2 ladder, stopping at 1e-12 left errors of up
+# to 1.3e-12 * max|H| in the samples, against 3.6e-14 at this target
+GMRES_RTOL = 5e-14
+GMRES_RESTART = 40
+GMRES_MAXITER = 5  # restart cycles: at most 200 iterations per frequency
+
+
+class PoleProximityError(ArithmeticError):
+    """Shifted pencil s*E - A is singular or too ill-conditioned to factor."""
+
+    def __init__(self, message: str, condition: float | None = None):
+        super().__init__(message)
+        self.condition = condition
+
+
+class ResidualMissError(ArithmeticError):
+    """A structured solve missed RESIDUAL_RTOL after `iterations` GMRES steps
+    on a system too large for the sparse-LU fallback."""
+
+    def __init__(self, message: str, iterations: int):
+        super().__init__(message)
+        self.iterations = iterations
+
+
+def factor_pencil(E, A, shift, *, symmetric_mode: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor shift*E - A once and return a solve closure.
+
+    One route for every pencil: SuperLU on a CSC copy, dense E and A
+    included; a complex shift gives a complex factorization, a real one a
+    real factorization.  Columns are ordered by COLAMD.  symmetric_mode=True runs
+    SuperLU's symmetric mode instead: minimum-degree ordering on A^T + A,
+    with the default pivot threshold, so partial pivoting stays.  Only
+    simulate_transient passes it.  At its real shift 2/h the ladder's
+    Galerkin pencils solve faster this way and as accurately (see there);
+    at the complex shifts of a frequency sweep the mode loses digits
+    (1.1e-12 against 3.3e-14 of max|H| at d = 1), and at d = 3 it fills a
+    third more and factors 2.6 to 9 times slower (omega = 1e-2 to 1e8).
+    A failed factorization (an exactly singular pencil) raises
+    PoleProximityError, and so does an ill-conditioned one: an estimated
+    1-norm condition number above 1e15, or not a number (non-finite
+    entries).  SuperLU's pivots are readable only through CSC copies of
+    both factors, which would roughly double the memory of every
+    factorization, so no pivot ratio is taken.
+    """
+    dtype = complex if np.iscomplexobj(shift) else float
+    M = shift * sp.csc_matrix(E, dtype=dtype) - sp.csc_matrix(A, dtype=dtype)
+    try:
+        if symmetric_mode:
+            factors = spla.splu(M, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+        else:
+            factors = spla.splu(M)
+    except (RuntimeError, ValueError) as exc:
+        raise PoleProximityError(f"singular shifted pencil at s={shift}: {exc}", condition=np.inf) from exc
+    # cond_1 = ||M||_1 ||M^-1||_1, the inverse's norm estimated from
+    # solves; t=1 keeps the estimate deterministic (t >= 2 draws from
+    # numpy's global RNG)
+    inv = spla.LinearOperator(
+        M.shape, matvec=factors.solve, rmatvec=lambda v: factors.solve(v, trans="H"), dtype=dtype
+    )
+    condition = spla.norm(M, 1) * spla.onenormest(inv, t=1)
+    if not condition <= 1e15:
+        raise PoleProximityError(f"ill-conditioned shifted pencil at s={shift}", condition=condition)
+    return factors.solve
+
+
+def _pencil_residual(E, A, s: float | complex, b: np.ndarray, x: np.ndarray) -> float:
+    """True relative residual ||b - (sE - A) x|| / ||b|| of a solve (||b|| = 0 read as 1)."""
+    return float(np.linalg.norm(b - s * (E @ x) + A @ x) / (np.linalg.norm(b) or 1.0))
+
+
+@dataclass
+class SolverStats:
+    """How sample_transfer solved each frequency, or arnoldi_reduce each
+    Krylov vector; pass one in to have it filled.
+
+    method is "gmres-schur" or "superlu" (see ShiftedSolver), or "qz"
+    (dense system).  On the GMRES path `iterations` and `residuals` hold
+    one entry per solve, or per frequency of a sweep: the GMRES iterations
+    spent and the true relative residual of the returned solution, where a
+    sample the Taylor series served records 0 iterations and the series'
+    own residual; `fallbacks` counts the solves made by sparse LU, and
+    `schur_unknowns` is the size of the system GMRES ran on.
+
+    A frequency sweep of a sparse system also sets `series_points`, the
+    frequencies the series served, and `series_terms`, the GMRES iterations
+    of each term solve at s = 0 (0 on the sparse-LU route); term solves
+    appear nowhere else.  Elsewhere both stay None and summary() leaves
+    them out.
+    """
+
+    method: str = ""
+    iterations: list[int] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)
+    fallbacks: int = 0
+    schur_unknowns: int | None = None
+    series_points: int | None = None
+    series_terms: list[int] | None = None
+
+    def summary(self) -> dict:
+        its = self.iterations
+        summary = {
+            "method": self.method,
+            "max_iterations": max(its) if its else None,
+            "median_iterations": float(np.median(its)) if its else None,
+            "total_iterations": sum(its) if its else None,
+            "max_residual": max(self.residuals) if self.residuals else None,
+            "fallbacks": self.fallbacks,
+            "schur_unknowns": self.schur_unknowns,
+        }
+        if self.series_terms is not None:
+            summary["series_points"] = self.series_points
+            summary["series_terms"] = len(self.series_terms)
+            summary["series_iterations"] = sum(self.series_terms)
+        return summary
+
+
+class ShiftedSolver:
+    """(sE - A) x = b at the shift s of the last set_shift, for the pencil
+    (E, A) of a descriptor system, filling `stats` (a SolverStats).  This
+    is the one solve policy of the package:
+
+    - A pencil given its `split`, a Galerkin system's even_odd_split()
+      ("gmres-schur"), is solved by GMRES on the Schur complement, as the
+      module docstring describes.  A GMRES solution is returned only if its true relative
+      residual is at most RESIDUAL_RTOL.  After a miss, or where the mean
+      block is singular at s, the remaining solves at s go to sparse LU,
+      each counted as a fallback and recorded with the iterations GMRES
+      spent and its true relative residual; the next set_shift tries GMRES
+      again.  Above LU_FALLBACK_MAX_STATES states there is no fallback:
+      the miss raises ResidualMissError, the singular mean block
+      PoleProximityError, each naming s and N.
+    - Any other pencil, sparse or dense ("superlu"), is solved by sparse
+      LU alone.
+
+    The LU route factors sE - A at the first solve at s that needs it; the
+    new factorization replaces the previous one only once it is built, so
+    that the allocator reuses its memory.  Vectors are in the system's own
+    state order; b is cast to the dtype of s (complex for s = i*omega, float
+    for a real s).  Factoring raises PoleProximityError where sE - A is
+    singular or ill-conditioned.
+    """
+
+    def __init__(self, E, A, stats: SolverStats, split=None):
+        self.E, self.A, self.stats, self.split = E, A, stats, split
+        if split is None:
+            stats.method = "superlu"
+            return
+        stats.method, stats.schur_unknowns = "gmres-schur", len(split.order) - split.n_e
+        self.order, self.inverse_order = split.order, np.argsort(split.order)
+        # a shift rewrites only their values; a sparse array's product costs
+        # less call overhead than a sparse matrix's on small systems
+        self.L, self.U = (e_part.copy() for e_part, _ in (split.L, split.U))
+        self.b_split = self.V = self.H = None
+
+    def set_shift(self, s: float | complex) -> None:
+        """Move to shift s.  Raises PoleProximityError naming s and N where
+        the mean block is singular and the system too large to factor."""
+        self.s, self.dtype = s, complex if np.iscomplexobj(s) else float
+        # the factorization is marked stale here, not by comparing shifts:
+        # 1.0 == 1+0j, but a real factorization cannot solve at a complex shift
+        self.lu_stale, self.gmres = True, False
+        split = self.split
+        if split is None:
+            return
+        self.mean_block = s * split.E00 - split.A00
+        try:
+            self.mean_inverse = np.linalg.inv(self.mean_block)
+        except np.linalg.LinAlgError as exc:
+            if refusal := self._lu_refusal():
+                raise PoleProximityError(f"singular mean block at s={s}{refusal}", condition=np.inf) from exc
+            return
+        for M, (E, A) in zip((self.L, self.U), (split.L, split.U)):
+            M.data = s * E.data - A.data
+        if self.V is None or self.V.dtype != self.dtype:
+            self.V = np.empty((GMRES_RESTART + 1, self.L.shape[1]), dtype=self.dtype)
+            self.H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=self.dtype)
+            # right-hand side, iterate and residual, in the split order
+            self.b_split, self.x, self.r = np.empty((3, len(self.order)), dtype=self.dtype)
+        self.gmres = True
+
+    @property
+    def falls_back(self) -> bool:
+        """Whether the next solve at this shift is a sparse-LU fallback."""
+        return self.split is not None and not self.gmres
+
+    def solve(self, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+        """x solving (sE - A) x = b at the current shift, by the policy above;
+        GMRES starts from x0 where given (the LU route ignores it)."""
+        b = np.asarray(b, dtype=self.dtype)
+        iterations = 0
+        if self.gmres:
+            # the N-vectors of a solve are reused, so that it allocates none
+            # for its right-hand side, iterate or residual: fresh pages fault
+            # at every frequency.  "raise" would make np.take buffer `out`
+            b_split = np.take(b, self.order, out=self.b_split, mode="clip")
+            if x0 is not None:
+                np.take(np.asarray(x0, dtype=self.dtype), self.order, out=self.x, mode="clip")
+            x, iterations, r_norm = _gmres_schur(
+                self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H,
+                self.x, self.r, x0 is not None,
+            )
+            residual = float(r_norm / (np.linalg.norm(b_split) or 1.0))
+            if residual <= RESIDUAL_RTOL:
+                self.stats.iterations.append(iterations)
+                self.stats.residuals.append(residual)
+                return x[self.inverse_order]
+            if refusal := self._lu_refusal():  # a miss, or a NaN residual
+                raise ResidualMissError(f"true relative residual {residual:.3g} at s={self.s}{refusal}", iterations)
+            self.gmres = False  # the remaining solves at s go to sparse LU
+        if self.split is not None:
+            self.stats.fallbacks += 1  # also where the factorization below fails
+        if self.lu_stale:
+            self.lu, self.lu_stale = factor_pencil(self.E, self.A, self.s), False
+        x = self.lu(b)
+        if self.split is not None:
+            self.stats.iterations.append(iterations)
+            self.stats.residuals.append(_pencil_residual(self.E, self.A, self.s, b, x))
+        return x
+
+    def _lu_refusal(self) -> str:
+        """Why sparse LU may not take over a missed solve, or "" where it may."""
+        if self.A.shape[0] <= LU_FALLBACK_MAX_STATES:
+            return ""
+        return f"; no sparse-LU fallback for N={self.A.shape[0]} > {LU_FALLBACK_MAX_STATES} states"
+
+
+def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+    """b - K x for K = [[I (x) M, L], [U, I (x) M]], M = mean_block, whose
+    eliminated class is the first L.shape[0] states; written to `out` where given."""
+    n_e = L.shape[0]
+    r = np.empty_like(b) if out is None else out
+    np.matmul(x.reshape(-1, len(mean_block)), mean_block.T, out=r.reshape(-1, len(mean_block)))
+    np.subtract(b, r, out=r)
+    r[:n_e] -= L @ x[n_e:]
+    r[n_e:] -= U @ x[:n_e]
+    return r
+
+
+def _gmres_schur(
+    L: sp.csr_array,
+    U: sp.csr_array,
+    mean_block: np.ndarray,
+    mean_inverse: np.ndarray,
+    b: np.ndarray,
+    V: np.ndarray,
+    H: np.ndarray,
+    x: np.ndarray,
+    r: np.ndarray,
+    warm: bool = False,
+) -> tuple[np.ndarray, int, float]:
+    """Restarted GMRES on K x = b through its Schur complement, K as in _residual.
+
+    V, (restart + 1) x |o|, and H, restart x restart, are the caller's
+    workspace and are overwritten; the restart length is len(V) - 1.  So are
+    x and r, vectors like b: x holds the iterate, started from zero, or from
+    x's own values where `warm`, and r the residual.  The arithmetic is that of V: real Givens rotations for a real
+    workspace, complex ones for a complex one.  Returns (x, iterations,
+    ||b - K x||), the norm being that of the true residual each cycle starts
+    from, so the last allowed cycle is followed by one more residual.  Where
+    H is singular (a pole on the grid) x is the iterate reached before that
+    cycle.
+    """
+    P = mean_inverse.T
+    n = len(P)
+
+    def precondition(v):
+        return (v.reshape(-1, n) @ P).ravel()
+
+    scalar = complex if np.iscomplexobj(V) else float
+    n_e = L.shape[0]
+    restart = len(V) - 1
+    tol = GMRES_RTOL * np.linalg.norm(b)
+    # a GMRES cycle aims a decade lower: on the d = 1 ladder, cycles stopped
+    # at `tol` left samples up to 1.3e-13 * max|H| off SuperLU, against
+    # 3.3e-14 at this target
+    cycle_tol = 0.1 * tol
+    if not warm:
+        x.fill(0)
+    r_work, r = r, b
+    iterations = 0
+    for cycle in range(GMRES_MAXITER + 1):
+        if cycle or warm:
+            r = _residual(L, U, mean_block, b, x, r_work)
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= tol or cycle == GMRES_MAXITER:
+            break
+        p_e = precondition(r[:n_e])
+        f = r[n_e:] - U @ p_e
+        beta = np.linalg.norm(f)
+        if beta > cycle_tol:
+            V[0] = f / beta
+            g = [scalar(beta)]  # rotated right-hand side beta * e_1
+            rotations = []
+            for k in range(restart):
+                w = V[k] - U @ precondition(L @ precondition(V[k]))
+                Vk = V[: k + 1]
+                h = 0.0
+                for _ in range(2):
+                    dh = (Vk @ w.conj()).conj()  # conj() returns a real array itself
+                    w -= dh @ Vk
+                    h = h + dh
+                col = h.tolist()
+                w_norm = float(np.linalg.norm(w))
+                iterations += 1
+                # the earlier rotations, then a new one zeroing the subdiagonal w_norm
+                for i, (c, s) in enumerate(rotations):
+                    col[i], col[i + 1] = c.conjugate() * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+                rho = math.hypot(abs(col[k]), w_norm)
+                c, s = (col[k] / rho, w_norm / rho) if rho else (scalar(1.0), 0.0)
+                rotations.append((c, s))
+                col[k] = scalar(rho)
+                g.append(-s * g[k])
+                g[k] = c.conjugate() * g[k]
+                H[: k + 1, k] = col
+                if abs(g[k + 1]) <= cycle_tol or k == restart - 1:  # a breakdown, w = 0, ends here too
+                    break
+                V[k + 1] = w / w_norm
+            m = k + 1
+            try:
+                y = sla.solve_triangular(H[:m, :m], np.array(g[:m]), check_finite=False)
+            except sla.LinAlgError:
+                break
+            d_o = precondition(y @ V[:m])
+            x[n_e:] += d_o
+            p_e -= precondition(L @ d_o)
+        x[:n_e] += p_e
+    return x, iterations, r_norm

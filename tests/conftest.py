@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import sgmor as sg
-from sgmor import hardy
+from sgmor import solver
 from sgmor.galerkin import ParametricSystem
 
 
@@ -85,14 +85,14 @@ def perturbed_gmres(real_gmres, *args):
     x, iterations, _ = real_gmres(*args)
     L, U, mean_block, _, b = args[:5]
     x = x * (1.0 + 1e-8)
-    return x, iterations, float(np.linalg.norm(hardy._residual(L, U, mean_block, b, x)))
+    return x, iterations, float(np.linalg.norm(solver._residual(L, U, mean_block, b, x)))
 
 
 @pytest.fixture
 def lying_gmres(monkeypatch):
     """GMRES that returns x * (1 + 1e-8) at every solve (perturbed_gmres)."""
-    real_gmres = hardy._gmres_schur
-    monkeypatch.setattr(hardy, "_gmres_schur", lambda *args: perturbed_gmres(real_gmres, *args))
+    real_gmres = solver._gmres_schur
+    monkeypatch.setattr(solver, "_gmres_schur", lambda *args: perturbed_gmres(real_gmres, *args))
 
 
 @pytest.fixture(scope="session")

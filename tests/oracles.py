@@ -17,8 +17,9 @@ import scipy.sparse as sp
 
 from sgmor.circuits import CircuitNetlist
 from sgmor.basis import DEFAULT_SIZE_LIMIT, BasisSpec, Distribution1D, SizingError, eval_basis_matrix
-from sgmor.descriptor import DescriptorSystem, factor_pencil
+from sgmor.descriptor import DescriptorSystem
 from sgmor.galerkin import GalerkinSystem, ParametricSystem
+from sgmor.solver import factor_pencil
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

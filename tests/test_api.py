@@ -221,7 +221,7 @@ def test_factorizations_only_in_factor_pencil():
     # but not at a sweep's complex shifts, is asked for by simulate_transient
     # alone
     factorizations = {where for where, call in SOURCE_CALLS if _callee(call) == "splu"}
-    assert factorizations == {"descriptor:factor_pencil"}, sorted(factorizations)
+    assert factorizations == {"solver:factor_pencil"}, sorted(factorizations)
     assert not [where for where, call in SOURCE_CALLS if _callee(call) == "lu_factor"]
     symmetric = {
         where
@@ -232,14 +232,47 @@ def test_factorizations_only_in_factor_pencil():
 
 
 def test_shifted_solve_policy_in_one_class():
-    # the sweep and Arnoldi share one solve policy: within hardy.py only
-    # ShiftedSolver runs GMRES, factors a pencil or reports a miss
+    # the sweep and Arnoldi share one solve policy: within solver.py only
+    # ShiftedSolver runs GMRES, factors a pencil or reports a miss; elsewhere
+    # only the transfer function at one point and the transient factor a
+    # pencil themselves, and nothing else of the policy is called
     policy = {"_gmres_schur", "factor_pencil", "ResidualMissError"}
-    calls = [(where, _callee(call)) for where, call in SOURCE_CALLS if where.startswith("hardy:")]
-    called = {callee for _, callee in calls if callee in policy}
-    assert called == policy, "a policy call is gone: the guard no longer sees the source"
-    offenders = {where for where, callee in calls if callee in policy and not _within(where, ("hardy:ShiftedSolver",))}
+    calls = {(where, _callee(call)) for where, call in SOURCE_CALLS if _callee(call) in policy}
+    inside = {(where, callee) for where, callee in calls if where.startswith("solver:")}
+    assert {callee for _, callee in inside} == policy, "a policy call is gone: the guard no longer sees the source"
+    offenders = {where for where, _ in inside if not _within(where, ("solver:ShiftedSolver",))}
     assert not offenders, sorted(offenders)
+    assert calls - inside == {
+        ("descriptor:transfer_eval", "factor_pencil"),
+        ("descriptor:simulate_transient", "factor_pencil"),
+    }, sorted(calls - inside)
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The modules a source file imports, relative ones as sgmor.<name>."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            base = ".".join(filter(None, ["sgmor", node.module]))
+            names.update([base] if node.module else (f"sgmor.{alias.name}" for alias in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    return names
+
+
+def test_solver_below_descriptor_below_the_rest():
+    # solver.py is the bottom layer, and descriptor.py sits right above it,
+    # so that the transient can share the solver with the sweep and Arnoldi
+    package = Path(sgmor.__file__).parent
+    solver_imports = _imported_modules(package / "solver.py")
+    assert "numpy" in solver_imports, "the guard no longer sees solver.py's imports"
+    assert not {m for m in solver_imports if m == "sgmor" or m.startswith("sgmor.")}, sorted(solver_imports)
+    descriptor_imports = _imported_modules(package / "descriptor.py")
+    assert "sgmor.solver" in descriptor_imports, "the guard no longer sees descriptor.py's imports"
+    above = {f"sgmor.{m}" for m in ("hardy", "galerkin", "mor", "sparsify", "cli")}
+    assert not descriptor_imports & above, sorted(descriptor_imports & above)
 
 
 def test_generalized_eigenproblems_only_in_schur_form():

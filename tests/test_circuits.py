@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor.circuits import ModellingError, NetlistError, lowpass_benchmark_text
-from sgmor.descriptor import PoleProximityError
 from sgmor.galerkin import ParametricSystem
+from sgmor.solver import PoleProximityError
 
 from oracles import nodal_transfer
 

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 import scipy.io as sio
 
-from sgmor import cli, descriptor, hardy
+from sgmor import cli, descriptor, solver
 from sgmor.cli import main
-from sgmor.descriptor import PoleProximityError
-from sgmor.hardy import RESIDUAL_RTOL
 from sgmor.mor import arnoldi_reduce
+from sgmor.solver import RESIDUAL_RTOL, PoleProximityError
 from sgmor.config import PipelineConfig, load_config
 
 FAST_CONFIG = """\
@@ -274,6 +273,10 @@ class TestPipeline:
         assert solver["fallbacks"] == 0
         assert 1 <= solver["median_iterations"] <= solver["max_iterations"] <= 200
         assert 0.0 <= solver["max_residual"] <= 1e-12
+        # the first series term at s = 0 serves omega = 0, and the mean
+        # pencil's estimate of the reach finds the next point, 1e3, beyond
+        # what a second term solve could pay for
+        assert solver["series_points"] == 1 and solver["series_terms"] == 1
 
     def test_downsize_solver_block(self, run_dir):
         # downsize_sweep [2, 22, 10]; every kept set of the d = 1 ladder has
@@ -285,6 +288,7 @@ class TestPipeline:
             assert s["method"] == "gmres-schur" and s["fallbacks"] == 0
             assert s["schur_unknowns"] == 20
             assert 0.0 <= s["max_residual"] <= 1e-12
+            assert s["series_points"] == 1 and s["series_terms"] == 1
         report = json.loads((out / "report.json").read_text())
         assert report["sparsify_solver"] == sweeps
 
@@ -381,7 +385,7 @@ class TestStaging:
         out, cfg = run_dir
         work = tmp_path / "miss"
         shutil.copytree(out, work)
-        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", 0)
+        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", 0)
         assert main(["norms", "--config", str(cfg), "--out", str(work)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sgmor: error: stage 'norms': true relative residual")

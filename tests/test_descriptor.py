@@ -10,13 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgmor as sg
-from sgmor import descriptor
-from sgmor.descriptor import (
-    DescriptorSystem,
-    PencilRegularityError,
-    PoleProximityError,
-    factor_pencil,
-)
+from sgmor import descriptor, solver
+from sgmor.descriptor import DescriptorSystem, PencilRegularityError
+from sgmor.solver import PoleProximityError, factor_pencil
 
 from oracles import moment_oracle
 
@@ -72,7 +68,7 @@ class TestFactorPencil:
     def test_nan_condition_estimate(self, monkeypatch):
         # SuperLU factors the well-conditioned pencil; a NaN estimate of
         # ||M^-1||_1 must still be refused, which `condition > 1e15` would not
-        monkeypatch.setattr(descriptor.spla, "onenormest", lambda *_args, **_kwargs: np.nan)
+        monkeypatch.setattr(solver.spla, "onenormest", lambda *_args, **_kwargs: np.nan)
         with pytest.raises(PoleProximityError, match="ill-conditioned shifted pencil at s=1.0") as exc:
             factor_pencil(np.eye(2), -np.eye(2), 1.0)
         assert np.isnan(exc.value.condition)

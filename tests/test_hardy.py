@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgmor as sg
-from sgmor import hardy
-from sgmor.descriptor import DescriptorSystem, PoleProximityError, pencil_residual
+from sgmor import hardy, solver
+from sgmor.descriptor import DescriptorSystem
 from sgmor.galerkin import GalerkinSystem, Selection
-from sgmor.hardy import RESIDUAL_RTOL, SolverStats, loglog_slope
+from sgmor.solver import GMRES_RTOL, RESIDUAL_RTOL, PoleProximityError, SolverStats, _pencil_residual
 
 from conftest import perturbed_gmres, scalar_galerkin
 from oracles import dense_transfer
@@ -35,7 +35,22 @@ def split_system(K, n_e):
 
 def gmres(L, U, M, b, V, H):
     """_gmres_schur from a zero start, with fresh iterate and residual vectors."""
-    return hardy._gmres_schur(L, U, M, np.linalg.inv(M), b, V, H, np.empty_like(b), np.empty_like(b))
+    return solver._gmres_schur(L, U, M, np.linalg.inv(M), b, V, H, np.empty_like(b), np.empty_like(b))
+
+
+def galerkin_solver(gsys, stats):
+    """The ShiftedSolver sample_transfer runs on a Galerkin system."""
+    return solver.ShiftedSolver(gsys.system.E, gsys.system.A, stats, gsys.even_odd_split())
+
+
+def loglog_slope(w_lo: float, h_lo: float, w_hi: float, h_hi: float) -> float:
+    """Slope of log|H| against log omega between two samples of |H|:
+    -inf where |H| vanishes at w_hi, 0 where it vanishes only at w_lo."""
+    if h_hi == 0.0:
+        return -np.inf
+    if h_lo == 0.0:
+        return 0.0
+    return float(np.log10(h_hi / h_lo) / np.log10(w_hi / w_lo))
 
 
 def two_cyclic_system(rng, blocks_e, blocks_o, n, eps, dtype=complex):
@@ -280,8 +295,8 @@ class TestGalerkinSampling:
     def test_cycle_limit_miss_caught(self, desk_galerkin, monkeypatch):
         # one cycle of one GMRES step cannot converge: the residual computed
         # after the last allowed cycle shows the miss, and LU takes over
-        monkeypatch.setattr(hardy, "GMRES_MAXITER", 1)
-        monkeypatch.setattr(hardy, "GMRES_RESTART", 1)
+        monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
+        monkeypatch.setattr(solver, "GMRES_RESTART", 1)
         grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
         stats = SolverStats()
         H = sg.sample_transfer(desk_galerkin, grid, stats)
@@ -294,7 +309,7 @@ class TestGalerkinSampling:
         # to sparse LU, and the next one runs GMRES again.  The grid lies
         # above the Taylor series' reach, and the series' real term solves
         # at s = 0 are neither perturbed nor counted
-        real_gmres = hardy._gmres_schur
+        real_gmres = solver._gmres_schur
         calls = []
 
         def lying_once(*args):
@@ -304,7 +319,7 @@ class TestGalerkinSampling:
             calls.append(result[1])
             return result
 
-        monkeypatch.setattr(hardy, "_gmres_schur", lying_once)
+        monkeypatch.setattr(solver, "_gmres_schur", lying_once)
         grid = sg.FrequencyGrid.logspaced(0, 3, 4, include_zero=False)
         stats = SolverStats()
         H = sg.sample_transfer(desk_galerkin, grid, stats)
@@ -317,9 +332,9 @@ class TestGalerkinSampling:
 
     def test_no_fallback_at_scale(self, desk_galerkin, lying_gmres, monkeypatch):
         # above LU_FALLBACK_MAX_STATES a miss raises instead of factoring
-        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", desk_galerkin.dimension - 1)
+        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", desk_galerkin.dimension - 1)
         stats = SolverStats()
-        with pytest.raises(hardy.ResidualMissError, match=r"at s=.*no sparse-LU fallback for N=40 ") as exc:
+        with pytest.raises(solver.ResidualMissError, match=r"at s=.*no sparse-LU fallback for N=40 ") as exc:
             sg.sample_transfer(desk_galerkin, sg.FrequencyGrid.logspaced(-1, 2, 4), stats)
         assert exc.value.iterations > 0
         assert stats.fallbacks == 0
@@ -327,7 +342,7 @@ class TestGalerkinSampling:
     def test_singular_mean_block_at_scale(self, monkeypatch):
         # the singular mean block of test_singular_mean_block_falls_back
         gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", 1)
+        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", 1)
         stats = SolverStats()
         with pytest.raises(
             PoleProximityError, match=r"omega=0.0: singular mean block at s=0j; no sparse-LU fallback for N=2 "
@@ -356,26 +371,26 @@ class TestGalerkinSampling:
         assert x.dtype == dtype
         assert iterations > 2  # at least two restart cycles
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
-        assert r_norm == np.linalg.norm(hardy._residual(L, U, M, b, x))  # the returned x's true residual
+        assert r_norm == np.linalg.norm(solver._residual(L, U, M, b, x))  # the returned x's true residual
         ref = np.linalg.solve(K, b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_cycle_limit_exit_returns_true_residual(self, monkeypatch):
         # stopped by GMRES_MAXITER short of the target, GMRES still returns
         # the true residual of the x it returns
-        monkeypatch.setattr(hardy, "GMRES_MAXITER", 2)
+        monkeypatch.setattr(solver, "GMRES_MAXITER", 2)
         K, M, b = two_cyclic_system(np.random.default_rng(3), 3, 3, 3, 0.1)
         L, U = split_system(K, 9)
         V, H = np.empty((2, 9), dtype=complex), np.empty((1, 1), dtype=complex)
         x, iterations, r_norm = gmres(L, U, M, b, V, H)
         assert iterations == 2
-        assert r_norm == np.linalg.norm(hardy._residual(L, U, M, b, x))
+        assert r_norm == np.linalg.norm(solver._residual(L, U, M, b, x))
         assert r_norm > RESIDUAL_RTOL * np.linalg.norm(b)
 
     def test_one_cycle_with_full_workspace(self, monkeypatch):
         # a Krylov space as large as the Schur system solves it in one cycle,
         # and the recovered d_e then leaves no residual on the eliminated class
-        monkeypatch.setattr(hardy, "GMRES_MAXITER", 1)
+        monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
         n, blocks_o = 3, 3
         K, M, b = two_cyclic_system(np.random.default_rng(9), 4, blocks_o, n, 0.1)
         V = np.empty((blocks_o * n + 1, blocks_o * n), dtype=complex)
@@ -408,9 +423,9 @@ class TestGalerkinSampling:
         H = sg.sample_transfer(bench_galerkin_d1, grid)
         S = bench_galerkin_d1.system
         for j in reversed(range(len(grid))):
-            solver = hardy.ShiftedSolver(bench_galerkin_d1, SolverStats())
-            solver.set_shift(1j * grid.omegas[j])
-            Hj = S.C @ solver.solve(S.B[:, 0])
+            shifted = galerkin_solver(bench_galerkin_d1, SolverStats())
+            shifted.set_shift(1j * grid.omegas[j])
+            Hj = S.C @ shifted.solve(S.B[:, 0])
             assert np.array_equal(Hj, H[:, j])
 
     def test_ladder_at_superlu_level(self, bench_galerkin_d1):
@@ -563,38 +578,59 @@ class TestTaylorSeries:
         assert stats.series_points == 0 and stats.fallbacks == int(galerkin)
 
     def test_grid_above_reach_is_the_plain_sweep(self, bench_galerkin_d1):
-        # two term solves estimate the reach, and then every point is solved
-        # by one ShiftedSolver moved from frequency to frequency
+        # one term solve, after which the mean pencil's estimate of the reach
+        # stops the series before a second; then every point is solved by
+        # one ShiftedSolver moved from frequency to frequency
         grid = sg.FrequencyGrid.logspaced(4, 10, 4, include_zero=False)
         stats = SolverStats()
         H = sg.sample_transfer(bench_galerkin_d1, grid, stats)
-        assert stats.series_points == 0 and len(stats.series_terms) == 2
+        assert stats.series_points == 0 and len(stats.series_terms) == 1
         S = bench_galerkin_d1.system
         plain = SolverStats()
-        solver = hardy.ShiftedSolver(bench_galerkin_d1, plain)
+        shifted = galerkin_solver(bench_galerkin_d1, plain)
         for j, w in enumerate(grid.omegas):
-            solver.set_shift(1j * w)
-            assert np.array_equal(S.C @ solver.solve(S.B[:, 0]), H[:, j])
+            shifted.set_shift(1j * w)
+            assert np.array_equal(S.C @ shifted.solve(S.B[:, 0]), H[:, j])
         assert stats.iterations == plain.iterations and stats.residuals == plain.residuals
         assert stats.fallbacks == plain.fallbacks == 0
+
+    def test_reach_estimate_only_stops(self, bench_galerkin_d1, monkeypatch):
+        # on a grid within the series' reach the mean pencil's estimate of
+        # rho is consulted once and changes nothing: the sweep is bitwise the
+        # one without the estimate, which spends the second term on trust
+        grid = sg.FrequencyGrid.logspaced(-2, 4, 10)
+        rates, mean_pencil_rate = [], hardy._mean_pencil_rate
+
+        def spy(split):
+            rates.append(mean_pencil_rate(split))
+            return rates[-1]
+
+        monkeypatch.setattr(hardy, "_mean_pencil_rate", spy)
+        stats = SolverStats()
+        H = sg.sample_transfer(bench_galerkin_d1, grid, stats)
+        assert len(rates) == 1 and 0.0 < rates[0] < np.inf and stats.series_points >= 50
+        monkeypatch.setattr(hardy, "_mean_pencil_rate", lambda split: None)
+        trusted = SolverStats()
+        assert np.array_equal(sg.sample_transfer(bench_galerkin_d1, grid, trusted), H)
+        assert trusted == stats
 
     def test_warm_start_takes_fewer_iterations(self, bench_galerkin_d1):
         # a series sample cut short to a residual between GMRES_RTOL and
         # RESIDUAL_RTOL, as a handed-over point has, against a cold start
         S = bench_galerkin_d1.system
         grid = sg.FrequencyGrid.logspaced(-2, 4, 10)
-        solver = hardy.ShiftedSolver(bench_galerkin_d1, SolverStats())
-        *_, terms = hardy._series_band(solver, S, grid.omegas, np.empty((S.n_out, len(grid)), dtype=complex))
+        shifted = galerkin_solver(bench_galerkin_d1, SolverStats())
+        *_, terms = hardy._series_band(shifted, S, grid.omegas, np.empty((S.n_out, len(grid)), dtype=complex))
         w, b = 1e3, S.B[:, 0].astype(complex)
         samples = [hardy._series_at(terms[:k], np.array([w]))[:, 0] for k in range(1, len(terms) + 1)]
-        x0 = next(x for x in samples if pencil_residual(S, 1j * w, b, x) <= RESIDUAL_RTOL)
-        assert hardy.GMRES_RTOL < pencil_residual(S, 1j * w, b, x0) <= RESIDUAL_RTOL
+        x0 = next(x for x in samples if _pencil_residual(S.E, S.A, 1j * w, b, x) <= RESIDUAL_RTOL)
+        assert GMRES_RTOL < _pencil_residual(S.E, S.A, 1j * w, b, x0) <= RESIDUAL_RTOL
         cold, warm = SolverStats(), SolverStats()
         for stats, guess in ((cold, None), (warm, x0)):
-            solver = hardy.ShiftedSolver(bench_galerkin_d1, stats)
-            solver.set_shift(1j * w)
-            solver.solve(b, guess)
-        assert cold.residuals[0] <= hardy.GMRES_RTOL and warm.residuals[0] <= hardy.GMRES_RTOL
+            shifted = galerkin_solver(bench_galerkin_d1, stats)
+            shifted.set_shift(1j * w)
+            shifted.solve(b, guess)
+        assert cold.residuals[0] <= GMRES_RTOL and warm.residuals[0] <= GMRES_RTOL
         assert 0 < warm.iterations[0] < cold.iterations[0]
 
     def test_sweep_hands_over_near_misses(self, bench_galerkin_d1, monkeypatch):
@@ -707,7 +743,10 @@ class TestHardyNorms:
         poles = 10.0 ** rng.uniform(-1, 5, m)
         samples = rng.normal(size=(m, 1)) * poles[:, None] / (1j * om + poles[:, None])
         samples += 1e-3 * (rng.normal(size=samples.shape) + 1j * rng.normal(size=samples.shape))
+        j = min(int(np.searchsorted(om, om[-1] / 10.0)), len(om) - 2)
         samples[5] = 0.0
+        samples[7, -1] = 0.0  # zero at the top: slope -inf, proper
+        samples[9, j] = 0.0  # zero only at the lower end: slope 0, improper
         samples[300] = 1.0  # improper
 
         mag = np.abs(samples)
@@ -715,14 +754,13 @@ class TestHardyNorms:
         hinf = mag[np.arange(m), jmax]
         tail_sq = (mag[:, -1] * om[-1]) ** 2 / (np.pi * om[-1])
         h2 = np.sqrt(np.trapezoid(mag**2, om, axis=1) / np.pi + tail_sq)
-        j = min(int(np.searchsorted(om, om[-1] / 10.0)), len(om) - 2)
         proper = [hinf[i] == 0.0 or loglog_slope(om[j], mag[i, j], om[-1], mag[i, -1]) <= -0.5 for i in range(m)]
 
         rep = sg.hardy_norms(samples, grid)
         assert np.array_equal(rep.hinf, hinf) and np.array_equal(rep.argmax_omega, om[jmax])
         assert np.array_equal(rep.h2, h2) and np.array_equal(rep.tail_estimate, np.sqrt(tail_sq))
         assert rep.strictly_proper_ok.tolist() == proper
-        assert not proper[300] and proper[5]
+        assert not proper[300] and proper[5] and proper[7] and not proper[9]
 
 
 class TestDifferenceNorms:

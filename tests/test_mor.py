@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse as sp
 
 import sgmor as sg
-from sgmor import hardy, mor
-from sgmor.descriptor import DescriptorSystem, PoleProximityError
-from sgmor.hardy import RESIDUAL_RTOL, SolverStats
+from sgmor import mor, solver
+from sgmor.descriptor import DescriptorSystem
 from sgmor.mor import PROJECTION_BLOCK, ReducedSystem
+from sgmor.solver import RESIDUAL_RTOL, PoleProximityError, SolverStats
 
 from conftest import scalar_galerkin
 from oracles import build_quadrature, moment_oracle
@@ -128,8 +128,6 @@ class TestArnoldiReduce:
             sg.arnoldi_reduce(sys, 1.0, 2)
 
     def test_singular_shift_rejected(self):
-        from sgmor.descriptor import PoleProximityError
-
         sys = DescriptorSystem(np.eye(1), -np.eye(1), np.ones((1, 1)), np.ones((1, 1)))
         with pytest.raises(PoleProximityError):
             sg.arnoldi_reduce(sys, -1.0, 1)
@@ -179,7 +177,7 @@ class TestStructuredArnoldi:
         assert stats.iterations == [0, 0] and max(stats.residuals) <= RESIDUAL_RTOL
         assert np.array_equal(red.T, sg.arnoldi_reduce(gsys.system, 0.0, 2).T)
         # above LU_FALLBACK_MAX_STATES the singular mean block itself raises
-        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", gsys.dimension - 1)
+        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", gsys.dimension - 1)
         with pytest.raises(PoleProximityError, match=r"singular mean block at s=0\.0") as exc:
             sg.arnoldi_reduce(gsys, 0.0, 2)
         assert exc.value.condition == np.inf
@@ -197,9 +195,9 @@ class TestStructuredArnoldi:
 
     def test_no_fallback_at_scale(self, desk_galerkin, lying_gmres, monkeypatch):
         # above LU_FALLBACK_MAX_STATES the first miss raises instead of factoring
-        monkeypatch.setattr(hardy, "LU_FALLBACK_MAX_STATES", desk_galerkin.dimension - 1)
+        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", desk_galerkin.dimension - 1)
         stats = SolverStats()
-        with pytest.raises(hardy.ResidualMissError, match=r"at s=1.0; no sparse-LU fallback for N=40 "):
+        with pytest.raises(solver.ResidualMissError, match=r"at s=1.0; no sparse-LU fallback for N=40 "):
             sg.arnoldi_reduce(desk_galerkin, 1.0, 6, stats)
         assert stats.fallbacks == 0 and stats.iterations == []
 
