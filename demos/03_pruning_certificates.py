@@ -49,7 +49,7 @@ for r in (1, 4, 12, 40):
 # system, so theorem 2 applies with the dropped norms as a floor
 sel = sg.select_indices(ranking, "threshold", delta=0.1)
 small = sg.downsize(gsys, sel)
-diff = sg.hardy_norms(samples - sg.sample_transfer(small, grid), grid)
+diff = sg.difference_norms(samples, small, grid)
 cert2 = sg.theorem2_certificate(diff, input_l2=traj.input_l2,
                                 full_report=report, sel=sel)
 print(f"\ndownsize at delta=0.1: kept {len(sel.kept)} of {gsys.m} outputs")

@@ -25,8 +25,7 @@ red = sg.arnoldi_reduce(gsys, s0, 120)
 print(f"{'r':>4} {'stable':>7} {'bound_sup':>12} {'bound_l2':>12}")
 for r in range(20, 121, 20):
     sub = red.truncate(r).system
-    diff = sg.hardy_norms(samples - sg.sample_transfer(sub, grid), grid)
-    cert = sg.theorem2_certificate(diff)
+    cert = sg.theorem2_certificate(sg.difference_norms(samples, sub, grid))
     stable = sg.pencil_spectrum(sub).stable
     print(f"{r:4d} {str(stable):>7} {cert.bound_sup:12.4e} {cert.bound_l2:12.4e}")
 

@@ -31,7 +31,7 @@ from .descriptor import (
     transfer_eval,
 )
 from .galerkin import GalerkinSystem, ParametricSystem, Selection, assemble, downsize
-from .hardy import FrequencyGrid, HardyNormReport, hardy_norms, sample_transfer
+from .hardy import FrequencyGrid, HardyNormReport, difference_norms, hardy_norms, sample_transfer
 from .mor import (
     OrthonormalizedBasis,
     ReducedSystem,

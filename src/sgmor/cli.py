@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import numpy.lib.format as npformat
 import scipy.io as sio
 import scipy.sparse as sp
 
@@ -24,7 +25,7 @@ from .circuits import lowpass_benchmark, mna_assemble, parse_netlist
 from .config import PipelineConfig, load_config
 from .descriptor import DescriptorSystem, pencil_spectrum, simulate_transient
 from .galerkin import GalerkinSystem, assemble, downsize
-from .hardy import FrequencyGrid, HardyNormReport, hardy_norms, sample_transfer
+from .hardy import FrequencyGrid, HardyNormReport, difference_norms, hardy_norms, sample_transfer
 from .mor import arnoldi_reduce, deflate, svd_basis
 from .solver import PoleProximityError, SolverStats
 from .sparsify import (
@@ -160,20 +161,31 @@ def stage_norms(cfg: PipelineConfig, out: Path) -> HardyNormReport:
     return report
 
 
-def _load_samples(cfg: PipelineConfig, out: Path, stage: str, n_out: int):
+def _cached_grid(cfg: PipelineConfig, out: Path, stage: str, n_out: int) -> FrequencyGrid:
+    """The config's grid, once samples.npz is checked to hold n_out outputs
+    sampled on it; the samples array itself is not read."""
     path = out / "samples.npz"
     if not path.exists():
         raise MissingArtifactError(stage, str(path))
-    data = np.load(path)
     grid = _grid(cfg)
-    if not np.array_equal(data["omegas"], grid.omegas):
-        raise StageError(stage, "cached samples were produced with a different grid")
-    samples = data["samples"]
-    if samples.shape[0] != n_out:
+    with np.load(path) as data:
+        if not np.array_equal(data["omegas"], grid.omegas):
+            raise StageError(stage, "cached samples were produced with a different grid")
+        with data.zip.open("samples.npy") as fh:
+            version = npformat.read_magic(fh)
+            read_header = npformat.read_array_header_1_0 if version == (1, 0) else npformat.read_array_header_2_0
+            shape = read_header(fh)[0]
+    if shape[0] != n_out:
         raise StageError(
-            stage, f"cached samples have {samples.shape[0]} outputs, the Galerkin system has {n_out}; rerun norms"
+            stage, f"cached samples have {shape[0]} outputs, the Galerkin system has {n_out}; rerun norms"
         )
-    return samples, grid
+    return grid
+
+
+def _load_samples(cfg: PipelineConfig, out: Path, stage: str, n_out: int):
+    grid = _cached_grid(cfg, out, stage, n_out)
+    with np.load(out / "samples.npz") as data:
+        return data["samples"], grid
 
 
 # ---------------------------------------------------------------- sparsify
@@ -225,9 +237,8 @@ def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
             sel_r = select_indices(ranking, "top_k", k=r)
             small = downsize(gsys, sel_r)
             stats = SolverStats()
-            diff_samples = samples - sample_transfer(small, grid, stats)
+            diff = difference_norms(samples, small, grid, stats)
             solvers.append({"r": r, **stats.summary()})
-            diff = hardy_norms(diff_samples, grid)
             cert = theorem2_certificate(diff, full_report=report, sel=sel_r)
             rows.append(
                 (
@@ -251,10 +262,10 @@ def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
 
 def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
     gsys = _load_galerkin(cfg, out, "reduce")
-    samples, grid = _load_samples(cfg, out, "reduce", gsys.m)
+    m, n = gsys.m, gsys.dimension
+    _cached_grid(cfg, out, "reduce", m)  # before Arnoldi; the samples are read after it
     h = cfg.hash()
     s0 = cfg.mor.s0
-    n = gsys.dimension
 
     # one Krylov basis; every reduced system is a leading block of it
     sweep = cfg.mor.r_sweep
@@ -273,23 +284,23 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
     sio.mmwrite(out / "reduced_C.mtx", S.C)
     np.save(out / "projection_T.npy", red.T)
     basis = svd_basis(red)
-    # T is the stage's largest array, and nothing below needs it
+    # T and the Galerkin system are the stage's largest arrays, and nothing
+    # below needs them: the samples take their place
     full = krylov.system
-    del krylov, red
+    del krylov, red, gsys
+    samples, grid = _load_samples(cfg, out, "reduce", m)
 
     if sweep is not None:
         rows = []
         start, stop, step = sweep
         for r in range(start, min(stop, full.n) + 1, step):
             sub = full.leading(r)
-            diff = hardy_norms(samples - sample_transfer(sub, grid), grid)
-            cert = theorem2_certificate(diff)
+            cert = theorem2_certificate(difference_norms(samples, sub, grid))
             stable = pencil_spectrum(sub).stable
             rows.append((r, float(cert.bound_sup), float(cert.bound_l2), int(stable)))
         _write_csv(out / "reduce_bounds.csv", "r,bound_sup,bound_l2,stable", rows, h)
 
-    diff = hardy_norms(samples - sample_transfer(S, grid), grid)
-    cert = theorem2_certificate(diff)
+    cert = theorem2_certificate(difference_norms(samples, S, grid))
     payload = cert.to_dict()
     payload.update({"r": r_red, "s0": s0, "breakdown": breakdown})
     _write_json(out / "theorem2_mor.json", payload, h)

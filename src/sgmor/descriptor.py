@@ -211,15 +211,14 @@ class Trajectory:
         return np.max(np.abs(self.outputs), axis=0)
 
     def to_csv(self, path) -> None:
-        header = ",".join(["t"] + [f"y{i+1}" for i in range(self.outputs.shape[1])])
-        np.savetxt(
-            path,
-            np.column_stack([self.times, self.outputs]),
-            delimiter=",",
-            header=header,
-            comments="",
-            fmt="%.17e",
-        )
+        """One row per time, t then the outputs, each "%.17e", written row by
+        row so that no copy of the trajectory is made."""
+        n_out = self.outputs.shape[1]
+        row = ",".join(["%.17e"] * (1 + n_out)) + "\n"
+        with open(path, "w") as fh:
+            fh.write(",".join(["t"] + [f"y{i+1}" for i in range(n_out)]) + "\n")
+            for t, y in zip(self.times, self.outputs):
+                fh.write(row % (t, *y))
 
 
 def simulate_transient(

@@ -29,7 +29,13 @@ real and imaginary parts.
 
 The H-infinity norm is the discrete maximum; the H2 norm is a trapezoidal
 approximation of the frequency integral plus a c/omega tail model fitted
-at the last grid point.
+at the last grid point.  Every operation on the samples is row-wise, so
+the norms are taken NORMS_BLOCK_BYTES of outputs at a time, and the
+norms of a difference H - H_red (difference_norms, Theorem 2) never hold
+H_red's samples or the difference as whole arrays: for a dense H_red the
+Schur solution Y (r x k) is formed once and each block is
+samples[rows] - (C Z)[rows] Y; for a sparse one the difference is taken
+in place in the sweep's own output.
 """
 
 from __future__ import annotations
@@ -43,9 +49,11 @@ from .descriptor import DescriptorSystem, pencil_spectrum
 from .galerkin import GalerkinSystem
 from .solver import GMRES_RTOL, RESIDUAL_RTOL, PoleProximityError, ResidualMissError, ShiftedSolver, SolverStats
 
-__all__ = ["FrequencyGrid", "HardyNormReport", "sample_transfer", "hardy_norms"]
+__all__ = ["FrequencyGrid", "HardyNormReport", "sample_transfer", "hardy_norms", "difference_norms"]
 
-NORMS_BLOCK_ROWS = 256  # outputs per block of hardy_norms' m x k temporaries
+# the complex block of outputs the norms take at a time: about 90 outputs of
+# the default 722-point grid, all 253 of d = 2 at 243 points
+NORMS_BLOCK_BYTES = 1 << 20
 # terms of the Taylor series at s = 0 that may serve the low band of a sweep
 # (N x 24 floats: 7.8 MB at d = 3); on the ladder, whose slowest pole sits at
 # |lambda| = 1.4e4, 24 terms reach omega of about 2.9e3
@@ -159,13 +167,11 @@ def sample_transfer(
     eigenvalue pairs of the Schur form, a pivot d_i = |i*omega*beta_i -
     alpha_i| is zero (inf) or max d_i / min d_i exceeds 1e15.
     """
-    S = sys.system if isinstance(sys, GalerkinSystem) else sys
-    if S.n_in != 1:
-        raise ValueError(f"sample_transfer needs a single-input system (n_in=1), got n_in={S.n_in}")
+    S = _single_input(sys)
     stats = SolverStats() if stats is None else stats
     if not S.is_sparse:
         stats.method = "qz"
-        return _sample_dense(S, grid.omegas)
+        return _real_times(*_sample_dense(S, grid.omegas))
     split = sys.even_odd_split() if isinstance(sys, GalerkinSystem) else None
     solver = ShiftedSolver(S.E, S.A, stats, split)
     out = np.empty((S.n_out, len(grid)), dtype=complex)
@@ -185,6 +191,13 @@ def sample_transfer(
             raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
         out[:, j] = S.C @ x
     return out
+
+
+def _single_input(sys: DescriptorSystem | GalerkinSystem) -> DescriptorSystem:
+    S = sys.system if isinstance(sys, GalerkinSystem) else sys
+    if S.n_in != 1:
+        raise ValueError(f"sampling needs a single-input system (n_in=1), got n_in={S.n_in}")
+    return S
 
 
 def _series_band(
@@ -304,9 +317,11 @@ def _series_at(terms: np.ndarray, omegas: np.ndarray, first: int = 0) -> np.ndar
     return (terms.T @ powers.view(float)).view(complex)
 
 
-def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
+def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense branch of sample_transfer: the system's real generalized Schur
-    form, two vectorised back-substitutions."""
+    form, two vectorised back-substitutions.  Returns (C Z, Y), the samples
+    being C Z Y (n_out x k) with Y (n x k) the solutions in Schur
+    coordinates, so that a caller may form them a block of rows at a time."""
     try:
         AA, BB, Q, Z, alpha, beta = sys.schur_form
     except np.linalg.LinAlgError as exc:
@@ -330,7 +345,7 @@ def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> np.ndarray:
     X = _real_times(Z, Y)
     R = b[:, None] - s * _real_times(sys.E, X) + _real_times(sys.A, X)
     Y += _back_substitute(AA, BB, s, _real_times(Q.T, R))
-    return _real_times(sys.C @ Z, Y)
+    return sys.C @ Z, Y
 
 
 def _real_times(M: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -367,21 +382,54 @@ def hardy_norms(samples: np.ndarray, grid: FrequencyGrid) -> HardyNormReport:
     samples has shape (n_out, k) on grid.omegas.  H-infinity is the
     discrete maximum; H2 is sqrt((1/pi) * trapezoid(|H|^2) + tail^2)
     with tail^2 = c^2 / (pi * omega_k) from the c/omega decay model.
-    The norms of a difference H_a - H_b are those of its samples,
-    hardy_norms(samples_a - samples_b, grid).  |H| and its temporaries
-    exist for NORMS_BLOCK_ROWS outputs at a time.
+    |H| and its temporaries exist for NORMS_BLOCK_BYTES of samples at a
+    time.  difference_norms gives the norms of H - H_red for a system
+    H_red without its samples as a whole array.
     """
     samples = np.atleast_2d(samples)
+    return _norms(len(samples), grid, lambda rows: samples[rows])
+
+
+def difference_norms(
+    samples: np.ndarray,
+    sys: DescriptorSystem | GalerkinSystem,
+    grid: FrequencyGrid,
+    stats: SolverStats | None = None,
+) -> HardyNormReport:
+    """hardy_norms(samples - sample_transfer(sys, grid, stats), grid) without
+    sys's samples or the difference as (n_out, k) arrays of their own.
+
+    A dense system's samples C Z Y are formed a block of outputs at a time,
+    samples[rows] - (C Z)[rows] Y, from one Schur solution Y; a sparse
+    system's sweep is subtracted from `samples` in its own output.  The
+    norms of the difference are bitwise those of hardy_norms on it; a dense
+    system's products by row block may round differently from one product.
+    """
+    S = _single_input(sys)
+    if samples.shape != (S.n_out, len(grid)):
+        raise ValueError(f"samples of shape {samples.shape}, the system and grid give {(S.n_out, len(grid))}")
+    if S.is_sparse:
+        diff = sample_transfer(sys, grid, stats)
+        np.subtract(samples, diff, out=diff)
+        return hardy_norms(diff, grid)
+    if stats is not None:
+        stats.method = "qz"
+    CZ, Y = _sample_dense(S, grid.omegas)
+    return _norms(len(samples), grid, lambda rows: samples[rows] - _real_times(CZ[rows], Y))
+
+
+def _norms(n_out: int, grid: FrequencyGrid, block) -> HardyNormReport:
+    """hardy_norms of the n_out samples that block(rows) gives by row slices."""
     om = grid.omegas
-    n_out = samples.shape[0]
     # the log-log slope of |H| is taken over the top frequency decade
     j = min(int(np.searchsorted(om, om[-1] / 10.0)), len(om) - 2)
 
     jmax = np.empty(n_out, dtype=np.intp)
     hinf, integral, mag_j, mag_top = (np.empty(n_out) for _ in range(4))
-    for i0 in range(0, n_out, NORMS_BLOCK_ROWS):
-        rows = slice(i0, i0 + NORMS_BLOCK_ROWS)
-        mag = np.abs(samples[rows])
+    step = max(1, NORMS_BLOCK_BYTES // (16 * len(om)))
+    for i0 in range(0, n_out, step):
+        rows = slice(i0, i0 + step)
+        mag = np.abs(block(rows))
         jmax[rows] = np.argmax(mag, axis=1)
         hinf[rows] = mag[np.arange(len(mag)), jmax[rows]]
         integral[rows] = np.trapezoid(mag**2, om, axis=1)

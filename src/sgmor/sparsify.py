@@ -103,15 +103,13 @@ def select_indices(
     elif mode == "threshold":
         if delta is None or delta <= 0:
             raise ValueError("threshold mode requires delta > 0")
-        total_sq = float(np.sum(ranking.norms**2))
-        if delta**2 >= total_sq:
-            kept = (0,)
-        else:
-            sq = ranking.norms[ranking.order] ** 2
-            residual = total_sq - np.cumsum(sq)
-            mask = residual < delta**2
-            r = int(np.argmax(mask)) + 1 if np.any(mask) else m
-            kept = tuple(int(i) for i in ranking.order[:r])
+        # tail[r] = what keeping the r largest drops, summed from the
+        # smallest up, so that tails many decades below the largest norms
+        # keep their digits
+        sq = ranking.norms[ranking.order] ** 2
+        tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
+        r = int(np.argmax(tail < delta**2))
+        kept = tuple(int(i) for i in ranking.order[:r]) or (0,)
     else:
         raise ValueError(f"unknown selection mode {mode!r}")
     return Selection(kept=kept, m=m)

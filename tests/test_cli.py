@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,31 @@ class TestStaging:
             assert err.startswith(f"sgmor: error: stage {stage!r}: cached samples have 22 outputs")
             assert "the Galerkin system has 253" in err
         assert {path.name: path.read_bytes() for path in work.iterdir()} == before
+
+    def test_samples_read_after_krylov_basis_freed(self, run_dir, tmp_path, monkeypatch):
+        # the samples take the Krylov basis' place in memory: stage_reduce
+        # reads them only once the basis array is released
+        out, cfg = run_dir
+        work = tmp_path / "order"
+        shutil.copytree(out, work)
+        bases, arnoldi, load = [], cli.arnoldi_reduce, cli._load_samples
+
+        def tracked(*args):
+            red = arnoldi(*args)
+            base = red.T
+            while base.base is not None:
+                base = base.base
+            bases.append(weakref.ref(base))
+            return red
+
+        def checked(*args):
+            assert bases and bases[-1]() is None, "the samples are read while the Krylov basis is alive"
+            return load(*args)
+
+        monkeypatch.setattr(cli, "arnoldi_reduce", tracked)
+        monkeypatch.setattr(cli, "_load_samples", checked)
+        assert main(["reduce", "--config", str(cfg), "--out", str(work)]) == 0
+        assert len(bases) == 1
 
     def test_sine_burst_transient(self, run_dir, tmp_path):
         out, _ = run_dir

@@ -1,6 +1,8 @@
 """Frequency grids and Hardy norm estimation."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,8 +77,8 @@ def two_cyclic_system(rng, blocks_e, blocks_o, n, eps, dtype=complex):
     return K, M, (b if dtype is complex else b.real)
 
 
-def difference_norms(sys_a, sys_b, grid):
-    return sg.hardy_norms(sg.sample_transfer(sys_a, grid) - sg.sample_transfer(sys_b, grid), grid)
+def pair_difference_norms(sys_a, sys_b, grid):
+    return hardy.difference_norms(sg.sample_transfer(sys_a, grid), sys_b, grid)
 
 
 def random_stable_dae(n, n_alg, seed):
@@ -735,10 +737,11 @@ class TestHardyNorms:
 
     def test_row_blocks_bitwise_equal_whole_array(self):
         # every operation of hardy_norms is row-wise, so its row blocks give
-        # bit for bit the norms of one pass over the whole m x k array
+        # bit for bit the norms of one pass over the whole m x k array; m
+        # makes two blocks of NORMS_BLOCK_BYTES and a remainder
         grid = sg.FrequencyGrid.logspaced(-2, 6, 10)
         om = grid.omegas
-        m = 2 * hardy.NORMS_BLOCK_ROWS + 37
+        m = 2 * (hardy.NORMS_BLOCK_BYTES // (16 * len(om))) + 37
         rng = np.random.default_rng(4)
         poles = 10.0 ** rng.uniform(-1, 5, m)
         samples = rng.normal(size=(m, 1)) * poles[:, None] / (1j * om + poles[:, None])
@@ -766,7 +769,7 @@ class TestHardyNorms:
 class TestDifferenceNorms:
     def test_identical_systems(self, desk_galerkin):
         grid = sg.FrequencyGrid.logspaced(-1, 2, 10)
-        rep = difference_norms(desk_galerkin.system, desk_galerkin.system, grid)
+        rep = pair_difference_norms(desk_galerkin.system, desk_galerkin.system, grid)
         assert np.all(rep.h2 == 0.0) and np.all(rep.hinf == 0.0)
 
     def test_downsized_difference_structure(self, desk_galerkin, desk_norms):
@@ -781,7 +784,7 @@ class TestDifferenceNorms:
     def test_full_projection_reduction_exact(self, desk_galerkin):
         red = sg.arnoldi_reduce(desk_galerkin, 1.0, desk_galerkin.dimension)
         grid = sg.FrequencyGrid.logspaced(-2, 3, 10)
-        diff = difference_norms(desk_galerkin.system, red.system, grid)
+        diff = pair_difference_norms(desk_galerkin.system, red.system, grid)
         assert np.all(diff.h2 < 1e-8) and np.all(diff.hinf < 1e-8)
 
     def test_triangle_inequality(self, desk_galerkin):
@@ -789,10 +792,114 @@ class TestDifferenceNorms:
         full = desk_galerkin.system
         red1 = sg.arnoldi_reduce(desk_galerkin, 1.0, 6).system
         red2 = sg.arnoldi_reduce(desk_galerkin, 1.0, 10).system
-        ab = difference_norms(full, red1, grid)
-        bc = difference_norms(red1, red2, grid)
-        ac = difference_norms(full, red2, grid)
+        ab = pair_difference_norms(full, red1, grid)
+        bc = pair_difference_norms(red1, red2, grid)
+        ac = pair_difference_norms(full, red2, grid)
         for kind in ("h2", "hinf"):
             a = getattr(ac, kind)
             b = getattr(ab, kind) + getattr(bc, kind)
             assert np.all(a <= b + 1e-10)
+
+
+REPORT_FIELDS = ("h2", "hinf", "argmax_omega", "tail_estimate", "strictly_proper_ok", "tail_fraction_warning")
+
+
+def assert_reports_equal(a, b):
+    for field in REPORT_FIELDS:
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def small_blocks(k: int, rows: int):
+    """NORMS_BLOCK_BYTES patched to `rows` outputs of k complex samples a block."""
+    return mock.patch.object(hardy, "NORMS_BLOCK_BYTES", 16 * k * (rows + 1) - 1)
+
+
+def zero_and_logspace(k: int, rng) -> sg.FrequencyGrid:
+    return sg.FrequencyGrid(np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(-2, 3, k - 1))]))
+
+
+class TestDifferenceNormsInBlocks:
+    """difference_norms is hardy_norms(samples - sample_transfer(sys, grid),
+    grid), formed NORMS_BLOCK_BYTES of outputs at a time."""
+
+    @given(
+        k=st.integers(2, 12),
+        rows=st.integers(2, 6),
+        blocks=st.integers(2, 4),
+        extra=st.integers(0, 4),
+        n=st.integers(1, 6),
+        n_alg=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_dense(self, k, rows, blocks, extra, n, n_alg, seed):
+        # the norms are bitwise those of the difference the row blocks form,
+        # and that difference is samples - sample_transfer up to the
+        # round-off of the row-split products C Z Y
+        m = blocks * rows + 1 + extra % (rows - 1)  # a remainder block of 1 to rows - 1
+        rng = np.random.default_rng(seed)
+        base = random_stable_dae(n + n_alg, min(n_alg, n), seed)
+        sys = DescriptorSystem(base.E, base.A, base.B, rng.normal(size=(m, base.n)))
+        grid = zero_and_logspace(k, rng)
+        H = sg.sample_transfer(sys, grid)
+        samples = H * (1.0 + 1e-3 * rng.normal(size=H.shape))
+        kept = samples.copy()
+        stats = SolverStats()
+        with small_blocks(k, rows):
+            rep = hardy.difference_norms(samples, sys, grid, stats)
+            CZ, Y = hardy._sample_dense(sys, grid.omegas)
+            D = np.vstack([samples[i : i + rows] - hardy._real_times(CZ[i : i + rows], Y) for i in range(0, m, rows)])
+            assert_reports_equal(rep, sg.hardy_norms(D, grid))
+        assert stats.method == "qz" and np.array_equal(samples, kept)
+        bound = 4 * base.n * np.finfo(float).eps * (np.abs(CZ) @ np.abs(Y))
+        assert np.all(np.abs(D - (samples - H)) <= bound)
+
+    @given(
+        kept=st.sets(st.integers(1, 21), max_size=8),
+        k=st.integers(2, 8),
+        rows=st.sampled_from([3, 4, 5, 6, 7]),  # 22 outputs: 3 blocks or more and a remainder
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_downsized_ladder(self, bench_galerkin_d1, kept, k, rows, seed):
+        # the sparse sweep is subtracted in its own output: bit for bit
+        # the norms of samples - sample_transfer, with the same solver record
+        grid = zero_and_logspace(k, np.random.default_rng(seed))
+        small = sg.downsize(bench_galerkin_d1, Selection(kept=(0, *kept), m=bench_galerkin_d1.m))
+        samples = sg.sample_transfer(bench_galerkin_d1, grid)
+        before = samples.copy()
+        stats, ref_stats = SolverStats(), SolverStats()
+        with small_blocks(k, rows):
+            rep = hardy.difference_norms(samples, small, grid, stats)
+            ref = sg.hardy_norms(samples - sg.sample_transfer(small, grid, ref_stats), grid)
+        assert_reports_equal(rep, ref)
+        assert stats.summary() == ref_stats.summary() and np.array_equal(samples, before)
+
+    def test_bad_input_rejected(self):
+        grid = sg.FrequencyGrid.logspaced(-1, 1, 2)
+        with pytest.raises(ValueError, match="samples of shape"):
+            hardy.difference_norms(np.zeros((2, len(grid))), first_order(), grid)
+        multi = DescriptorSystem(np.eye(2), -np.eye(2), np.ones((2, 2)), np.ones((1, 2)))
+        with pytest.raises(ValueError, match=r"single-input system \(n_in=1\), got n_in=2"):
+            hardy.difference_norms(np.zeros((1, len(grid))), multi, grid)
+
+    def test_peak_below_one_samples_array(self):
+        # 4000 outputs of a dense 8-state system on 301 points: the samples
+        # are 18.4 MiB, and the difference norms hold C Z (m x n), Y (n x k)
+        # and one block's difference, the product it is formed from and
+        # |.|'s temporaries (measured 2.9 MiB), where the norms of
+        # samples - sample_transfer hold two more m x k arrays (36.9 MiB)
+        rng = np.random.default_rng(0)
+        base = random_stable_dae(8, 0, 3)
+        sys = DescriptorSystem(base.E, base.A, base.B, rng.normal(size=(4000, 8)))
+        grid = sg.FrequencyGrid.logspaced(-2, 3, 60)
+        samples = sg.sample_transfer(sys, grid) * (1.0 + 1e-6)
+        CZ, Y = hardy._sample_dense(sys, grid.omegas)
+        tracemalloc.start()
+        try:
+            hardy.difference_norms(samples, sys, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * hardy.NORMS_BLOCK_BYTES + CZ.nbytes + Y.nbytes
+        assert peak < samples.nbytes / 5

@@ -1,5 +1,7 @@
 """Norm rankings, index selection, and the pruning error certificates."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -147,6 +149,46 @@ class TestSelectIndices:
         expect = tuple(sorted(set(int(i) for i in r.order[:r_min]) | {0}))
         assert sel.kept == expect
         assert float(np.sum(arr[list(sel.dropped)] ** 2)) < delta**2
+
+    def test_threshold_tail_below_norm_spread(self):
+        # the three 1e-9 outputs are lost in the total 1 + 3e-18, so a tail
+        # taken as total - cumsum reads 0 after the first output
+        norms = [1.0, 1e-9, 1e-9, 1e-9]
+        rep = report_from(norms)
+        sel = sg.select_indices(sg.rank_and_theta(rep), "threshold", delta=1.2e-9)
+        assert sel.kept == (0, 1, 2)
+        assert sg.theorem1_certificate(rep, sel).bound_sup < 1.2e-9
+
+    @given(
+        st.lists(st.floats(-12.0, 0.0), min_size=2, max_size=20),
+        st.floats(-13.0, 0.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_threshold_certified_over_wide_norm_spans(self, exponents, log_delta):
+        # norms spanning up to 12 decades: every threshold selection is
+        # certified below delta, and no shorter prefix of the ranking is
+        norms = [10.0**e for e in exponents]
+        delta = 10.0**log_delta
+        rep = report_from(norms)
+        r = sg.rank_and_theta(rep)
+        sel = sg.select_indices(r, "threshold", delta=delta)
+        # exact tails[k]: what keeping the k largest drops; a strict
+        # comparison is ill-posed within the rounding of the boundary
+        sq = [Fraction(norms[i]) ** 2 for i in r.order]
+        tails = [sum(sq[k:], Fraction(0)) for k in range(len(sq))]
+        d2 = Fraction(delta) ** 2
+        assume(all(abs(t - d2) > Fraction(1, 10**9) * d2 for t in tails))
+        assert sg.theorem1_certificate(rep, sel).bound_sup < delta
+        r_min = next((k for k, t in enumerate(tails) if t < d2), len(sq))
+        assert sel.kept == tuple(sorted({int(i) for i in r.order[:r_min]} | {0}))
+
+    def test_threshold_total_rounding_to_delta(self):
+        # 1 + 1e-16 rounds to delta^2 = 1: keeping output 0 alone would drop
+        # output 1 and certify exactly delta, not below it
+        rep = report_from([1e-8, 1.0])
+        sel = sg.select_indices(sg.rank_and_theta(rep), "threshold", delta=1.0)
+        assert sel.kept == (0, 1)
+        assert sg.theorem1_certificate(rep, sel).bound_sup < 1.0
 
 
 class TestCertificates:
