@@ -173,6 +173,8 @@ def _validate(cfg: PipelineConfig) -> None:
         ("transient.input", tr.input, tr.input in TRANSIENT_INPUTS, f"must be one of {TRANSIENT_INPUTS}"),
         ("transient.step", tr.step, 0 < _real(tr.step) < math.inf, "must be > 0 and finite"),
         ("transient.horizon", tr.horizon, 0 < _real(tr.horizon) < math.inf, "must be > 0 and finite"),
+        ("transient.step", tr.step, _real(tr.step) <= _real(tr.horizon),
+         f"must be at most transient.horizon = {tr.horizon!r}"),
     ]
     for name, value, ok, rule in checks:
         if not ok:

@@ -27,12 +27,6 @@ __all__ = [
     "simulate_transient",
 ]
 
-# largest sparse system pencil_spectrum densifies for its O(n^3) generalized
-# Schur form; the pipeline asks only the dense reduced systems of the r sweep
-# (r <= 120 in every workload) for a verdict
-DENSE_SPECTRUM_MAX_STATES = 2000
-
-
 class PencilRegularityError(ValueError):
     """The pencil lambda*E - A is (numerically) singular for all lambda."""
 
@@ -158,21 +152,18 @@ def pencil_spectrum(sys: DescriptorSystem) -> PencilReport:
     Read from the eigenvalue pairs (alpha, beta) of the system's real
     generalized Schur form (DescriptorSystem.schur_form), the one its dense
     samples come from: a system sampled first is not decomposed again.  An
-    eigenvalue is infinite where |beta| <= 1e-12 (|alpha| + |beta|).  A
-    dense system of any size is decomposed, since it is already in memory; a
-    sparse one above DENSE_SPECTRUM_MAX_STATES states raises ValueError
-    before it is densified.  Raises PencilRegularityError where the
-    decomposition fails, E or A has a non-finite entry, or some pair is
+    eigenvalue is infinite where |beta| <= 1e-12 (|alpha| + |beta|).  The
+    system must be dense, as reduced systems are: a sparse one raises
+    ValueError naming N before anything is decomposed (densify a small one
+    with DescriptorSystem.dense first).  Raises PencilRegularityError where
+    the decomposition fails, E or A has a non-finite entry, or some pair is
     (numerically) 0 / 0.
     """
     n = sys.n
-    if sys.is_sparse and n > DENSE_SPECTRUM_MAX_STATES:
-        raise ValueError(
-            f"no dense pencil spectrum for a sparse system of N={n} > "
-            f"DENSE_SPECTRUM_MAX_STATES = {DENSE_SPECTRUM_MAX_STATES} states"
-        )
+    if sys.is_sparse:
+        raise ValueError(f"pencil_spectrum needs a dense system, got a sparse one of N={n} states")
     try:
-        *_, alpha, beta = sys.dense().schur_form
+        *_, alpha, beta = sys.schur_form
     except np.linalg.LinAlgError as exc:
         raise PencilRegularityError(f"no generalized Schur form of the pencil: {exc}") from exc
     if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
@@ -237,22 +228,30 @@ def simulate_transient(
     factor_pencil).  On the ladder at one BLAS thread a step then costs
     about 0.2 ms at d = 2 (N = 5060; 31 737 nonzeros in L + U) and 4.1 ms
     at d = 3 (N = 40 480; 2.22 M), against 0.4-0.5 ms (39 177) and
-    6.0-6.7 ms (1.77 M) with COLAMD.  A multi-input system, or one above
-    LU_FALLBACK_MAX_STATES states, raises ValueError before anything is
+    6.0-6.7 ms (1.77 M) with COLAMD.  A multi-input system, one above
+    LU_FALLBACK_MAX_STATES states, a horizon that is not finite or is
+    shorter than half a step (round(horizon / step) < 1) and an input that
+    is not finite at every time raise ValueError before anything is
     factored.
     """
     if sys.n_in != 1:
         raise ValueError(f"simulate_transient needs a single-input system (n_in=1), got n_in={sys.n_in}")
     if step <= 0:
         raise ValueError("step must be positive")
+    if not np.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    n_steps = int(round(horizon / step))
+    if n_steps < 1:
+        raise ValueError(f"horizon {horizon} spans no step of {step}: round(horizon / step) = {n_steps}")
     if sys.n > LU_FALLBACK_MAX_STATES:
         raise ValueError(
             f"no transient for N={sys.n} > {LU_FALLBACK_MAX_STATES} states: "
             "factoring sigma*E - A would take minutes and gigabytes"
         )
-    n_steps = int(round(horizon / step))
     times = step * np.arange(n_steps + 1)
     u = np.asarray(input_fn(times), dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("input must be finite at every time step")
     if abs(u[0]) > 1e-14 * max(1.0, np.abs(u).max()):
         raise ValueError("input must satisfy u(0) = 0 for consistent initialization")
     sigma = 2.0 / step

@@ -9,10 +9,11 @@ mor.arnoldi_reduce shares at its real shift.  The low band comes first,
 from the Taylor series x(s) = sum_k s^k x_k at s = 0 (the moments of
 asymptotic waveform evaluation): its terms are real solves at s = 0, added
 only as far as the next grid point needs them and only while they serve as
-many points as they cost, and each point it serves is kept only where its
-true residual in the system's own E and A is at most GMRES_RTOL, the target
-of a solved point.  From the first point beyond the series' reach the
-solver is moved from frequency to frequency.  On the d = 2 ladder (slowest
+many points as they cost.  The series serves a prefix of the grid: each
+point whose series sample has a true residual in the system's own E and A
+of at most GMRES_RTOL, the target of a solved point, up to the first point
+that misses it or lies beyond the series' reach.  From there on the solver
+is moved from frequency to frequency.  On the d = 2 ladder (slowest
 pole at |lambda| = 1.4e4) 24 terms serve the 329 of 722 default grid
 points up to omega of about 2.9e3, each term a real GMRES solve of 2 to 3
 iterations.
@@ -47,7 +48,7 @@ import numpy as np
 
 from .descriptor import DescriptorSystem, pencil_spectrum
 from .galerkin import GalerkinSystem
-from .solver import GMRES_RTOL, RESIDUAL_RTOL, PoleProximityError, ResidualMissError, ShiftedSolver, SolverStats
+from .solver import GMRES_RTOL, PoleProximityError, ResidualMissError, ShiftedSolver, SolverStats
 
 __all__ = ["FrequencyGrid", "HardyNormReport", "sample_transfer", "hardy_norms", "difference_norms"]
 
@@ -153,12 +154,10 @@ def sample_transfer(
     A sparse system is solved through one ShiftedSolver, a dense one by its
     real generalized Schur form ("qz", see the module docstring); `stats`
     records the method and, per frequency, what ShiftedSolver records.  On
-    a sparse system the low band is served by the Taylor series at s = 0
-    first (_series_band): a point whose series sample has a true relative
-    residual of at most GMRES_RTOL keeps it, a point above that but within
-    RESIDUAL_RTOL is solved by ShiftedSolver started from its series
-    sample, and every point from the first one beyond the series' reach is
-    solved as if there were no series.
+    a sparse system the Taylor series at s = 0 serves a prefix of the grid
+    first (_series_band), each of its points with a true relative residual
+    of at most GMRES_RTOL, and every later point is solved as if there were
+    no series.
 
     Raises PoleProximityError naming the omega, with `condition` set, where
     i*omega*E - A is singular or ill-conditioned.  Sparse: where
@@ -175,18 +174,12 @@ def sample_transfer(
     split = sys.even_odd_split() if isinstance(sys, GalerkinSystem) else None
     solver = ShiftedSolver(S.E, S.A, stats, split)
     out = np.empty((S.n_out, len(grid)), dtype=complex)
-    end, kept, residuals, terms = _series_band(solver, S, grid.omegas, out)
+    n = _series_band(solver, S, grid.omegas, out)
     b = S.B[:, 0].astype(complex)
-    for j, omega in enumerate(grid.omegas):
-        if kept[j]:
-            if solver.split is not None:
-                stats.iterations.append(0)
-                stats.residuals.append(float(residuals[j]))
-            continue
-        x0 = _series_at(terms, grid.omegas[j : j + 1])[:, 0] if j < end else None
+    for j, omega in enumerate(grid.omegas[n:], n):
         try:
             solver.set_shift(1j * omega)
-            x = solver.solve(b, x0)
+            x = solver.solve(b)
         except PoleProximityError as exc:
             raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
         out[:, j] = S.C @ x
@@ -200,9 +193,7 @@ def _single_input(sys: DescriptorSystem | GalerkinSystem) -> DescriptorSystem:
     return S
 
 
-def _series_band(
-    solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray, out: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray, out: np.ndarray) -> int:
     """The low band of a sweep from the Taylor series x(s) = sum_k s^k x_k at s = 0.
 
     The terms solve -A x_0 = b and -A x_k = -E x_{k-1} through `solver` at
@@ -210,7 +201,7 @@ def _series_band(
     They are added only as the next grid point needs them: with rho the
     ratio ||x_k|| / ||x_{k-1}|| of the last two terms, a point at omega
     needs K terms with (omega rho)^K <= UNIT_ROUNDOFF.  Growing to K terms
-    must not spend more term solves than the points kept so far plus the
+    must not spend more term solves than the points served so far plus the
     points that K terms reach, and K is at most SERIES_MAX_TERMS.  The
     first term is spent on trust, and so is the second, which gives rho,
     except on a Galerkin system: there rho is first estimated without a
@@ -218,25 +209,23 @@ def _series_band(
     estimate says the second term cannot pay.  Points are
     evaluated in increasing omega, SERIES_BLOCK_BYTES of samples at a time,
     each with its true relative residual ||b - (i omega E - A) x|| / ||b||
-    in S's own E and A, and a point within GMRES_RTOL is written to `out`.
-    x is held as x_0 + D, D the terms from x_1 on, and its residual and
-    outputs are those of the two parts: rounding x_0 + D to one vector would
-    add about u ||A|| ||x|| to the residual, 4e-14 to 9e-14 of ||b|| on the
-    d = 2 ladder, where x_0's own is what its solve refined (0 there).
+    in S's own E and A.  x is held as x_0 + D, D the terms from x_1 on, and
+    its residual and outputs are those of the two parts: rounding x_0 + D
+    to one vector would add about u ||A|| ||x|| to the residual, 4e-14 to
+    9e-14 of ||b|| on the d = 2 ladder, where x_0's own is what its solve
+    refined (0 there).
 
-    The series stops at the first point beyond its reach or above
-    RESIDUAL_RTOL, and where a solve at s = 0 raises or falls back to sparse
-    LU (then the sweep meets that shift as if there were no series).  Term
-    solves are recorded only in the stats' series_terms.  Returns (end,
-    kept, residuals, terms): the points before `end` were evaluated, with
-    those residuals, from the terms, shape (K, N), and where `kept` their
-    samples are in `out`.
+    The series serves a prefix of omegas: it stops at the first point above
+    GMRES_RTOL or beyond its reach, and where a solve at s = 0 raises or
+    falls back to sparse LU (then the sweep meets that shift as if there
+    were no series).  Each served sample is written to `out` and, on the
+    "gmres-schur" route, recorded in the stats with 0 iterations and its
+    residual; term solves are recorded only in the stats' series_terms.
+    Returns the number of leading points served.
     """
     stats = solver.stats
     b = S.B[:, 0]
     b_norm = np.linalg.norm(b) or 1.0
-    residuals = np.empty(len(omegas))
-    kept = np.zeros(len(omegas), dtype=bool)
     terms = np.empty((SERIES_MAX_TERMS, S.n))
     n_terms = j = 0
     norms = []
@@ -262,7 +251,7 @@ def _series_band(
                     while k <= SERIES_MAX_TERMS and omegas[j] > reach(k):
                         k += 1
                     n_reach = np.searchsorted(omegas, reach(k), "right") - j
-                if k > SERIES_MAX_TERMS or k > np.count_nonzero(kept) + n_reach or solver.falls_back:
+                if k > SERIES_MAX_TERMS or k > j + n_reach or solver.falls_back:
                     break
                 rhs = b if n_terms == 0 else -(S.E @ terms[n_terms - 1])
                 terms[n_terms] = solver.solve(rhs)
@@ -276,17 +265,17 @@ def _series_band(
             stop = min(int(np.searchsorted(omegas, reach(n_terms), "right")), j + block)
             om = omegas[j:stop]
             # x = x_0 + D, D's real and imaginary parts in adjacent columns
-            x0, D = terms[0], _series_at(terms[1:n_terms], om, 1).view(float)
+            x0, D = terms[0], _series_at(terms[1:n_terms], om).view(float)
             R = (S.A @ D).view(complex)
             R -= ((S.E @ D).view(complex) + (S.E @ x0)[:, None]) * (1j * om)
             R += (b + S.A @ x0)[:, None]
             res = np.linalg.norm(R, axis=0) / b_norm
-            ok = res <= RESIDUAL_RTOL  # False where NaN
+            ok = res <= GMRES_RTOL  # False where NaN
             n_ok = len(om) if ok.all() else int(np.argmin(ok))
-            keep = np.flatnonzero(res[:n_ok] <= GMRES_RTOL)
-            out[:, j + keep] = (S.C @ D).view(complex)[:, keep] + (S.C @ x0)[:, None]
-            residuals[j : j + n_ok] = res[:n_ok]
-            kept[j + keep] = True
+            out[:, j : j + n_ok] = (S.C @ D).view(complex)[:, :n_ok] + (S.C @ x0)[:, None]
+            if solver.split is not None:
+                stats.iterations += [0] * n_ok
+                stats.residuals += res[:n_ok].tolist()
             j += n_ok
             if n_ok < len(om):
                 break
@@ -294,9 +283,9 @@ def _series_band(
         pass
     finally:
         solver.stats = stats
-    stats.series_points = int(np.count_nonzero(kept))
+    stats.series_points = j
     stats.series_terms = term_stats.iterations if solver.split is not None else [0] * n_terms
-    return j, kept, residuals, terms[:n_terms]
+    return j
 
 
 def _mean_pencil_rate(split) -> float:
@@ -308,11 +297,12 @@ def _mean_pencil_rate(split) -> float:
     return 1.0 / np.abs(pencil_spectrum(mean).finite_eigenvalues).min(initial=np.inf)
 
 
-def _series_at(terms: np.ndarray, omegas: np.ndarray, first: int = 0) -> np.ndarray:
-    """sum_k (i omega)^(first + k) terms[k] for each omega, the columns of one
-    N x c complex array, by one real product with the powers' real and
-    imaginary parts."""
-    k = first + np.arange(len(terms))
+def _series_at(terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """sum_k (i omega)^(k + 1) terms[k] for each omega, the series from its
+    term x_1 on (terms = [x_1, x_2, ...]), as the columns of one N x c
+    complex array, by one real product with the powers' real and imaginary
+    parts."""
+    k = 1 + np.arange(len(terms))
     powers = omegas[None, :] ** k[:, None] * _I_POWERS[k % 4, None]
     return (terms.T @ powers.view(float)).view(complex)
 

@@ -231,9 +231,8 @@ class ShiftedSolver:
         """Whether the next solve at this shift is a sparse-LU fallback."""
         return self.split is not None and not self.gmres
 
-    def solve(self, b: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-        """x solving (sE - A) x = b at the current shift, by the policy above;
-        GMRES starts from x0 where given (the LU route ignores it)."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x solving (sE - A) x = b at the current shift, by the policy above."""
         b = np.asarray(b, dtype=self.dtype)
         iterations = 0
         if self.gmres:
@@ -241,11 +240,8 @@ class ShiftedSolver:
             # for its right-hand side, iterate or residual: fresh pages fault
             # at every frequency.  "raise" would make np.take buffer `out`
             b_split = np.take(b, self.order, out=self.b_split, mode="clip")
-            if x0 is not None:
-                np.take(np.asarray(x0, dtype=self.dtype), self.order, out=self.x, mode="clip")
             x, iterations, r_norm = _gmres_schur(
-                self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H,
-                self.x, self.r, x0 is not None,
+                self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H, self.x, self.r
             )
             residual = float(r_norm / (np.linalg.norm(b_split) or 1.0))
             if residual <= RESIDUAL_RTOL:
@@ -294,15 +290,14 @@ def _gmres_schur(
     H: np.ndarray,
     x: np.ndarray,
     r: np.ndarray,
-    warm: bool = False,
 ) -> tuple[np.ndarray, int, float]:
     """Restarted GMRES on K x = b through its Schur complement, K as in _residual.
 
     V, (restart + 1) x |o|, and H, restart x restart, are the caller's
     workspace and are overwritten; the restart length is len(V) - 1.  So are
-    x and r, vectors like b: x holds the iterate, started from zero, or from
-    x's own values where `warm`, and r the residual.  The arithmetic is that of V: real Givens rotations for a real
-    workspace, complex ones for a complex one.  Returns (x, iterations,
+    x and r, vectors like b: x holds the iterate, started from zero, and r
+    the residual.  The arithmetic is that of V: real Givens rotations for a
+    real workspace, complex ones for a complex one.  Returns (x, iterations,
     ||b - K x||), the norm being that of the true residual each cycle starts
     from, so the last allowed cycle is followed by one more residual.  Where
     H is singular (a pole on the grid) x is the iterate reached before that
@@ -322,12 +317,11 @@ def _gmres_schur(
     # at `tol` left samples up to 1.3e-13 * max|H| off SuperLU, against
     # 3.3e-14 at this target
     cycle_tol = 0.1 * tol
-    if not warm:
-        x.fill(0)
+    x.fill(0)
     r_work, r = r, b
     iterations = 0
     for cycle in range(GMRES_MAXITER + 1):
-        if cycle or warm:
+        if cycle:
             r = _residual(L, U, mean_block, b, x, r_work)
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol or cycle == GMRES_MAXITER:

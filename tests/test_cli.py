@@ -153,6 +153,8 @@ class TestConfig:
             ("frequency_grid:\n  decade_max: .inf\n", "frequency_grid.decade_max must be a finite real number, got inf"),
             ("frequency_grid:\n  decade_min: -.inf\n", "frequency_grid.decade_min must be below decade_max = 10.0 and finite"),
             ("frequency_grid:\n  points_per_decade: .inf\n", "frequency_grid.points_per_decade must be >= 1 and finite"),
+            ("transient:\n  horizon: 1.0e-6\n  step: 3.0e-6\n",
+             "transient.step must be at most transient.horizon = 1e-06, got 3e-06"),
         ],
         ids=[
             "downsize-sweep", "r-sweep", "mode", "top-k-without-k", "threshold-delta", "transient-input",
@@ -160,7 +162,7 @@ class TestConfig:
             "transient-enabled", "include-zero", "s0", "deflation-thresholds", "table-deltas",
             "output-dir-null", "netlist-null", "seed-float", "seed-bool", "section-scalar", "yaml-syntax",
             "transient-horizon-inf", "transient-step-inf", "decade-max-inf", "decade-min-inf",
-            "points-per-decade-inf",
+            "points-per-decade-inf", "step-above-horizon",
         ],
     )
     def test_invalid_value_rejected_before_any_stage(self, tmp_path, capsys, text, message):

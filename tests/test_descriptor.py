@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgmor as sg
-from sgmor import descriptor, solver
+from sgmor import cli, descriptor, solver
 from sgmor.descriptor import DescriptorSystem, PencilRegularityError
 from sgmor.solver import PoleProximityError, factor_pencil
 
@@ -195,15 +195,14 @@ class TestPencilSpectrum:
         )
         assert not proper(sys)
 
-    def test_sparse_above_cap_rejected_before_densifying(self, bench_galerkin_d1, monkeypatch):
+    def test_sparse_rejected_before_decomposing(self, bench_galerkin_d1, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a sparse system above the cap was densified or decomposed")
+            raise AssertionError("a sparse system was densified or decomposed")
 
-        monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 100)
         monkeypatch.setattr(DescriptorSystem, "dense", forbidden)
         monkeypatch.setattr(descriptor.lapack, "dgges", forbidden)
         S = bench_galerkin_d1.system
-        with pytest.raises(ValueError, match=f"N={S.n} > DENSE_SPECTRUM_MAX_STATES = 100 "):
+        with pytest.raises(ValueError, match=f"needs a dense system, got a sparse one of N={S.n} states"):
             sg.pencil_spectrum(S)
 
     @settings(max_examples=60, deadline=None)
@@ -229,11 +228,6 @@ class TestPencilSpectrum:
         sys = DescriptorSystem(np.eye(2), np.array([[-1.0, bad], [0.0, -1.0]]), np.ones((2, 1)), np.ones((1, 2)))
         with pytest.raises(PencilRegularityError, match="non-finite"):
             sg.pencil_spectrum(sys)
-
-    def test_dense_above_cap_still_decomposed(self, monkeypatch):
-        monkeypatch.setattr(descriptor, "DENSE_SPECTRUM_MAX_STATES", 1)
-        rep = sg.pencil_spectrum(dae_system())
-        assert rep.stable is True and rep.infinite_count == 1
 
 
 class TestSimulateTransient:
@@ -269,6 +263,28 @@ class TestSimulateTransient:
         sys = DescriptorSystem(np.eye(2), -np.eye(2), np.ones((2, 2)), np.ones((1, 2)))
         with pytest.raises(ValueError, match=r"single-input system \(n_in=1\), got n_in=2"):
             sg.simulate_transient(sys, lambda t: np.sin(t), 1.0, 0.1)
+
+    @pytest.mark.parametrize("kind", ["smooth_step", "sine_burst"])
+    def test_horizon_without_a_step_rejected(self, kind, monkeypatch):
+        # step > 2 * horizon rounds to 0 steps, which gave a one-row
+        # trajectory with input_l2 = 0 and, for sine_burst, u = [nan]
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("factored without a step to take")
+
+        monkeypatch.setattr(descriptor, "factor_pencil", unexpected)
+        with pytest.raises(ValueError, match=r"round\(horizon / step\) = 0"):
+            sg.simulate_transient(scalar_system(), cli._input_signal(kind), 1.0, 2.5)
+
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            sg.simulate_transient(scalar_system(), lambda t: 0.0 * t, horizon, 0.1)
+
+    def test_non_finite_input_rejected(self):
+        # NaN fails every comparison, the u(0) check's included
+        for u0 in (0.0, np.nan):
+            with pytest.raises(ValueError, match="finite at every time step"):
+                sg.simulate_transient(scalar_system(), lambda t: np.where(t > 0.5, np.nan, u0), 1.0, 0.1)
 
     def test_inconsistent_start_rejected(self):
         with pytest.raises(ValueError, match="u\\(0\\)"):

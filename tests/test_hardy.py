@@ -14,7 +14,7 @@ import sgmor as sg
 from sgmor import hardy, solver
 from sgmor.descriptor import DescriptorSystem
 from sgmor.galerkin import GalerkinSystem, Selection
-from sgmor.solver import GMRES_RTOL, RESIDUAL_RTOL, PoleProximityError, SolverStats, _pencil_residual
+from sgmor.solver import RESIDUAL_RTOL, PoleProximityError, SolverStats
 
 from conftest import perturbed_gmres, scalar_galerkin
 from oracles import dense_transfer
@@ -616,29 +616,10 @@ class TestTaylorSeries:
         assert np.array_equal(sg.sample_transfer(bench_galerkin_d1, grid, trusted), H)
         assert trusted == stats
 
-    def test_warm_start_takes_fewer_iterations(self, bench_galerkin_d1):
-        # a series sample cut short to a residual between GMRES_RTOL and
-        # RESIDUAL_RTOL, as a handed-over point has, against a cold start
-        S = bench_galerkin_d1.system
-        grid = sg.FrequencyGrid.logspaced(-2, 4, 10)
-        shifted = galerkin_solver(bench_galerkin_d1, SolverStats())
-        *_, terms = hardy._series_band(shifted, S, grid.omegas, np.empty((S.n_out, len(grid)), dtype=complex))
-        w, b = 1e3, S.B[:, 0].astype(complex)
-        samples = [hardy._series_at(terms[:k], np.array([w]))[:, 0] for k in range(1, len(terms) + 1)]
-        x0 = next(x for x in samples if _pencil_residual(S.E, S.A, 1j * w, b, x) <= RESIDUAL_RTOL)
-        assert GMRES_RTOL < _pencil_residual(S.E, S.A, 1j * w, b, x0) <= RESIDUAL_RTOL
-        cold, warm = SolverStats(), SolverStats()
-        for stats, guess in ((cold, None), (warm, x0)):
-            shifted = galerkin_solver(bench_galerkin_d1, stats)
-            shifted.set_shift(1j * w)
-            shifted.solve(b, guess)
-        assert cold.residuals[0] <= GMRES_RTOL and warm.residuals[0] <= GMRES_RTOL
-        assert 0 < warm.iterations[0] < cold.iterations[0]
-
-    def test_sweep_hands_over_near_misses(self, bench_galerkin_d1, monkeypatch):
+    def test_sweep_serves_a_prefix(self, bench_galerkin_d1, monkeypatch):
         # truncated at 1e-13 instead of the unit round-off, series samples
-        # miss GMRES_RTOL: ShiftedSolver refines them, each from its series
-        # sample, in fewer iterations than the plain sweep (no series terms)
+        # miss GMRES_RTOL inside the series' reach: the first miss ends the
+        # band, and from there every point is solved as without the series
         gsys, grid = bench_galerkin_d1, sg.FrequencyGrid.logspaced(-2, 4, 10)
         monkeypatch.setattr(hardy, "SERIES_MAX_TERMS", 0)
         plain = SolverStats()
@@ -648,9 +629,10 @@ class TestTaylorSeries:
         monkeypatch.setattr(hardy, "UNIT_ROUNDOFF", 1e-13)
         stats = SolverStats()
         H = sg.sample_transfer(gsys, grid, stats)
-        its, plain_its = np.array(stats.iterations), np.array(plain.iterations)
-        handed_over = its > 0
-        assert np.all(its <= plain_its) and np.any(its[handed_over] < plain_its[handed_over])
+        n, its = stats.series_points, np.array(stats.iterations)
+        assert 0 < n < len(grid) and len(its) == len(grid)
+        assert np.all(its[:n] == 0) and np.all(its[n:] > 0)
+        assert stats.iterations[n:] == plain.iterations[n:] and np.array_equal(H[:, n:], ref[:, n:])
         assert max(stats.residuals) <= RESIDUAL_RTOL and stats.fallbacks == 0
         assert np.abs(H - ref).max() <= 5e-14 * np.abs(ref).max()
 
