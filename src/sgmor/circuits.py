@@ -16,7 +16,8 @@ Netlist grammar (one statement per line, `#` starts a comment):
 
 Element order in the file defines the parameter order p_1..p_q; elements
 with tolerance 0 are folded into the constant part and contribute no
-random parameter.
+random parameter.  A tolerance lies in [0, 1), so that every element value
+stays positive on its parameter box.
 """
 
 from __future__ import annotations
@@ -137,6 +138,13 @@ def parse_netlist(text: str) -> CircuitNetlist:
                 raise NetlistError(f"non-positive element value {nominal}", lineno)
             if tolerance < 0:
                 raise NetlistError(f"negative tolerance {tolerance}", lineno)
+            if tolerance >= 1:
+                # the value's lower bound nominal * (1 - tolerance) is not
+                # positive: E or A would leave the passive (PRIMA) form
+                raise NetlistError(
+                    f"tolerance {tolerance} >= 1 gives the non-positive lower value {nominal * (1 - tolerance):.6g}",
+                    lineno,
+                )
             if tokens[1] == tokens[2]:
                 raise NetlistError("element shorts a node to itself", lineno)
             elements.append(CircuitElement(kind, name, tokens[1], tokens[2], nominal, tolerance))

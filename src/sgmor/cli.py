@@ -2,9 +2,13 @@
 
 Subcommands (assemble | norms | sparsify | reduce | simulate | report)
 each run one stage from the cached artifacts of earlier stages; `run`
-executes all of them in order.  All numeric CSV output uses fixed
-formatting and ordering, so identical config + seed gives byte-identical
-files.
+executes all of them in order and hands the Galerkin system that assemble
+built to the later stages instead of reading it back from its .mtx files,
+which hold it bitwise, so both routes write the same files.  All numeric
+CSV output uses fixed formatting and ordering, so identical config + seed
+gives byte-identical files at a fixed BLAS thread count: at d = 3 the
+Krylov basis from one and from two OpenBLAS threads parts beyond about 40
+vectors.
 """
 
 from __future__ import annotations
@@ -136,8 +140,8 @@ def _load_galerkin(cfg: PipelineConfig, out: Path, stage: str) -> GalerkinSystem
 
 # ------------------------------------------------------------------- norms
 
-def stage_norms(cfg: PipelineConfig, out: Path) -> HardyNormReport:
-    gsys = _load_galerkin(cfg, out, "norms")
+def stage_norms(cfg: PipelineConfig, out: Path, gsys: GalerkinSystem | None = None) -> HardyNormReport:
+    gsys = gsys or _load_galerkin(cfg, out, "norms")
     grid = _grid(cfg)
     stats = SolverStats()
     samples = sample_transfer(gsys, grid, stats)
@@ -190,8 +194,8 @@ def _load_samples(cfg: PipelineConfig, out: Path, stage: str, n_out: int):
 
 # ---------------------------------------------------------------- sparsify
 
-def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
-    gsys = _load_galerkin(cfg, out, "sparsify")
+def stage_sparsify(cfg: PipelineConfig, out: Path, gsys: GalerkinSystem | None = None) -> None:
+    gsys = gsys or _load_galerkin(cfg, out, "sparsify")
     samples, grid = _load_samples(cfg, out, "sparsify", gsys.m)
     report = hardy_norms(samples, grid)
     h = cfg.hash()
@@ -260,8 +264,8 @@ def stage_sparsify(cfg: PipelineConfig, out: Path) -> None:
 
 # ------------------------------------------------------------------ reduce
 
-def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
-    gsys = _load_galerkin(cfg, out, "reduce")
+def stage_reduce(cfg: PipelineConfig, out: Path, gsys: GalerkinSystem | None = None) -> None:
+    gsys = gsys or _load_galerkin(cfg, out, "reduce")
     m, n = gsys.m, gsys.dimension
     _cached_grid(cfg, out, "reduce", m)  # before Arnoldi; the samples are read after it
     h = cfg.hash()
@@ -301,6 +305,15 @@ def stage_reduce(cfg: PipelineConfig, out: Path) -> None:
         _write_csv(out / "reduce_bounds.csv", "r,bound_sup,bound_l2,stable", rows, h)
 
     cert = theorem2_certificate(difference_norms(samples, S, grid))
+    # a bound for an unstable model certifies nothing; the Schur form the
+    # samples came from gives the spectrum without a second decomposition
+    spectrum = pencil_spectrum(S)
+    if not spectrum.stable:
+        raise StageError(
+            "reduce",
+            f"the reduced system at r={r_red}, s0={s0} is unstable: "
+            f"max Re lambda = {spectrum.finite_eigenvalues.real.max():.6e}",
+        )
     payload = cert.to_dict()
     payload.update({"r": r_red, "s0": s0, "breakdown": breakdown})
     _write_json(out / "theorem2_mor.json", payload, h)
@@ -337,8 +350,8 @@ def _input_signal(kind: str):
     raise ValueError(f"unknown input kind {kind!r}")
 
 
-def stage_simulate(cfg: PipelineConfig, out: Path) -> None:
-    gsys = _load_galerkin(cfg, out, "simulate")
+def stage_simulate(cfg: PipelineConfig, out: Path, gsys: GalerkinSystem | None = None) -> None:
+    gsys = gsys or _load_galerkin(cfg, out, "simulate")
     tc = cfg.transient
     fn = _input_signal(tc.input)
     traj = simulate_transient(gsys.system, fn, tc.horizon, tc.step)
@@ -383,10 +396,11 @@ STAGES = {
 }
 
 
-def _run_stage(name: str, cfg: PipelineConfig, out: Path) -> None:
-    """Run one stage; any failure leaves it as a StageError naming the stage."""
+def _run_stage(name: str, cfg: PipelineConfig, out: Path, *gsys: GalerkinSystem):
+    """Run one stage, on the Galerkin system given or else the one it loads,
+    and return its result; any failure leaves it as a StageError naming the stage."""
     try:
-        STAGES[name](cfg, out)
+        return STAGES[name](cfg, out, *gsys)
     except StageError:
         raise
     except PoleProximityError as exc:
@@ -397,12 +411,13 @@ def _run_stage(name: str, cfg: PipelineConfig, out: Path) -> None:
 
 
 def run(cfg: PipelineConfig, out: Path) -> None:
-    order = ["assemble", "norms", "sparsify", "reduce"]
+    later = ["norms", "sparsify", "reduce"]
     if cfg.transient.enabled:
-        order.append("simulate")
-    order.append("report")
-    for name in order:
-        _run_stage(name, cfg, out)
+        later.append("simulate")
+    gsys = _run_stage("assemble", cfg, out)
+    for name in later:
+        _run_stage(name, cfg, out, gsys)
+    _run_stage("report", cfg, out)
 
 
 def main(argv=None) -> int:

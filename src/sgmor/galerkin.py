@@ -11,6 +11,7 @@ downsized systems obtained by discarding basis blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -185,7 +186,13 @@ class GalerkinSystem:
         nonzeros that couple two blocks of opposite degree parity; affine
         assembly gives that bitwise.  The class with fewer blocks, the odd
         one on a tie, is the Schur class o; the other is eliminated (e).
+        The split is computed at the first call and kept on the system, so
+        that a frequency sweep and a Krylov reduction of one system share it.
         """
+        return self._even_odd_split
+
+    @cached_property
+    def _even_odd_split(self) -> EvenOddSplit | None:
         n = self.block_dim
         degrees = self.spec.index_set.total_degrees()
         if self.selection is not None:

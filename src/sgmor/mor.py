@@ -106,7 +106,7 @@ def arnoldi_reduce(
             V = V[:k]
             break
         V[k] = w / h
-    del solver, split  # free the factors or the split and Krylov workspace before _project allocates
+    del solver  # free its factors, or its coupling and Krylov workspace, before _project allocates
     Er, Ar, Cr = _project(V, E, A, S.C)
     return ReducedSystem(system=DescriptorSystem(Er, Ar, (V @ Bd).reshape(-1, 1), Cr), T=V.T)
 

@@ -16,6 +16,15 @@ M and the couplings L = K[e, o] and U = K[o, e] and inverts M once.  With
 P = I (x) M^-1, eliminating x_e = P (b_e - L x_o) leaves
 (I - U P L P) y = b_o - U P b_e for x_o = P y, which restarted GMRES
 solves, in real arithmetic for a real s and in complex for s = i*omega.
+The couplings touch few e-states (600 of 4640 on the d = 2 ladder, 6720
+of 35 840 at d = 3), so they are kept restricted (_Coupling): L_R, the
+rows R of L that are not empty, and U_C, the columns C of U that are not.
+U P L is then U_C B L_R, where B = P[C, R] holds M^-1[c mod n, r mod n]
+for c and r in one block, filled per shift by one gather from M^-1, and a
+GMRES step applies v - U_C B L_R P v.  A shift that serves a second solve
+forms G = U_C B L_R once, and its later steps apply v - G P v.  B and its
+gather indices take memory: 320 660 entries at d = 4 (N = 253 000), about 8 MB
+at a complex shift.
 Each of at most GMRES_MAXITER outer cycles computes the true residual
 r = b - (I (x) M) x - [L x_o; U x_e] and stops once
 ||r|| <= GMRES_RTOL ||b||; otherwise it runs up to GMRES_RESTART GMRES
@@ -180,7 +189,11 @@ class ShiftedSolver:
     - Any other pencil, sparse or dense ("superlu"), is solved by sparse
       LU alone.
 
-    The LU route factors sE - A at the first solve at s that needs it; the
+    The GMRES route forms G (see the module docstring) at the second GMRES
+    solve at one shift, and G serves every later solve there: the Krylov
+    solves at s0 and the Taylor terms at s = 0 use it, and a sweep's
+    one-solve frequencies never pay for it.  The LU route factors sE - A
+    at the first solve at s that needs it; the
     new factorization replaces the previous one only once it is built, so
     that the allocator reuses its memory.  Vectors are in the system's own
     state order; b is cast to the dtype of s (complex for s = i*omega, float
@@ -195,9 +208,7 @@ class ShiftedSolver:
             return
         stats.method, stats.schur_unknowns = "gmres-schur", len(split.order) - split.n_e
         self.order, self.inverse_order = split.order, np.argsort(split.order)
-        # a shift rewrites only their values; a sparse array's product costs
-        # less call overhead than a sparse matrix's on small systems
-        self.L, self.U = (e_part.copy() for e_part, _ in (split.L, split.U))
+        self.coupling = _Coupling(split.L[0], split.U[0], len(split.E00))
         self.b_split = self.V = self.H = None
 
     def set_shift(self, s: float | complex) -> None:
@@ -217,10 +228,11 @@ class ShiftedSolver:
             if refusal := self._lu_refusal():
                 raise PoleProximityError(f"singular mean block at s={s}{refusal}", condition=np.inf) from exc
             return
-        for M, (E, A) in zip((self.L, self.U), (split.L, split.U)):
-            M.data = s * E.data - A.data
+        (L_E, L_A), (U_E, U_A) = split.L, split.U
+        self.coupling.set_values(s * L_E.data - L_A.data, s * U_E.data - U_A.data, self.mean_inverse)
+        self.repeat = False  # whether a solve at s has run GMRES
         if self.V is None or self.V.dtype != self.dtype:
-            self.V = np.empty((GMRES_RESTART + 1, self.L.shape[1]), dtype=self.dtype)
+            self.V = np.empty((GMRES_RESTART + 1, self.coupling.L.shape[1]), dtype=self.dtype)
             self.H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=self.dtype)
             # right-hand side, iterate and residual, in the split order
             self.b_split, self.x, self.r = np.empty((3, len(self.order)), dtype=self.dtype)
@@ -240,8 +252,11 @@ class ShiftedSolver:
             # for its right-hand side, iterate or residual: fresh pages fault
             # at every frequency.  "raise" would make np.take buffer `out`
             b_split = np.take(b, self.order, out=self.b_split, mode="clip")
+            if self.repeat and self.coupling.G is None:
+                self.coupling.form_product()  # a second solve at s: G serves it and every later one
+            self.repeat = True
             x, iterations, r_norm = _gmres_schur(
-                self.L, self.U, self.mean_block, self.mean_inverse, b_split, self.V, self.H, self.x, self.r
+                self.coupling, self.mean_block, self.mean_inverse, b_split, self.V, self.H, self.x, self.r
             )
             residual = float(r_norm / (np.linalg.norm(b_split) or 1.0))
             if residual <= RESIDUAL_RTOL:
@@ -268,21 +283,74 @@ class ShiftedSolver:
         return f"; no sparse-LU fallback for N={self.A.shape[0]} > {LU_FALLBACK_MAX_STATES} states"
 
 
-def _residual(L, U, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+class _Coupling:
+    """The couplings L = K[e, o] and U = K[o, e] of a split pencil at one
+    shift, kept only on the e-states they touch, and the product through
+    P = I (x) M^-1 between them (see the module docstring).
+
+    L_R holds the rows R of L that are not empty, U_C the columns C of U
+    that are not, and B = P[C, R] the entries M^-1[c mod n, r mod n] for c
+    and r in one block, so that U P L = U_C B L_R.  R and C are e-state
+    indices, e-states counted from 0.  The patterns are fixed here: L_R
+    shares L's column indices, U_C renumbers U's columns into C, and
+    set_values writes only values, in the order of L's and U's data.  G,
+    the product U_C B L_R as one sparse matrix, exists only after
+    form_product and until the next set_values.
+    """
+
+    def __init__(self, L: sp.csr_array, U: sp.csr_array, n: int):
+        """L (e x o) and U (o x e) as CSR arrays with canonical patterns, n
+        the block size; their values are those of the first shift."""
+        # every index array in L's index dtype (int32 on any system the
+        # package assembles), so that L_R shares L's column indices
+        index = L.indices.dtype
+        self.n_e = L.shape[0]
+        self.rows = np.flatnonzero(np.diff(L.indptr)).astype(index)
+        self.cols = np.unique(U.indices).astype(index)
+        L_indptr = np.concatenate([L.indptr[:1], L.indptr[self.rows + 1]])
+        self.L = sp.csr_array((L.data, L.indices, L_indptr), shape=(len(self.rows), L.shape[1]))
+        U_indices = np.searchsorted(self.cols, U.indices).astype(index)
+        self.U = sp.csr_array((U.data, U_indices, U.indptr), shape=(U.shape[0], len(self.cols)))
+        # row i of B holds the R-states in block cols[i] // n, a run of R
+        block_r = self.rows // n
+        start = np.searchsorted(block_r, self.cols // n)
+        counts = np.searchsorted(block_r, self.cols // n, "right") - start
+        indptr = np.append(0, np.cumsum(counts)).astype(index)
+        indices = (np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)).astype(index)
+        self.gather = np.repeat(self.cols % n * n, counts) + self.rows[indices] % n  # into M^-1, row-major
+        self.B = sp.csr_array((np.empty(len(indices)), indices, indptr), shape=(len(self.cols), len(self.rows)))
+        self.G = None
+
+    def set_values(self, L_data: np.ndarray, U_data: np.ndarray, mean_inverse: np.ndarray) -> None:
+        """Move to the shift whose L and U data and M^-1 these are."""
+        self.L.data, self.U.data = L_data, U_data
+        self.B.data = np.take(mean_inverse, self.gather)
+        self.G = None
+
+    def form_product(self) -> None:
+        self.G = self.U @ (self.B @ self.L)
+
+    def schur_product(self, v: np.ndarray) -> np.ndarray:
+        """U P L v for an o-vector v, through G where it is formed."""
+        if self.G is not None:
+            return self.G @ v
+        return self.U @ (self.B @ (self.L @ v))
+
+
+def _residual(coupling: _Coupling, mean_block: np.ndarray, b: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     """b - K x for K = [[I (x) M, L], [U, I (x) M]], M = mean_block, whose
-    eliminated class is the first L.shape[0] states; written to `out` where given."""
-    n_e = L.shape[0]
+    eliminated class is the first coupling.n_e states; written to `out` where given."""
+    n_e = coupling.n_e
     r = np.empty_like(b) if out is None else out
     np.matmul(x.reshape(-1, len(mean_block)), mean_block.T, out=r.reshape(-1, len(mean_block)))
     np.subtract(b, r, out=r)
-    r[:n_e] -= L @ x[n_e:]
-    r[n_e:] -= U @ x[:n_e]
+    r[coupling.rows] -= coupling.L @ x[n_e:]
+    r[n_e:] -= coupling.U @ x[coupling.cols]
     return r
 
 
 def _gmres_schur(
-    L: sp.csr_array,
-    U: sp.csr_array,
+    coupling: _Coupling,
     mean_block: np.ndarray,
     mean_inverse: np.ndarray,
     b: np.ndarray,
@@ -291,16 +359,18 @@ def _gmres_schur(
     x: np.ndarray,
     r: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
-    """Restarted GMRES on K x = b through its Schur complement, K as in _residual.
+    """Restarted GMRES on K x = b through its Schur complement, K as in
+    _residual, its couplings at the shift of mean_block and mean_inverse.
 
     V, (restart + 1) x |o|, and H, restart x restart, are the caller's
     workspace and are overwritten; the restart length is len(V) - 1.  So are
     x and r, vectors like b: x holds the iterate, started from zero, and r
     the residual.  The arithmetic is that of V: real Givens rotations for a
-    real workspace, complex ones for a complex one.  Returns (x, iterations,
-    ||b - K x||), the norm being that of the true residual each cycle starts
-    from, so the last allowed cycle is followed by one more residual.  Where
-    H is singular (a pole on the grid) x is the iterate reached before that
+    real workspace, complex ones for a complex one.  Each GMRES step applies
+    v - coupling.schur_product(P v).  Returns (x, iterations, ||b - K x||),
+    the norm being that of the true residual each cycle starts from, so the
+    last allowed cycle is followed by one more residual.  Where H is
+    singular (a pole on the grid) x is the iterate reached before that
     cycle.
     """
     P = mean_inverse.T
@@ -310,7 +380,8 @@ def _gmres_schur(
         return (v.reshape(-1, n) @ P).ravel()
 
     scalar = complex if np.iscomplexobj(V) else float
-    n_e = L.shape[0]
+    n_e = coupling.n_e
+    L_d_o = np.zeros(n_e, dtype=V.dtype)  # L d_o, nonzero on the rows R alone
     restart = len(V) - 1
     tol = GMRES_RTOL * np.linalg.norm(b)
     # a GMRES cycle aims a decade lower: on the d = 1 ladder, cycles stopped
@@ -322,19 +393,19 @@ def _gmres_schur(
     iterations = 0
     for cycle in range(GMRES_MAXITER + 1):
         if cycle:
-            r = _residual(L, U, mean_block, b, x, r_work)
+            r = _residual(coupling, mean_block, b, x, r_work)
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol or cycle == GMRES_MAXITER:
             break
         p_e = precondition(r[:n_e])
-        f = r[n_e:] - U @ p_e
+        f = r[n_e:] - coupling.U @ p_e[coupling.cols]
         beta = np.linalg.norm(f)
         if beta > cycle_tol:
             V[0] = f / beta
             g = [scalar(beta)]  # rotated right-hand side beta * e_1
             rotations = []
             for k in range(restart):
-                w = V[k] - U @ precondition(L @ precondition(V[k]))
+                w = V[k] - coupling.schur_product(precondition(V[k]))
                 Vk = V[: k + 1]
                 h = 0.0
                 for _ in range(2):
@@ -364,6 +435,7 @@ def _gmres_schur(
                 break
             d_o = precondition(y @ V[:m])
             x[n_e:] += d_o
-            p_e -= precondition(L @ d_o)
+            L_d_o[coupling.rows] = coupling.L @ d_o
+            p_e -= precondition(L_d_o)
         x[:n_e] += p_e
     return x, iterations, r_norm

@@ -83,9 +83,9 @@ def perturbed_gmres(real_gmres, *args):
     """real_gmres's x times 1 + 1e-8, with its iterations and the true
     residual norm of that x: a near miss, which the residual check must reject."""
     x, iterations, _ = real_gmres(*args)
-    L, U, mean_block, _, b = args[:5]
+    coupling, mean_block, _, b = args[:4]
     x = x * (1.0 + 1e-8)
-    return x, iterations, float(np.linalg.norm(solver._residual(L, U, mean_block, b, x)))
+    return x, iterations, float(np.linalg.norm(solver._residual(coupling, mean_block, b, x)))
 
 
 @pytest.fixture

@@ -66,6 +66,28 @@ class TestParseNetlist:
         assert exc.value.line == lineno
         assert f"line {lineno}:" in str(exc.value)
 
+    def test_tolerance_below_one(self):
+        # at tolerance >= 1 an element's value reaches 0 or below on its box
+        lines = lowpass_benchmark_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("C"))
+        nominal = float(lines[first].split()[3])
+
+        def capacitors_at(tolerance: str) -> str:
+            return "\n".join(
+                " ".join(line.split()[:4] + [tolerance]) if line.startswith("C") else line for line in lines
+            )
+
+        for tolerance in (1.5, 1.0):
+            with pytest.raises(NetlistError, match="non-positive lower value") as exc:
+                sg.parse_netlist(capacitors_at(str(tolerance)))
+            assert exc.value.line == first + 1
+            assert f"tolerance {tolerance} >= 1 gives the non-positive lower value {nominal * (1 - tolerance):.6g}" in str(
+                exc.value
+            )
+        net = sg.parse_netlist(capacitors_at("0.999"))
+        assert {el.tolerance for el in net.elements if el.kind == "C"} == {0.999}
+        assert min(lower for lower, _ in sg.mna_assemble(net).parameter_bounds) > 0.0
+
     def test_missing_statements(self):
         with pytest.raises(NetlistError, match="missing VIN"):
             sg.parse_netlist("G1 1 0 1.0 0.1\nOUT 1")

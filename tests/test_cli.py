@@ -12,7 +12,8 @@ import scipy.io as sio
 
 from sgmor import cli, descriptor, solver
 from sgmor.cli import main
-from sgmor.mor import arnoldi_reduce
+from sgmor.descriptor import DescriptorSystem
+from sgmor.mor import ReducedSystem, arnoldi_reduce
 from sgmor.solver import RESIDUAL_RTOL, PoleProximityError
 from sgmor.config import PipelineConfig, load_config
 
@@ -473,12 +474,72 @@ class TestStaging:
         # the trajectory differs from the smooth step's of run_dir
         assert not np.array_equal(data, np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1))
 
-    def test_stagewise_equals_run(self, tmp_path):
+    def test_stagewise_equals_run(self, run_dir, tmp_path):
+        # the stages one by one read the Galerkin system back from its files,
+        # `run` hands on the one it assembled: every file is the same
+        run_out, _ = run_dir
         cfg = write_config(tmp_path)
         out = tmp_path / "stage"
         for stage in ("assemble", "norms", "sparsify", "reduce", "simulate", "report"):
             assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
-        assert (tmp_path / "stage" / "report.json").exists()
+        written = sorted(path.name for path in out.iterdir())
+        assert written == sorted(path.name for path in run_out.iterdir())
+        assert [name for name in written if (out / name).read_bytes() != (run_out / name).read_bytes()] == []
+
+    def test_run_hands_on_the_system_read_back(self, tmp_path, monkeypatch):
+        # run loads no Galerkin system: each later stage gets the assembled
+        # one, bitwise the system a single stage reads from the .mtx files
+        handed, loads, load = {}, [], cli._load_galerkin
+        for name in ("norms", "sparsify", "reduce", "simulate"):
+
+            def spy(cfg, out, *gsys, stage=cli.STAGES[name], name=name):
+                handed[name] = gsys
+                return stage(cfg, out, *gsys)
+
+            monkeypatch.setitem(cli.STAGES, name, spy)
+        monkeypatch.setattr(cli, "_load_galerkin", lambda *args: loads.append(args) or load(*args))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert loads == [] and set(handed) == {"norms", "sparsify", "reduce", "simulate"}
+        (gsys,) = handed["norms"]
+        assert all(len(systems) == 1 and systems[0] is gsys for systems in handed.values())
+        back = load(load_config(cfg), out, "norms")
+        for name in "EAC":
+            M, R = getattr(gsys.system, name), getattr(back.system, name)
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(M, part), getattr(R, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+        B, R = gsys.system.B, back.system.B
+        assert B.dtype == R.dtype and B.shape == R.shape and B.tobytes() == R.tobytes()
+        spec, read = gsys.spec, back.spec
+        assert read.distributions == spec.distributions and read.index_set == spec.index_set
+        assert read.recurrence_offdiag.tobytes() == spec.recurrence_offdiag.tobytes()
+        assert back.block_dim == gsys.block_dim and back.selection is None
+
+    def test_unstable_reduced_system_rejected(self, run_dir, tmp_path, monkeypatch, capsys):
+        # a certificate for an unstable model certifies nothing: the final-r
+        # system's spectrum is checked before theorem2_mor.json is written.
+        # A + c E moves every finite eigenvalue right by c
+        out, cfg = run_dir
+        work = tmp_path / "unstable"
+        shutil.copytree(out, work)
+        (work / "theorem2_mor.json").unlink()
+
+        def unstable(*args):
+            red = arnoldi_reduce(*args)
+            S = red.system
+            shifted = DescriptorSystem(S.E, S.A + 1e7 * S.E, S.B, S.C)
+            return ReducedSystem(system=shifted, T=red.T)
+
+        monkeypatch.setattr(cli, "arnoldi_reduce", unstable)
+        assert main(["reduce", "--config", str(cfg), "--out", str(work)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "sgmor: error: stage 'reduce': the reduced system at r=20, s0=500000.0 is unstable: max Re lambda = "
+        )
+        assert float(err.rsplit("= ", 1)[1]) > 0.0
+        assert not (work / "theorem2_mor.json").exists()
 
     @pytest.mark.parametrize("r, breakdown", [(1, False), (2, True)])
     def test_breakdown_flag_follows_mor_r(self, tmp_path, r, breakdown):

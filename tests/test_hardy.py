@@ -28,16 +28,18 @@ def as_csr(sys):
     return DescriptorSystem(sp.csr_matrix(sys.E), sp.csr_matrix(sys.A), sys.B, sp.csr_matrix(sys.C))
 
 
-def split_system(K, n_e):
-    """The couplings (L, U) _gmres_schur takes, for K ordered with its n_e
-    eliminated states first."""
-    K = sp.csr_matrix(K)
-    return K[:n_e, n_e:], K[n_e:, :n_e]
+def split_system(K, n_e, M):
+    """The coupling _gmres_schur takes, for K ordered with its n_e
+    eliminated states first and M its mean block."""
+    K = sp.csr_array(K)
+    coupling = solver._Coupling(K[:n_e, n_e:], K[n_e:, :n_e], len(M))
+    coupling.set_values(coupling.L.data, coupling.U.data, np.linalg.inv(M))
+    return coupling
 
 
-def gmres(L, U, M, b, V, H):
+def gmres(coupling, M, b, V, H):
     """_gmres_schur from a zero start, with fresh iterate and residual vectors."""
-    return solver._gmres_schur(L, U, M, np.linalg.inv(M), b, V, H, np.empty_like(b), np.empty_like(b))
+    return solver._gmres_schur(coupling, M, np.linalg.inv(M), b, V, H, np.empty_like(b), np.empty_like(b))
 
 
 def galerkin_solver(gsys, stats):
@@ -315,7 +317,7 @@ class TestGalerkinSampling:
         calls = []
 
         def lying_once(*args):
-            if not np.iscomplexobj(args[4]):
+            if not np.iscomplexobj(args[3]):
                 return real_gmres(*args)
             result = perturbed_gmres(real_gmres, *args) if len(calls) == 2 else real_gmres(*args)
             calls.append(result[1])
@@ -368,12 +370,12 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(seed), blocks_e, blocks_o, n, eps, dtype)
         V = np.empty((3, blocks_o * n), dtype=dtype)
         H = np.empty((2, 2), dtype=dtype)
-        L, U = split_system(K, blocks_e * n)
-        x, iterations, r_norm = gmres(L, U, M, b, V, H)
+        coupling = split_system(K, blocks_e * n, M)
+        x, iterations, r_norm = gmres(coupling, M, b, V, H)
         assert x.dtype == dtype
         assert iterations > 2  # at least two restart cycles
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
-        assert r_norm == np.linalg.norm(solver._residual(L, U, M, b, x))  # the returned x's true residual
+        assert r_norm == np.linalg.norm(solver._residual(coupling, M, b, x))  # the returned x's true residual
         ref = np.linalg.solve(K, b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -382,11 +384,11 @@ class TestGalerkinSampling:
         # the true residual of the x it returns
         monkeypatch.setattr(solver, "GMRES_MAXITER", 2)
         K, M, b = two_cyclic_system(np.random.default_rng(3), 3, 3, 3, 0.1)
-        L, U = split_system(K, 9)
+        coupling = split_system(K, 9, M)
         V, H = np.empty((2, 9), dtype=complex), np.empty((1, 1), dtype=complex)
-        x, iterations, r_norm = gmres(L, U, M, b, V, H)
+        x, iterations, r_norm = gmres(coupling, M, b, V, H)
         assert iterations == 2
-        assert r_norm == np.linalg.norm(solver._residual(L, U, M, b, x))
+        assert r_norm == np.linalg.norm(solver._residual(coupling, M, b, x))
         assert r_norm > RESIDUAL_RTOL * np.linalg.norm(b)
 
     def test_one_cycle_with_full_workspace(self, monkeypatch):
@@ -397,7 +399,7 @@ class TestGalerkinSampling:
         K, M, b = two_cyclic_system(np.random.default_rng(9), 4, blocks_o, n, 0.1)
         V = np.empty((blocks_o * n + 1, blocks_o * n), dtype=complex)
         H = np.empty((blocks_o * n, blocks_o * n), dtype=complex)
-        x, iterations, _ = gmres(*split_system(K, 4 * n), M, b, V, H)
+        x, iterations, _ = gmres(split_system(K, 4 * n, M), M, b, V, H)
         assert iterations <= blocks_o * n
         assert np.linalg.norm(b - K @ x) <= RESIDUAL_RTOL * np.linalg.norm(b)
 
@@ -409,11 +411,11 @@ class TestGalerkinSampling:
         V = np.empty((4, 2), dtype=complex)
         H = np.empty((3, 3), dtype=complex)
         b = np.arange(1.0, 7.0) * (1.0 + 1.0j)
-        x, iterations, _ = gmres(*split_system(K, 4), M, b, V, H)
+        x, iterations, _ = gmres(split_system(K, 4, M), M, b, V, H)
         assert iterations == 1
         assert np.allclose(x, np.linalg.solve(K, b), rtol=1e-15, atol=0.0)
         zero = np.zeros(6, dtype=complex)
-        x, iterations, r_norm = gmres(*split_system(K, 4), M, zero, V, H)
+        x, iterations, r_norm = gmres(split_system(K, 4, M), M, zero, V, H)
         assert iterations == 0 and not x.any() and r_norm == 0.0
 
     def test_workspace_reuse_is_bitwise(self, bench_galerkin_d1):
@@ -535,6 +537,76 @@ class TestGalerkinSampling:
             # omega = 1 would need takes a second, and 1 lies beyond its reach
             expected.update(series_points=1, series_terms=2, series_iterations=0)
         assert stats.summary() == expected
+
+
+class TestRestrictedCoupling:
+    """ShiftedSolver keeps L and U on the e-states they touch (solver._Coupling)."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_product_equals_full_coupling(self, bench_psys, degree):
+        # U (I (x) M^-1) L v from the restricted factors U_C B L_R and from
+        # the formed G, against the full couplings of the split, at Arnoldi's
+        # real shift and at a complex one, on the full and a downsized system
+        spec = sg.BasisSpec.uniform(bench_psys.parameter_bounds, sg.build_index_set(21, degree))
+        full = sg.assemble(bench_psys, spec)
+        downsized = sg.downsize(full, Selection(kept=tuple(range(0, full.m, 3)), m=full.m))
+        rng = np.random.default_rng(degree)
+        for gsys in (full, downsized):
+            split, n = gsys.even_odd_split(), gsys.block_dim
+            shifted = galerkin_solver(gsys, SolverStats())
+            coupling = shifted.coupling
+            assert coupling.n_e == split.n_e
+            if gsys is full:  # the couplings reach a fraction of the eliminated states
+                assert len(coupling.rows) < split.n_e and len(coupling.cols) < split.n_e
+            for s in (5e5, 3e4j):
+                shifted.set_shift(s)
+                assert coupling.G is None
+                L, U = (s * E - A for E, A in (split.L, split.U))
+                P = sp.kron(sp.identity(split.n_e // n), shifted.mean_inverse, format="csr")
+                v = rng.normal(size=L.shape[1]) * (1.0 if np.isrealobj(s) else 1.0 + 1.0j)
+                ref = U @ (P @ (L @ v))
+                scale = abs(U) @ (abs(P) @ (abs(L) @ np.abs(v)))  # the round-off scale of each entry
+                restricted = coupling.schur_product(v)
+                coupling.form_product()
+                formed = coupling.schur_product(v)
+                for product in (restricted, formed):
+                    assert product.dtype == ref.dtype
+                    assert np.all(np.abs(product - ref) <= 1e-14 * scale)
+
+    def test_product_formed_once_per_reused_shift(self, bench_galerkin_d1, monkeypatch):
+        formed, form_product = [], solver._Coupling.form_product
+
+        def counting(coupling):
+            formed.append(coupling)
+            form_product(coupling)
+
+        monkeypatch.setattr(solver._Coupling, "form_product", counting)
+        S = bench_galerkin_d1.system
+        b = S.B[:, 0]
+        shifted = galerkin_solver(bench_galerkin_d1, SolverStats())
+        shifted.set_shift(1e5j)
+        x = shifted.solve(b)
+        assert formed == [] and shifted.coupling.G is None
+        # the second solve at the shift forms G, and the third reuses it
+        again = shifted.solve(b)
+        shifted.solve(S.E @ x)
+        assert len(formed) == 1 and shifted.coupling.G is not None
+        assert np.linalg.norm(again - x) <= 1e-12 * np.linalg.norm(x)
+        shifted.set_shift(2e5j)
+        assert shifted.coupling.G is None
+        shifted.solve(b)
+        assert len(formed) == 1
+        # Arnoldi's solves at s0 and the Taylor series' term solves at s = 0
+        # form G once each; a sweep above the series' reach, whose every
+        # shift serves one solve, never
+        for run, expected in (
+            (lambda: sg.arnoldi_reduce(bench_galerkin_d1, 5e5, 10), 1),
+            (lambda: sg.sample_transfer(bench_galerkin_d1, sg.FrequencyGrid.logspaced(-2, 4, 10)), 1),
+            (lambda: sg.sample_transfer(bench_galerkin_d1, sg.FrequencyGrid.logspaced(4, 10, 4, False)), 0),
+        ):
+            formed.clear()
+            run()
+            assert len(formed) == expected
 
 
 def superlu_samples(sys, omegas):
