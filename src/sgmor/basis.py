@@ -1,15 +1,17 @@
 """Multivariate orthonormal polynomial bases for independent uniform parameters.
 
-Provides total-degree multi-index sets and orthonormal (shifted Legendre)
-polynomial and expansion evaluation.  Expectations over the parameters are
-exact moment matrices (galerkin.linear_moment_matrix); the tests check them
-against quadrature.
+Provides total-degree multi-index sets, built and checked as integer
+arrays, each index's neighbours alpha + e_ell found by an exact key, and
+orthonormal (shifted Legendre) polynomial and expansion evaluation.
+Expectations over the parameters are exact moment matrices
+(galerkin.linear_moment_matrix); the tests check them against quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -74,21 +76,26 @@ class MultiIndexSet:
 
     The first element is always the zero multi-index (the constant basis
     function); total-degree sets are stored in graded lexicographic order.
+    `array` holds the same tuples as an (m, q) integer array.
     """
 
     q: int
     indices: tuple[tuple[int, ...], ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.indices) == 0:
             raise ValueError("index set must be nonempty")
-        if any(self.indices[0]):
-            raise ValueError("first multi-index must be the zero index")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("duplicate multi-indices")
-        for idx in self.indices:
-            if len(idx) != self.q or any(j < 0 for j in idx):
-                raise ValueError(f"bad multi-index {idx} for q={self.q}")
+        if any(len(idx) != self.q for idx in self.indices):
+            raise ValueError(f"every multi-index must have q={self.q} entries")
+        arr = np.array(self.indices, dtype=np.int64)
+        if (arr < 0).any():
+            raise ValueError("multi-index entries must be non-negative")
+        if arr[0].any():
+            raise ValueError("first multi-index must be the zero index")
+        object.__setattr__(self, "array", arr)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -98,20 +105,30 @@ class MultiIndexSet:
 
     @property
     def max_degree(self) -> int:
-        return max(sum(idx) for idx in self.indices)
+        return int(self.array.sum(axis=1).max())
 
     def total_degrees(self) -> np.ndarray:
-        return np.array([sum(idx) for idx in self.indices], dtype=int)
+        return self.array.sum(axis=1)
 
+    @cached_property
+    def partners(self) -> np.ndarray:
+        """(m, q) positions: entry (i, ell) is the position of indices[i] + e_ell,
+        or -1 where the set does not hold it.  Each is found by one binary
+        search on an exact key: the row's bytes at a width that holds it."""
+        width = np.min_scalar_type(int(self.array.max()) + 1)
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Degree tuples summing to `total`, lexicographically descending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        def key(rows):
+            rows = np.ascontiguousarray(rows, dtype=width)
+            return rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+
+        keys = key(self.array)
+        order = np.argsort(keys)
+        out = np.empty(self.array.shape, dtype=np.int32)  # positions stay below DEFAULT_SIZE_LIMIT
+        for ell, step in enumerate(np.eye(self.q, dtype=np.int64)):
+            wanted = key(self.array + step)
+            at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
+            out[:, ell] = np.where(keys[at] == wanted, at, -1)
+        return out
 
 
 def build_index_set(q: int, d: int) -> MultiIndexSet:
@@ -127,10 +144,19 @@ def build_index_set(q: int, d: int) -> MultiIndexSet:
     m = math.comb(q + d, d)
     if m > DEFAULT_SIZE_LIMIT:
         raise SizingError(f"index set would have m={m} elements (limit {DEFAULT_SIZE_LIMIT})")
-    indices = []
-    for deg in range(d + 1):
-        indices.extend(_compositions(deg, q))
-    return MultiIndexSet(q=q, indices=tuple(indices))
+    # degree k + 1 holds each degree-k index raised in every dimension from
+    # its last nonzero one on (from 0 for the zero index), parent by parent:
+    # lexicographically descending, and no index is reached twice
+    rows, last = np.zeros((1, q), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    blocks = [rows]
+    for _ in range(d):
+        reps = q - last
+        parent = np.repeat(np.arange(len(rows)), reps)
+        last = np.arange(len(parent)) - np.repeat(np.cumsum(reps) - reps, reps) + last[parent]
+        rows = rows[parent]
+        rows[np.arange(len(rows)), last] += 1
+        blocks.append(rows)
+    return MultiIndexSet(q=q, indices=tuple(map(tuple, np.concatenate(blocks).tolist())))
 
 
 def _recurrence_offdiag(max_degree: int) -> np.ndarray:

@@ -299,10 +299,15 @@ def stage_reduce(cfg: PipelineConfig, out: Path, gsys: GalerkinSystem | None = N
         start, stop, step = sweep
         for r in range(start, min(stop, full.n) + 1, step):
             sub = full.leading(r)
-            cert = theorem2_certificate(difference_norms(samples, sub, grid))
-            stable = pencil_spectrum(sub).stable
-            rows.append((r, float(cert.bound_sup), float(cert.bound_l2), int(stable)))
-        _write_csv(out / "reduce_bounds.csv", "r,bound_sup,bound_l2,stable", rows, h)
+            if pencil_spectrum(sub).stable:
+                cert = theorem2_certificate(difference_norms(samples, sub, grid))
+                rows.append((r, float(cert.bound_sup), float(cert.bound_l2), 1))
+            else:
+                rows.append((r, np.nan, np.nan, 0))
+        header = "r,bound_sup,bound_l2,stable"
+        if any(row[3] == 0 for row in rows):
+            header = f"# bound_sup and bound_l2 are nan where stable = 0: an unstable model's output error has no bound\n{header}"
+        _write_csv(out / "reduce_bounds.csv", header, rows, h)
 
     cert = theorem2_certificate(difference_norms(samples, S, grid))
     # a bound for an unstable model certifies nothing; the Schur form the
@@ -315,7 +320,7 @@ def stage_reduce(cfg: PipelineConfig, out: Path, gsys: GalerkinSystem | None = N
             f"max Re lambda = {spectrum.finite_eigenvalues.real.max():.6e}",
         )
     payload = cert.to_dict()
-    payload.update({"r": r_red, "s0": s0, "breakdown": breakdown})
+    payload.update({"r": r_red, "s0": s0, "breakdown": breakdown, "stable": spectrum.stable})
     _write_json(out / "theorem2_mor.json", payload, h)
 
     _write_csv(

@@ -4,8 +4,10 @@ Projects a parameter-dependent system (E(p), A(p), B(p), C(p)) onto an
 orthonormal polynomial basis, producing one coupled deterministic
 single-input descriptor system of dimension m*n with one output row per
 basis function (basis-major block ordering: block i holds the n states of
-basis function i, and output i is its coefficient function).  Also builds
-downsized systems obtained by discarding basis blocks.
+basis function i, and output i is its coefficient function).  Each coupled
+matrix is built in one COO -> CSR pass from the moment matrices, which
+come from the index set's neighbour table, with no loop over indices.
+Also builds downsized systems obtained by discarding basis blocks.
 """
 
 from __future__ import annotations
@@ -228,66 +230,54 @@ def linear_moment_matrix(spec: BasisSpec, dim: int) -> sp.csr_matrix:
     """Sparse m x m matrix of E[Phi_i Phi_j p_dim] computed analytically.
 
     Uses the three-term recurrence of the univariate orthonormal
-    polynomials under the affine map of the uniform distribution:
-    entries couple indices equal in all dimensions and differing by at
-    most one in `dim`.
+    polynomials under the affine map of the uniform distribution: the
+    diagonal holds the midpoint, and each pair alpha_k = alpha_i + e_dim
+    (MultiIndexSet.partners) couples with halfwidth * b[alpha_i[dim] + 1].
     """
-    iset = spec.index_set
-    dist = spec.distributions[dim]
-    b = spec.recurrence_offdiag
-    pos = {idx: i for i, idx in enumerate(iset.indices)}
-    rows, cols, vals = [], [], []
-    for i, idx in enumerate(iset.indices):
-        j = idx[dim]
-        rows.append(i)
-        cols.append(i)
-        vals.append(dist.midpoint)
-        up = idx[:dim] + (j + 1,) + idx[dim + 1 :]
-        k = pos.get(up)
-        if k is not None:
-            coupling = dist.halfwidth * b[j + 1]
-            rows.extend([i, k])
-            cols.extend([k, i])
-            vals.extend([coupling, coupling])
-    m = len(iset)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    m, dist = spec.m, spec.distributions[dim]
+    k = spec.index_set.partners[:, dim]
+    i = np.flatnonzero(k >= 0)
+    c = dist.halfwidth * spec.recurrence_offdiag[spec.index_set.array[i, dim] + 1]
+    rows, cols = np.concatenate([np.arange(m), i, k[i]]), np.concatenate([np.arange(m), k[i], i])
+    return sp.csr_matrix((np.concatenate([np.full(m, dist.midpoint), c, c]), (rows, cols)), shape=(m, m))
 
 
-def _assemble_affine(psys: ParametricSystem, spec: BasisSpec) -> tuple:
-    m = spec.m
-    eye = sp.identity(m, format="csr")
-    Ehat = sp.kron(eye, psys.E0, format="csr")
-    Ahat = sp.kron(eye, psys.A0, format="csr")
-    Chat = sp.kron(eye, psys.C0, format="csr")
-    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(m, 1))
-    Bhat = sp.kron(e0, psys.B0, format="csr")
-    for ell in range(psys.q):
-        terms = (psys.E_terms[ell], psys.A_terms[ell], psys.B_terms[ell], psys.C_terms[ell])
-        if all(t is None for t in terms):
-            continue
-        G = linear_moment_matrix(spec, ell)
-        if terms[0] is not None:
-            Ehat = Ehat + sp.kron(G, terms[0], format="csr")
-        if terms[1] is not None:
-            Ahat = Ahat + sp.kron(G, terms[1], format="csr")
-        if terms[2] is not None:
-            Bhat = Bhat + sp.kron(G[:, [0]], terms[2], format="csr")
-        if terms[3] is not None:
-            Chat = Chat + sp.kron(G, terms[3], format="csr")
-    return Ehat, Ahat, Bhat, Chat
+def _coupled(X0, terms: Sequence, spec: BasisSpec, moments: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
+    """kron(I, X0) + sum over ell of kron(moments[ell], X_ell), None terms
+    skipped, in one COO -> CSR pass and bitwise the sum of CSR matrices taken
+    term by term: each diagonal block, X0 + mid_0 X_0 + mid_1 X_1 + ..., is
+    summed once in that order, every other block has a single term, so no
+    two entries share a position, and zero products are dropped as that sum
+    drops them."""
+    m, (r0, n) = spec.m, X0.shape
+    D, parts = sp.csr_matrix(X0), []
+    for ell, (G, X) in enumerate(zip(moments, terms)):
+        if X is not None:
+            D = D + spec.distributions[ell].midpoint * sp.csr_matrix(X)
+            K = sp.kron(G, X, format="coo")
+            off = (K.data != 0) & (K.row // r0 != K.col // n)
+            parts.append((K.data[off], K.row[off], K.col[off]))
+    K = sp.kron(sp.identity(m), D, format="coo")
+    data, rows, cols = (np.concatenate(arrays) for arrays in zip(*parts, (K.data, K.row, K.col)))
+    return sp.coo_matrix((data, (rows, cols)), shape=K.shape).tocsr()
 
 
 def assemble(psys: ParametricSystem, spec: BasisSpec) -> GalerkinSystem:
     """Assemble the coupled Galerkin system of dimension m*n from the exact
     moment matrices of the basis; a SizingError names m*n when it exceeds
-    DEFAULT_DIMENSION_LIMIT."""
+    DEFAULT_DIMENSION_LIMIT.  The input u(t) is deterministic, the
+    coefficient of the constant basis function alone, so the input matrix
+    is the first block column of the coupled B."""
     if psys.q != spec.q:
         raise ValueError("parametric system and basis disagree on q")
     m, n = spec.m, psys.n
     if m * n > DEFAULT_DIMENSION_LIMIT:
         raise SizingError(f"Galerkin dimension m*n = {m * n} exceeds limit {DEFAULT_DIMENSION_LIMIT}")
-    Ehat, Ahat, Bhat, Chat = _assemble_affine(psys, spec)
-    return GalerkinSystem(system=DescriptorSystem(Ehat, Ahat, Bhat, Chat), spec=spec, block_dim=n)
+    moments = [linear_moment_matrix(spec, ell) for ell in range(spec.q)]
+    parts = ((psys.E0, psys.E_terms), (psys.A0, psys.A_terms), (psys.B0, psys.B_terms), (psys.C0, psys.C_terms))
+    Ehat, Ahat, Bhat, Chat = (_coupled(X0, terms, spec, moments) for X0, terms in parts)
+    system = DescriptorSystem(Ehat, Ahat, Bhat[:, : psys.B0.shape[1]], Chat)
+    return GalerkinSystem(system=system, spec=spec, block_dim=n)
 
 
 def downsize(gsys: GalerkinSystem, sel: Selection) -> GalerkinSystem:

@@ -180,7 +180,10 @@ def theorem2_certificate(
     Sums the Hardy norms of the transfer-function differences over all m
     outputs.  When the reduced system came from downsizing, pass the full
     report and the selection to attach the lower floor contributed by the
-    dropped outputs.
+    dropped outputs.  Precondition: the reduced system is stable, every
+    finite eigenvalue in the open left half-plane (descriptor.pencil_spectrum).
+    The sampled norms of an unstable model's difference are finite, but its
+    output error grows without bound, so they bound nothing.
     """
     h2_sq = float(np.sum(diff_report.h2**2))
     hinf_sq = float(np.sum(diff_report.hinf**2))

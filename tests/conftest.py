@@ -1,9 +1,11 @@
 """Shared fixtures: a small dense test system with three parameters and
-the circuit benchmark at low polynomial degree."""
+the circuit benchmark at low polynomial degree; a hypothesis strategy for
+index sets that are not total-degree sets."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor import solver
@@ -62,6 +64,24 @@ def scalar_galerkin(A):
 
 
 DESK_BOUNDS = [(-1.0, 1.0)] * 3
+
+
+@st.composite
+def scattered_index_sets(draw, q: int, max_entry: int = 4, max_size: int = 40) -> sg.MultiIndexSet:
+    """Index sets grown from zero by raising a drawn member in a drawn
+    dimension (entries up to max_entry), then shuffled behind the zero
+    index with a drawn subset removed: not total-degree sets, and with
+    neighbours missing."""
+    zero = (0,) * q
+    grown = [zero]
+    for pick, dim in draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, q - 1)), max_size=max_size)):
+        base = grown[pick % len(grown)]
+        raised = base[:dim] + (base[dim] + 1,) + base[dim + 1 :]
+        if base[dim] < max_entry and raised not in grown:
+            grown.append(raised)
+    rest = draw(st.permutations(grown[1:]))
+    keep = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
+    return sg.MultiIndexSet(q=q, indices=(zero, *(idx for idx, k in zip(rest, keep) if k)))
 
 
 def band_limited_input(seed: int, tau: float = 3.0):

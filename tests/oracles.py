@@ -1,9 +1,10 @@
 """Independent reference computations the tests compare the package against:
 Gauss and Smolyak quadrature over the parameter domain, expectation
-tensors by quadrature, Galerkin assembly by quadrature sums, the
-transfer-function moments that Krylov reduction must match, a circuit's
-transfer function by plain nodal analysis, and a dense system's transfer
-function by one LU solve per frequency."""
+tensors by quadrature, Galerkin assembly by quadrature sums and by the
+per-index loops and Kronecker sums the package's array assembly must
+match bitwise, the transfer-function moments that Krylov reduction must
+match, a circuit's transfer function by plain nodal analysis, and a dense
+system's transfer function by one LU solve per frequency."""
 
 import itertools
 import math
@@ -16,7 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from sgmor.circuits import CircuitNetlist
-from sgmor.basis import DEFAULT_SIZE_LIMIT, BasisSpec, Distribution1D, SizingError, eval_basis_matrix
+from sgmor.basis import DEFAULT_SIZE_LIMIT, BasisSpec, Distribution1D, MultiIndexSet, SizingError, eval_basis_matrix
 from sgmor.descriptor import DescriptorSystem
 from sgmor.galerkin import GalerkinSystem, ParametricSystem
 from sgmor.solver import factor_pencil
@@ -175,6 +176,65 @@ def _assemble_quadrature(psys: ParametricSystem, spec: BasisSpec, quad: Quadratu
         Ahat = Ahat + sp.kron(outer, A, format="csr")
         Bhat = Bhat + sp.kron(col, B, format="csr")
         Chat = Chat + sp.kron(outer, C, format="csr")
+    return Ehat, Ahat, Bhat, Chat
+
+
+def partners_by_dict(iset: MultiIndexSet) -> np.ndarray:
+    """Position of alpha + e_ell for each multi-index alpha (row) and
+    dimension ell (column), found one tuple at a time in a dict; -1 where
+    the set does not hold it."""
+    pos = {idx: i for i, idx in enumerate(iset.indices)}
+    return np.array(
+        [[pos.get(idx[:ell] + (idx[ell] + 1,) + idx[ell + 1 :], -1) for ell in range(iset.q)] for idx in iset.indices]
+    )
+
+
+def moment_matrix_loop(spec: BasisSpec, dim: int) -> sp.csr_matrix:
+    """E[Phi_i Phi_j p_dim] by a walk over the index set: a dict from each
+    multi-index to its position finds alpha + e_dim, one index at a time."""
+    dist = spec.distributions[dim]
+    b = spec.recurrence_offdiag
+    pos = {idx: i for i, idx in enumerate(spec.index_set.indices)}
+    rows, cols, vals = [], [], []
+    for i, idx in enumerate(spec.index_set.indices):
+        j = idx[dim]
+        rows.append(i)
+        cols.append(i)
+        vals.append(dist.midpoint)
+        k = pos.get(idx[:dim] + (j + 1,) + idx[dim + 1 :])
+        if k is not None:
+            coupling = dist.halfwidth * b[j + 1]
+            rows.extend([i, k])
+            cols.extend([k, i])
+            vals.extend([coupling, coupling])
+    m = spec.m
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+def assemble_kron(psys: ParametricSystem, spec: BasisSpec) -> tuple:
+    """Affine Galerkin (E, A, B, C) as a running sum of CSR Kronecker
+    products, one moment matrix (moment_matrix_loop) per parameter; B is
+    sparse here."""
+    m = spec.m
+    eye = sp.identity(m, format="csr")
+    Ehat = sp.kron(eye, psys.E0, format="csr")
+    Ahat = sp.kron(eye, psys.A0, format="csr")
+    Chat = sp.kron(eye, psys.C0, format="csr")
+    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(m, 1))
+    Bhat = sp.kron(e0, psys.B0, format="csr")
+    for ell in range(psys.q):
+        terms = (psys.E_terms[ell], psys.A_terms[ell], psys.B_terms[ell], psys.C_terms[ell])
+        if all(t is None for t in terms):
+            continue
+        G = moment_matrix_loop(spec, ell)
+        if terms[0] is not None:
+            Ehat = Ehat + sp.kron(G, terms[0], format="csr")
+        if terms[1] is not None:
+            Ahat = Ahat + sp.kron(G, terms[1], format="csr")
+        if terms[2] is not None:
+            Bhat = Bhat + sp.kron(G[:, [0]], terms[2], format="csr")
+        if terms[3] is not None:
+            Chat = Chat + sp.kron(G, terms[3], format="csr")
     return Ehat, Ahat, Bhat, Chat
 
 

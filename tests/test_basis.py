@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import sgmor as sg
 from sgmor.basis import DomainError, SizingError, eval_expansion
 
-from oracles import build_quadrature, expectation_tensors, univariate_rule
+from conftest import scattered_index_sets
+from oracles import _compositions, build_quadrature, expectation_tensors, partners_by_dict, univariate_rule
 
 
 def uniform_spec(bounds, q, d):
@@ -56,6 +57,59 @@ class TestIndexSet:
     def test_sizing_error_names_m(self):
         with pytest.raises(SizingError, match=str(math.comb(40, 20))):
             sg.build_index_set(20, 20)
+
+    @pytest.mark.parametrize("q, d", [(q, d) for q in range(1, 7) for d in range(6)] + [(21, d) for d in range(4)])
+    def test_order_matches_stars_and_bars(self, q, d):
+        # graded, and lexicographically descending within each degree, as
+        # the stars-and-bars enumeration of the compositions of each degree
+        expect = tuple(c for deg in range(d + 1) for c in _compositions(deg, q))
+        iset = sg.build_index_set(q, d)
+        assert iset.indices == expect
+        assert iset.array.dtype == np.int64 and iset.array.tolist() == [list(c) for c in expect]
+
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            (((0, 0), (1,)), "must have q=2 entries"),
+            (((0, 0), (1, -1)), "non-negative"),
+            (((1, 0),), "zero index"),
+            (((0, 0), (1, 0), (1, 0)), "duplicate"),
+        ],
+    )
+    def test_invalid_sets_rejected(self, indices, message):
+        with pytest.raises(ValueError, match=message):
+            sg.MultiIndexSet(q=2, indices=indices)
+
+
+class TestPartners:
+    @pytest.mark.parametrize("q, d", [(1, 4), (3, 3), (21, 2), (1, 300), (2, 260)])
+    def test_total_degree_sets(self, q, d):
+        # entries above 254 need keys two bytes wide
+        iset = sg.build_index_set(q, d)
+        assert np.array_equal(iset.partners, partners_by_dict(iset))
+
+    @given(data=st.data(), q=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_scattered_sets(self, data, q):
+        iset = data.draw(scattered_index_sets(q))
+        assert np.array_equal(iset.partners, partners_by_dict(iset))
+
+    def test_key_edge_q21_d6(self):
+        # entries of 6 raised to 7 in dimension 20: a mixed-radix int64 key
+        # with radix 8 needs 8**21 = 2**63 and wraps, while the byte key is exact.
+        # The set: every index of degree <= 6 on dimensions 0, 19 and 20
+        dims = (0, 19, 20)
+        indices = [
+            tuple(dict(zip(dims, c)).get(ell, 0) for ell in range(21))
+            for deg in range(7)
+            for c in _compositions(deg, 3)
+        ]
+        iset = sg.MultiIndexSet(q=21, indices=tuple(indices))
+        partners = iset.partners
+        assert np.array_equal(partners, partners_by_dict(iset))
+        top = indices.index(tuple(6 if ell == 20 else 0 for ell in range(21)))
+        assert np.all(partners[top] == -1)
+        assert partners[0, 20] == indices.index(tuple(int(ell == 20) for ell in range(21)))
 
 
 class TestUnivariateRule:

@@ -240,3 +240,47 @@ def test_mna_matches_nodal_analysis(text, omega, data):
         assume(False)
     expected = nodal_transfer(netlist, values, 1j * omega)
     assert abs(h - expected) <= 1e-9 * max(abs(expected), 1.0)
+
+
+@st.composite
+def dissipative_netlists(draw):
+    """Netlist text of a small random RCL circuit driven at `in` through a
+    conductance, in which every internal node has a capacitor and a
+    conductance to ground: node k > 1 hangs off an earlier node by a C, L
+    or G, and a few more capacitors and conductances join two internal
+    nodes.  Values lie in [0.5, 2]; one to four elements, drawn, have a
+    tolerance below 1."""
+    k = draw(st.integers(1, 4))
+    internal = [str(i) for i in range(1, k + 1)]
+    pairs = [("G", "in", "1")] + [(kind, nd, "0") for nd in internal for kind in "CG"]
+    pairs += [(draw(st.sampled_from("CLG")), nd, draw(st.sampled_from(internal[:i]))) for i, nd in enumerate(internal[1:], 1)]
+    if k > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.lists(st.sampled_from(internal), min_size=2, max_size=2, unique=True))
+            pairs.append((draw(st.sampled_from("CG")), a, b))
+    toleranced = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=4, unique=True))
+    lines = [
+        f"{kind}{j} {a} {b} {draw(st.floats(0.5, 2.0)):.17g} "
+        f"{draw(st.floats(0.01, 0.95)) if j in toleranced else 0.0:.17g}"
+        for j, (kind, a, b) in enumerate(pairs)
+    ]
+    return "\n".join(lines + ["VIN in 0", f"OUT {draw(st.sampled_from(internal))}"]) + "\n"
+
+
+@given(dissipative_netlists(), st.integers(0, 2), st.floats(-2.0, 2.0), st.data())
+@settings(max_examples=25, deadline=None)
+def test_galerkin_pencil_passive_and_krylov_models_stable(text, d, log_s0, data):
+    # the MNA stamps put the Galerkin pencil in the form of PRIMA (Odabasioglu,
+    # Celik & Pileggi, IEEE TCAD 17, 1998): E = E^T >= 0 and A + A^T <= 0.
+    # Arnoldi projects by a congruence, which keeps that form, so every
+    # reduced model of this circuit is stable, at any real shift and order
+    psys = sg.mna_assemble(sg.parse_netlist(text))
+    gsys = sg.assemble(psys, sg.BasisSpec.uniform(psys.parameter_bounds, sg.build_index_set(psys.q, d)))
+    E, A = gsys.system.E.toarray(), gsys.system.A.toarray()
+    eig_E = np.linalg.eigvalsh(E)
+    assert np.abs(E - E.T).max() <= 1e-15 * eig_E.max()
+    assert eig_E.min() >= -1e-12 * eig_E.max()
+    assert np.linalg.eigvalsh(A + A.T).max() <= 1e-12 * np.abs(A).max()
+    r = data.draw(st.integers(1, gsys.dimension))
+    reduced = sg.arnoldi_reduce(gsys, 10.0**log_s0, r)
+    assert sg.pencil_spectrum(reduced.system).stable

@@ -1,5 +1,6 @@
 """Pipeline configuration and the command line driver."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.io as sio
 
+import sgmor as sg
 from sgmor import cli, descriptor, solver
 from sgmor.cli import main
 from sgmor.descriptor import DescriptorSystem
@@ -335,7 +337,7 @@ class TestStaging:
         rows = (work / "reduce_bounds.csv").read_text().splitlines()[2:]
         assert [int(row.split(",")[0]) for row in rows] == [5, 10, 15, 20]
         t2 = json.loads((work / "theorem2_mor.json").read_text())
-        assert t2["r"] == 20 and t2["breakdown"] is False
+        assert t2["r"] == 20 and t2["breakdown"] is False and t2["stable"] is True
 
     def test_reduce_decomposes_each_dense_system_once(self, run_dir, tmp_path, monkeypatch):
         # each swept system is sampled and judged from one Schur form, and
@@ -540,6 +542,38 @@ class TestStaging:
         )
         assert float(err.rsplit("= ", 1)[1]) > 0.0
         assert not (work / "theorem2_mor.json").exists()
+
+    def test_indefinite_galerkin_E_rejected(self, tmp_path, monkeypatch, capsys):
+        # every capacitor of the ladder at tolerance 1.5 ranges over [-5e-9, 2.5e-8]
+        # F; parse_netlist rejects that, so the netlist is edited after parsing
+        # and goes to mna_assemble and assemble as it stands. At d = 2 the
+        # Galerkin E is indefinite and the Krylov model at r = 10 is unstable
+        ladder = sg.lowpass_benchmark()
+        wide = tuple(dataclasses.replace(el, tolerance=1.5) if el.kind == "C" else el for el in ladder.elements)
+        monkeypatch.setattr(cli, "_load_netlist", lambda cfg: dataclasses.replace(ladder, elements=wide))
+        text = (
+            'netlist: "builtin:lowpass"\nbasis:\n  degree: 2\n'
+            "frequency_grid:\n  decade_min: 3.0\n  decade_max: 7.0\n  points_per_decade: 2\n"
+            "mor:\n  s0: 5.0e+5\n  r: 10\n  r_sweep: [5, 10, 5]\n"
+        )
+        cfg, out = str(write_config(tmp_path, text)), str(tmp_path / "out")
+        for stage in ("assemble", "norms"):
+            assert main([stage, "--config", cfg, "--out", out]) == 0
+        E = sio.mmread(tmp_path / "out" / "galerkin_E.mtx").tocsr()
+        n = 20  # states per basis block; state j of every block is a principal submatrix
+        assert min(np.linalg.eigvalsh(E[j::n, j::n].toarray()).min() for j in range(n)) < 0.0
+        capsys.readouterr()
+        assert main(["reduce", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "sgmor: error: stage 'reduce': the reduced system at r=10, s0=500000.0 is unstable: max Re lambda = "
+        )
+        assert float(err.rsplit("= ", 1)[1]) > 0.0
+        assert not (tmp_path / "out" / "theorem2_mor.json").exists()
+        # the swept orders were unstable too: no bound, and the file says why
+        lines = (tmp_path / "out" / "reduce_bounds.csv").read_text().splitlines()
+        assert lines[1] == "# bound_sup and bound_l2 are nan where stable = 0: an unstable model's output error has no bound"
+        assert lines[2:] == ["r,bound_sup,bound_l2,stable", "5,nan,nan,0", "10,nan,nan,0"]
 
     @pytest.mark.parametrize("r, breakdown", [(1, False), (2, True)])
     def test_breakdown_flag_follows_mor_r(self, tmp_path, r, breakdown):

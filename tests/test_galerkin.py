@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor.galerkin import ParametricSystem, Selection, linear_moment_matrix
 
-from oracles import _assemble_quadrature, build_quadrature, expectation_tensors
+from conftest import scattered_index_sets
+from oracles import _assemble_quadrature, assemble_kron, build_quadrature, expectation_tensors, moment_matrix_loop
 
 
 def scalar_affine():
@@ -204,6 +207,80 @@ class TestLinearMomentMatrix:
         G = linear_moment_matrix(spec, 0).toarray()
         assert np.allclose(np.diag(G), 1.0)  # midpoint of [0.9, 1.1]
         assert abs(G[0, 1] - 0.1 / np.sqrt(3.0)) < 1e-14
+
+
+def assert_bitwise(got, expect):
+    """Same CSR arrays byte for byte: data, indices, indptr and their dtypes."""
+    assert type(got) is type(expect) and got.shape == expect.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def assert_assembly_bitwise(psys, spec):
+    """assemble and linear_moment_matrix against the per-index loops and the
+    running Kronecker sum they replace, bitwise."""
+    for dim in range(spec.q):
+        assert_bitwise(linear_moment_matrix(spec, dim), moment_matrix_loop(spec, dim))
+    S = sg.assemble(psys, spec).system
+    E, A, B, C = assemble_kron(psys, spec)
+    for got, expect in ((S.E, E), (S.A, A), (S.C, C)):
+        assert_bitwise(got, expect)
+    assert S.B.tobytes() == B.toarray().tobytes()
+
+
+def with_stored_zero(M: np.ndarray, i: int, j: int) -> sp.csr_matrix:
+    """M as CSR with an explicit zero entry at (i, j), where M is zero."""
+    C = sp.coo_matrix(M)
+    return sp.csr_matrix((np.append(C.data, 0.0), (np.append(C.row, i), np.append(C.col, j))), shape=C.shape)
+
+
+def mixed_terms_system(zero_in_E0: bool, E_terms: bool) -> ParametricSystem:
+    """Three parameters with every kind of term, some None.  E0 may hold a
+    stored zero, which survives only where no E term is added; the E term
+    holds one, whose products are dropped."""
+    rng = np.random.default_rng(9)
+    n = 3
+    E0 = with_stored_zero(np.eye(n), 0, 1) if zero_in_E0 else sp.csr_matrix(np.eye(n))
+    return ParametricSystem(
+        n=n,
+        q=3,
+        E0=E0,
+        A0=rng.normal(size=(n, n)),
+        B0=rng.normal(size=(n, 1)),
+        C0=rng.normal(size=(1, n)),
+        E_terms=[with_stored_zero(0.1 * np.eye(n), 0, 2), None, None] if E_terms else None,
+        A_terms=[rng.normal(size=(n, n)), None, np.diag(rng.normal(size=n))],
+        B_terms=[rng.normal(size=(n, 1)), None, rng.normal(size=(n, 1))],
+        C_terms=[None, rng.normal(size=(1, n)), rng.normal(size=(1, n))],
+    )
+
+
+class TestArrayAssembly:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ladder_bitwise(self, bench_psys, d):
+        spec = sg.BasisSpec.uniform(bench_psys.parameter_bounds, sg.build_index_set(21, d))
+        assert_assembly_bitwise(bench_psys, spec)
+
+    @given(iset=scattered_index_sets(21, max_size=30))
+    @settings(max_examples=15, deadline=None)
+    def test_ladder_scattered_sets_bitwise(self, bench_psys, iset):
+        assert_assembly_bitwise(bench_psys, sg.BasisSpec.uniform(bench_psys.parameter_bounds, iset))
+
+    @given(iset=scattered_index_sets(3), zero_in_E0=st.booleans(), E_terms=st.booleans(), centred=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_terms_scattered_sets_bitwise(self, iset, zero_in_E0, E_terms, centred):
+        # centred ranges have midpoint 0: the moment matrices store zeros on
+        # their diagonals, and the products with them are dropped
+        bounds = [(-1.0, 1.0)] * 3 if centred else [(0.5, 2.0), (-1.0, 3.0), (0.9, 1.1)]
+        assert_assembly_bitwise(mixed_terms_system(zero_in_E0, E_terms), sg.BasisSpec.uniform(bounds, iset))
+
+    def test_stored_zero_kept_without_terms(self):
+        spec = sg.BasisSpec.uniform([(0.5, 2.0)] * 3, sg.build_index_set(3, 2))
+        kept = sg.assemble(mixed_terms_system(True, False), spec).system.E
+        dropped = sg.assemble(mixed_terms_system(True, True), spec).system.E
+        assert np.count_nonzero(kept.data == 0.0) == spec.m
+        assert np.all(dropped.data != 0.0)
 
 
 class TestDownsize:
