@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .solver import LU_FALLBACK_MAX_STATES, factor_pencil
+from .solver import factor_pencil
 
 __all__ = [
     "DescriptorSystem",
@@ -26,6 +26,11 @@ __all__ = [
     "pencil_spectrum",
     "simulate_transient",
 ]
+
+# largest system simulate_transient integrates: it factors sigma*E - A, and
+# at d = 4 on the ladder (N = 253 000) one sparse LU takes 390 s and 2.7 GB
+TRANSIENT_MAX_STATES = 100_000
+
 
 class PencilRegularityError(ValueError):
     """The pencil lambda*E - A is (numerically) singular for all lambda."""
@@ -229,7 +234,7 @@ def simulate_transient(
     about 0.2 ms at d = 2 (N = 5060; 31 737 nonzeros in L + U) and 4.1 ms
     at d = 3 (N = 40 480; 2.22 M), against 0.4-0.5 ms (39 177) and
     6.0-6.7 ms (1.77 M) with COLAMD.  A multi-input system, one above
-    LU_FALLBACK_MAX_STATES states, a horizon that is not finite or is
+    TRANSIENT_MAX_STATES states, a horizon that is not finite or is
     shorter than half a step (round(horizon / step) < 1) and an input that
     is not finite at every time raise ValueError before anything is
     factored.
@@ -243,9 +248,9 @@ def simulate_transient(
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise ValueError(f"horizon {horizon} spans no step of {step}: round(horizon / step) = {n_steps}")
-    if sys.n > LU_FALLBACK_MAX_STATES:
+    if sys.n > TRANSIENT_MAX_STATES:
         raise ValueError(
-            f"no transient for N={sys.n} > {LU_FALLBACK_MAX_STATES} states: "
+            f"no transient for N={sys.n} > {TRANSIENT_MAX_STATES} states: "
             "factoring sigma*E - A would take minutes and gigabytes"
         )
     times = step * np.arange(n_steps + 1)

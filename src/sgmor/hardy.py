@@ -161,10 +161,12 @@ def sample_transfer(
 
     Raises PoleProximityError naming the omega, with `condition` set, where
     i*omega*E - A is singular or ill-conditioned.  Sparse: where
-    ShiftedSolver raises it.  Dense: the decomposition fails or E or A has
-    a non-finite entry (condition inf), or, with (alpha_i, beta_i) the
-    eigenvalue pairs of the Schur form, a pivot d_i = |i*omega*beta_i -
-    alpha_i| is zero (inf) or max d_i / min d_i exceeds 1e15.
+    ShiftedSolver raises it; a Galerkin system's GMRES miss raises
+    ResidualMissError naming s = i*omega, an exact pole on the grid
+    included.  Dense: the decomposition fails or E or A has a non-finite
+    entry (condition inf), or, with (alpha_i, beta_i) the eigenvalue pairs
+    of the Schur form, a pivot d_i = |i*omega*beta_i - alpha_i| is zero
+    (inf) or max d_i / min d_i exceeds 1e15.
     """
     S = _single_input(sys)
     stats = SolverStats() if stats is None else stats
@@ -216,12 +218,12 @@ def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray,
     refined (0 there).
 
     The series serves a prefix of omegas: it stops at the first point above
-    GMRES_RTOL or beyond its reach, and where a solve at s = 0 raises or
-    falls back to sparse LU (then the sweep meets that shift as if there
-    were no series).  Each served sample is written to `out` and, on the
-    "gmres-schur" route, recorded in the stats with 0 iterations and its
-    residual; term solves are recorded only in the stats' series_terms.
-    Returns the number of leading points served.
+    GMRES_RTOL or beyond its reach, and where set_shift or a solve at s = 0
+    raises (then the sweep meets that shift as if there were no series).
+    Each served sample is written to `out` and, on the "gmres-schur" route,
+    recorded in the stats with 0 iterations and its residual; term solves
+    are recorded only in the stats' series_terms.  Returns the number of
+    leading points served.
     """
     stats = solver.stats
     b = S.B[:, 0]
@@ -251,12 +253,10 @@ def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray,
                     while k <= SERIES_MAX_TERMS and omegas[j] > reach(k):
                         k += 1
                     n_reach = np.searchsorted(omegas, reach(k), "right") - j
-                if k > SERIES_MAX_TERMS or k > j + n_reach or solver.falls_back:
+                if k > SERIES_MAX_TERMS or k > j + n_reach:
                     break
                 rhs = b if n_terms == 0 else -(S.E @ terms[n_terms - 1])
                 terms[n_terms] = solver.solve(rhs)
-                if solver.falls_back:  # that solve missed: LU takes over at s = 0
-                    break
                 norms.append(np.linalg.norm(terms[n_terms]))
                 n_terms += 1
                 if n_terms >= 2:

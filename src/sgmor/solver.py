@@ -2,8 +2,10 @@
 (hardy.sample_transfer), the Krylov reduction (mor.arnoldi_reduce) and the
 transient (descriptor.simulate_transient) all reduce.  factor_pencil
 factors one pencil by sparse LU; ShiftedSolver is the one solve policy of
-the sweep and the reduction.  The module knows no system type: a solver
-takes the pencil's E and A and, for a Galerkin system, its even-odd split.
+the sweep and the reduction, with one route per pencil: GMRES for a
+Galerkin system, SuperLU for any other.  The module knows no system type:
+a solver takes the pencil's E and A and, for a Galerkin system, its
+even-odd split.
 
 Galerkin systems (full or downsized).  The three-term recurrence of the
 orthonormal basis couples total degree k only to k +- 1, and every diagonal
@@ -49,10 +51,6 @@ import scipy.sparse.linalg as spla
 
 __all__ = ["PoleProximityError", "ResidualMissError", "SolverStats", "ShiftedSolver", "factor_pencil"]
 
-# largest system the package factors where a structured solve misses
-# (ShiftedSolver) and the largest it integrates in time: at d = 4 on
-# the ladder (N = 253 000) one sparse LU takes 390 s and 2.7 GB
-LU_FALLBACK_MAX_STATES = 100_000
 RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
 # GMRES's own target sits below RESIDUAL_RTOL, near the round-off floor of
 # the true residual: on the d = 2 ladder, stopping at 1e-12 left errors of up
@@ -63,7 +61,8 @@ GMRES_MAXITER = 5  # restart cycles: at most 200 iterations per frequency
 
 
 class PoleProximityError(ArithmeticError):
-    """Shifted pencil s*E - A is singular or too ill-conditioned to factor."""
+    """Shifted pencil s*E - A, or the mean block of a Galerkin pencil, is
+    singular or too ill-conditioned to factor."""
 
     def __init__(self, message: str, condition: float | None = None):
         super().__init__(message)
@@ -71,8 +70,7 @@ class PoleProximityError(ArithmeticError):
 
 
 class ResidualMissError(ArithmeticError):
-    """A structured solve missed RESIDUAL_RTOL after `iterations` GMRES steps
-    on a system too large for the sparse-LU fallback."""
+    """A GMRES solve missed RESIDUAL_RTOL after `iterations` GMRES steps."""
 
     def __init__(self, message: str, iterations: int):
         super().__init__(message)
@@ -120,27 +118,22 @@ def factor_pencil(E, A, shift, *, symmetric_mode: bool = False) -> Callable[[np.
     return factors.solve
 
 
-def _pencil_residual(E, A, s: float | complex, b: np.ndarray, x: np.ndarray) -> float:
-    """True relative residual ||b - (sE - A) x|| / ||b|| of a solve (||b|| = 0 read as 1)."""
-    return float(np.linalg.norm(b - s * (E @ x) + A @ x) / (np.linalg.norm(b) or 1.0))
-
-
 @dataclass
 class SolverStats:
     """How sample_transfer solved each frequency, or arnoldi_reduce each
     Krylov vector; pass one in to have it filled.
 
     method is "gmres-schur" or "superlu" (see ShiftedSolver), or "qz"
-    (dense system).  On the GMRES path `iterations` and `residuals` hold
+    (dense system).  On the GMRES route `iterations` and `residuals` hold
     one entry per solve, or per frequency of a sweep: the GMRES iterations
     spent and the true relative residual of the returned solution, where a
     sample the Taylor series served records 0 iterations and the series'
-    own residual; `fallbacks` counts the solves made by sparse LU, and
-    `schur_unknowns` is the size of the system GMRES ran on.
+    own residual; `schur_unknowns` is the size of the system GMRES ran on.
+    A solve that raises records nothing.
 
     A frequency sweep of a sparse system also sets `series_points`, the
     frequencies the series served, and `series_terms`, the GMRES iterations
-    of each term solve at s = 0 (0 on the sparse-LU route); term solves
+    of each term solve at s = 0 (0 on the SuperLU route); term solves
     appear nowhere else.  Elsewhere both stay None and summary() leaves
     them out.
     """
@@ -148,7 +141,6 @@ class SolverStats:
     method: str = ""
     iterations: list[int] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
-    fallbacks: int = 0
     schur_unknowns: int | None = None
     series_points: int | None = None
     series_terms: list[int] | None = None
@@ -161,7 +153,6 @@ class SolverStats:
             "median_iterations": float(np.median(its)) if its else None,
             "total_iterations": sum(its) if its else None,
             "max_residual": max(self.residuals) if self.residuals else None,
-            "fallbacks": self.fallbacks,
             "schur_unknowns": self.schur_unknowns,
         }
         if self.series_terms is not None:
@@ -174,31 +165,28 @@ class SolverStats:
 class ShiftedSolver:
     """(sE - A) x = b at the shift s of the last set_shift, for the pencil
     (E, A) of a descriptor system, filling `stats` (a SolverStats).  This
-    is the one solve policy of the package:
+    is the one solve policy of the package, one route per pencil:
 
     - A pencil given its `split`, a Galerkin system's even_odd_split()
-      ("gmres-schur"), is solved by GMRES on the Schur complement, as the
-      module docstring describes.  A GMRES solution is returned only if its true relative
-      residual is at most RESIDUAL_RTOL.  After a miss, or where the mean
-      block is singular at s, the remaining solves at s go to sparse LU,
-      each counted as a fallback and recorded with the iterations GMRES
-      spent and its true relative residual; the next set_shift tries GMRES
-      again.  Above LU_FALLBACK_MAX_STATES states there is no fallback:
-      the miss raises ResidualMissError, the singular mean block
-      PoleProximityError, each naming s and N.
+      ("gmres-schur"), is solved by GMRES on the Schur complement alone, as
+      the module docstring describes.  set_shift inverts the mean block and
+      raises PoleProximityError (condition inf) where it is singular.  A
+      GMRES solution is returned only if its true relative residual is at
+      most RESIDUAL_RTOL; a miss, a NaN residual included, raises
+      ResidualMissError.  Both errors name s and N.
     - Any other pencil, sparse or dense ("superlu"), is solved by sparse
-      LU alone.
+      LU alone: set_shift factors sE - A (factor_pencil, which raises
+      PoleProximityError where it is singular or ill-conditioned), and
+      every solve at s reuses the factors.  The new factorization replaces
+      the previous one only once it is built, so that the allocator reuses
+      its memory.
 
-    The GMRES route forms G (see the module docstring) at the second GMRES
-    solve at one shift, and G serves every later solve there: the Krylov
-    solves at s0 and the Taylor terms at s = 0 use it, and a sweep's
-    one-solve frequencies never pay for it.  The LU route factors sE - A
-    at the first solve at s that needs it; the
-    new factorization replaces the previous one only once it is built, so
-    that the allocator reuses its memory.  Vectors are in the system's own
-    state order; b is cast to the dtype of s (complex for s = i*omega, float
-    for a real s).  Factoring raises PoleProximityError where sE - A is
-    singular or ill-conditioned.
+    The GMRES route forms G (see the module docstring) at the second solve
+    at one shift, and G serves every later solve there: the Krylov solves
+    at s0 and the Taylor terms at s = 0 use it, and a sweep's one-solve
+    frequencies never pay for it.  Vectors are in the system's own state
+    order; b is cast to the dtype of s (complex for s = i*omega, float for
+    a real s).
     """
 
     def __init__(self, E, A, stats: SolverStats, split=None):
@@ -212,75 +200,51 @@ class ShiftedSolver:
         self.b_split = self.V = self.H = None
 
     def set_shift(self, s: float | complex) -> None:
-        """Move to shift s.  Raises PoleProximityError naming s and N where
-        the mean block is singular and the system too large to factor."""
+        """Move to shift s: factor sE - A, or invert the mean block."""
         self.s, self.dtype = s, complex if np.iscomplexobj(s) else float
-        # the factorization is marked stale here, not by comparing shifts:
-        # 1.0 == 1+0j, but a real factorization cannot solve at a complex shift
-        self.lu_stale, self.gmres = True, False
         split = self.split
         if split is None:
+            self.lu = factor_pencil(self.E, self.A, s)
             return
         self.mean_block = s * split.E00 - split.A00
         try:
             self.mean_inverse = np.linalg.inv(self.mean_block)
         except np.linalg.LinAlgError as exc:
-            if refusal := self._lu_refusal():
-                raise PoleProximityError(f"singular mean block at s={s}{refusal}", condition=np.inf) from exc
-            return
+            raise PoleProximityError(f"singular mean block at s={s}, N={self.A.shape[0]}", condition=np.inf) from exc
         (L_E, L_A), (U_E, U_A) = split.L, split.U
         self.coupling.set_values(s * L_E.data - L_A.data, s * U_E.data - U_A.data, self.mean_inverse)
-        self.repeat = False  # whether a solve at s has run GMRES
+        self.repeat = False  # whether a solve has run at s
         if self.V is None or self.V.dtype != self.dtype:
             self.V = np.empty((GMRES_RESTART + 1, self.coupling.L.shape[1]), dtype=self.dtype)
             self.H = np.empty((GMRES_RESTART, GMRES_RESTART), dtype=self.dtype)
             # right-hand side, iterate and residual, in the split order
             self.b_split, self.x, self.r = np.empty((3, len(self.order)), dtype=self.dtype)
-        self.gmres = True
-
-    @property
-    def falls_back(self) -> bool:
-        """Whether the next solve at this shift is a sparse-LU fallback."""
-        return self.split is not None and not self.gmres
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x solving (sE - A) x = b at the current shift, by the policy above."""
         b = np.asarray(b, dtype=self.dtype)
-        iterations = 0
-        if self.gmres:
-            # the N-vectors of a solve are reused, so that it allocates none
-            # for its right-hand side, iterate or residual: fresh pages fault
-            # at every frequency.  "raise" would make np.take buffer `out`
-            b_split = np.take(b, self.order, out=self.b_split, mode="clip")
-            if self.repeat and self.coupling.G is None:
-                self.coupling.form_product()  # a second solve at s: G serves it and every later one
-            self.repeat = True
-            x, iterations, r_norm = _gmres_schur(
-                self.coupling, self.mean_block, self.mean_inverse, b_split, self.V, self.H, self.x, self.r
+        if self.split is None:
+            return self.lu(b)
+        # the N-vectors of a solve are reused, so that it allocates none
+        # for its right-hand side, iterate or residual: fresh pages fault
+        # at every frequency.  "raise" would make np.take buffer `out`
+        b_split = np.take(b, self.order, out=self.b_split, mode="clip")
+        if self.repeat and self.coupling.G is None:
+            self.coupling.form_product()  # a second solve at s: G serves it and every later one
+        self.repeat = True
+        x, iterations, r_norm = _gmres_schur(
+            self.coupling, self.mean_block, self.mean_inverse, b_split, self.V, self.H, self.x, self.r
+        )
+        residual = float(r_norm / (np.linalg.norm(b_split) or 1.0))
+        if not residual <= RESIDUAL_RTOL:  # a miss, or a NaN residual
+            raise ResidualMissError(
+                f"true relative residual {residual:.3g} after {iterations} GMRES iterations"
+                f" at s={self.s}, N={self.A.shape[0]}",
+                iterations,
             )
-            residual = float(r_norm / (np.linalg.norm(b_split) or 1.0))
-            if residual <= RESIDUAL_RTOL:
-                self.stats.iterations.append(iterations)
-                self.stats.residuals.append(residual)
-                return x[self.inverse_order]
-            if refusal := self._lu_refusal():  # a miss, or a NaN residual
-                raise ResidualMissError(f"true relative residual {residual:.3g} at s={self.s}{refusal}", iterations)
-            self.gmres = False  # the remaining solves at s go to sparse LU
-        if self.split is not None:
-            self.stats.fallbacks += 1  # also where the factorization below fails
-        if self.lu_stale:
-            self.lu, self.lu_stale = factor_pencil(self.E, self.A, self.s), False
-        x = self.lu(b)
-        if self.split is not None:
-            self.stats.iterations.append(iterations)
-            self.stats.residuals.append(_pencil_residual(self.E, self.A, self.s, b, x))
-        return x
-
-    def _lu_refusal(self) -> str:
-        """Why sparse LU may not take over a missed solve, or "" where it may."""
-        if self.A.shape[0] <= LU_FALLBACK_MAX_STATES:
-            return ""
-        return f"; no sparse-LU fallback for N={self.A.shape[0]} > {LU_FALLBACK_MAX_STATES} states"
+        self.stats.iterations.append(iterations)
+        self.stats.residuals.append(residual)
+        return x[self.inverse_order]
 
 
 class _Coupling:

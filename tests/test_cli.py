@@ -12,7 +12,7 @@ import pytest
 import scipy.io as sio
 
 import sgmor as sg
-from sgmor import cli, descriptor, solver
+from sgmor import cli, descriptor
 from sgmor.cli import main
 from sgmor.descriptor import DescriptorSystem
 from sgmor.mor import ReducedSystem, arnoldi_reduce
@@ -276,7 +276,6 @@ class TestPipeline:
         out, _ = run_dir
         solver = json.loads((out / "norms.json").read_text())["solver"]
         assert solver["method"] == "gmres-schur"
-        assert solver["fallbacks"] == 0
         assert 1 <= solver["median_iterations"] <= solver["max_iterations"] <= 200
         assert 0.0 <= solver["max_residual"] <= 1e-12
         # the first series term at s = 0 serves omega = 0, and the mean
@@ -291,7 +290,7 @@ class TestPipeline:
         sweeps = json.loads((out / "downsize_solver.json").read_text())["sweeps"]
         assert [s["r"] for s in sweeps] == [2, 12, 22]
         for s in sweeps:
-            assert s["method"] == "gmres-schur" and s["fallbacks"] == 0
+            assert s["method"] == "gmres-schur"
             assert s["schur_unknowns"] == 20
             assert 0.0 <= s["max_residual"] <= 1e-12
             assert s["series_points"] == 1 and s["series_terms"] == 1
@@ -308,7 +307,7 @@ class TestPipeline:
         # one Arnoldi solve per Krylov vector, by GMRES on the Schur complement
         reduce_solver = report["reduce_solver"]
         assert reduce_solver == {**json.loads((out / "reduce_solver.json").read_text())}
-        assert reduce_solver["method"] == "gmres-schur" and reduce_solver["fallbacks"] == 0
+        assert reduce_solver["method"] == "gmres-schur"
         assert reduce_solver["max_residual"] <= RESIDUAL_RTOL
 
     def test_trajectory_header_and_values(self, run_dir):
@@ -387,19 +386,19 @@ class TestStaging:
         assert err.startswith("sgmor: error: stage 'norms': pole proximity at omega=2.5")
         assert "condition=3.000e+16" in err
 
-    def test_no_fallback_at_scale_reported(self, run_dir, tmp_path, monkeypatch, lying_gmres, capsys):
+    def test_no_fallback_at_scale_reported(self, run_dir, tmp_path, lying_gmres, capsys):
+        # a GMRES miss ends the stage at any N, here the FAST config's 440
         out, cfg = run_dir
         work = tmp_path / "miss"
         shutil.copytree(out, work)
-        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", 0)
         assert main(["norms", "--config", str(cfg), "--out", str(work)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sgmor: error: stage 'norms': true relative residual")
-        assert "no sparse-LU fallback for N=440 > 0 states" in err
+        assert "GMRES iterations at s=0j, N=440\n" in err
 
     def test_transient_above_state_limit_reported(self, run_dir, monkeypatch, capsys):
         out, cfg = run_dir
-        monkeypatch.setattr(descriptor, "LU_FALLBACK_MAX_STATES", 0)
+        monkeypatch.setattr(descriptor, "TRANSIENT_MAX_STATES", 0)
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sgmor: error: stage 'simulate': no transient for N=440 > 0 states")

@@ -319,9 +319,9 @@ class TestSimulateTransient:
             assert l2_y <= rep.hinf[0] * traj.input_l2 * (1 + 2e-3)
 
     def test_state_limit(self, bench_galerkin_d1, monkeypatch):
-        # above LU_FALLBACK_MAX_STATES the transient raises before factoring
+        # above TRANSIENT_MAX_STATES the transient raises before factoring
         S = bench_galerkin_d1.system
-        monkeypatch.setattr(descriptor, "LU_FALLBACK_MAX_STATES", S.n - 1)
+        monkeypatch.setattr(descriptor, "TRANSIENT_MAX_STATES", S.n - 1)
 
         def unexpected(*_args, **_kwargs):
             raise AssertionError("factored a system above the limit")

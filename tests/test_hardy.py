@@ -1,6 +1,7 @@
 """Frequency grids and Hardy norm estimation."""
 
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 import sgmor as sg
 from sgmor import hardy, solver
+from sgmor.circuits import lowpass_benchmark_text
 from sgmor.descriptor import DescriptorSystem
 from sgmor.galerkin import GalerkinSystem, Selection
-from sgmor.solver import RESIDUAL_RTOL, PoleProximityError, SolverStats
+from sgmor.solver import RESIDUAL_RTOL, PoleProximityError, ResidualMissError, SolverStats
 
 from conftest import perturbed_gmres, scalar_galerkin
 from oracles import dense_transfer
@@ -281,36 +283,41 @@ class TestGalerkinSampling:
         H = sg.sample_transfer(gsys, grid, stats)
         ref = sg.sample_transfer(gsys.system, grid)
         assert np.abs(H - ref).max() <= 1e-11 * np.abs(ref).max()
-        assert stats.method == "gmres-schur" and stats.fallbacks == 0
+        assert stats.method == "gmres-schur"
         assert stats.schur_unknowns == schur_unknowns
         assert len(stats.iterations) == len(stats.residuals) == len(grid)
         assert max(stats.residuals) <= RESIDUAL_RTOL
 
     def test_unconverged_gmres_caught(self, desk_galerkin, lying_gmres):
-        # a near miss that claims success: the residual check must reject it
+        # a near miss that claims success: the residual check rejects it.
+        # The series' first term solve misses and ends the series, and the
+        # sweep raises at omega = 0, naming s, N and the iterations spent
         grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
         stats = SolverStats()
-        H = sg.sample_transfer(desk_galerkin, grid, stats)
-        ref = sg.sample_transfer(desk_galerkin.system, grid)
-        assert stats.fallbacks == len(grid)
-        assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert stats.summary()["fallbacks"] == len(grid)
+        with pytest.raises(
+            ResidualMissError, match=r"^true relative residual \S+ after [1-9]\d* GMRES iterations at s=0j, N=40$"
+        ) as exc:
+            sg.sample_transfer(desk_galerkin, grid, stats)
+        assert exc.value.iterations > 0
+        assert stats.series_points == 0 and stats.series_terms == []
+        assert stats.iterations == [] and stats.residuals == []
 
     def test_cycle_limit_miss_caught(self, desk_galerkin, monkeypatch):
         # one cycle of one GMRES step cannot converge: the residual computed
-        # after the last allowed cycle shows the miss, and LU takes over
+        # after the last allowed cycle shows the miss, and the sweep raises
+        # at its first frequency
         monkeypatch.setattr(solver, "GMRES_MAXITER", 1)
         monkeypatch.setattr(solver, "GMRES_RESTART", 1)
         grid = sg.FrequencyGrid.logspaced(-1, 2, 4)
         stats = SolverStats()
-        H = sg.sample_transfer(desk_galerkin, grid, stats)
-        ref = sg.sample_transfer(desk_galerkin.system, grid)
-        assert stats.fallbacks == len(grid) and stats.iterations == [1] * len(grid)
-        assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+        with pytest.raises(ResidualMissError, match=r"after 1 GMRES iterations at s=0j, N=40$") as exc:
+            sg.sample_transfer(desk_galerkin, grid, stats)
+        assert exc.value.iterations == 1
+        assert stats.iterations == [] and stats.residuals == []
 
     def test_miss_at_one_frequency_only(self, desk_galerkin, monkeypatch):
-        # GMRES lies at the third frequency alone: that frequency falls back
-        # to sparse LU, and the next one runs GMRES again.  The grid lies
+        # GMRES lies at the third frequency alone: the sweep raises there,
+        # and the stats hold the two frequencies before it.  The grid lies
         # above the Taylor series' reach, and the series' real term solves
         # at s = 0 are neither perturbed nor counted
         real_gmres = solver._gmres_schur
@@ -326,34 +333,50 @@ class TestGalerkinSampling:
         monkeypatch.setattr(solver, "_gmres_schur", lying_once)
         grid = sg.FrequencyGrid.logspaced(0, 3, 4, include_zero=False)
         stats = SolverStats()
-        H = sg.sample_transfer(desk_galerkin, grid, stats)
-        ref = sg.sample_transfer(desk_galerkin.system, grid)
-        assert stats.method == "gmres-schur" and stats.fallbacks == 1
-        assert len(calls) == len(grid) and stats.iterations == calls
+        with pytest.raises(ResidualMissError, match=f"at s={re.escape(str(1j * grid.omegas[2]))}, N=40$"):
+            sg.sample_transfer(desk_galerkin, grid, stats)
+        assert stats.method == "gmres-schur" and stats.series_points == 0
+        assert len(calls) == 3 and stats.iterations == calls[:2]
         assert all(iterations > 0 for iterations in calls)
-        assert len(stats.residuals) == len(grid) and max(stats.residuals) <= RESIDUAL_RTOL
-        assert np.abs(H - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert len(stats.residuals) == 2 and max(stats.residuals) <= RESIDUAL_RTOL
 
-    def test_no_fallback_at_scale(self, desk_galerkin, lying_gmres, monkeypatch):
-        # above LU_FALLBACK_MAX_STATES a miss raises instead of factoring
-        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", desk_galerkin.dimension - 1)
-        stats = SolverStats()
-        with pytest.raises(solver.ResidualMissError, match=r"at s=.*no sparse-LU fallback for N=40 ") as exc:
-            sg.sample_transfer(desk_galerkin, sg.FrequencyGrid.logspaced(-1, 2, 4), stats)
-        assert exc.value.iterations > 0
-        assert stats.fallbacks == 0
+    def test_galerkin_route_never_factors(self, desk_galerkin, monkeypatch):
+        # a Galerkin pencil is solved by GMRES alone: the sweep with its
+        # series and Arnoldi finish without a factorization, and where every
+        # solve is a near miss (lying_gmres) they raise before reaching one
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("factored a Galerkin pencil")
 
-    def test_singular_mean_block_at_scale(self, monkeypatch):
-        # the singular mean block of test_singular_mean_block_falls_back
-        gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", 1)
+        monkeypatch.setattr(solver, "factor_pencil", unexpected)
+        grid = sg.FrequencyGrid.default()
         stats = SolverStats()
-        with pytest.raises(
-            PoleProximityError, match=r"omega=0.0: singular mean block at s=0j; no sparse-LU fallback for N=2 "
-        ) as exc:
-            sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.0, 0.5])), stats)
-        assert exc.value.condition == np.inf
-        assert stats.fallbacks == 0
+        sg.sample_transfer(desk_galerkin, grid, stats)
+        assert stats.series_points > 0 and len(stats.iterations) == len(grid)
+        assert sg.arnoldi_reduce(desk_galerkin, 1.0, 6).r == 6
+        real_gmres = solver._gmres_schur
+        monkeypatch.setattr(solver, "_gmres_schur", lambda *args: perturbed_gmres(real_gmres, *args))
+        with pytest.raises(ResidualMissError):
+            sg.sample_transfer(desk_galerkin, grid)
+        with pytest.raises(ResidualMissError):
+            sg.arnoldi_reduce(desk_galerkin, 1.0, 6)
+
+    def test_wide_tolerance_ladder_within_cycle_limit(self):
+        # GMRES is the only solver of a Galerkin pencil, so its iteration
+        # counts must stay clear of the GMRES_MAXITER * GMRES_RESTART = 200
+        # cap: the built-in ladder at 99 % tolerance (d = 2, N = 5060) takes
+        # at most 59 at a frequency of the default grid and 21 at an Arnoldi
+        # solve, where the ladder at 10 % takes 9 and 6
+        net = sg.parse_netlist(lowpass_benchmark_text().replace(" 0.1\n", " 0.99\n"))
+        assert {el.tolerance for el in net.elements} == {0.99}
+        psys = sg.mna_assemble(net)
+        gsys = sg.assemble(psys, sg.BasisSpec.uniform(psys.parameter_bounds, sg.build_index_set(psys.q, 2)))
+        sweep, krylov = SolverStats(), SolverStats()
+        sg.sample_transfer(gsys, sg.FrequencyGrid.default(), sweep)
+        sg.arnoldi_reduce(gsys, 5e5, 50, krylov)
+        for stats in (sweep, krylov):
+            assert max(stats.residuals) <= RESIDUAL_RTOL
+            assert max(stats.iterations) <= 100
+        assert max(sweep.series_terms) <= 100
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -439,7 +462,7 @@ class TestGalerkinSampling:
         stats = SolverStats()
         H = sg.sample_transfer(bench_galerkin_d1, grid, stats)
         ref = sg.sample_transfer(bench_galerkin_d1.system, grid)
-        assert stats.method == "gmres-schur" and stats.fallbacks == 0
+        assert stats.method == "gmres-schur"
         assert np.abs(H - ref).max() <= 5e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize(
@@ -494,29 +517,30 @@ class TestGalerkinSampling:
             H = sg.sample_transfer(gsys, grid, stats)
             ref = sg.sample_transfer(gsys.system, grid)
             assert stats.method == "gmres-schur" and stats.schur_unknowns == 0
-            assert stats.fallbacks == 0 and not any(stats.iterations)
+            assert not any(stats.iterations)
             assert max(stats.residuals) <= RESIDUAL_RTOL
             assert np.abs(H - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_singular_mean_block_falls_back(self):
-        # mean block -A_00 = 0 is singular at omega = 0; the coupled pencil is not
+    def test_singular_mean_block_raises(self):
+        # mean block -A_00 = 0 is singular at omega = 0, though the coupled
+        # pencil is not: the sweep stops there, naming omega, s and N
         gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        grid = sg.FrequencyGrid(np.array([0.0, 0.5]))
         stats = SolverStats()
-        H = sg.sample_transfer(gsys, grid, stats)
-        assert stats.method == "gmres-schur"
-        assert stats.fallbacks == 1 and stats.iterations[0] == 0
-        ref = sg.sample_transfer(gsys.system, grid)
-        assert np.abs(H - ref).max() <= 1e-14
+        with pytest.raises(
+            PoleProximityError, match=r"^pole proximity at omega=0.0: singular mean block at s=0j, N=2$"
+        ) as exc:
+            sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.0, 0.5])), stats)
+        assert exc.value.condition == np.inf
+        assert stats.method == "gmres-schur" and stats.iterations == []
 
     def test_pole_on_grid(self):
-        # coupled pencil singular at omega = 1 while its mean block is not
+        # coupled pencil singular at omega = 1 while its mean block is not:
+        # GMRES cannot solve there, and the sweep raises the miss
         gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         stats = SolverStats()
-        with pytest.raises(PoleProximityError, match="omega=1.0") as exc:
+        with pytest.raises(ResidualMissError, match=r"at s=1j, N=2$"):
             sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.5, 1.0])), stats)
-        assert exc.value.condition == np.inf
-        assert stats.fallbacks == 1
+        assert len(stats.iterations) == 1 and max(stats.residuals) <= RESIDUAL_RTOL  # omega = 0.5
 
     @pytest.mark.parametrize("dense, method", [(True, "qz"), (False, "superlu")])
     def test_method_recorded(self, desk_galerkin, dense, method):
@@ -529,7 +553,6 @@ class TestGalerkinSampling:
             "median_iterations": None,
             "total_iterations": None,
             "max_residual": None,
-            "fallbacks": 0,
             "schur_unknowns": None,
         }
         if not dense:
@@ -630,26 +653,34 @@ class TestTaylorSeries:
         assert np.abs(H[:, band] - ref).max() <= 5e-14 * np.abs(ref).max()
 
     def test_singular_mean_block_runs_no_series(self):
-        # the system of test_singular_mean_block_falls_back: GMRES cannot
-        # run at s = 0, so no term is solved and omega = 0 falls back as before
+        # the system of test_singular_mean_block_raises: its mean block is
+        # singular at s = 0, so no term is solved, and a grid without
+        # omega = 0 is solved by GMRES from its first point on
         gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        grid = sg.FrequencyGrid(np.array([0.25, 0.5]))
         stats = SolverStats()
-        sg.sample_transfer(gsys, sg.FrequencyGrid(np.array([0.0, 0.5])), stats)
+        H = sg.sample_transfer(gsys, grid, stats)
         assert stats.series_points == 0 and stats.series_terms == []
-        assert stats.fallbacks == 1 and stats.iterations[0] == 0 and len(stats.residuals) == 2
+        assert len(stats.iterations) == 2 and max(stats.residuals) <= RESIDUAL_RTOL
+        assert np.abs(H - sg.sample_transfer(gsys.system, grid)).max() <= 1e-14
 
     @pytest.mark.parametrize("galerkin", [True, False], ids=["gmres-schur", "superlu"])
     def test_pencil_singular_at_zero(self, galerkin):
         # -A = [[1, -1], [-1, 1]] is singular while its mean block 1 is not:
-        # the sweep raises at omega = 0 what it raised without the series
+        # the sweep raises at omega = 0 what it raised without the series,
+        # GMRES's miss on the Galerkin route and the failed factorization
+        # on the SuperLU route
         gsys = scalar_galerkin(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        error, message = (
+            (ResidualMissError, r"^true relative residual .* at s=0j, N=2$")
+            if galerkin
+            else (PoleProximityError, r"^pole proximity at omega=0.0: singular shifted pencil at s=0j: ")
+        )
         stats = SolverStats()
-        with pytest.raises(
-            PoleProximityError, match=r"^pole proximity at omega=0.0: singular shifted pencil at s=0j: "
-        ) as exc:
+        with pytest.raises(error, match=message) as exc:
             sg.sample_transfer(gsys if galerkin else gsys.system, sg.FrequencyGrid(np.array([0.0, 0.5])), stats)
-        assert exc.value.condition == np.inf
-        assert stats.series_points == 0 and stats.fallbacks == int(galerkin)
+        assert galerkin or exc.value.condition == np.inf
+        assert stats.series_points == 0 and stats.iterations == []
 
     def test_grid_above_reach_is_the_plain_sweep(self, bench_galerkin_d1):
         # one term solve, after which the mean pencil's estimate of the reach
@@ -666,7 +697,6 @@ class TestTaylorSeries:
             shifted.set_shift(1j * w)
             assert np.array_equal(S.C @ shifted.solve(S.B[:, 0]), H[:, j])
         assert stats.iterations == plain.iterations and stats.residuals == plain.residuals
-        assert stats.fallbacks == plain.fallbacks == 0
 
     def test_reach_estimate_only_stops(self, bench_galerkin_d1, monkeypatch):
         # on a grid within the series' reach the mean pencil's estimate of
@@ -705,7 +735,7 @@ class TestTaylorSeries:
         assert 0 < n < len(grid) and len(its) == len(grid)
         assert np.all(its[:n] == 0) and np.all(its[n:] > 0)
         assert stats.iterations[n:] == plain.iterations[n:] and np.array_equal(H[:, n:], ref[:, n:])
-        assert max(stats.residuals) <= RESIDUAL_RTOL and stats.fallbacks == 0
+        assert max(stats.residuals) <= RESIDUAL_RTOL
         assert np.abs(H - ref).max() <= 5e-14 * np.abs(ref).max()
 
     @settings(max_examples=40, deadline=None)

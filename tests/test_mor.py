@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse as sp
 
 import sgmor as sg
-from sgmor import mor, solver
+from sgmor import mor
 from sgmor.descriptor import DescriptorSystem
 from sgmor.mor import PROJECTION_BLOCK, ReducedSystem
-from sgmor.solver import RESIDUAL_RTOL, PoleProximityError, SolverStats
+from sgmor.solver import RESIDUAL_RTOL, PoleProximityError, ResidualMissError, SolverStats
 
 from conftest import scalar_galerkin
 from oracles import build_quadrature, moment_oracle
@@ -143,7 +143,7 @@ class TestStructuredArnoldi:
         # RESIDUAL_RTOL the first moments agree far below it
         stats = SolverStats()
         red = sg.arnoldi_reduce(bench_galerkin_d2, self.S0, 50, stats)
-        assert stats.method == "gmres-schur" and stats.fallbacks == 0
+        assert stats.method == "gmres-schur"
         assert len(stats.iterations) == len(stats.residuals) == 50
         assert max(stats.residuals) <= RESIDUAL_RTOL
         assert stats.schur_unknowns == 420  # 21 degree-1 blocks of 20 states
@@ -164,42 +164,29 @@ class TestStructuredArnoldi:
         stats = SolverStats()
         red = sg.arnoldi_reduce(gsys, 1.0, 3, stats)
         assert stats.summary()["method"] == "superlu"
-        assert stats.iterations == [] and stats.fallbacks == 0
+        assert stats.iterations == []
         assert np.array_equal(red.T, sg.arnoldi_reduce(gsys.system, 1.0, 3).T)
 
-    def test_singular_mean_block(self, monkeypatch):
-        # the mean block -A_00 = 0 is singular at s = 0; the coupled pencil is
-        # not, so Arnoldi solves by sparse LU throughout, each solve a fallback
+    def test_singular_mean_block(self):
+        # the mean block -A_00 = 0 is singular at s = 0, though the coupled
+        # pencil is not: Arnoldi raises before its first solve, naming s and N
         gsys = scalar_galerkin(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         stats = SolverStats()
-        red = sg.arnoldi_reduce(gsys, 0.0, 2, stats)
-        assert stats.method == "gmres-schur" and stats.fallbacks == 2
-        assert stats.iterations == [0, 0] and max(stats.residuals) <= RESIDUAL_RTOL
-        assert np.array_equal(red.T, sg.arnoldi_reduce(gsys.system, 0.0, 2).T)
-        # above LU_FALLBACK_MAX_STATES the singular mean block itself raises
-        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", gsys.dimension - 1)
-        with pytest.raises(PoleProximityError, match=r"singular mean block at s=0\.0") as exc:
-            sg.arnoldi_reduce(gsys, 0.0, 2)
+        with pytest.raises(PoleProximityError, match=r"^singular mean block at s=0\.0, N=2$") as exc:
+            sg.arnoldi_reduce(gsys, 0.0, 2, stats)
         assert exc.value.condition == np.inf
+        assert stats.method == "gmres-schur" and stats.iterations == []
 
-    def test_unconverged_solve_falls_back(self, desk_galerkin, lying_gmres):
+    def test_unconverged_solve_raises(self, desk_galerkin, lying_gmres):
         # a near miss that claims success: the residual check rejects the
-        # first solve, and the remaining ones go through one sparse LU
+        # first solve, and Arnoldi raises it, naming s, N and the iterations
         stats = SolverStats()
-        red = sg.arnoldi_reduce(desk_galerkin, 1.0, 6, stats)
-        assert stats.method == "gmres-schur"
-        assert stats.fallbacks == 6 and stats.summary()["fallbacks"] == 6
-        assert stats.iterations[0] > 0 and stats.iterations[1:] == [0] * 5
-        assert max(stats.residuals) <= RESIDUAL_RTOL
-        assert np.array_equal(red.T, sg.arnoldi_reduce(desk_galerkin.system, 1.0, 6).T)
-
-    def test_no_fallback_at_scale(self, desk_galerkin, lying_gmres, monkeypatch):
-        # above LU_FALLBACK_MAX_STATES the first miss raises instead of factoring
-        monkeypatch.setattr(solver, "LU_FALLBACK_MAX_STATES", desk_galerkin.dimension - 1)
-        stats = SolverStats()
-        with pytest.raises(solver.ResidualMissError, match=r"at s=1.0; no sparse-LU fallback for N=40 "):
+        with pytest.raises(
+            ResidualMissError, match=r"^true relative residual \S+ after [1-9]\d* GMRES iterations at s=1.0, N=40$"
+        ) as exc:
             sg.arnoldi_reduce(desk_galerkin, 1.0, 6, stats)
-        assert stats.fallbacks == 0 and stats.iterations == []
+        assert exc.value.iterations > 0
+        assert stats.method == "gmres-schur" and stats.iterations == [] and stats.residuals == []
 
 
 
