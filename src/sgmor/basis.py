@@ -1,7 +1,7 @@
 """Multivariate orthonormal polynomial bases for independent uniform parameters.
 
-Provides total-degree multi-index sets, built and checked as integer
-arrays, each index's neighbours alpha + e_ell found by an exact key, and
+Provides total-degree multi-index sets, each one read-only (m, q) integer
+array, each index's neighbours alpha + e_ell found by an exact key, and
 orthonormal (shifted Legendre) polynomial and expansion evaluation.
 Expectations over the parameters are exact moment matrices
 (galerkin.linear_moment_matrix); the tests check them against quadrature.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,38 +70,45 @@ class Distribution1D:
         return bool(np.all(p >= self.lower - pad) and np.all(p <= self.upper + pad))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiIndexSet:
-    """Ordered set of multivariate polynomial degree tuples.
+    """Ordered set of multivariate polynomial degrees (multi-indices).
 
-    The first element is always the zero multi-index (the constant basis
-    function); total-degree sets are stored in graded lexicographic order.
-    `array` holds the same tuples as an (m, q) integer array.
+    `array` holds one multi-index per row, as a read-only (m, q) int64 copy
+    of what the constructor is given.  The first row is always the zero
+    multi-index (the constant basis function); total-degree sets are stored
+    in graded lexicographic order.  Two sets are equal when their arrays are.
     """
 
-    q: int
-    indices: tuple[tuple[int, ...], ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray
 
     def __post_init__(self):
-        if len(self.indices) == 0:
+        arr = np.array(self.array, dtype=np.int64)
+        if arr.ndim != 2:
+            raise ValueError(f"index set must be a 2-D (m, q) array, got {arr.ndim}-D")
+        if arr.size == 0:
             raise ValueError("index set must be nonempty")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValueError("duplicate multi-indices")
-        if any(len(idx) != self.q for idx in self.indices):
-            raise ValueError(f"every multi-index must have q={self.q} entries")
-        arr = np.array(self.indices, dtype=np.int64)
         if (arr < 0).any():
             raise ValueError("multi-index entries must be non-negative")
         if arr[0].any():
             raise ValueError("first multi-index must be the zero index")
+        keys = np.sort(_row_keys(arr, np.min_scalar_type(int(arr.max()))))
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate multi-indices")
+        arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
-    def __len__(self) -> int:
-        return len(self.indices)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiIndexSet):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.indices)
+    def __len__(self) -> int:
+        return len(self.array)
+
+    @property
+    def q(self) -> int:
+        return self.array.shape[1]
 
     @property
     def max_degree(self) -> int:
@@ -112,23 +119,25 @@ class MultiIndexSet:
 
     @cached_property
     def partners(self) -> np.ndarray:
-        """(m, q) positions: entry (i, ell) is the position of indices[i] + e_ell,
+        """(m, q) positions: entry (i, ell) is the position of row i + e_ell,
         or -1 where the set does not hold it.  Each is found by one binary
-        search on an exact key: the row's bytes at a width that holds it."""
+        search on an exact key (_row_keys)."""
         width = np.min_scalar_type(int(self.array.max()) + 1)
-
-        def key(rows):
-            rows = np.ascontiguousarray(rows, dtype=width)
-            return rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-
-        keys = key(self.array)
+        keys = _row_keys(self.array, width)
         order = np.argsort(keys)
         out = np.empty(self.array.shape, dtype=np.int32)  # positions stay below DEFAULT_SIZE_LIMIT
         for ell, step in enumerate(np.eye(self.q, dtype=np.int64)):
-            wanted = key(self.array + step)
+            wanted = _row_keys(self.array + step, width)
             at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
             out[:, ell] = np.where(keys[at] == wanted, at, -1)
         return out
+
+
+def _row_keys(rows: np.ndarray, width: np.dtype) -> np.ndarray:
+    """One exact key per row: the row's bytes at an integer `width` that
+    holds every entry, compared as a whole."""
+    rows = np.ascontiguousarray(rows, dtype=width)
+    return rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
 
 
 def build_index_set(q: int, d: int) -> MultiIndexSet:
@@ -156,7 +165,7 @@ def build_index_set(q: int, d: int) -> MultiIndexSet:
         rows = rows[parent]
         rows[np.arange(len(rows)), last] += 1
         blocks.append(rows)
-    return MultiIndexSet(q=q, indices=tuple(map(tuple, np.concatenate(blocks).tolist())))
+    return MultiIndexSet(np.concatenate(blocks))
 
 
 def _recurrence_offdiag(max_degree: int) -> np.ndarray:
@@ -240,12 +249,9 @@ def eval_basis_matrix(spec: BasisSpec, points) -> np.ndarray:
         raise ValueError(f"points must have {spec.q} columns")
     if not spec.domain_contains(pts):
         raise DomainError("evaluation point outside the parameter domain")
-    tables = _univariate_table(spec, pts)
     out = np.ones((pts.shape[0], spec.m))
-    for i, idx in enumerate(spec.index_set):
-        for ell, j in enumerate(idx):
-            if j:
-                out[:, i] *= tables[ell][:, j]
+    for table, degrees in zip(_univariate_table(spec, pts), spec.index_set.array.T):
+        out *= table[:, degrees]  # phi_0 = 1 exactly, so a zero degree leaves a column as it is
     return out
 
 

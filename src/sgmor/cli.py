@@ -79,7 +79,7 @@ def _write_json(path: Path, payload: dict, cfg_hash: str) -> None:
     payload = dict(payload)
     payload["config_hash"] = cfg_hash
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))  # dumps, not dump: only dumps runs the C encoder
 
 
 def _load_netlist(cfg: PipelineConfig):
@@ -119,7 +119,7 @@ def stage_assemble(cfg: PipelineConfig, out: Path) -> GalerkinSystem:
             "degree": cfg.basis.degree,
             "block_dim": gsys.block_dim,
             "bounds": [[d.lower, d.upper] for d in spec.distributions],
-            "output_rows": [list(idx) for idx in spec.index_set.indices],
+            "output_rows": spec.index_set.array.tolist(),
         },
         h,
     )

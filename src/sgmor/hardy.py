@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descriptor import DescriptorSystem, pencil_spectrum
+from .descriptor import DescriptorSystem
 from .galerkin import GalerkinSystem
 from .solver import GMRES_RTOL, PoleProximityError, ResidualMissError, ShiftedSolver, SolverStats
 
@@ -141,7 +141,7 @@ class HardyNormReport:
             "solver": solver,
         }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(json.dumps(payload))  # dumps, not dump: only dumps runs the C encoder
 
 
 def sample_transfer(
@@ -205,17 +205,14 @@ def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray,
     needs K terms with (omega rho)^K <= UNIT_ROUNDOFF.  Growing to K terms
     must not spend more term solves than the points served so far plus the
     points that K terms reach, and K is at most SERIES_MAX_TERMS.  The
-    first term is spent on trust, and so is the second, which gives rho,
-    except on a Galerkin system: there rho is first estimated without a
-    solve (_mean_pencil_rate), and the series stops where even that
-    estimate says the second term cannot pay.  Points are
-    evaluated in increasing omega, SERIES_BLOCK_BYTES of samples at a time,
-    each with its true relative residual ||b - (i omega E - A) x|| / ||b||
-    in S's own E and A.  x is held as x_0 + D, D the terms from x_1 on, and
-    its residual and outputs are those of the two parts: rounding x_0 + D
-    to one vector would add about u ||A|| ||x|| to the residual, 4e-14 to
-    9e-14 of ||b|| on the d = 2 ladder, where x_0's own is what its solve
-    refined (0 there).
+    first term is spent on trust, and so is the second, which gives rho.
+    Points are evaluated in increasing omega, SERIES_BLOCK_BYTES of samples
+    at a time, each with its true relative residual
+    ||b - (i omega E - A) x|| / ||b|| in S's own E and A.  x is held as
+    x_0 + D, D the terms from x_1 on, and its residual and outputs are
+    those of the two parts: rounding x_0 + D to one vector would add about
+    u ||A|| ||x|| to the residual, 4e-14 to 9e-14 of ||b|| on the d = 2
+    ladder, where x_0's own is what its solve refined (0 there).
 
     The series serves a prefix of omegas: it stops at the first point above
     GMRES_RTOL or beyond its reach, and where set_shift or a solve at s = 0
@@ -245,8 +242,6 @@ def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray,
         solver.set_shift(0.0)
         while j < len(omegas):
             if omegas[j] > reach(n_terms):
-                if n_terms == 1 and solver.split is not None:
-                    rho = _mean_pencil_rate(solver.split)  # until the second term replaces it
                 # the terms omega_j needs; one more while rho is unknown
                 k, n_reach = n_terms + 1, len(omegas) - j
                 if rho is not None:
@@ -286,15 +281,6 @@ def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray,
     stats.series_points = j
     stats.series_terms = term_stats.iterations if solver.split is not None else [0] * n_terms
     return j
-
-
-def _mean_pencil_rate(split) -> float:
-    """rho estimated from a Galerkin system's even_odd_split: 1 / |lambda| for
-    the slowest finite eigenvalue of its mean pencil s E00 - A00, the limit of
-    ||x_k|| / ||x_{k-1}|| were the couplings zero (0 where it has none)."""
-    n = len(split.A00)
-    mean = DescriptorSystem(split.E00, split.A00, np.zeros((n, 1)), np.zeros((1, n)))
-    return 1.0 / np.abs(pencil_spectrum(mean).finite_eigenvalues).min(initial=np.inf)
 
 
 def _series_at(terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:

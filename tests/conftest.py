@@ -81,7 +81,7 @@ def scattered_index_sets(draw, q: int, max_entry: int = 4, max_size: int = 40) -
             grown.append(raised)
     rest = draw(st.permutations(grown[1:]))
     keep = draw(st.lists(st.booleans(), min_size=len(rest), max_size=len(rest)))
-    return sg.MultiIndexSet(q=q, indices=(zero, *(idx for idx, k in zip(rest, keep) if k)))
+    return sg.MultiIndexSet(np.array([zero, *(idx for idx, k in zip(rest, keep) if k)]))
 
 
 def band_limited_input(seed: int, tau: float = 3.0):

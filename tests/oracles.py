@@ -2,9 +2,10 @@
 Gauss and Smolyak quadrature over the parameter domain, expectation
 tensors by quadrature, Galerkin assembly by quadrature sums and by the
 per-index loops and Kronecker sums the package's array assembly must
-match bitwise, the transfer-function moments that Krylov reduction must
-match, a circuit's transfer function by plain nodal analysis, and a dense
-system's transfer function by one LU solve per frequency."""
+match bitwise, basis evaluation by a loop over the multi-indices, the
+transfer-function moments that Krylov reduction must match, a circuit's
+transfer function by plain nodal analysis, and a dense system's transfer
+function by one LU solve per frequency."""
 
 import itertools
 import math
@@ -17,7 +18,15 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from sgmor.circuits import CircuitNetlist
-from sgmor.basis import DEFAULT_SIZE_LIMIT, BasisSpec, Distribution1D, MultiIndexSet, SizingError, eval_basis_matrix
+from sgmor.basis import (
+    DEFAULT_SIZE_LIMIT,
+    BasisSpec,
+    Distribution1D,
+    MultiIndexSet,
+    SizingError,
+    _univariate_table,
+    eval_basis_matrix,
+)
 from sgmor.descriptor import DescriptorSystem
 from sgmor.galerkin import GalerkinSystem, ParametricSystem
 from sgmor.solver import factor_pencil
@@ -183,10 +192,23 @@ def partners_by_dict(iset: MultiIndexSet) -> np.ndarray:
     """Position of alpha + e_ell for each multi-index alpha (row) and
     dimension ell (column), found one tuple at a time in a dict; -1 where
     the set does not hold it."""
-    pos = {idx: i for i, idx in enumerate(iset.indices)}
+    indices = list(map(tuple, iset.array.tolist()))
+    pos = {idx: i for i, idx in enumerate(indices)}
     return np.array(
-        [[pos.get(idx[:ell] + (idx[ell] + 1,) + idx[ell + 1 :], -1) for ell in range(iset.q)] for idx in iset.indices]
+        [[pos.get(idx[:ell] + (idx[ell] + 1,) + idx[ell + 1 :], -1) for ell in range(iset.q)] for idx in indices]
     )
+
+
+def eval_basis_matrix_loop(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
+    """Every basis function at every point, (n_points, m): one multi-index
+    at a time, the product of its nonzero degrees' univariate values."""
+    tables = _univariate_table(spec, points)
+    out = np.ones((points.shape[0], spec.m))
+    for i, idx in enumerate(map(tuple, spec.index_set.array.tolist())):
+        for ell, j in enumerate(idx):
+            if j:
+                out[:, i] *= tables[ell][:, j]
+    return out
 
 
 def moment_matrix_loop(spec: BasisSpec, dim: int) -> sp.csr_matrix:
@@ -194,9 +216,10 @@ def moment_matrix_loop(spec: BasisSpec, dim: int) -> sp.csr_matrix:
     multi-index to its position finds alpha + e_dim, one index at a time."""
     dist = spec.distributions[dim]
     b = spec.recurrence_offdiag
-    pos = {idx: i for i, idx in enumerate(spec.index_set.indices)}
+    indices = list(map(tuple, spec.index_set.array.tolist()))
+    pos = {idx: i for i, idx in enumerate(indices)}
     rows, cols, vals = [], [], []
-    for i, idx in enumerate(spec.index_set.indices):
+    for i, idx in enumerate(indices):
         j = idx[dim]
         rows.append(i)
         cols.append(i)

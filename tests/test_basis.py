@@ -11,7 +11,14 @@ import sgmor as sg
 from sgmor.basis import DomainError, SizingError, eval_expansion
 
 from conftest import scattered_index_sets
-from oracles import _compositions, build_quadrature, expectation_tensors, partners_by_dict, univariate_rule
+from oracles import (
+    _compositions,
+    build_quadrature,
+    eval_basis_matrix_loop,
+    expectation_tensors,
+    partners_by_dict,
+    univariate_rule,
+)
 
 
 def uniform_spec(bounds, q, d):
@@ -21,7 +28,7 @@ def uniform_spec(bounds, q, d):
 class TestIndexSet:
     def test_low_order_enumeration(self):
         iset = sg.build_index_set(2, 1)
-        assert iset.indices == ((0, 0), (1, 0), (0, 1))
+        assert iset.array.tolist() == [[0, 0], [1, 0], [0, 1]]
 
     def test_benchmark_cardinality(self):
         assert len(sg.build_index_set(21, 3)) == 2024
@@ -37,7 +44,7 @@ class TestIndexSet:
         ]
         iset = sg.build_index_set(3, 2)
         assert len(iset) == 10
-        assert set(iset.indices) == set(brute)
+        assert set(map(tuple, iset.array.tolist())) == set(brute)
 
     @given(q=st.integers(1, 25), d=st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
@@ -47,8 +54,8 @@ class TestIndexSet:
 
     def test_zero_index_first_no_duplicates(self):
         iset = sg.build_index_set(4, 3)
-        assert iset.indices[0] == (0, 0, 0, 0)
-        assert len(set(iset.indices)) == len(iset)
+        assert iset.array[0].tolist() == [0, 0, 0, 0]
+        assert len(set(map(tuple, iset.array.tolist()))) == len(iset)
 
     def test_graded_order(self):
         degrees = sg.build_index_set(5, 4).total_degrees()
@@ -64,21 +71,32 @@ class TestIndexSet:
         # the stars-and-bars enumeration of the compositions of each degree
         expect = tuple(c for deg in range(d + 1) for c in _compositions(deg, q))
         iset = sg.build_index_set(q, d)
-        assert iset.indices == expect
         assert iset.array.dtype == np.int64 and iset.array.tolist() == [list(c) for c in expect]
 
     @pytest.mark.parametrize(
         "indices, message",
         [
-            (((0, 0), (1,)), "must have q=2 entries"),
-            (((0, 0), (1, -1)), "non-negative"),
-            (((1, 0),), "zero index"),
-            (((0, 0), (1, 0), (1, 0)), "duplicate"),
+            (np.zeros(2, dtype=np.int64), "2-D"),
+            (np.array([[0, 0], [1, -1]]), "non-negative"),
+            (np.array([[1, 0]]), "zero index"),
+            (np.array([[0, 0], [1, 0], [1, 0]]), "duplicate"),
+            (np.zeros((1, 2, 1), dtype=np.int64), "2-D"),
+            (np.zeros((0, 2), dtype=np.int64), "nonempty"),
+            (np.array([[0, 0], [0, 300], [1, 0], [0, 300]]), "duplicate"),
         ],
     )
     def test_invalid_sets_rejected(self, indices, message):
         with pytest.raises(ValueError, match=message):
-            sg.MultiIndexSet(q=2, indices=indices)
+            sg.MultiIndexSet(indices)
+
+    def test_array_is_a_read_only_copy(self):
+        given = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int32)
+        iset = sg.MultiIndexSet(given)
+        given[1, 0] = 2
+        assert iset.array.dtype == np.int64 and iset.array.tolist() == [[0, 0], [1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="read-only"):
+            iset.array[1, 0] = 2
+        assert iset == sg.build_index_set(2, 1) and iset != sg.build_index_set(2, 2)
 
 
 class TestPartners:
@@ -104,7 +122,7 @@ class TestPartners:
             for deg in range(7)
             for c in _compositions(deg, 3)
         ]
-        iset = sg.MultiIndexSet(q=21, indices=tuple(indices))
+        iset = sg.MultiIndexSet(np.array(indices))
         partners = iset.partners
         assert np.array_equal(partners, partners_by_dict(iset))
         top = indices.index(tuple(6 if ell == 20 else 0 for ell in range(21)))
@@ -204,9 +222,22 @@ class TestEvalBasis:
 
     def test_product_structure(self):
         spec = uniform_spec([(-1, 1), (-1, 1)], 2, 2)
-        pos = spec.index_set.indices.index((1, 1))
+        pos = spec.index_set.array.tolist().index([1, 1])
         vals = sg.eval_basis_matrix(spec, np.array([1.0, 1.0]))[0]
         assert abs(vals[pos] - 3.0) < 1e-13
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_bitwise_equal_to_index_loop(self, d):
+        spec = uniform_spec([(0, 1), (2, 3), (-1, 1)], 3, d)
+        P = spec.sample(200, np.random.default_rng(d))
+        assert np.array_equal(sg.eval_basis_matrix(spec, P), eval_basis_matrix_loop(spec, P))
+
+    @given(data=st.data(), q=st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_scattered_sets_bitwise_equal_to_index_loop(self, data, q):
+        spec = sg.BasisSpec.uniform([(-1.0, 2.0)] * q, data.draw(scattered_index_sets(q)))
+        P = spec.sample(20, np.random.default_rng(q))
+        assert np.array_equal(sg.eval_basis_matrix(spec, P), eval_basis_matrix_loop(spec, P))
 
     def test_domain_error(self):
         spec = uniform_spec([(0, 1)], 1, 2)

@@ -278,10 +278,10 @@ class TestPipeline:
         assert solver["method"] == "gmres-schur"
         assert 1 <= solver["median_iterations"] <= solver["max_iterations"] <= 200
         assert 0.0 <= solver["max_residual"] <= 1e-12
-        # the first series term at s = 0 serves omega = 0, and the mean
-        # pencil's estimate of the reach finds the next point, 1e3, beyond
-        # what a second term solve could pay for
-        assert solver["series_points"] == 1 and solver["series_terms"] == 1
+        # the first series term at s = 0 serves omega = 0; the second,
+        # spent on trust, gives the reach, and the next point, 1e3, lies
+        # beyond what further term solves could pay for
+        assert solver["series_points"] == 1 and solver["series_terms"] == 2
 
     def test_downsize_solver_block(self, run_dir):
         # downsize_sweep [2, 22, 10]; every kept set of the d = 1 ladder has
@@ -293,7 +293,7 @@ class TestPipeline:
             assert s["method"] == "gmres-schur"
             assert s["schur_unknowns"] == 20
             assert 0.0 <= s["max_residual"] <= 1e-12
-            assert s["series_points"] == 1 and s["series_terms"] == 1
+            assert s["series_points"] == 1 and s["series_terms"] == 2
         report = json.loads((out / "report.json").read_text())
         assert report["sparsify_solver"] == sweeps
 
@@ -515,6 +515,9 @@ class TestStaging:
         assert B.dtype == R.dtype and B.shape == R.shape and B.tobytes() == R.tobytes()
         spec, read = gsys.spec, back.spec
         assert read.distributions == spec.distributions and read.index_set == spec.index_set
+        meta = json.loads((out / "basis_map.json").read_text())
+        assert meta["output_rows"] == sg.build_index_set(meta["q"], meta["degree"]).array.tolist()
+        assert meta["output_rows"] == read.index_set.array.tolist()
         assert read.recurrence_offdiag.tobytes() == spec.recurrence_offdiag.tobytes()
         assert back.block_dim == gsys.block_dim and back.selection is None
 

@@ -620,16 +620,22 @@ class TestRestrictedCoupling:
         shifted.solve(b)
         assert len(formed) == 1
         # Arnoldi's solves at s0 and the Taylor series' term solves at s = 0
-        # form G once each; a sweep above the series' reach, whose every
-        # shift serves one solve, never
+        # form G once each, on a grid above the series' reach too, where
+        # the two terms spent on trust are all it solves; a sweep without
+        # the series, whose every shift serves one solve, never
+        above_reach = sg.FrequencyGrid.logspaced(4, 10, 4, False)
         for run, expected in (
             (lambda: sg.arnoldi_reduce(bench_galerkin_d1, 5e5, 10), 1),
             (lambda: sg.sample_transfer(bench_galerkin_d1, sg.FrequencyGrid.logspaced(-2, 4, 10)), 1),
-            (lambda: sg.sample_transfer(bench_galerkin_d1, sg.FrequencyGrid.logspaced(4, 10, 4, False)), 0),
+            (lambda: sg.sample_transfer(bench_galerkin_d1, above_reach), 1),
         ):
             formed.clear()
             run()
             assert len(formed) == expected
+        monkeypatch.setattr(hardy, "SERIES_MAX_TERMS", 0)
+        formed.clear()
+        sg.sample_transfer(bench_galerkin_d1, above_reach)
+        assert formed == []
 
 
 def superlu_samples(sys, omegas):
@@ -683,13 +689,13 @@ class TestTaylorSeries:
         assert stats.series_points == 0 and stats.iterations == []
 
     def test_grid_above_reach_is_the_plain_sweep(self, bench_galerkin_d1):
-        # one term solve, after which the mean pencil's estimate of the reach
-        # stops the series before a second; then every point is solved by
-        # one ShiftedSolver moved from frequency to frequency
+        # two term solves, spent on trust, after which rho says the series
+        # cannot pay; then every point is solved by one ShiftedSolver moved
+        # from frequency to frequency, bitwise as with no series
         grid = sg.FrequencyGrid.logspaced(4, 10, 4, include_zero=False)
         stats = SolverStats()
         H = sg.sample_transfer(bench_galerkin_d1, grid, stats)
-        assert stats.series_points == 0 and len(stats.series_terms) == 1
+        assert stats.series_points == 0 and len(stats.series_terms) == 2
         S = bench_galerkin_d1.system
         plain = SolverStats()
         shifted = galerkin_solver(bench_galerkin_d1, plain)
@@ -697,26 +703,6 @@ class TestTaylorSeries:
             shifted.set_shift(1j * w)
             assert np.array_equal(S.C @ shifted.solve(S.B[:, 0]), H[:, j])
         assert stats.iterations == plain.iterations and stats.residuals == plain.residuals
-
-    def test_reach_estimate_only_stops(self, bench_galerkin_d1, monkeypatch):
-        # on a grid within the series' reach the mean pencil's estimate of
-        # rho is consulted once and changes nothing: the sweep is bitwise the
-        # one without the estimate, which spends the second term on trust
-        grid = sg.FrequencyGrid.logspaced(-2, 4, 10)
-        rates, mean_pencil_rate = [], hardy._mean_pencil_rate
-
-        def spy(split):
-            rates.append(mean_pencil_rate(split))
-            return rates[-1]
-
-        monkeypatch.setattr(hardy, "_mean_pencil_rate", spy)
-        stats = SolverStats()
-        H = sg.sample_transfer(bench_galerkin_d1, grid, stats)
-        assert len(rates) == 1 and 0.0 < rates[0] < np.inf and stats.series_points >= 50
-        monkeypatch.setattr(hardy, "_mean_pencil_rate", lambda split: None)
-        trusted = SolverStats()
-        assert np.array_equal(sg.sample_transfer(bench_galerkin_d1, grid, trusted), H)
-        assert trusted == stats
 
     def test_sweep_serves_a_prefix(self, bench_galerkin_d1, monkeypatch):
         # truncated at 1e-13 instead of the unit round-off, series samples
