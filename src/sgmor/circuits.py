@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 GROUND = "0"
+# an output's feedthrough at s = infinity counts as nonzero above this
+# fraction of the largest algebraic state there; on the built-in ladder it
+# is 1 at node 1 and 0 exactly at every other node
+FEEDTHROUGH_RTOL = 1e-12
 
 
 class NetlistError(ValueError):
@@ -202,14 +206,53 @@ def _check_inductor_loops(netlist: CircuitNetlist) -> None:
         parent[ra] = rb
 
 
+def _check_inductor_cutsets(netlist: CircuitNetlist) -> None:
+    """Reject nodes cut off from ground by inductors alone (a cutset of
+    inductors, structural index > 1; Estevez Schwarz & Tischendorf, Int. J.
+    Circuit Theory Appl. 28, 2000): every node must reach ground or the
+    driven node through capacitors and conductances.  Then the algebraic
+    block A_aa of the pencil, the rows and columns of the node voltages
+    without a capacitor, is nonsingular."""
+    parent: dict[str, str] = {}
+    parent[_find(parent, netlist.input_nodes[0])] = _find(parent, GROUND)
+    for el in netlist.elements:
+        if el.kind != "L":
+            parent[_find(parent, el.node_a)] = _find(parent, el.node_b)
+    root = _find(parent, GROUND)
+    cut = [nd for nd in netlist.nodes() if _find(parent, nd) != root]
+    if cut:
+        raise ModellingError(
+            f"nodes {cut} reach neither ground nor the driven node through capacitors and"
+            " conductances: an inductor cutset"
+        )
+
+
+def _check_feedthrough(psys: ParametricSystem, output_node: str) -> None:
+    """Reject an output with a feedthrough at s = infinity, D = -C_a A_aa^-1 B_a
+    for the nominal system, a the states whose row of E is zero: its H2 norm
+    is infinite.  D counts as nonzero above FEEDTHROUGH_RTOL times the
+    largest algebraic state at s = infinity, x_a = -A_aa^-1 B_a."""
+    E, A, B, C = psys.evaluate(psys.nominal_parameters)
+    a = np.flatnonzero(~E.any(axis=1))
+    x_a = -np.linalg.solve(A[np.ix_(a, a)], B[a, 0])
+    D = C[0, a] @ x_a
+    if abs(D) > FEEDTHROUGH_RTOL * np.abs(x_a).max(initial=0.0):
+        raise ModellingError(
+            f"output node {output_node!r} has the feedthrough D = {D:.6g} at s = infinity:"
+            " its transfer function is not strictly proper"
+        )
+
+
 def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
     """Affine parametric descriptor system from modified nodal analysis.
 
     Unknowns: non-ground node voltages (driven source node eliminated)
     followed by inductor currents.  Each random parameter is uniform on
-    [nominal*(1-tol), nominal*(1+tol)] in element file order.
+    [nominal*(1-tol), nominal*(1+tol)] in element file order.  Inductor
+    loops and cutsets and an output with a feedthrough are rejected.
     """
     _check_inductor_loops(netlist)
+    _check_inductor_cutsets(netlist)
     source = netlist.input_nodes[0]
     if source == GROUND:
         raise ModellingError("source positive terminal cannot be ground")
@@ -264,7 +307,7 @@ def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
     q = len(bounds)
     C0 = np.zeros((1, n))
     C0[0, node_pos[netlist.output_node]] = 1.0
-    return ParametricSystem(
+    psys = ParametricSystem(
         n=n,
         q=q,
         E0=E0,
@@ -280,6 +323,8 @@ def mna_assemble(netlist: CircuitNetlist) -> ParametricSystem:
             [el.nominal for el in netlist.elements if el.tolerance > 0], dtype=float
         ),
     )
+    _check_feedthrough(psys, netlist.output_node)
+    return psys
 
 
 # Built-in low-pass ladder: source -> G1, then alternating L / G series

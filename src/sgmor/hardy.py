@@ -18,6 +18,20 @@ pole at |lambda| = 1.4e4) 24 terms serve the 329 of 722 default grid
 points up to omega of about 2.9e3, each term a real GMRES solve of 2 to 3
 iterations.
 
+A Galerkin system's top band mirrors it, from the expansion about
+s = infinity, x(s) = x_inf + sum_k s^(-k-1) y_k, whose terms are the
+Markov parameters (solver.MarkovSeries; two sparse solves each, through
+SuperLU factors of the blocks E_dd and A_aa, never of sE - A).  It serves
+a suffix of the grid, down to the first point that misses GMRES_RTOL or
+lies beyond the reach of SERIES_MAX_TERMS terms, and never reaches into
+the low band.  Before anything is factored, the same series of the n x n
+mean block estimates the fastest pole, and the band starts only where at
+least SERIES_MAX_TERMS points lie within reach.  On the d = 2 ladder
+(fastest pole at |lambda| = 6.1e5) 24 terms serve the 215 default grid
+points from omega of about 2.7e6 up, and GMRES solves the 178 between the
+bands; at 2 points per decade only 8 points lie in reach, and the band
+declines.
+
 Dense (reduced) systems: one real generalized Schur form, A = Q AA Z^T and
 E = Q BB Z^T with AA quasi-triangular and BB triangular, for the whole grid
 (DescriptorSystem.schur_form, kept on the system, where pencil_spectrum
@@ -48,7 +62,7 @@ import numpy as np
 
 from .descriptor import DescriptorSystem
 from .galerkin import GalerkinSystem
-from .solver import GMRES_RTOL, PoleProximityError, ResidualMissError, ShiftedSolver, SolverStats
+from .solver import GMRES_RTOL, PoleProximityError, ResidualMissError, ShiftedSolver, SolverStats, markov_series
 
 __all__ = ["FrequencyGrid", "HardyNormReport", "sample_transfer", "hardy_norms", "difference_norms"]
 
@@ -155,9 +169,10 @@ def sample_transfer(
     real generalized Schur form ("qz", see the module docstring); `stats`
     records the method and, per frequency, what ShiftedSolver records.  On
     a sparse system the Taylor series at s = 0 serves a prefix of the grid
-    first (_series_band), each of its points with a true relative residual
-    of at most GMRES_RTOL, and every later point is solved as if there were
-    no series.
+    first (_series_band); on a Galerkin system the expansion at s = infinity
+    then serves a suffix (_top_band).  Each of their points has a true
+    relative residual of at most GMRES_RTOL, and every point between them
+    is solved as if there were no bands.
 
     Raises PoleProximityError naming the omega, with `condition` set, where
     i*omega*E - A is singular or ill-conditioned.  Sparse: where
@@ -177,14 +192,19 @@ def sample_transfer(
     solver = ShiftedSolver(S.E, S.A, stats, split)
     out = np.empty((S.n_out, len(grid)), dtype=complex)
     n = _series_band(solver, S, grid.omegas, out)
+    top, top_residuals = len(grid), np.empty(0)
+    stats.top_points = stats.top_terms = 0
+    if split is not None:
+        top, top_residuals = _top_band(split, S, grid.omegas, n, out, stats)
     b = S.B[:, 0].astype(complex)
-    for j, omega in enumerate(grid.omegas[n:], n):
+    for j, omega in enumerate(grid.omegas[n:top], n):
         try:
             solver.set_shift(1j * omega)
             x = solver.solve(b)
         except PoleProximityError as exc:
             raise PoleProximityError(f"pole proximity at omega={omega}: {exc}", exc.condition) from exc
         out[:, j] = S.C @ x
+    _record(stats, top_residuals)
     return out
 
 
@@ -264,13 +284,11 @@ def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray,
             R = (S.A @ D).view(complex)
             R -= ((S.E @ D).view(complex) + (S.E @ x0)[:, None]) * (1j * om)
             R += (b + S.A @ x0)[:, None]
-            res = np.linalg.norm(R, axis=0) / b_norm
-            ok = res <= GMRES_RTOL  # False where NaN
-            n_ok = len(om) if ok.all() else int(np.argmin(ok))
+            res = _gate(R, b_norm)
+            n_ok = len(res)
             out[:, j : j + n_ok] = (S.C @ D).view(complex)[:, :n_ok] + (S.C @ x0)[:, None]
             if solver.split is not None:
-                stats.iterations += [0] * n_ok
-                stats.residuals += res[:n_ok].tolist()
+                _record(stats, res)
             j += n_ok
             if n_ok < len(om):
                 break
@@ -281,6 +299,133 @@ def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray,
     stats.series_points = j
     stats.series_terms = term_stats.iterations if solver.split is not None else [0] * n_terms
     return j
+
+
+def _top_band(split, S: DescriptorSystem, omegas: np.ndarray, lo: int, out: np.ndarray, stats: SolverStats):
+    """The top band of a Galerkin sweep from the expansion at s = infinity,
+    x(s) = x_inf + sum_{k<K} s^(-k-1) y_k (solver.markov_series), the
+    mirror image of _series_band.  Returns (j, residuals): the band serves
+    omegas[j:], never omega = 0 or one of omegas[:lo], and residuals holds
+    their true relative residuals in increasing omega.
+
+    Nothing is factored unless the band can pay.  SERIES_MAX_TERMS terms of
+    the series of the n x n mean block (split.E00 and split.A00, dense)
+    give rho_hat, and the band starts only where at least SERIES_MAX_TERMS
+    points lie above rho_hat * UNIT_ROUNDOFF^(-1 / SERIES_MAX_TERMS), the
+    reach of that many terms; it also declines where either series does
+    not exist.  Terms are then added from the top of the grid down, at most
+    SERIES_MAX_TERMS: K terms serve omega where (rho / omega)^K <=
+    UNIT_ROUNDOFF, and a point that misses its residual target adds a term
+    while the budget allows.  At the cap the first miss, or the first point
+    beyond reach, ends the band.  The first two terms are spent on trust.
+    rho and rho_hat are the geometric mean growth of the term norms over
+    all terms so far: the ratio of two neighbouring terms swings between
+    about 3e5 and 1.1e6 on the ladder, whose fastest poles are a complex
+    pair.
+
+    The terms come in the variable t = scale / s (MarkovSeries.scale),
+    ty_k = y_k / scale^k.  The residual of a point is
+    R(s) = sum_{k<=K} s^(-k) q_k = sum_k t^k tq_k in S's own E and A, with
+    q_0 = b + A x_inf - E y_0, q_k = A y_(k-1) - E y_k, q_K = A y_(K-1) and
+    tq_k = q_k / scale^k; it must be at most GMRES_RTOL ||b||.  x is never
+    summed: the residual of a summed x carries about u ||A|| ||x|| of
+    round-off, up to 6.3e-14 of ||b|| at the bottom of the band on the
+    d = 2 ladder.  Each E_dd and A_aa solve is refined once (MarkovSeries):
+    at 90 % tolerances the unrefined z_0 alone left q_0 at 5.7e-14 ||b||,
+    and no point was served.  The samples are
+    C x_inf + sum_k t^(k+1) C ty_k / scale, so tq ((K + 1) x N) and
+    C ty / scale (n_out x K) are kept, not the terms.  Served samples are
+    written to `out`; the stats get top_points and top_terms.
+    """
+    b = S.B[:, 0]
+    n_top, served = len(omegas), []
+    mean = markov_series(split.E00, split.A00, b[: len(split.E00)], dense=True)
+    if mean is None or SERIES_MAX_TERMS < 2:
+        return n_top, np.empty(0)
+    rho_hat = mean.scale * _growth([np.linalg.norm(mean.next_term()) for _ in range(SERIES_MAX_TERMS)])
+    if np.count_nonzero(omegas[lo:] >= rho_hat * UNIT_ROUNDOFF ** (-1.0 / SERIES_MAX_TERMS)) < SERIES_MAX_TERMS:
+        return n_top, np.empty(0)
+    series = markov_series(S.E, S.A, b)
+    if series is None:
+        return n_top, np.empty(0)
+
+    terms, b_norm = _TopTerms(series, S), np.linalg.norm(b) or 1.0
+    block = max(1, SERIES_BLOCK_BYTES // (16 * S.n))
+    lo = max(lo, int(np.searchsorted(omegas, 0.0, "right")))
+    while n_top > lo:
+        capped = len(terms.norms) == SERIES_MAX_TERMS
+        if len(terms.norms) < 2 or omegas[n_top - 1] < terms.reach():
+            if capped:
+                break
+            terms.add()
+            continue
+        start = max(lo, n_top - block, int(np.searchsorted(omegas, terms.reach())))
+        om = omegas[start:n_top][::-1]  # down from the top
+        R, H = terms.at(om)
+        res = _gate(R, b_norm)
+        n_ok = len(res)
+        out[:, n_top - n_ok : n_top] = H[:, :n_ok][:, ::-1]
+        served.append(res)
+        n_top -= n_ok
+        if n_ok < len(om):
+            if capped:
+                break
+            terms.add()
+    stats.top_points, stats.top_terms = len(omegas) - n_top, len(terms.norms)
+    return n_top, np.concatenate(served)[::-1] if served else np.empty(0)
+
+
+class _TopTerms:
+    """What the top band keeps of the terms y_k of a MarkovSeries `series`
+    of the system S, in its variable t = scale / s (see _top_band): tq and
+    C ty / scale, and the norms of the terms added so far."""
+
+    def __init__(self, series, S: DescriptorSystem):
+        self.series, self.S, self.norms = series, S, []
+        self.tq = np.empty((SERIES_MAX_TERMS + 1, S.n))
+        self.tq[0] = S.B[:, 0] + S.A @ series.x_inf
+        self.Cy = np.empty((S.n_out, SERIES_MAX_TERMS))
+        self.Cx = S.C @ series.x_inf
+
+    def add(self) -> None:
+        S, k, scale = self.S, len(self.norms), self.series.scale
+        y = self.series.next_term()
+        self.tq[k] -= S.E @ y
+        self.tq[k + 1] = (S.A @ y) / scale
+        self.Cy[:, k] = (S.C @ y) / scale
+        self.norms.append(np.linalg.norm(y))
+
+    def reach(self) -> float:
+        """The smallest omega the terms so far serve."""
+        return self.series.scale * _growth(self.norms) * UNIT_ROUNDOFF ** (-1.0 / len(self.norms))
+
+    def at(self, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The residuals R(i omega) (N x c) and samples (n_out x c) of the
+        terms so far at each omega > 0."""
+        k = np.arange(len(self.norms) + 1)
+        powers = (self.series.scale / omegas)[None, :] ** k[:, None] * _I_POWERS[-k % 4, None]  # t^k
+        R = (self.tq[: len(k)].T @ powers.view(float)).view(complex)
+        H = (self.Cy[:, : len(k) - 1] @ powers[1:].view(float)).view(complex) + self.Cx[:, None]
+        return R, H
+
+
+def _growth(norms: list) -> float:
+    """The geometric mean ratio of neighbouring term norms, 0 where the first is 0."""
+    return (norms[-1] / norms[0]) ** (1.0 / (len(norms) - 1)) if norms[0] else 0.0
+
+
+def _gate(R: np.ndarray, b_norm: float) -> np.ndarray:
+    """The true relative residuals ||R[:, j]|| / ||b|| of a block of series
+    samples, cut before the first above GMRES_RTOL: the points served."""
+    res = np.linalg.norm(R, axis=0) / b_norm
+    ok = res <= GMRES_RTOL  # False where NaN
+    return res if ok.all() else res[: int(np.argmin(ok))]
+
+
+def _record(stats: SolverStats, residuals: np.ndarray) -> None:
+    """Record served series samples as GMRES-route solves of 0 iterations."""
+    stats.iterations += [0] * len(residuals)
+    stats.residuals += residuals.tolist()
 
 
 def _series_at(terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:

@@ -36,6 +36,19 @@ refine x to about sparse-LU accuracy.  One Krylov workspace, iterate and
 residual serve all the solver's shifts of one dtype; the Arnoldi step is
 classical Gram-Schmidt run twice, and Givens rotations end a cycle at a
 tenth of the outer target.
+
+Index-1 split (MarkovSeries).  Far above the pencil's poles the solution
+of (sE - A) x = b is its expansion about s = infinity,
+x(s) = x_inf + sum_k s^(-k-1) y_k, whose terms are the Markov parameters
+(the moments about infinity).  They come from the split of the states
+into a, the states whose row of E is zero, which must also be E's zero
+columns, and d, the others: x_inf = [0; -A_aa^-1 b_a] and y_k = [z_k; w_k]
+with w_k = -A_aa^-1 A_ad z_k, E_dd z_0 = b_d + A_da x_a_inf and
+E_dd z_(k+1) = A_dd z_k + A_da w_k.  E_dd and A_aa are factored once, by
+SuperLU, so that a term costs one solve with each, refined once.  On the
+d = 2 ladder they have 3289 and 1771 states and 7150 and 3898 nonzeros in
+L + U, and they factor in about 1.3 and 0.7 ms.  The shifted pencil sE - A
+of a Galerkin system is still never factored.
 """
 
 from __future__ import annotations
@@ -49,7 +62,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["PoleProximityError", "ResidualMissError", "SolverStats", "ShiftedSolver", "factor_pencil"]
+__all__ = [
+    "PoleProximityError",
+    "ResidualMissError",
+    "SolverStats",
+    "ShiftedSolver",
+    "factor_pencil",
+    "markov_series",
+]
 
 RESIDUAL_RTOL = 1e-12  # largest true relative residual a GMRES sample may have
 # GMRES's own target sits below RESIDUAL_RTOL, near the round-off floor of
@@ -118,6 +138,73 @@ def factor_pencil(E, A, shift, *, symmetric_mode: bool = False) -> Callable[[np.
     return factors.solve
 
 
+def markov_series(E, A, b: np.ndarray, *, dense: bool = False) -> MarkovSeries | None:
+    """The expansion of the solution of (sE - A) x = b about s = infinity
+    (see the module docstring), or None where E's zero rows are not its
+    zero columns or E_dd or A_aa is singular.  E and A are sparse, or dense
+    where `dense` is set: then E_dd and A_aa are inverted, not factored."""
+    zero_rows, zero_cols = (np.asarray(abs(E).sum(axis=axis)).ravel() == 0 for axis in (1, 0))
+    if not np.array_equal(zero_rows, zero_cols):
+        return None
+    try:
+        return MarkovSeries(E, A, b, np.flatnonzero(zero_rows), dense)
+    except (RuntimeError, np.linalg.LinAlgError):  # SuperLU's and numpy's singular factor
+        return None
+
+
+class MarkovSeries:
+    """x(s) = x_inf + sum_k s^(-k-1) y_k, the solution of (sE - A) x = b
+    about s = infinity, on the split of the states into a, E's zero rows
+    and columns, and d, the others; built by markov_series.
+
+    The terms grow like rho^k, rho the largest pole modulus, and would
+    overflow within a few dozen terms where rho is large, so they are
+    returned in the variable scale / s: next_term() returns the next
+    y_k / scale^k, from y_0 on.  `scale` is the power of two nearest the
+    growth ||y_1|| / ||y_0|| of the first step (1 where that is not a
+    positive number), so the scaling rounds nothing.  x_inf is an N-vector;
+    only the last z_k is kept."""
+
+    def __init__(self, E, A, b: np.ndarray, a: np.ndarray, dense: bool):
+        d = np.setdiff1d(np.arange(len(b)), a)
+        self._a, self._d = a, d
+        self._E_dd, self._A_aa = (_factor_block(M, dense) for M in (E[d][:, d], A[a][:, a]))
+        self._A_d, self._A_ad = A[d], A[a][:, d]
+        self.x_inf = np.zeros(len(b))
+        self.x_inf[a] = -self._A_aa(b[a])
+        self._z = self._E_dd(b[d] + self._A_d @ self.x_inf)
+        y_0 = self._term(self._z)
+        y_0_norm = np.linalg.norm(y_0)
+        growth = np.linalg.norm(self._term(self._E_dd(self._A_d @ y_0))) / y_0_norm if y_0_norm else 0.0
+        self.scale = float(np.exp2(np.round(np.log2(growth)))) if 0.0 < growth < np.inf else 1.0
+
+    def _term(self, z: np.ndarray) -> np.ndarray:
+        """y = [z; w] of a differential part z."""
+        y = np.empty(len(self.x_inf))
+        y[self._d] = z
+        y[self._a] = -self._A_aa(self._A_ad @ z)
+        return y
+
+    def next_term(self) -> np.ndarray:
+        y = self._term(self._z)
+        self._z = self._E_dd(self._A_d @ y) / self.scale
+        return y
+
+
+def _factor_block(M, dense: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """A solve with the square block M: its inverse where dense, else
+    SuperLU with one step of iterative refinement."""
+    if dense:
+        return np.linalg.inv(M).__matmul__
+    lu = spla.splu(M.tocsc())
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        x = lu.solve(v)
+        return x + lu.solve(v - M @ x)
+
+    return solve
+
+
 @dataclass
 class SolverStats:
     """How sample_transfer solved each frequency, or arnoldi_reduce each
@@ -134,8 +221,10 @@ class SolverStats:
     A frequency sweep of a sparse system also sets `series_points`, the
     frequencies the series served, and `series_terms`, the GMRES iterations
     of each term solve at s = 0 (0 on the SuperLU route); term solves
-    appear nowhere else.  Elsewhere both stay None and summary() leaves
-    them out.
+    appear nowhere else.  It sets `top_points` and `top_terms` too, the
+    frequencies the expansion at s = infinity served and the terms it took
+    (both 0 where the sweep had no top band).  Elsewhere these stay None
+    and summary() leaves them out.
     """
 
     method: str = ""
@@ -144,6 +233,8 @@ class SolverStats:
     schur_unknowns: int | None = None
     series_points: int | None = None
     series_terms: list[int] | None = None
+    top_points: int | None = None
+    top_terms: int | None = None
 
     def summary(self) -> dict:
         its = self.iterations
@@ -159,6 +250,8 @@ class SolverStats:
             summary["series_points"] = self.series_points
             summary["series_terms"] = len(self.series_terms)
             summary["series_iterations"] = sum(self.series_terms)
+            summary["top_points"] = self.top_points
+            summary["top_terms"] = self.top_terms
         return summary
 
 

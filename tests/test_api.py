@@ -219,9 +219,10 @@ def test_factorizations_only_in_factor_pencil():
     # factor_pencil is the one place that factors a pencil, by SuperLU alone,
     # and SuperLU's symmetric mode, good at the transient's real shift 2/h
     # but not at a sweep's complex shifts, is asked for by simulate_transient
-    # alone
+    # alone.  The expansion at s = infinity factors the blocks E_dd and A_aa
+    # of a pencil, never a shifted pencil, in _factor_block
     factorizations = {where for where, call in SOURCE_CALLS if _callee(call) == "splu"}
-    assert factorizations == {"solver:factor_pencil"}, sorted(factorizations)
+    assert factorizations == {"solver:factor_pencil", "solver:_factor_block"}, sorted(factorizations)
     assert not [where for where, call in SOURCE_CALLS if _callee(call) == "lu_factor"]
     symmetric = {
         where

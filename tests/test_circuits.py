@@ -1,6 +1,7 @@
 """Netlist parsing and modified nodal analysis."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,33 @@ class TestMnaAssemble:
         with pytest.raises(ModellingError, match="inductor-only loop"):
             sg.mna_assemble(sg.parse_netlist(text))
 
+    @pytest.mark.parametrize(
+        "inductors, cut",
+        [
+            ("L1 2 3 1e-3 0.1\nL2 3 0 1e-3 0.1\n", "['3']"),
+            ("L1 2 3 1e-3 0.1\nG2 3 4 1.0 0.1\nL2 4 0 1e-3 0.1\n", "['3', '4']"),
+        ],
+        ids=["one-node", "two-nodes"],
+    )
+    def test_inductor_cutset_rejected(self, inductors, cut):
+        # nodes joined to the rest of the circuit by inductors alone: their
+        # voltages have no equation at s = infinity (index 2)
+        text = "G1 1 2 1.0 0.1\nC1 2 0 1e-6 0.1\n" + inductors + "VIN 1 0\nOUT 2"
+        with pytest.raises(ModellingError, match=re.escape(f"nodes {cut} reach neither ground nor the driven node")):
+            sg.mna_assemble(sg.parse_netlist(text))
+
+    def test_output_feedthrough_rejected(self):
+        # node 1 of the ladder sits between the driven node and an inductor,
+        # so its voltage follows the input at s = infinity: D = 1.  Every
+        # other node has D = 0 and assembles
+        text = lowpass_benchmark_text()
+        with pytest.raises(ModellingError, match="output node '1' has the feedthrough D = 1 at s = infinity"):
+            sg.mna_assemble(sg.parse_netlist(text.replace("OUT 14", "OUT 1")))
+        for node in range(2, 15):
+            psys = sg.mna_assemble(sg.parse_netlist(text.replace("OUT 14", f"OUT {node}")))
+            nominal = psys.system_at(psys.nominal_parameters)
+            assert abs(sg.transfer_eval(nominal, 1j * 1e12)[0, 0]) < 1e-6
+
     def test_output_must_be_internal(self):
         text = "G1 1 2 1.0 0.1\nC1 2 0 1e-6 0.1\nVIN 1 0\nOUT 1"
         with pytest.raises(ModellingError, match="internal"):
@@ -200,8 +228,9 @@ class TestMnaAssemble:
 def random_netlists(draw):
     """Netlist text of a small random RCL circuit driven at `in`: node k > 1
     hangs off ground or an earlier node, then a few more elements join any
-    two nodes, and only conductances touch `in`.  Inductor loops, which MNA
-    rejects, are not excluded here."""
+    two nodes, and only conductances touch `in`.  Inductor loops and
+    cutsets and outputs with a feedthrough, which MNA rejects, are not
+    excluded here."""
     k = draw(st.integers(1, 4))
     internal = [str(i) for i in range(1, k + 1)]
     kinds = st.sampled_from("CLG")

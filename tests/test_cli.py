@@ -282,6 +282,10 @@ class TestPipeline:
         # spent on trust, gives the reach, and the next point, 1e3, lies
         # beyond what further term solves could pay for
         assert solver["series_points"] == 1 and solver["series_terms"] == 2
+        # the grid ends at 1e7: 5 of its points lie within the reach of 24
+        # terms of the expansion at s = infinity, fewer than the 24 the band
+        # needs to start, so there is no top band
+        assert solver["top_points"] == 0 and solver["top_terms"] == 0
 
     def test_downsize_solver_block(self, run_dir):
         # downsize_sweep [2, 22, 10]; every kept set of the d = 1 ladder has
@@ -294,6 +298,7 @@ class TestPipeline:
             assert s["schur_unknowns"] == 20
             assert 0.0 <= s["max_residual"] <= 1e-12
             assert s["series_points"] == 1 and s["series_terms"] == 2
+            assert s["top_points"] == 0 and s["top_terms"] == 0
         report = json.loads((out / "report.json").read_text())
         assert report["sparsify_solver"] == sweeps
 

@@ -342,8 +342,10 @@ class TestGalerkinSampling:
 
     def test_galerkin_route_never_factors(self, desk_galerkin, monkeypatch):
         # a Galerkin pencil is solved by GMRES alone: the sweep with its
-        # series and Arnoldi finish without a factorization, and where every
-        # solve is a near miss (lying_gmres) they raise before reaching one
+        # two bands and Arnoldi finish without factoring a shifted pencil
+        # (the top band factors the blocks E_dd and A_aa alone), and where
+        # every solve is a near miss (lying_gmres) they raise before
+        # reaching one
         def unexpected(*_args, **_kwargs):
             raise AssertionError("factored a Galerkin pencil")
 
@@ -351,7 +353,7 @@ class TestGalerkinSampling:
         grid = sg.FrequencyGrid.default()
         stats = SolverStats()
         sg.sample_transfer(desk_galerkin, grid, stats)
-        assert stats.series_points > 0 and len(stats.iterations) == len(grid)
+        assert stats.series_points > 0 and stats.top_points > 0 and len(stats.iterations) == len(grid)
         assert sg.arnoldi_reduce(desk_galerkin, 1.0, 6).r == 6
         real_gmres = solver._gmres_schur
         monkeypatch.setattr(solver, "_gmres_schur", lambda *args: perturbed_gmres(real_gmres, *args))
@@ -558,7 +560,7 @@ class TestGalerkinSampling:
         if not dense:
             # the series' first term serves omega = 0; the norm ratio that
             # omega = 1 would need takes a second, and 1 lies beyond its reach
-            expected.update(series_points=1, series_terms=2, series_iterations=0)
+            expected.update(series_points=1, series_terms=2, series_iterations=0, top_points=0, top_terms=0)
         assert stats.summary() == expected
 
 
@@ -733,6 +735,110 @@ class TestTaylorSeries:
         H = sg.sample_transfer(as_csr(sys), grid, stats)
         ref = np.column_stack([sys.C @ np.linalg.solve(1j * w * sys.E - sys.A, sys.B[:, 0]) for w in grid.omegas])
         assert np.abs(H - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def ladder_galerkin(tolerance: str, degree: int):
+    """The built-in ladder with every tolerance replaced, at the given degree."""
+    net = sg.parse_netlist(lowpass_benchmark_text().replace(" 0.1\n", f" {tolerance}\n"))
+    psys = sg.mna_assemble(net)
+    return sg.assemble(psys, sg.BasisSpec.uniform(psys.parameter_bounds, sg.build_index_set(psys.q, degree)))
+
+
+class TestTopBand:
+    @pytest.mark.parametrize("case", ["d1", "d2", "d2-at-90-percent", "d2-downsized"])
+    def test_top_band_at_superlu_level(self, case, request):
+        # the band serves the top of the default grid, each sample within
+        # 1e-12 max|H| of one SuperLU factorization per frequency (checked
+        # at every third point of the band).  It takes 215 points from 24
+        # terms on the ladder at 10 %, 185 at 90 %
+        if case == "d2-at-90-percent":
+            gsys = ladder_galerkin("0.9", 2)
+        else:
+            gsys = request.getfixturevalue("bench_galerkin_d1" if case == "d1" else "bench_galerkin_d2")
+        if case == "d2-downsized":
+            gsys = sg.downsize(gsys, Selection(kept=tuple(range(0, gsys.m, 4)), m=gsys.m))
+        grid = sg.FrequencyGrid.default()
+        stats = SolverStats()
+        H = sg.sample_transfer(gsys, grid, stats)
+        band = slice(len(grid) - stats.top_points, None)
+        assert stats.top_points >= 150 and stats.top_terms <= hardy.SERIES_MAX_TERMS
+        assert stats.series_points + stats.top_points < len(grid) == len(stats.iterations)
+        assert stats.iterations[band] == [0] * stats.top_points
+        assert max(stats.residuals[band]) <= hardy.GMRES_RTOL
+        checked = np.arange(len(grid))[band][::3]
+        ref = superlu_samples(gsys.system, grid.omegas[checked])
+        assert np.abs(H[:, checked] - ref).max() <= 1e-12 * np.abs(H).max()
+
+    def test_gated_residual_is_the_true_residual(self, bench_galerkin_d1):
+        # the residual the band gates, summed from tq in double, against
+        # the residual of the represented x, formed term by term and
+        # multiplied out in np.longdouble on the dense system: they part by
+        # the round-off of forming tq, below a fifth of GMRES_RTOL, at 6
+        # terms (residuals from 2e-3 down) and at 24
+        S = bench_galerkin_d1.system
+        b = S.B[:, 0]
+        E, A = (S.E.toarray().astype(np.longdouble), S.A.toarray().astype(np.longdouble))
+        omegas = np.logspace(6.5, 10, 8)
+        for K in (6, 24):
+            terms = hardy._TopTerms(solver.markov_series(S.E, S.A, b), S)
+            for _ in range(K):
+                terms.add()
+            gated = np.linalg.norm(terms.at(omegas)[0], axis=0) / np.linalg.norm(b)
+            series = solver.markov_series(S.E, S.A, b)
+            Y = np.array([series.next_term() for _ in range(K)], dtype=np.longdouble)
+            scale = np.longdouble(series.scale)
+            exact = []
+            for w in omegas:
+                s = np.clongdouble(1j) * np.longdouble(w)
+                t = scale / s
+                x = series.x_inf.astype(np.clongdouble) + sum(t ** (k + 1) * Y[k] / scale for k in range(K))
+                r = b.astype(np.longdouble) - (s * (E @ x) - A @ x)
+                exact.append(np.sqrt(np.sum(np.abs(r) ** 2)))
+            exact = np.array(exact, dtype=float) / np.linalg.norm(b)
+            assert np.all(np.abs(gated - exact) <= 0.2 * hardy.GMRES_RTOL), (K, gated, exact)
+        assert gated.max() <= hardy.GMRES_RTOL
+
+    def test_coarse_grid_declines_before_factoring(self, bench_galerkin_d2, monkeypatch):
+        # at 2 points per decade fewer than SERIES_MAX_TERMS points lie in
+        # the reach of the mean block's series, so no block is factored
+        def unexpected(*_args, **_kwargs):
+            raise AssertionError("factored a block for a band that cannot pay")
+
+        grid = sg.FrequencyGrid.logspaced(points_per_decade=2)
+        ref = superlu_samples(bench_galerkin_d2.system, grid.omegas[-8:])
+        monkeypatch.setattr(solver.spla, "splu", unexpected)
+        stats = SolverStats()
+        H = sg.sample_transfer(bench_galerkin_d2, grid, stats)
+        assert stats.top_points == 0 and stats.top_terms == 0
+        assert np.all(np.array(stats.iterations[stats.series_points :]) > 0)
+        assert np.abs(H[:, -8:] - ref).max() <= 1e-12 * np.abs(H).max()
+
+    def test_zero_rows_not_zero_columns_get_no_band(self):
+        # E = [[1, 1], [0, 0]] has a zero row whose column is not zero: the
+        # expansion at s = infinity does not split, and the sweep above the
+        # low band is the plain GMRES sweep, bitwise
+        psys = sg.ParametricSystem(
+            n=2,
+            q=1,
+            E0=np.array([[1.0, 1.0], [0.0, 0.0]]),
+            A0=np.array([[-1.0, 0.0], [0.5, -1.0]]),
+            B0=np.array([1.0, 0.0]),
+            C0=np.array([[1.0, 1.0]]),
+            A_terms=[0.1 * np.eye(2)],
+        )
+        gsys = sg.assemble(psys, sg.BasisSpec.uniform([(-1.0, 1.0)], sg.build_index_set(1, 2)))
+        assert solver.markov_series(gsys.system.E, gsys.system.A, gsys.system.B[:, 0]) is None
+        grid = sg.FrequencyGrid.default()
+        stats = SolverStats()
+        H = sg.sample_transfer(gsys, grid, stats)
+        n = stats.series_points
+        assert stats.top_points == 0 and stats.top_terms == 0 and n < len(grid)
+        S, plain = gsys.system, SolverStats()
+        shifted = galerkin_solver(gsys, plain)
+        for j, w in enumerate(grid.omegas[n:], n):
+            shifted.set_shift(1j * w)
+            assert np.array_equal(S.C @ shifted.solve(S.B[:, 0]), H[:, j])
+        assert stats.iterations[n:] == plain.iterations and stats.residuals[n:] == plain.residuals
 
 
 class TestHardyNorms:
