@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .galerkin import ParametricSystem
+from .solver import index1_split
 
 __all__ = [
     "CircuitElement",
@@ -228,15 +229,17 @@ def _check_inductor_cutsets(netlist: CircuitNetlist) -> None:
 
 
 def _check_feedthrough(psys: ParametricSystem, output_node: str) -> None:
-    """Reject an output with a feedthrough at s = infinity, D = -C_a A_aa^-1 B_a
-    for the nominal system, a the states whose row of E is zero: its H2 norm
-    is infinite.  D counts as nonzero above FEEDTHROUGH_RTOL times the
-    largest algebraic state at s = infinity, x_a = -A_aa^-1 B_a."""
-    E, A, B, C = psys.evaluate(psys.nominal_parameters)
-    a = np.flatnonzero(~E.any(axis=1))
-    x_a = -np.linalg.solve(A[np.ix_(a, a)], B[a, 0])
-    D = C[0, a] @ x_a
-    if abs(D) > FEEDTHROUGH_RTOL * np.abs(x_a).max(initial=0.0):
+    """Reject an output with a feedthrough at s = infinity, D = C x_inf for
+    the nominal system, x_inf = [0; -A_aa^-1 B_a] on the index-1 split
+    (solver.index1_split): its H2 norm is infinite.  D counts as nonzero
+    above FEEDTHROUGH_RTOL times the largest entry of x_inf."""
+    S = psys.system_at(psys.nominal_parameters)
+    split = index1_split(S)
+    if split is None:
+        raise ModellingError("the pencil's algebraic block A_aa is singular: its index is above 1")
+    x_inf = split[-1]
+    D = S.C[0] @ x_inf
+    if abs(D) > FEEDTHROUGH_RTOL * np.abs(x_inf).max(initial=0.0):
         raise ModellingError(
             f"output node {output_node!r} has the feedthrough D = {D:.6g} at s = infinity:"
             " its transfer function is not strictly proper"

@@ -339,13 +339,14 @@ def _top_band(split, S: DescriptorSystem, omegas: np.ndarray, lo: int, out: np.n
     """
     b = S.B[:, 0]
     n_top, served = len(omegas), []
-    mean = markov_series(split.E00, split.A00, b[: len(split.E00)], dense=True)
+    n = len(split.E00)
+    mean = markov_series(DescriptorSystem(split.E00, split.A00, S.B[:n], S.C[:1, :n]))
     if mean is None or SERIES_MAX_TERMS < 2:
         return n_top, np.empty(0)
     rho_hat = mean.scale * _growth([np.linalg.norm(mean.next_term()) for _ in range(SERIES_MAX_TERMS)])
     if np.count_nonzero(omegas[lo:] >= rho_hat * UNIT_ROUNDOFF ** (-1.0 / SERIES_MAX_TERMS)) < SERIES_MAX_TERMS:
         return n_top, np.empty(0)
-    series = markov_series(S.E, S.A, b)
+    series = markov_series(S)
     if series is None:
         return n_top, np.empty(0)
 

@@ -37,15 +37,17 @@ residual serve all the solver's shifts of one dtype; the Arnoldi step is
 classical Gram-Schmidt run twice, and Givens rotations end a cycle at a
 tenth of the outer target.
 
-Index-1 split (MarkovSeries).  Far above the pencil's poles the solution
-of (sE - A) x = b is its expansion about s = infinity,
+Index-1 split (index1_split, MarkovSeries).  Far above the pencil's
+poles the solution of (sE - A) x = b is its expansion about s = infinity,
 x(s) = x_inf + sum_k s^(-k-1) y_k, whose terms are the Markov parameters
 (the moments about infinity).  They come from the split of the states
 into a, the states whose row of E is zero, which must also be E's zero
 columns, and d, the others: x_inf = [0; -A_aa^-1 b_a] and y_k = [z_k; w_k]
 with w_k = -A_aa^-1 A_ad z_k, E_dd z_0 = b_d + A_da x_a_inf and
-E_dd z_(k+1) = A_dd z_k + A_da w_k.  E_dd and A_aa are factored once, by
-SuperLU, so that a term costs one solve with each, refined once.  On the
+E_dd z_(k+1) = A_dd z_k + A_da w_k.  C x_inf is the system's feedthrough
+D.  On a sparse system E_dd and A_aa are factored once, by SuperLU, so
+that a term costs one solve with each, refined once; a dense system's
+blocks are inverted.  On the
 d = 2 ladder they have 3289 and 1771 states and 7150 and 3898 nonzeros in
 L + U, and they factor in about 1.3 and 0.7 ms.  The shifted pencil sE - A
 of a Galerkin system is still never factored.
@@ -68,6 +70,7 @@ __all__ = [
     "SolverStats",
     "ShiftedSolver",
     "factor_pencil",
+    "index1_split",
     "markov_series",
 ]
 
@@ -138,45 +141,66 @@ def factor_pencil(E, A, shift, *, symmetric_mode: bool = False) -> Callable[[np.
     return factors.solve
 
 
-def markov_series(E, A, b: np.ndarray, *, dense: bool = False) -> MarkovSeries | None:
-    """The expansion of the solution of (sE - A) x = b about s = infinity
-    (see the module docstring), or None where E's zero rows are not its
-    zero columns or E_dd or A_aa is singular.  E and A are sparse, or dense
-    where `dense` is set: then E_dd and A_aa are inverted, not factored."""
+def index1_split(S):
+    """The index-1 split of (sE - A) x = b of the DescriptorSystem S, b its
+    first input column (see the module docstring): (a, d, a solve with A_aa,
+    x_inf), or None where E's zero rows are not its zero columns or A_aa is
+    singular.  Blocks of a dense system are inverted, those of a sparse one
+    factored (_factor_block)."""
+    E, b = S.E, S.B[:, 0]
     zero_rows, zero_cols = (np.asarray(abs(E).sum(axis=axis)).ravel() == 0 for axis in (1, 0))
     if not np.array_equal(zero_rows, zero_cols):
         return None
+    a, d = np.flatnonzero(zero_rows), np.flatnonzero(~zero_rows)
     try:
-        return MarkovSeries(E, A, b, np.flatnonzero(zero_rows), dense)
+        solve_aa = _factor_block(S.A[a][:, a], S.is_sparse)
     except (RuntimeError, np.linalg.LinAlgError):  # SuperLU's and numpy's singular factor
+        return None
+    x_inf = np.zeros(len(b))
+    x_inf[a] = -solve_aa(b[a])
+    return a, d, solve_aa, x_inf
+
+
+def markov_series(S) -> MarkovSeries | None:
+    """The expansion of the solution of (sE - A) x = b of the
+    DescriptorSystem S, b its first input column, about s = infinity (see
+    the module docstring), or None where the pencil has no index-1 split
+    (index1_split) or E_dd is singular."""
+    split = index1_split(S)
+    if split is None:
+        return None
+    try:
+        return MarkovSeries(S, split)
+    except (RuntimeError, np.linalg.LinAlgError):
         return None
 
 
 class MarkovSeries:
     """x(s) = x_inf + sum_k s^(-k-1) y_k, the solution of (sE - A) x = b
-    about s = infinity, on the split of the states into a, E's zero rows
-    and columns, and d, the others; built by markov_series.
+    about s = infinity, on the index-1 split of the states into a, E's
+    zero rows and columns, and d, the others; built by markov_series.
 
     The terms grow like rho^k, rho the largest pole modulus, and would
     overflow within a few dozen terms where rho is large, so they are
     returned in the variable scale / s: next_term() returns the next
     y_k / scale^k, from y_0 on.  `scale` is the power of two nearest the
     growth ||y_1|| / ||y_0|| of the first step (1 where that is not a
-    positive number), so the scaling rounds nothing.  x_inf is an N-vector;
-    only the last z_k is kept."""
+    positive number), so the scaling rounds nothing; the y_0 and y_1 formed
+    to choose it are the first two terms returned.  x_inf is an N-vector;
+    only the last term is kept."""
 
-    def __init__(self, E, A, b: np.ndarray, a: np.ndarray, dense: bool):
-        d = np.setdiff1d(np.arange(len(b)), a)
+    def __init__(self, S, split):
+        a, d, self._A_aa, self.x_inf = split
         self._a, self._d = a, d
-        self._E_dd, self._A_aa = (_factor_block(M, dense) for M in (E[d][:, d], A[a][:, a]))
-        self._A_d, self._A_ad = A[d], A[a][:, d]
-        self.x_inf = np.zeros(len(b))
-        self.x_inf[a] = -self._A_aa(b[a])
-        self._z = self._E_dd(b[d] + self._A_d @ self.x_inf)
-        y_0 = self._term(self._z)
+        self._E_dd = _factor_block(S.E[d][:, d], S.is_sparse)
+        self._A_d, self._A_ad = S.A[d], S.A[a][:, d]
+        b = S.B[:, 0]
+        y_0 = self._term(self._E_dd(b[d] + self._A_d @ self.x_inf))
+        y_1 = self._term(self._E_dd(self._A_d @ y_0))
         y_0_norm = np.linalg.norm(y_0)
-        growth = np.linalg.norm(self._term(self._E_dd(self._A_d @ y_0))) / y_0_norm if y_0_norm else 0.0
+        growth = np.linalg.norm(y_1) / y_0_norm if y_0_norm else 0.0
         self.scale = float(np.exp2(np.round(np.log2(growth)))) if 0.0 < growth < np.inf else 1.0
+        self._ahead, self._y = [y_0, y_1 / self.scale], None
 
     def _term(self, z: np.ndarray) -> np.ndarray:
         """y = [z; w] of a differential part z."""
@@ -186,15 +210,18 @@ class MarkovSeries:
         return y
 
     def next_term(self) -> np.ndarray:
-        y = self._term(self._z)
-        self._z = self._E_dd(self._A_d @ y) / self.scale
-        return y
+        if self._ahead:
+            self._y = self._ahead.pop(0)
+        else:
+            self._y = self._term(self._E_dd(self._A_d @ self._y) / self.scale)
+        return self._y
 
 
-def _factor_block(M, dense: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """A solve with the square block M: its inverse where dense, else
-    SuperLU with one step of iterative refinement."""
-    if dense:
+def _factor_block(M, sparse: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """A solve with the square block M of a system's matrix: its inverse on
+    a dense system, SuperLU with one step of iterative refinement on a
+    sparse one."""
+    if not sparse:
         return np.linalg.inv(M).__matmul__
     lu = spla.splu(M.tocsc())
 

@@ -780,11 +780,11 @@ class TestTopBand:
         E, A = (S.E.toarray().astype(np.longdouble), S.A.toarray().astype(np.longdouble))
         omegas = np.logspace(6.5, 10, 8)
         for K in (6, 24):
-            terms = hardy._TopTerms(solver.markov_series(S.E, S.A, b), S)
+            terms = hardy._TopTerms(solver.markov_series(S), S)
             for _ in range(K):
                 terms.add()
             gated = np.linalg.norm(terms.at(omegas)[0], axis=0) / np.linalg.norm(b)
-            series = solver.markov_series(S.E, S.A, b)
+            series = solver.markov_series(S)
             Y = np.array([series.next_term() for _ in range(K)], dtype=np.longdouble)
             scale = np.longdouble(series.scale)
             exact = []
@@ -827,7 +827,7 @@ class TestTopBand:
             A_terms=[0.1 * np.eye(2)],
         )
         gsys = sg.assemble(psys, sg.BasisSpec.uniform([(-1.0, 1.0)], sg.build_index_set(1, 2)))
-        assert solver.markov_series(gsys.system.E, gsys.system.A, gsys.system.B[:, 0]) is None
+        assert solver.markov_series(gsys.system) is None
         grid = sg.FrequencyGrid.default()
         stats = SolverStats()
         H = sg.sample_transfer(gsys, grid, stats)
