@@ -5,32 +5,35 @@ imaginary axis (conjugate symmetry folds the negative axis).
 
 Sparse systems, Galerkin or not, are sampled through one
 solver.ShiftedSolver; its docstring states the solve policy, which
-mor.arnoldi_reduce shares at its real shift.  The low band comes first,
-from the Taylor series x(s) = sum_k s^k x_k at s = 0 (the moments of
-asymptotic waveform evaluation): its terms are real solves at s = 0, added
-only as far as the next grid point needs them and only while they serve as
-many points as they cost.  The series serves a prefix of the grid: each
-point whose series sample has a true residual in the system's own E and A
-of at most GMRES_RTOL, the target of a solved point, up to the first point
-that misses it or lies beyond the series' reach.  From there on the solver
-is moved from frequency to frequency.  On the d = 2 ladder (slowest
-pole at |lambda| = 1.4e4) 24 terms serve the 329 of 722 default grid
-points up to omega of about 2.9e3, each term a real GMRES solve of 2 to 3
-iterations.
+mor.arnoldi_reduce shares at its real shift.  Before it is moved from
+frequency to frequency, series bands serve the two ends of the grid.  The
+low band comes from the Taylor series x(s) = sum_k s^k x_k at s = 0 (the
+moments of asymptotic waveform evaluation), whose terms are real solves at
+s = 0.  A Galerkin system's top band comes from the expansion about s =
+infinity, x(s) = x_inf + sum_k s^(-k-1) y_k, whose terms are the Markov
+parameters (solver.MarkovSeries; two sparse solves each, through SuperLU
+factors of the blocks E_dd and A_aa, never of sE - A).
 
-A Galerkin system's top band mirrors it, from the expansion about
-s = infinity, x(s) = x_inf + sum_k s^(-k-1) y_k, whose terms are the
-Markov parameters (solver.MarkovSeries; two sparse solves each, through
-SuperLU factors of the blocks E_dd and A_aa, never of sE - A).  It serves
-a suffix of the grid, down to the first point that misses GMRES_RTOL or
-lies beyond the reach of SERIES_MAX_TERMS terms, and never reaches into
-the low band.  Before anything is factored, the same series of the n x n
-mean block estimates the fastest pole, and the band starts only where at
-least SERIES_MAX_TERMS points lie within reach.  On the d = 2 ladder
-(fastest pole at |lambda| = 6.1e5) 24 terms serve the 215 default grid
-points from omega of about 2.7e6 up, and GMRES solves the 178 between the
-bands; at 2 points per decade only 8 points lie in reach, and the band
-declines.
+Both bands are one _Series, a truncated series in a variable t = r i^(+-1)
+(r = omega for the low band, scale / omega for the top band), walked in
+increasing r by one _walk: the low band from the bottom of the grid up,
+the top band from the top down, never into the low band.  A series keeps
+the coefficients of its residual and of its outputs, never a summed x, and
+a point keeps its series sample only if the true residual of that sample
+in the system's own E and A is at most GMRES_RTOL, the target of a solved
+point.  Each band serves up to the first point that misses it or lies
+beyond its reach, where a term may be added: K terms reach r where
+(r g)^K <= UNIT_ROUNDOFF, g the geometric mean growth of the term norms.
+The first two terms are spent on trust; after them the low band spends a
+term only where the points it serves pay for it, and the top band, which
+paid for its factorizations, up to SERIES_MAX_TERMS.  The top band starts
+only where the same series of the n x n mean block puts at least
+SERIES_MAX_TERMS points within the reach of that many terms, before
+anything is factored.  On the d = 2 ladder (poles from |lambda| = 1.4e4
+to 6.1e5) 24 terms at each end serve the 330 default grid points up to
+omega of about 2.9e3 and the 215 from about 2.7e6 up, and GMRES solves
+the 177 between the bands; at 2 points per decade only 8 points lie in the
+top band's reach, and it declines.
 
 Dense (reduced) systems: one real generalized Schur form, A = Q AA Z^T and
 E = Q BB Z^T with AA quasi-triangular and BB triangular, for the whole grid
@@ -69,11 +72,12 @@ __all__ = ["FrequencyGrid", "HardyNormReport", "sample_transfer", "hardy_norms",
 # the complex block of outputs the norms take at a time: about 90 outputs of
 # the default 722-point grid, all 253 of d = 2 at 243 points
 NORMS_BLOCK_BYTES = 1 << 20
-# terms of the Taylor series at s = 0 that may serve the low band of a sweep
-# (N x 24 floats: 7.8 MB at d = 3); on the ladder, whose slowest pole sits at
-# |lambda| = 1.4e4, 24 terms reach omega of about 2.9e3
+# terms a series band of a sweep may spend; a band holds (K + 1) x (N + n_out)
+# coefficients for K terms (8.5 MB at d = 3).  On the ladder, whose poles lie
+# from |lambda| = 1.4e4 to 6.1e5, 24 terms reach omega of about 2.9e3 from
+# s = 0 and down to about 2.7e6 from s = infinity
 SERIES_MAX_TERMS = 24
-SERIES_BLOCK_BYTES = 1 << 20  # the N x c complex block of series samples
+SERIES_BLOCK_BYTES = 1 << 20  # the N x c complex block of series residuals
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])  # i^k by k mod 4, exactly
 
@@ -169,7 +173,7 @@ def sample_transfer(
     real generalized Schur form ("qz", see the module docstring); `stats`
     records the method and, per frequency, what ShiftedSolver records.  On
     a sparse system the Taylor series at s = 0 serves a prefix of the grid
-    first (_series_band); on a Galerkin system the expansion at s = infinity
+    first (_low_band); on a Galerkin system the expansion at s = infinity
     then serves a suffix (_top_band).  Each of their points has a true
     relative residual of at most GMRES_RTOL, and every point between them
     is solved as if there were no bands.
@@ -191,7 +195,7 @@ def sample_transfer(
     split = sys.even_odd_split() if isinstance(sys, GalerkinSystem) else None
     solver = ShiftedSolver(S.E, S.A, stats, split)
     out = np.empty((S.n_out, len(grid)), dtype=complex)
-    n = _series_band(solver, S, grid.omegas, out)
+    n = _low_band(solver, S, grid.omegas, out)
     top, top_residuals = len(grid), np.empty(0)
     stats.top_points = stats.top_terms = 0
     if split is not None:
@@ -215,203 +219,197 @@ def _single_input(sys: DescriptorSystem | GalerkinSystem) -> DescriptorSystem:
     return S
 
 
-def _series_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray, out: np.ndarray) -> int:
+def _low_band(solver: ShiftedSolver, S: DescriptorSystem, omegas: np.ndarray, out: np.ndarray) -> int:
     """The low band of a sweep from the Taylor series x(s) = sum_k s^k x_k at s = 0.
 
     The terms solve -A x_0 = b and -A x_k = -E x_{k-1} through `solver` at
-    the real shift 0, so that (sE - A) sum_k s^k x_k = b holds term by term.
-    They are added only as the next grid point needs them: with rho the
-    ratio ||x_k|| / ||x_{k-1}|| of the last two terms, a point at omega
-    needs K terms with (omega rho)^K <= UNIT_ROUNDOFF.  Growing to K terms
-    must not spend more term solves than the points served so far plus the
-    points that K terms reach, and K is at most SERIES_MAX_TERMS.  The
-    first term is spent on trust, and so is the second, which gives rho.
-    Points are evaluated in increasing omega, SERIES_BLOCK_BYTES of samples
-    at a time, each with its true relative residual
-    ||b - (i omega E - A) x|| / ||b|| in S's own E and A.  x is held as
-    x_0 + D, D the terms from x_1 on, and its residual and outputs are
-    those of the two parts: rounding x_0 + D to one vector would add about
-    u ||A|| ||x|| to the residual, 4e-14 to 9e-14 of ||b|| on the d = 2
-    ladder, where x_0's own is what its solve refined (0 there).
-
-    The series serves a prefix of omegas: it stops at the first point above
-    GMRES_RTOL or beyond its reach, and where set_shift or a solve at s = 0
-    raises (then the sweep meets that shift as if there were no series).
-    Each served sample is written to `out` and, on the "gmres-schur" route,
-    recorded in the stats with 0 iterations and its residual; term solves
-    are recorded only in the stats' series_terms.  Returns the number of
+    the real shift 0, so that (sE - A) sum_k s^k x_k = b holds term by term
+    (_taylor_terms).  They are a _Series in t = s, r = omega, walked up from
+    the bottom of the grid (_walk); a term is spent only where it pays
+    (_pays).  The band serves a prefix of omegas, and ends where set_shift
+    or a term solve at s = 0 raises, keeping the points it has served; the
+    sweep then meets the next shift as if there were no band.  Served
+    samples are written to `out` and, on the "gmres-schur" route, recorded
+    in the stats with 0 iterations and their residuals; term solves are
+    recorded only in the stats' series_terms.  Returns the number of
     leading points served.
     """
     stats = solver.stats
-    b = S.B[:, 0]
-    b_norm = np.linalg.norm(b) or 1.0
-    terms = np.empty((SERIES_MAX_TERMS, S.n))
-    n_terms = j = 0
-    norms = []
-    rho = None  # ||x_k|| / ||x_{k-1}|| of the last two terms, None while unknown
-    block = max(1, SERIES_BLOCK_BYTES // (16 * S.n))
-
-    def reach(k: int) -> float:
-        """The largest omega k terms serve, by the current value of rho."""
-        if rho is None:
-            return 0.0 if k else -1.0  # x_0 alone serves omega = 0
-        return UNIT_ROUNDOFF ** (1.0 / k) / rho if rho else np.inf
-
+    series = _Series(S, sign=1)
     solver.stats = term_stats = SolverStats()
     try:
-        solver.set_shift(0.0)
-        while j < len(omegas):
-            if omegas[j] > reach(n_terms):
-                # the terms omega_j needs; one more while rho is unknown
-                k, n_reach = n_terms + 1, len(omegas) - j
-                if rho is not None:
-                    while k <= SERIES_MAX_TERMS and omegas[j] > reach(k):
-                        k += 1
-                    n_reach = np.searchsorted(omegas, reach(k), "right") - j
-                if k > SERIES_MAX_TERMS or k > j + n_reach:
-                    break
-                rhs = b if n_terms == 0 else -(S.E @ terms[n_terms - 1])
-                terms[n_terms] = solver.solve(rhs)
-                norms.append(np.linalg.norm(terms[n_terms]))
-                n_terms += 1
-                if n_terms >= 2:
-                    rho = norms[-1] / norms[-2] if norms[-2] else 0.0
-                continue
-            stop = min(int(np.searchsorted(omegas, reach(n_terms), "right")), j + block)
-            om = omegas[j:stop]
-            # x = x_0 + D, D's real and imaginary parts in adjacent columns
-            x0, D = terms[0], _series_at(terms[1:n_terms], om).view(float)
-            R = (S.A @ D).view(complex)
-            R -= ((S.E @ D).view(complex) + (S.E @ x0)[:, None]) * (1j * om)
-            R += (b + S.A @ x0)[:, None]
-            res = _gate(R, b_norm)
-            n_ok = len(res)
-            out[:, j : j + n_ok] = (S.C @ D).view(complex)[:, :n_ok] + (S.C @ x0)[:, None]
-            if solver.split is not None:
-                _record(stats, res)
-            j += n_ok
-            if n_ok < len(om):
-                break
-    except (PoleProximityError, ResidualMissError):
-        pass
+        n, residuals = _walk(series, _taylor_terms(solver, S), omegas, out, _pays)
     finally:
         solver.stats = stats
-    stats.series_points = j
-    stats.series_terms = term_stats.iterations if solver.split is not None else [0] * n_terms
-    return j
+    if solver.split is not None:
+        _record(stats, residuals)
+    stats.series_points = n
+    stats.series_terms = term_stats.iterations if solver.split is not None else [0] * len(series.norms)
+    return n
+
+
+def _taylor_terms(solver: ShiftedSolver, S: DescriptorSystem):
+    """The terms x_0, x_1, ... of the Taylor series at s = 0, solved as they
+    are asked for; they end where set_shift or a solve at s = 0 raises."""
+    rhs = S.B[:, 0]
+    try:
+        solver.set_shift(0.0)
+        while True:
+            x = solver.solve(rhs)
+            yield x
+            rhs = -(S.E @ x)
+    except (PoleProximityError, ResidualMissError):
+        return
+
+
+def _pays(series: _Series, r: np.ndarray, j: int) -> bool:
+    """The low band's rule for another term: the k terms r[j] needs, at most
+    SERIES_MAX_TERMS, may not be more than the points served so far plus
+    the points k terms reach, so that a grid the series cannot serve costs
+    no more than the two terms spent on trust."""
+    k = len(series.norms) + 1
+    while k <= SERIES_MAX_TERMS and r[j] > series.reach(k):
+        k += 1
+    return k <= SERIES_MAX_TERMS and k <= np.searchsorted(r, series.reach(k), "right")
 
 
 def _top_band(split, S: DescriptorSystem, omegas: np.ndarray, lo: int, out: np.ndarray, stats: SolverStats):
     """The top band of a Galerkin sweep from the expansion at s = infinity,
-    x(s) = x_inf + sum_{k<K} s^(-k-1) y_k (solver.markov_series), the
-    mirror image of _series_band.  Returns (j, residuals): the band serves
-    omegas[j:], never omega = 0 or one of omegas[:lo], and residuals holds
-    their true relative residuals in increasing omega.
+    x(s) = x_inf + sum_k s^(-k-1) y_k (solver.markov_series).  Returns (j,
+    residuals): the band serves omegas[j:], never omega = 0 or one of
+    omegas[:lo], and residuals holds their true relative residuals in
+    increasing omega.
 
     Nothing is factored unless the band can pay.  SERIES_MAX_TERMS terms of
     the series of the n x n mean block (split.E00 and split.A00, dense)
-    give rho_hat, and the band starts only where at least SERIES_MAX_TERMS
-    points lie above rho_hat * UNIT_ROUNDOFF^(-1 / SERIES_MAX_TERMS), the
-    reach of that many terms; it also declines where either series does
-    not exist.  Terms are then added from the top of the grid down, at most
-    SERIES_MAX_TERMS: K terms serve omega where (rho / omega)^K <=
-    UNIT_ROUNDOFF, and a point that misses its residual target adds a term
-    while the budget allows.  At the cap the first miss, or the first point
-    beyond reach, ends the band.  The first two terms are spent on trust.
-    rho and rho_hat are the geometric mean growth of the term norms over
-    all terms so far: the ratio of two neighbouring terms swings between
-    about 3e5 and 1.1e6 on the ladder, whose fastest poles are a complex
-    pair.
+    give their growth g_hat (_growth), and the band starts only where at
+    least SERIES_MAX_TERMS points lie above scale g_hat
+    UNIT_ROUNDOFF^(-1 / SERIES_MAX_TERMS), the reach of that many terms; it
+    also declines where either series does not exist.
 
-    The terms come in the variable t = scale / s (MarkovSeries.scale),
-    ty_k = y_k / scale^k.  The residual of a point is
-    R(s) = sum_{k<=K} s^(-k) q_k = sum_k t^k tq_k in S's own E and A, with
-    q_0 = b + A x_inf - E y_0, q_k = A y_(k-1) - E y_k, q_K = A y_(K-1) and
-    tq_k = q_k / scale^k; it must be at most GMRES_RTOL ||b||.  x is never
-    summed: the residual of a summed x carries about u ||A|| ||x|| of
-    round-off, up to 6.3e-14 of ||b|| at the bottom of the band on the
-    d = 2 ladder.  Each E_dd and A_aa solve is refined once (MarkovSeries):
-    at 90 % tolerances the unrefined z_0 alone left q_0 at 5.7e-14 ||b||,
-    and no point was served.  The samples are
-    C x_inf + sum_k t^(k+1) C ty_k / scale, so tq ((K + 1) x N) and
-    C ty / scale (n_out x K) are kept, not the terms.  Served samples are
+    The terms come in the variable t = scale / s (MarkovSeries.scale) as
+    ty_k = y_k / scale^k, so x = x_inf + sum_k t^(k+1) ty_k / scale is a
+    _Series in t with x_inf its constant, r = scale / omega, walked down
+    from the top of the grid (_walk).  Once the band starts, only the cap
+    SERIES_MAX_TERMS limits its terms: it has paid for its factorizations
+    of E_dd and A_aa, not for its terms.  Each E_dd and A_aa solve is
+    refined once (MarkovSeries): at 90 % tolerances the unrefined z_0 alone
+    left q_0 at 5.7e-14 ||b||, and no point was served.  Served samples are
     written to `out`; the stats get top_points and top_terms.
     """
-    b = S.B[:, 0]
-    n_top, served = len(omegas), []
+    declined = len(omegas), np.empty(0)
     n = len(split.E00)
     mean = markov_series(DescriptorSystem(split.E00, split.A00, S.B[:n], S.C[:1, :n]))
     if mean is None or SERIES_MAX_TERMS < 2:
-        return n_top, np.empty(0)
-    rho_hat = mean.scale * _growth([np.linalg.norm(mean.next_term()) for _ in range(SERIES_MAX_TERMS)])
-    if np.count_nonzero(omegas[lo:] >= rho_hat * UNIT_ROUNDOFF ** (-1.0 / SERIES_MAX_TERMS)) < SERIES_MAX_TERMS:
-        return n_top, np.empty(0)
-    series = markov_series(S)
-    if series is None:
-        return n_top, np.empty(0)
-
-    terms, b_norm = _TopTerms(series, S), np.linalg.norm(b) or 1.0
-    block = max(1, SERIES_BLOCK_BYTES // (16 * S.n))
+        return declined
+    g_hat = _growth([np.linalg.norm(mean.next_term()) for _ in range(SERIES_MAX_TERMS)])
+    if np.count_nonzero(omegas[lo:] >= mean.scale * g_hat * UNIT_ROUNDOFF ** (-1.0 / SERIES_MAX_TERMS)) < SERIES_MAX_TERMS:
+        return declined
+    markov = markov_series(S)
+    if markov is None:
+        return declined
     lo = max(lo, int(np.searchsorted(omegas, 0.0, "right")))
-    while n_top > lo:
-        capped = len(terms.norms) == SERIES_MAX_TERMS
-        if len(terms.norms) < 2 or omegas[n_top - 1] < terms.reach():
-            if capped:
-                break
-            terms.add()
-            continue
-        start = max(lo, n_top - block, int(np.searchsorted(omegas, terms.reach())))
-        om = omegas[start:n_top][::-1]  # down from the top
-        R, H = terms.at(om)
-        res = _gate(R, b_norm)
-        n_ok = len(res)
-        out[:, n_top - n_ok : n_top] = H[:, :n_ok][:, ::-1]
-        served.append(res)
-        n_top -= n_ok
-        if n_ok < len(om):
-            if capped:
-                break
-            terms.add()
-    stats.top_points, stats.top_terms = len(omegas) - n_top, len(terms.norms)
-    return n_top, np.concatenate(served)[::-1] if served else np.empty(0)
+    series = _Series(S, sign=-1, scale=markov.scale, x_inf=markov.x_inf)
+    terms = (markov.next_term() / markov.scale for _ in range(SERIES_MAX_TERMS))
+    # column j of the reversed view of `out` takes the point at r[j]
+    r = markov.scale / omegas[lo:][::-1]
+    served, residuals = _walk(series, terms, r, out[:, lo:][:, ::-1], afford=lambda *_: True)  # the cap alone
+    stats.top_points, stats.top_terms = served, len(series.norms)
+    return len(omegas) - served, residuals[::-1]
 
 
-class _TopTerms:
-    """What the top band keeps of the terms y_k of a MarkovSeries `series`
-    of the system S, in its variable t = scale / s (see _top_band): tq and
-    C ty / scale, and the norms of the terms added so far."""
+class _Series:
+    """A truncated series x(t) = sum_k t^k z_k of the solution of (sE - A) x
+    = b of S, b its first input column, in a variable t with s = scale
+    t^sign: t = s for the low band (sign 1, scale 1), t = scale / s for the
+    top band (sign -1).  At s = i omega, t = r i^sign with r = omega or
+    scale / omega.
 
-    def __init__(self, series, S: DescriptorSystem):
-        self.series, self.S, self.norms = series, S, []
-        self.tq = np.empty((SERIES_MAX_TERMS + 1, S.n))
-        self.tq[0] = S.B[:, 0] + S.A @ series.x_inf
-        self.Cy = np.empty((S.n_out, SERIES_MAX_TERMS))
-        self.Cx = S.C @ series.x_inf
+    It holds the residual R(t) = b - (sE - A) x(t) = sum_k t^k q_k and the
+    outputs C x(t) = sum_k t^k C z_k as one row [q_k; C z_k] per power,
+    (K + 1) x (N + n_out) for K terms, never the terms or a summed x: a
+    term z at power p adds A z into q_p and -scale E z into q_(p + sign),
+    so R is the true residual of the represented x in S's own E and A, up
+    to the round-off of forming the q_k.  The residual of a summed x would
+    carry about u ||A|| ||x|| more, up to 6.3e-14 of ||b|| at the bottom of
+    the top band on the d = 2 ladder, above GMRES_RTOL.  q_0 starts at b;
+    x_inf, where given, is x's constant (its value at s = infinity, where
+    E x_inf = 0), so that the terms start at power 1.
+    """
 
-    def add(self) -> None:
-        S, k, scale = self.S, len(self.norms), self.series.scale
-        y = self.series.next_term()
-        self.tq[k] -= S.E @ y
-        self.tq[k + 1] = (S.A @ y) / scale
-        self.Cy[:, k] = (S.C @ y) / scale
-        self.norms.append(np.linalg.norm(y))
+    def __init__(self, S: DescriptorSystem, sign: int, scale: float = 1.0, x_inf: np.ndarray | None = None):
+        self.S, self.sign, self.scale, self.norms = S, sign, scale, []
+        self.coef = np.zeros((SERIES_MAX_TERMS + 1, S.n + S.n_out))
+        self.coef[0, : S.n] = S.B[:, 0]
+        self.first = 0 if x_inf is None else 1
+        if x_inf is not None:
+            self.coef[0, : S.n] += S.A @ x_inf
+            self.coef[0, S.n :] = S.C @ x_inf
 
-    def reach(self) -> float:
-        """The smallest omega the terms so far serve."""
-        return self.series.scale * _growth(self.norms) * UNIT_ROUNDOFF ** (-1.0 / len(self.norms))
+    def add(self, z: np.ndarray) -> None:
+        """Add the next term z, at power first + (terms so far)."""
+        S, p = self.S, self.first + len(self.norms)
+        self.coef[p, : S.n] += S.A @ z
+        self.coef[p, S.n :] = S.C @ z
+        self.coef[p + self.sign, : S.n] -= self.scale * (S.E @ z)
+        self.norms.append(np.linalg.norm(z))
 
-    def at(self, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The residuals R(i omega) (N x c) and samples (n_out x c) of the
-        terms so far at each omega > 0."""
+    def reach(self, k: int | None = None) -> float:
+        """The largest r that k terms serve (all terms so far by default):
+        (r g)^k <= UNIT_ROUNDOFF, g the growth of the terms so far."""
+        g = _growth(self.norms)
+        return UNIT_ROUNDOFF ** (1.0 / (k or len(self.norms))) / g if g else np.inf
+
+    def at(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The residuals R (N x c) and outputs C x (n_out x c) at t = r i^sign
+        for each r of a block, by one real product with the powers' real and
+        imaginary parts."""
         k = np.arange(len(self.norms) + 1)
-        powers = (self.series.scale / omegas)[None, :] ** k[:, None] * _I_POWERS[-k % 4, None]  # t^k
-        R = (self.tq[: len(k)].T @ powers.view(float)).view(complex)
-        H = (self.Cy[:, : len(k) - 1] @ powers[1:].view(float)).view(complex) + self.Cx[:, None]
-        return R, H
+        powers = r[None, :] ** k[:, None] * _I_POWERS[self.sign * k % 4, None]  # t^k
+        X = (self.coef[: len(k)].T @ powers.view(float)).view(complex)
+        return X[: self.S.n], X[self.S.n :]
+
+
+def _walk(series: _Series, terms, r: np.ndarray, out: np.ndarray, afford) -> tuple[int, np.ndarray]:
+    """Serve a band's points from `series` in increasing r, column j of
+    `out` taking the sample at r[j].  Returns (j, residuals): the band
+    serves r[:j], and residuals are their true relative residuals.
+
+    The first two terms, which give the growth, are spent on trust.  Then
+    the points within reach are evaluated SERIES_BLOCK_BYTES of residuals
+    at a time, and a point keeps its sample only if its residual is at most
+    GMRES_RTOL (_gate).  A point beyond reach, or one that misses, asks the
+    iterator `terms` for another term only while fewer than
+    SERIES_MAX_TERMS exist and afford(series, r, j) allows it; where it may
+    not, or `terms` has ended, the band ends there.
+    """
+    S = series.S
+    b_norm = np.linalg.norm(S.B[:, 0]) or 1.0
+    block = max(1, SERIES_BLOCK_BYTES // (16 * S.n))
+    j, served = 0, []
+    while j < len(r):
+        reach = series.reach() if len(series.norms) >= 2 else -np.inf
+        if r[j] <= reach:
+            stop = min(int(np.searchsorted(r, reach, "right")), j + block)
+            R, H = series.at(r[j:stop])
+            res = _gate(R, b_norm)
+            out[:, j : j + len(res)] = H[:, : len(res)]
+            served.append(res)
+            j += len(res)
+            if j == stop:
+                continue
+        n = len(series.norms)
+        z = next(terms, None) if n < SERIES_MAX_TERMS and (n < 2 or afford(series, r, j)) else None
+        if z is None:
+            break
+        series.add(z)
+    return j, np.concatenate(served) if served else np.empty(0)
 
 
 def _growth(norms: list) -> float:
-    """The geometric mean ratio of neighbouring term norms, 0 where the first is 0."""
+    """The geometric mean ratio of neighbouring term norms, 0 where the first
+    is 0.  Not the last ratio: at s = infinity on the ladder, whose fastest
+    poles are a complex pair, it swings between about 3e5 and 1.1e6."""
     return (norms[-1] / norms[0]) ** (1.0 / (len(norms) - 1)) if norms[0] else 0.0
 
 
@@ -427,16 +425,6 @@ def _record(stats: SolverStats, residuals: np.ndarray) -> None:
     """Record served series samples as GMRES-route solves of 0 iterations."""
     stats.iterations += [0] * len(residuals)
     stats.residuals += residuals.tolist()
-
-
-def _series_at(terms: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """sum_k (i omega)^(k + 1) terms[k] for each omega, the series from its
-    term x_1 on (terms = [x_1, x_2, ...]), as the columns of one N x c
-    complex array, by one real product with the powers' real and imaginary
-    parts."""
-    k = 1 + np.arange(len(terms))
-    powers = omegas[None, :] ** k[:, None] * _I_POWERS[k % 4, None]
-    return (terms.T @ powers.view(float)).view(complex)
 
 
 def _sample_dense(sys: DescriptorSystem, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

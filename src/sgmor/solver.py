@@ -241,17 +241,18 @@ class SolverStats:
     (dense system).  On the GMRES route `iterations` and `residuals` hold
     one entry per solve, or per frequency of a sweep: the GMRES iterations
     spent and the true relative residual of the returned solution, where a
-    sample the Taylor series served records 0 iterations and the series'
-    own residual; `schur_unknowns` is the size of the system GMRES ran on.
+    sample either series band served records 0 iterations and its own
+    residual; `schur_unknowns` is the size of the system GMRES ran on.
     A solve that raises records nothing.
 
     A frequency sweep of a sparse system also sets `series_points`, the
-    frequencies the series served, and `series_terms`, the GMRES iterations
-    of each term solve at s = 0 (0 on the SuperLU route); term solves
-    appear nowhere else.  It sets `top_points` and `top_terms` too, the
-    frequencies the expansion at s = infinity served and the terms it took
-    (both 0 where the sweep had no top band).  Elsewhere these stay None
-    and summary() leaves them out.
+    frequencies the low band (the series at s = 0) served, and
+    `series_terms`, the GMRES iterations of each of its term solves at
+    s = 0 (0 on the SuperLU route); term solves appear nowhere else.  It
+    sets `top_points` and `top_terms` too, the frequencies the top band
+    (the expansion at s = infinity) served and the terms it took (both 0
+    where the sweep had no top band).  Elsewhere these stay None and
+    summary() leaves them out.
     """
 
     method: str = ""

@@ -164,25 +164,25 @@ def test_cli_binds_traced_names(name):
     assert name in globals_read, f"no function of sgmor.cli looks {name} up as a global"
 
 
-def _scoped_calls(node, scope=()):
-    """(scope, call) for every call under node; scope names the enclosing
+def _scoped_nodes(node, scope=()):
+    """(scope, child) for every node under node; scope names the enclosing
     classes and functions, outermost first."""
     for child in ast.iter_child_nodes(node):
         inner = scope + (child.name,) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
-        if isinstance(child, ast.Call):
-            yield inner, child
-        yield from _scoped_calls(child, inner)
+        yield inner, child
+        yield from _scoped_nodes(child, inner)
 
 
 def _callee(call: ast.Call) -> str | None:
     return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
 
 
-SOURCE_CALLS = [
-    (f"{path.stem}:{'.'.join(scope)}", call)
+SOURCE_NODES = [
+    (f"{path.stem}:{'.'.join(scope)}", node)
     for path in sorted(Path(sgmor.__file__).parent.glob("*.py"))
-    for scope, call in _scoped_calls(ast.parse(path.read_text()))
+    for scope, node in _scoped_nodes(ast.parse(path.read_text()))
 ]
+SOURCE_CALLS = [(where, node) for where, node in SOURCE_NODES if isinstance(node, ast.Call)]
 
 
 def _within(where: str, scopes) -> bool:
@@ -247,6 +247,18 @@ def test_shifted_solve_policy_in_one_class():
         ("descriptor:transfer_eval", "factor_pencil"),
         ("descriptor:simulate_transient", "factor_pencil"),
     }, sorted(calls - inside)
+
+
+def test_series_powers_read_in_one_evaluator():
+    # both series bands of a sweep, at s = 0 and at s = infinity, evaluate
+    # through one holder: the powers of i are read only where it evaluates
+    # a block of points, so a second evaluator cannot come back unseen
+    readers = {
+        where
+        for where, node in SOURCE_NODES
+        if isinstance(node, ast.Name) and node.id == "_I_POWERS" and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"hardy:_Series.at"}, sorted(readers)
 
 
 def _imported_modules(path: Path) -> set[str]:

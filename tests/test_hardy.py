@@ -1,5 +1,6 @@
 """Frequency grids and Hardy norm estimation."""
 
+import itertools
 import json
 import re
 import tracemalloc
@@ -19,7 +20,7 @@ from sgmor.galerkin import GalerkinSystem, Selection
 from sgmor.solver import RESIDUAL_RTOL, PoleProximityError, ResidualMissError, SolverStats
 
 from conftest import perturbed_gmres, scalar_galerkin
-from oracles import dense_transfer
+from oracles import dense_transfer, series_residuals
 
 
 def first_order():
@@ -645,6 +646,22 @@ def superlu_samples(sys, omegas):
     return np.column_stack([sg.transfer_eval(sys, 1j * w)[:, 0] for w in omegas])
 
 
+def check_gated_residual(series, terms, omegas, r, t_of_s, first=0, constant=None):
+    """The residual a band's series gates at omegas (r there), summed from
+    its coefficients in double, against the exact residual of the x it
+    represents (oracles.series_residuals): they part by the round-off of
+    forming the coefficients, below a fifth of GMRES_RTOL, at 6 terms and
+    at 24.  Returns the gated residuals at 24 terms."""
+    b_norm = np.linalg.norm(series.S.B[:, 0])
+    for K in (6, 24):
+        for z in terms[len(series.norms) : K]:
+            series.add(z)
+        gated = np.linalg.norm(series.at(r)[0], axis=0) / b_norm
+        exact = series_residuals(series.S, omegas, terms[:K], t_of_s, first, constant)
+        assert np.all(np.abs(gated - exact) <= 0.2 * hardy.GMRES_RTOL), (K, gated, exact)
+    return gated
+
+
 class TestTaylorSeries:
     @pytest.mark.parametrize("ladder", ["bench_galerkin_d1", "bench_galerkin_d2"])
     def test_low_band_at_superlu_level(self, ladder, request):
@@ -706,10 +723,54 @@ class TestTaylorSeries:
             assert np.array_equal(S.C @ shifted.solve(S.B[:, 0]), H[:, j])
         assert stats.iterations == plain.iterations and stats.residuals == plain.residuals
 
+    def test_gated_residual_is_the_true_residual(self, bench_galerkin_d1):
+        # the terms the sweep solves at s = 0, at points up to the reach of
+        # 24 terms; at 6 terms the residuals run from 2e-4 down
+        S = bench_galerkin_d1.system
+        terms = list(itertools.islice(hardy._taylor_terms(galerkin_solver(bench_galerkin_d1, SolverStats()), S), 24))
+        omegas = np.logspace(-2, 3.4, 8)
+        gated = check_gated_residual(hardy._Series(S, sign=1), terms, omegas, omegas, lambda s: s)
+        assert gated.max() <= hardy.GMRES_RTOL
+
+    def test_term_solve_failing_mid_band(self, bench_galerkin_d1, monkeypatch):
+        # the fifth term solve at s = 0 misses: the band keeps the prefix
+        # its four terms served, bitwise as a band capped at four terms
+        # serves it, and every later point is the plain sweep's, bitwise,
+        # stats included (the grid ends below the top band's reach)
+        gsys, grid = bench_galerkin_d1, sg.FrequencyGrid.logspaced(-2, 4, 10)
+        monkeypatch.setattr(hardy, "SERIES_MAX_TERMS", 4)
+        capped = SolverStats()
+        ref = sg.sample_transfer(gsys, grid, capped)
+        monkeypatch.setattr(hardy, "SERIES_MAX_TERMS", 24)
+        solve, solves_at_zero = solver.ShiftedSolver.solve, []
+
+        def failing(self, b):
+            if self.s == 0:
+                solves_at_zero.append(b)
+                if len(solves_at_zero) == 5:
+                    raise ResidualMissError(f"true relative residual 1 at s={self.s}", 0)
+            return solve(self, b)
+
+        monkeypatch.setattr(solver.ShiftedSolver, "solve", failing)
+        stats = SolverStats()
+        H = sg.sample_transfer(gsys, grid, stats)
+        n = stats.series_points
+        assert len(solves_at_zero) == 5 and len(stats.series_terms) == 4 and 0 < n < len(grid)
+        assert n == capped.series_points and stats.series_terms == capped.series_terms
+        assert np.array_equal(H[:, :n], ref[:, :n]) and stats.residuals[:n] == capped.residuals[:n]
+        assert stats.iterations[:n] == [0] * n and stats.top_points == 0
+        S, plain = gsys.system, SolverStats()
+        shifted = galerkin_solver(gsys, plain)
+        for j, w in enumerate(grid.omegas[n:], n):
+            shifted.set_shift(1j * w)
+            assert np.array_equal(S.C @ shifted.solve(S.B[:, 0]), H[:, j])
+        assert stats.iterations[n:] == plain.iterations and stats.residuals[n:] == plain.residuals
+
     def test_sweep_serves_a_prefix(self, bench_galerkin_d1, monkeypatch):
         # truncated at 1e-13 instead of the unit round-off, series samples
-        # miss GMRES_RTOL inside the series' reach: the first miss ends the
-        # band, and from there every point is solved as without the series
+        # miss GMRES_RTOL inside the series' reach: a miss adds a term while
+        # the band can pay for it, the first miss at the cap ends the band,
+        # and from there every point is solved as without the series
         gsys, grid = bench_galerkin_d1, sg.FrequencyGrid.logspaced(-2, 4, 10)
         monkeypatch.setattr(hardy, "SERIES_MAX_TERMS", 0)
         plain = SolverStats()
@@ -770,32 +831,14 @@ class TestTopBand:
         assert np.abs(H[:, checked] - ref).max() <= 1e-12 * np.abs(H).max()
 
     def test_gated_residual_is_the_true_residual(self, bench_galerkin_d1):
-        # the residual the band gates, summed from tq in double, against
-        # the residual of the represented x, formed term by term and
-        # multiplied out in np.longdouble on the dense system: they part by
-        # the round-off of forming tq, below a fifth of GMRES_RTOL, at 6
-        # terms (residuals from 2e-3 down) and at 24
+        # at 6 terms the residuals run from 2e-3 down
         S = bench_galerkin_d1.system
-        b = S.B[:, 0]
-        E, A = (S.E.toarray().astype(np.longdouble), S.A.toarray().astype(np.longdouble))
+        markov = solver.markov_series(S)
+        terms = [markov.next_term() / markov.scale for _ in range(24)]
+        series = hardy._Series(S, sign=-1, scale=markov.scale, x_inf=markov.x_inf)
         omegas = np.logspace(6.5, 10, 8)
-        for K in (6, 24):
-            terms = hardy._TopTerms(solver.markov_series(S), S)
-            for _ in range(K):
-                terms.add()
-            gated = np.linalg.norm(terms.at(omegas)[0], axis=0) / np.linalg.norm(b)
-            series = solver.markov_series(S)
-            Y = np.array([series.next_term() for _ in range(K)], dtype=np.longdouble)
-            scale = np.longdouble(series.scale)
-            exact = []
-            for w in omegas:
-                s = np.clongdouble(1j) * np.longdouble(w)
-                t = scale / s
-                x = series.x_inf.astype(np.clongdouble) + sum(t ** (k + 1) * Y[k] / scale for k in range(K))
-                r = b.astype(np.longdouble) - (s * (E @ x) - A @ x)
-                exact.append(np.sqrt(np.sum(np.abs(r) ** 2)))
-            exact = np.array(exact, dtype=float) / np.linalg.norm(b)
-            assert np.all(np.abs(gated - exact) <= 0.2 * hardy.GMRES_RTOL), (K, gated, exact)
+        scale = np.longdouble(markov.scale)
+        gated = check_gated_residual(series, terms, omegas, markov.scale / omegas, lambda s: scale / s, 1, markov.x_inf)
         assert gated.max() <= hardy.GMRES_RTOL
 
     def test_coarse_grid_declines_before_factoring(self, bench_galerkin_d2, monkeypatch):
